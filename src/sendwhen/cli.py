@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -726,6 +727,10 @@ def cmd_decide(args: argparse.Namespace) -> int:
             )
             return EXIT_DATA
         decisions = _round_fractional(result, cfg.c_send, deltas)
+        # click_total is the fractional LP's; rounding can leave the whole
+        # sends short of the floor, so report what they reach as well
+        p_click = {c.user_id: c.p_click for c in candidates}
+        sent_click_total = math.fsum(p_click[d.user_id] for d in decisions if d.send)
         report.update(
             kappa1=result.kappa1,
             kappa2=result.kappa2,
@@ -733,6 +738,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
             click_total=result.report["click_total"],
             send_total=result.report["send_total"],
             n_fractional=result.report["n_fractional"],
+            sent_click_total=sent_click_total,
+            floor_met=sent_click_total >= cfg.c_click - 1e-9 * max(1.0, cfg.c_click),
         )
 
     rows = []

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
@@ -102,6 +101,22 @@ def label_censoring_clean(
     return labels, ambiguous
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, ties sharing their mean rank.
+
+    The same arithmetic as scipy.stats.rankdata's default method, so the
+    ranks (exact half-integers) agree with it element for element.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.r_[True, xs[1:] != xs[:-1]]
+    dense = np.cumsum(starts)
+    bounds = np.r_[np.flatnonzero(starts), x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+    return ranks
+
+
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based AUC (Mann-Whitney U), ties counted one half."""
     s = np.asarray(scores, dtype=float)
@@ -121,7 +136,7 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise DataError(
             f"AUC needs both classes; got {n_pos} positives, {n_neg} negatives"
         )
-    ranks = rankdata(s)
+    ranks = _average_ranks(s)
     u = float(np.sum(ranks[lab])) - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, ConvergenceError, NumericalError
 
@@ -71,14 +70,25 @@ def _guarded(objective: ObjectiveFn) -> ObjectiveFn:
 
 
 def _run_lbfgs(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptResult:
+    from scipy.optimize import minimize
+
     guarded = _guarded(objective)
-    trace: list[float] = [guarded(x0)[0]]
+    last: list = [None, None]  # x and f of the latest evaluation
+
+    def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        f, g = guarded(theta)
+        last[:] = np.array(theta, dtype=float), f
+        return f, g
+
+    trace: list[float] = [evaluate(x0)[0]]
 
     def callback(xk: np.ndarray) -> None:
-        trace.append(guarded(xk)[0])
+        # the line search ends on the accepted iterate, so its value is
+        # normally the one just computed
+        trace.append(last[1] if np.array_equal(xk, last[0]) else guarded(xk)[0])
 
     res = minimize(
-        guarded,
+        evaluate,
         x0,
         jac=True,
         method="L-BFGS-B",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError, NumericalError, SchemaError
 from .features import FeatureSchema
@@ -114,6 +113,8 @@ def logistic_negloglik_and_gradient(
     w: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Bernoulli negative log-likelihood log(1+e^m) - y*m and its gradient."""
+    from scipy.special import expit
+
     w = np.asarray(w, dtype=float)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -227,6 +228,8 @@ class LogisticModel:
         return np.asarray(X, dtype=float) @ self.weights
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        from scipy.special import expit
+
         return expit(self.predict_logit(X))
 
 

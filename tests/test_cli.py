@@ -1,6 +1,7 @@
 """Command-line surface: config merging, file plumbing, exit codes, manifests."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -417,6 +418,30 @@ def test_decide_moo_fractional_rounded_and_flagged(tmp_path):
     assert got["b"]["send"] is False
     assert got["b"]["flagged"] is True
     assert "rounded down" in got["b"]["note"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_decide_moo_report_states_click_total_of_whole_sends(tmp_path, seed):
+    # 2,000 random candidates with a binding floor: the LP's fractional
+    # click_total sits on the floor, but rounding its two fractional users
+    # leaves the whole sends short of it. The report must say so.
+    rng = np.random.default_rng(seed)
+    delta, p_wait, p_click = rng.uniform(size=(3, 2000))
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("".join(
+        json.dumps({"user_id": f"u{i}", "delta": delta[i], "p_wait": p_wait[i],
+                    "p_click": p_click[i]}) + "\n"
+        for i in range(2000)
+    ))
+    out = tmp_path / "out"
+    assert run("decide", "--scores", scores, "--rule", "moo",
+               "--c-click", 320, "--c-send", 400, "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["click_total"] == pytest.approx(320.0, abs=1e-9)
+    sent = [int(r["user_id"][1:]) for r in read_jsonl(out / "decisions.jsonl") if r["send"]]
+    assert report["sent_click_total"] == pytest.approx(math.fsum(p_click[sent]), abs=1e-12)
+    assert report["floor_met"] is (report["sent_click_total"] >= 320.0 - 1e-9 * 320.0)
+    assert report["n_send"] == len(sent) <= 400
 
 
 def test_decide_empty_scores_empty_decisions(tmp_path):

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from sendwhen.errors import ConfigError, DataError, SchemaError
 from sendwhen.evaluation import (
     DEFAULT_HORIZONS,
     REFERENCE_AUC_POINTS,
     AucRow,
+    _average_ranks,
     auc,
     auc_vs_horizon,
     fit_logistic_baselines,
@@ -186,6 +188,26 @@ class TestAuc:
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(DataError):
             auc([math.nan, 0.2], [0, 1])
+
+
+class TestAverageRanks:
+    """The numpy rank helper against scipy's rankdata as a test-only oracle."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.random.default_rng(30).uniform(size=500),
+            np.random.default_rng(31).integers(0, 6, size=500).astype(float),
+            np.full(40, 0.25),
+            np.array([3.5]),
+            np.array([2.0, -1.0, 2.0, 0.0, -1.0, 2.0]),
+        ],
+        ids=["random", "heavy_ties", "all_equal", "single", "mixed"],
+    )
+    def test_equals_rankdata(self, x):
+        got = _average_ranks(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, rankdata(x))
 
 
 class TestScoreForAuc:

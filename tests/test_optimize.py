@@ -1,0 +1,52 @@
+"""L-BFGS driver: the objective trace costs no evaluations beyond the solver's own."""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.optimize import minimize
+
+from sendwhen.optimize import OptConfig, _guarded, minimize_smooth
+from sendwhen.training import logistic_negloglik_and_gradient
+
+
+def counted_logistic(seed: int):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(400), rng.normal(size=(400, 3))])
+    y = (rng.uniform(size=400) < 1.0 / (1.0 + np.exp(-X @ [0.3, 1.0, -0.5, 0.2]))).astype(float)
+    calls = [0]
+
+    def objective(w):
+        calls[0] += 1
+        return logistic_negloglik_and_gradient(w, X, y)
+
+    return objective, calls
+
+
+def trace_by_reevaluation(objective, x0, cfg):
+    """The trace as recorded by evaluating the objective again at each iterate."""
+    guarded = _guarded(objective)
+    trace = [guarded(x0)[0]]
+    res = minimize(
+        guarded, x0, jac=True, method="L-BFGS-B",
+        callback=lambda xk: trace.append(guarded(xk)[0]),
+        options={"maxiter": cfg.max_iters, "gtol": cfg.tol, "ftol": 1e-15},
+    )
+    objective(np.asarray(res.x, dtype=float))  # the final unguarded check
+    return np.asarray(res.x, dtype=float), tuple(trace), int(res.nit)
+
+
+def test_trace_and_fit_match_reevaluation():
+    for seed in (0, 1, 2):
+        cfg = OptConfig()
+        x0 = np.zeros(4)
+        objective, calls = counted_logistic(seed)
+        want_x, want_trace, want_iters = trace_by_reevaluation(objective, x0, cfg)
+        old_calls = calls[0]
+        calls[0] = 0
+        res = minimize_smooth(objective, x0, cfg)
+        assert np.array_equal(res.x, want_x)
+        assert res.fun_trace == want_trace
+        assert res.n_iters == want_iters > 0
+        assert len(res.fun_trace) == res.n_iters + 1
+        assert old_calls - calls[0] == res.n_iters
+
