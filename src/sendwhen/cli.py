@@ -142,16 +142,6 @@ def _print_config(merged: Mapping) -> int:
     return EXIT_OK
 
 
-def _check_threads(threads) -> int:
-    try:
-        n = int(threads)
-    except (TypeError, ValueError):
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
-    if n < 1:
-        raise ConfigError(f"threads must be >= 1, got {n}")
-    return n
-
-
 def _pipeline_config(merged: Mapping) -> PipelineConfig:
     try:
         return PipelineConfig(
@@ -211,7 +201,6 @@ _SIMULATE_DEFAULTS: dict = {
     "window_hours": 168.0,
     "seed": 0,
     "include_interaction": True,
-    "threads": 1,
 }
 
 
@@ -223,15 +212,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "n_users": args.n_users,
             "seed": args.seed,
             "window_hours": args.window_hours,
-            "threads": args.threads,
         },
     )
     if args.print_config:
         return _print_config(merged)
     if args.out is None:
         raise ConfigError("simulate needs --out DIR (or --print-config)")
-    _check_threads(merged["threads"])
-    sim_cfg = SimConfig.from_dict({k: v for k, v in merged.items() if k != "threads"})
+    sim_cfg = SimConfig.from_dict(merged)
 
     out = _prepare_out(
         args.out, ("events.jsonl", "contexts.jsonl", "truth.json", "schema.json"), args.force
@@ -269,7 +256,6 @@ _INGEST_DEFAULTS: dict = {
     "duration_floor_hours": 1.0 / 3600.0,
     "window_start": None,
     "window_end": None,
-    "threads": 1,
 }
 
 
@@ -281,7 +267,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             "duration_floor_hours": args.duration_floor_hours,
             "window_start": args.window_start,
             "window_end": args.window_end,
-            "threads": args.threads,
         },
     )
     if args.print_config:
@@ -291,7 +276,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             raise ConfigError(f"ingest needs {name} (or --print-config)")
     if args.out is None:
         raise ConfigError("ingest needs --out DIR")
-    _check_threads(merged["threads"])
     pipe_cfg = _pipeline_config(merged)
 
     schema = read_schema_json(args.schema)
@@ -335,7 +319,6 @@ _TRAIN_DEFAULTS: dict = {
     "duration_floor_hours": 1.0 / 3600.0,
     "window_start": None,
     "window_end": None,
-    "threads": 1,
 }
 
 
@@ -365,14 +348,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             "ridge": args.ridge,
             "method": args.method,
             "seed": args.seed,
-            "threads": args.threads,
         },
     )
     if args.print_config:
         return _print_config(merged)
     if args.out is None:
         raise ConfigError("train needs --out DIR (or --print-config)")
-    _check_threads(merged["threads"])
     kind, horizon = _parse_model_kind(str(merged["model"]))
     opt_cfg = _opt_config(merged)
 
@@ -426,7 +407,6 @@ _EVALUATE_DEFAULTS: dict = {
     "duration_floor_hours": 1.0 / 3600.0,
     "window_start": None,
     "window_end": None,
-    "threads": 1,
 }
 
 
@@ -437,7 +417,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         {
             "horizons": args.horizons,
             "labeler": args.labeler,
-            "threads": args.threads,
         },
     )
     if args.print_config:
@@ -453,7 +432,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError("evaluate needs at least one --logistic-model FILE")
     if args.out is None:
         raise ConfigError("evaluate needs --out DIR")
-    _check_threads(merged["threads"])
     if merged["labeler"] not in LABELERS:
         raise ConfigError(
             f"unknown labeler {merged['labeler']!r}; expected one of {sorted(LABELERS)}"
@@ -512,7 +490,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 _SCORE_DEFAULTS: dict = {
     "horizon_T": 24.0,
-    "threads": 1,
 }
 
 
@@ -520,7 +497,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     merged = _merge_config(
         _SCORE_DEFAULTS,
         args.config,
-        {"horizon_T": args.horizon_T, "threads": args.threads},
+        {"horizon_T": args.horizon_T},
     )
     if args.print_config:
         return _print_config(merged)
@@ -529,7 +506,6 @@ def cmd_score(args: argparse.Namespace) -> int:
             raise ConfigError(f"score needs {name} (or --print-config)")
     if args.out is None:
         raise ConfigError("score needs --out DIR")
-    _check_threads(merged["threads"])
     horizon = float(merged["horizon_T"])
     if not horizon > 0:
         raise ConfigError(f"horizon_T must be > 0, got {horizon}")
@@ -585,10 +561,8 @@ _DECIDE_DEFAULTS: dict = {
     "kappa": 0.0,
     "c_click": 0.0,
     "c_send": 0.0,
-    "horizon_T": None,
     "evaluation_cadence_hours": 4.0,
     "synth_p_click_seed": None,
-    "threads": 1,
 }
 
 
@@ -630,33 +604,48 @@ def _candidates_from_scores(
     ]
 
 
-def _round_fractional(result, c_send: float, deltas: Mapping[str, float]):
-    """Integerize fractional LP entries greedily by descending delta.
+def _meets_floor(click_total: float, c_click: float) -> bool:
+    return click_total >= c_click - 1e-9 * max(1.0, c_click)
+
+
+def _round_fractional(result, cfg: MooConfig, candidates: Sequence[Candidate]):
+    """Integerize fractional LP entries; return the decisions and their clicks.
 
     A fractional y rounds up while the rounded send count still fits the
     volume cap, in the same delta-descending order the LP itself fills.
+    If the whole sends then miss the click floor, the users round up in
+    descending p_click instead.  That order gives the most whole-send
+    clicks the cap allows, so the floor is kept whenever any rounding
+    keeps it.
     """
+    by_id = {c.user_id: c for c in candidates}
     fractional = [d for d in result.decisions if d.flagged and 0.0 < d.y < 1.0]
-    n_whole = sum(1 for d in result.decisions if d.y >= 1.0 - 1e-12)
-    order = sorted(fractional, key=lambda d: (-deltas.get(d.user_id, 0.0), d.user_id))
-    budget = c_send - n_whole
-    rounded = {}
-    for d in order:
-        up = budget >= 1.0 - 1e-9
-        if up:
-            budget -= 1.0
-        rounded[d.user_id] = up
+    whole_clicks = [by_id[d.user_id].p_click for d in result.decisions if d.send]
+    budget = cfg.c_send - len(whole_clicks)
+    n_up = 0
+    while n_up < len(fractional) and budget >= 1.0 - 1e-9:
+        budget -= 1.0
+        n_up += 1
+
+    def round_up(key) -> tuple[set[str], float]:
+        up = [d.user_id for d in sorted(fractional, key=key)[:n_up]]
+        return set(up), math.fsum(whole_clicks + [by_id[u].p_click for u in up])
+
+    up, clicks = round_up(lambda d: (-by_id[d.user_id].delta, d.user_id))
+    if not _meets_floor(clicks, cfg.c_click):
+        up, clicks = round_up(lambda d: (-by_id[d.user_id].p_click, d.user_id))
+    rounded = {d.user_id for d in fractional}
     out = []
     for d in result.decisions:
         if d.user_id in rounded:
-            up = rounded[d.user_id]
-            note = f"fractional y={d.y:.6f} rounded {'up' if up else 'down'}"
+            send = d.user_id in up
+            note = f"fractional y={d.y:.6f} rounded {'up' if send else 'down'}"
             out.append(
-                type(d)(user_id=d.user_id, y=d.y, send=up, flagged=True, note=note)
+                type(d)(user_id=d.user_id, y=d.y, send=send, flagged=True, note=note)
             )
         else:
             out.append(d)
-    return out
+    return out, clicks
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
@@ -668,9 +657,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
             "kappa": args.kappa,
             "c_click": args.c_click,
             "c_send": args.c_send,
-            "horizon_T": args.horizon_T,
             "synth_p_click_seed": args.synth_p_click_seed,
-            "threads": args.threads,
         },
     )
     if args.print_config:
@@ -679,7 +666,6 @@ def cmd_decide(args: argparse.Namespace) -> int:
         raise ConfigError("decide needs --scores FILE (or --print-config)")
     if args.out is None:
         raise ConfigError("decide needs --out DIR")
-    _check_threads(merged["threads"])
     rule = str(merged["rule"])
     if rule not in ("threshold", "ratio", "moo"):
         raise ConfigError(f"unknown rule {rule!r}; expected threshold, ratio, or moo")
@@ -701,10 +687,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if not candidates:
         print("decide: warning: empty candidate input", file=sys.stderr)
     elif rule == "threshold":
-        result = threshold_rule(
-            candidates, float(merged["kappa"]),
-            horizon_T=None if merged["horizon_T"] is None else float(merged["horizon_T"]),
-        )
+        result = threshold_rule(candidates, float(merged["kappa"]))
         decisions = list(result.decisions)
         report["kappa"] = result.kappa
     elif rule == "ratio":
@@ -713,7 +696,6 @@ def cmd_decide(args: argparse.Namespace) -> int:
         report["kappa"] = result.kappa
     else:
         cfg = MooConfig(c_click=float(merged["c_click"]), c_send=float(merged["c_send"]))
-        deltas = {c.user_id: c.delta for c in candidates}
         result = moo_solve(candidates, cfg)
         status = result.status
         if result.status == "infeasible":
@@ -726,11 +708,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_DATA
-        decisions = _round_fractional(result, cfg.c_send, deltas)
-        # click_total is the fractional LP's; rounding can leave the whole
-        # sends short of the floor, so report what they reach as well
-        p_click = {c.user_id: c.p_click for c in candidates}
-        sent_click_total = math.fsum(p_click[d.user_id] for d in decisions if d.send)
+        decisions, sent_click_total = _round_fractional(result, cfg, candidates)
+        # click_total is the fractional LP's; report what the whole sends reach
         report.update(
             kappa1=result.kappa1,
             kappa2=result.kappa2,
@@ -739,7 +718,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
             send_total=result.report["send_total"],
             n_fractional=result.report["n_fractional"],
             sent_click_total=sent_click_total,
-            floor_met=sent_click_total >= cfg.c_click - 1e-9 * max(1.0, cfg.c_click),
+            floor_met=_meets_floor(sent_click_total, cfg.c_click),
         )
 
     rows = []
@@ -777,7 +756,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--print-config", action="store_true",
         help="print the effective config as JSON and exit",
     )
-    p.add_argument("--threads", type=int, help="cap worker count (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -844,7 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float)
     p.add_argument("--c-click", type=float, dest="c_click")
     p.add_argument("--c-send", type=float, dest="c_send")
-    p.add_argument("--horizon-T", type=float, dest="horizon_T")
     p.add_argument(
         "--synth-p-click-seed", type=int, dest="synth_p_click_seed",
         help="seed for placeholder uniform p_click draws when the scores lack them",

@@ -203,24 +203,6 @@ class FeatureSchema:
                 x1[i] = x1[a] * x1[b]
         return x1
 
-    # -- offline / online partition ----------------------------------------
-
-    def online_mask(self) -> np.ndarray:
-        """Boolean mask of slots that must be evaluated at decision time.
-
-        An interaction inherits online-ness from its parents: if either
-        parent can change in real time, the product can too.
-        """
-        mask = np.zeros(len(self.slots), dtype=bool)
-        for i, s in enumerate(self.slots):
-            if s.kind == "interaction":
-                mask[i] = any(
-                    self.slots[self._index[p]].online for p in s.parents
-                )
-            else:
-                mask[i] = s.online
-        return mask
-
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:

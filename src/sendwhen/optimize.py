@@ -49,12 +49,16 @@ class OptResult:
 
 
 def _guarded(objective: ObjectiveFn) -> ObjectiveFn:
-    """Let the line search recover from numeric blowups at probe points.
+    """Turn numeric blowups at probe points into +inf instead of raising.
 
     A NumericalError raised by the objective (overflow at an extreme
-    parameter point) becomes +inf, which backtracking treats as a rejected
-    step.  Errors at the final accepted point still surface to the caller
-    because minimize_smooth re-evaluates there.
+    parameter point) becomes (+inf, zero gradient).  The gd driver's
+    backtracking treats that as a rejected step and shortens it.  L-BFGS-B
+    does not backtrack from it: the solver stops at its last accepted
+    point, whose gradient then fails the tolerance, so minimize_smooth
+    raises ConvergenceError rather than returning a wrong optimum.
+    Errors at the final accepted point still surface to the caller
+    because each driver re-evaluates there unguarded.
     """
 
     def wrapped(theta: np.ndarray) -> tuple[float, np.ndarray]:

@@ -9,7 +9,6 @@ walk to get an instance for every send.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -24,13 +23,8 @@ __all__ = [
     "Observation",
     "SendInstance",
     "PipelineConfig",
-    "SplitDataset",
-    "OutlierReport",
     "build_observations",
     "build_send_instances",
-    "count_user_events",
-    "filter_outliers",
-    "split",
 ]
 
 SEND = "send"
@@ -99,9 +93,6 @@ class SendInstance:
 @dataclass(frozen=True)
 class PipelineConfig:
     duration_floor_hours: float = 1.0 / 3600.0
-    max_notifications: int = 200
-    max_visits: int = 500
-    split_seed: int = 0
     window_start: float | None = None
     window_end: float | None = None
 
@@ -111,22 +102,6 @@ class PipelineConfig:
         if self.window_start is not None and self.window_end is not None:
             if self.window_end <= self.window_start:
                 raise DataError("window_end must be greater than window_start")
-
-
-@dataclass(frozen=True)
-class OutlierReport:
-    users_total: int
-    users_dropped_notifications: int
-    users_dropped_visits: int
-    observations_dropped: int
-    dropped_user_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class SplitDataset:
-    train: list[Observation]
-    test: list[Observation]
-    seed: int
 
 
 def _in_window(ev: Event, cfg: PipelineConfig) -> bool:
@@ -229,65 +204,3 @@ def build_send_instances(
             out.append(SendInstance(user_id=user_id, ts_hours=send.ts_hours, x=x))
     return out
 
-
-def count_user_events(events: Iterable[Event]) -> dict[str, tuple[int, int]]:
-    """Per-user (send_count, visit_count) over the raw log."""
-    counts: dict[str, list[int]] = {}
-    for ev in events:
-        c = counts.setdefault(ev.user_id, [0, 0])
-        c[0 if ev.kind == SEND else 1] += 1
-    return {u: (c[0], c[1]) for u, c in counts.items()}
-
-
-def filter_outliers(
-    observations: Sequence[Observation],
-    counts: Mapping[str, tuple[int, int]],
-    cfg: PipelineConfig,
-) -> tuple[list[Observation], OutlierReport]:
-    """Drop every record of users with implausibly heavy event counts.
-
-    counts are event counts over the data window (the reference setup uses
-    a one-week window, so the default limits are weekly limits).  Users
-    missing from counts are kept.
-    """
-    over_sends = {
-        u for u, (n_send, _) in counts.items() if n_send > cfg.max_notifications
-    }
-    over_visits = {
-        u for u, (_, n_visit) in counts.items() if n_visit > cfg.max_visits
-    }
-    dropped_users = over_sends | over_visits
-    kept = [o for o in observations if o.user_id not in dropped_users]
-    users_seen = {o.user_id for o in observations} | set(counts)
-    report = OutlierReport(
-        users_total=len(users_seen),
-        users_dropped_notifications=len(over_sends),
-        users_dropped_visits=len(over_visits),
-        observations_dropped=len(observations) - len(kept),
-        dropped_user_ids=tuple(sorted(dropped_users)),
-    )
-    return kept, report
-
-
-def _split_key(seed: int, user_id: str) -> str:
-    return hashlib.sha256(f"{seed}|{user_id}".encode("utf-8")).hexdigest()
-
-
-def split(
-    observations: Sequence[Observation], seed: int, test_fraction: float = 0.2
-) -> SplitDataset:
-    """Deterministic per-user split; every user lands wholly on one side.
-
-    Users are ranked by a seed-keyed hash of their id; the lowest-ranked
-    fifth (by user count) becomes the test side.  Rerunning with the same
-    seed reproduces the split exactly, independent of observation order.
-    """
-    if not 0.0 <= test_fraction < 1.0:
-        raise DataError(f"test_fraction must be in [0, 1), got {test_fraction}")
-    users = sorted({o.user_id for o in observations})
-    n_test = int(len(users) * test_fraction)
-    ranked = sorted(users, key=lambda u: (_split_key(seed, u), u))
-    test_users = set(ranked[:n_test])
-    train = [o for o in observations if o.user_id not in test_users]
-    test = [o for o in observations if o.user_id in test_users]
-    return SplitDataset(train=train, test=test, seed=seed)

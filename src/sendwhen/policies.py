@@ -91,7 +91,6 @@ class PolicyResult:
     decisions: tuple[Decision, ...]
     status: str = "ok"
     kappa: float | None = None
-    horizon_T: float | None = None
     kappa1: float | None = None
     kappa2: float | None = None
     objective: float | None = None
@@ -108,18 +107,14 @@ def _check_kappa(kappa: float) -> None:
         raise ConfigError("kappa must not be NaN")
 
 
-def threshold_rule(
-    candidates: Sequence[Candidate], kappa: float, horizon_T: float | None = None
-) -> PolicyResult:
+def threshold_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:
     """Send exactly when delta exceeds the global threshold (strictly)."""
     _check_kappa(kappa)
     decisions = tuple(
         Decision(c.user_id, 1.0 if c.delta > kappa else 0.0, c.delta > kappa)
         for c in candidates
     )
-    return PolicyResult(
-        rule="threshold", decisions=decisions, kappa=kappa, horizon_T=horizon_T
-    )
+    return PolicyResult(rule="threshold", decisions=decisions, kappa=kappa)
 
 
 def ratio_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:

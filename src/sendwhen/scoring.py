@@ -1,13 +1,10 @@
-"""Per-user delta-effect scoring and the offline/online score split.
+"""Per-user delta-effect scoring.
 
 Scoring answers: if this user gets a notification right now, how much
 more likely is a visit within the next T hours than if we stay quiet?
 The answer needs the user's current feature vector, the hypothetical
 post-send vector (badge up one, state clock reset), and the fitted
-model, all combined through the survival layer.  Batch systems can
-precompute the dot product over slowly changing slots and finish the
-score at decision time with only the real-time slots; the split is
-exact because the linear predictor is additive.
+model, all combined through the survival layer.
 """
 
 from __future__ import annotations
@@ -16,12 +13,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, SchemaError
-from .features import FeatureSchema
 from .survival import (
     StatePair,
     WeibullParams,
@@ -34,13 +30,8 @@ from .training import WeibullAftModel
 __all__ = [
     "ScoringContext",
     "DeltaEffectResult",
-    "PartialScore",
-    "transition_features",
     "score_delta_effect",
     "score_batch",
-    "partition_slots",
-    "partial_score",
-    "combine",
     "model_digest",
 ]
 
@@ -88,16 +79,6 @@ class DeltaEffectResult:
         }
 
 
-@dataclass(frozen=True)
-class PartialScore:
-    """Offline half of the linear predictor, computed ahead of time."""
-
-    user_id: str
-    offline_dot: float
-    computed_at: float
-    model_version: str
-
-
 def model_digest(model: WeibullAftModel) -> str:
     """Short stable digest of what the model predicts with."""
     payload = {
@@ -109,25 +90,6 @@ def model_digest(model: WeibullAftModel) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _schema_of(model: WeibullAftModel) -> FeatureSchema:
-    if model.schema is None:
-        raise SchemaError("model carries no feature schema; scoring needs one")
-    return model.schema
-
-
-def transition_features(
-    x0: Sequence[float] | np.ndarray, schema: FeatureSchema
-) -> np.ndarray:
-    """Hypothetical post-send feature vector.
-
-    Badge count up one, time-in-state slots to zero, interactions
-    recomputed from updated parents; everything else carried over.  A
-    schema without state slots transitions to the same vector, which
-    makes the send/wait laws coincide.
-    """
-    return schema.transition(x0)
-
-
 def score_delta_effect(
     ctx: ScoringContext, model: WeibullAftModel
 ) -> DeltaEffectResult:
@@ -137,7 +99,9 @@ def score_delta_effect(
     another with the same shape; the result carries both rates, the
     shape, and both conditional probabilities.
     """
-    schema = _schema_of(model)
+    schema = model.schema
+    if schema is None:
+        raise SchemaError("model carries no feature schema; scoring needs one")
     x0 = np.asarray(ctx.features_now, dtype=float)
     if len(x0) != len(model.feature_names):
         raise SchemaError(
@@ -146,7 +110,7 @@ def score_delta_effect(
         )
     if len(schema) != len(model.feature_names):
         raise SchemaError("model schema and coefficient vector disagree")
-    x1 = transition_features(x0, schema)
+    x1 = schema.transition(x0)
 
     mu0 = float(x0 @ model.coefficients)
     mu1 = float(x1 @ model.coefficients)
@@ -180,81 +144,3 @@ def score_batch(
 ) -> list[DeltaEffectResult]:
     return [score_delta_effect(ctx, model) for ctx in contexts]
 
-
-def partition_slots(
-    schema: FeatureSchema, online_names: Iterable[str] | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Disjoint (offline indices, online indices) covering every slot.
-
-    Defaults to the schema's own online flags.  An explicit override
-    must keep any interaction whose parent is online on the online
-    side, otherwise the split would not be computable ahead of time.
-    """
-    if online_names is None:
-        mask = schema.online_mask()
-    else:
-        names = set(online_names)
-        unknown = names - set(schema.names)
-        if unknown:
-            raise SchemaError(f"unknown slots in partition: {sorted(unknown)}")
-        mask = np.zeros(len(schema), dtype=bool)
-        for n in names:
-            mask[schema.index(n)] = True
-        for i, s in enumerate(schema.slots):
-            if s.kind == "interaction":
-                parent_online = any(mask[schema.index(p)] for p in s.parents)
-                if parent_online and not mask[i]:
-                    raise SchemaError(
-                        f"invalid partition: interaction {s.name!r} has an "
-                        "online parent but was assigned offline"
-                    )
-    offline = tuple(int(i) for i in np.flatnonzero(~mask))
-    online = tuple(int(i) for i in np.flatnonzero(mask))
-    return offline, online
-
-
-def partial_score(
-    x: Sequence[float] | np.ndarray,
-    model: WeibullAftModel,
-    *,
-    user_id: str = "",
-    computed_at: float = 0.0,
-    online_names: Iterable[str] | None = None,
-) -> PartialScore:
-    """Dot product over the slots that do not change in real time."""
-    schema = _schema_of(model)
-    xv = schema.validate_vector(x)
-    offline, _ = partition_slots(schema, online_names)
-    dot = float(xv[list(offline)] @ model.coefficients[list(offline)])
-    return PartialScore(
-        user_id=user_id,
-        offline_dot=dot,
-        computed_at=computed_at,
-        model_version=model_digest(model),
-    )
-
-
-def combine(
-    partial: PartialScore,
-    x_now: Sequence[float] | np.ndarray,
-    model: WeibullAftModel,
-    online_names: Iterable[str] | None = None,
-) -> float:
-    """Full linear predictor from a partial score and fresh online slots.
-
-    x_now is a full-length vector; only its online slots are read, so
-    stale offline entries cannot leak into the result.  Exact by
-    additivity of the dot product.
-    """
-    schema = _schema_of(model)
-    version = model_digest(model)
-    if partial.model_version != version:
-        raise SchemaError(
-            f"partial score was computed with model {partial.model_version}, "
-            f"combining with model {version}"
-        )
-    xv = schema.validate_vector(x_now)
-    _, online = partition_slots(schema, online_names)
-    return partial.offline_dot + float(
-        xv[list(online)] @ model.coefficients[list(online)]
-    )

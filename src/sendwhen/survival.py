@@ -1,4 +1,4 @@
-"""Weibull / extreme-value distribution functions and the send-now-vs-wait math.
+"""Weibull distribution functions and the send-now-vs-wait math.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.  Probabilities are assembled in log space (``expm1``-style
@@ -22,7 +22,6 @@ __all__ = [
     "weibull_cdf",
     "weibull_sf",
     "weibull_pdf",
-    "extreme_value_logpdf_logsf",
     "prob_visit_if_send",
     "prob_visit_if_not_send",
     "delta_effect",
@@ -121,18 +120,6 @@ def weibull_pdf(t: float, p: WeibullParams) -> float:
         - _cum_hazard(t, p)
     )
     return math.exp(log_pdf)
-
-
-def extreme_value_logpdf_logsf(z: float) -> tuple[float, float]:
-    """Log-density and log-survival of the standard extreme value law.
-
-    log f(z) = z - e^z and log(1 - F(z)) = -e^z, both exact in log space.
-    """
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z}")
-    ez = math.exp(z)
-    return z - ez, -ez
 
 
 def prob_visit_if_send(horizon_t: float, post: WeibullParams) -> float:

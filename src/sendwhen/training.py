@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,11 +29,7 @@ __all__ = [
     "logistic_negloglik_and_gradient",
     "fit_aft",
     "fit_logistic",
-    "model_to_dict",
-    "model_from_dict",
 ]
-
-MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +176,6 @@ class WeibullAftModel:
     log_sigma: float
     diagnostics: Mapping[str, object] = field(default_factory=dict)
     schema: FeatureSchema | None = None
-    standardization: Mapping[str, tuple[float, ...]] | None = None
 
     @property
     def sigma(self) -> float:
@@ -218,7 +213,6 @@ class LogisticModel:
     horizon_t_hours: float
     diagnostics: Mapping[str, object] = field(default_factory=dict)
     schema: FeatureSchema | None = None
-    standardization: Mapping[str, tuple[float, ...]] | None = None
 
     def __post_init__(self) -> None:
         if not self.horizon_t_hours > 0:
@@ -297,7 +291,6 @@ def fit_aft(
         log_sigma=log_sigma,
         diagnostics=_diagnostics(result, data_nll, opt_cfg, dm.n, n_unc),
         schema=schema,
-        standardization={"means": tuple(means), "scales": tuple(scales)},
     )
 
 
@@ -362,7 +355,6 @@ def fit_logistic(
         horizon_t_hours=float(horizon_t_hours),
         diagnostics=_diagnostics(result, data_nll, opt_cfg, X.shape[0], int(y.sum())),
         schema=schema,
-        standardization={"means": tuple(means), "scales": tuple(scales)},
     )
 
 
@@ -394,78 +386,3 @@ def _diagnostics(
         "n_events": n_positive,
     }
 
-
-# -- persistence ------------------------------------------------------------------
-
-
-def model_to_dict(model: WeibullAftModel | LogisticModel) -> dict:
-    common = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "coefficients": {
-            name: float(v)
-            for name, v in zip(
-                model.feature_names,
-                model.coefficients
-                if isinstance(model, WeibullAftModel)
-                else model.weights,
-            )
-        },
-        "feature_order": list(model.feature_names),
-        "diagnostics": dict(model.diagnostics),
-        "schema": model.schema.to_dict() if model.schema is not None else None,
-        "standardization": (
-            {k: list(v) for k, v in model.standardization.items()}
-            if model.standardization
-            else None
-        ),
-    }
-    if isinstance(model, WeibullAftModel):
-        return {"model_type": "weibull_aft", "log_sigma": model.log_sigma, **common}
-    return {
-        "model_type": "logistic",
-        "horizon_t_hours": model.horizon_t_hours,
-        **common,
-    }
-
-
-def model_from_dict(d: Mapping) -> WeibullAftModel | LogisticModel:
-    try:
-        kind = d["model_type"]
-        version = d["format_version"]
-        names = tuple(d["feature_order"])
-        coefs = np.array([float(d["coefficients"][n]) for n in names])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed model document: {exc}") from exc
-    if version != MODEL_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported model format_version {version!r} "
-            f"(this build reads {MODEL_FORMAT_VERSION})"
-        )
-    schema = (
-        FeatureSchema.from_dict(d["schema"]) if d.get("schema") is not None else None
-    )
-    std = (
-        {k: tuple(v) for k, v in d["standardization"].items()}
-        if d.get("standardization")
-        else None
-    )
-    diagnostics = dict(d.get("diagnostics") or {})
-    if kind == "weibull_aft":
-        return WeibullAftModel(
-            feature_names=names,
-            coefficients=coefs,
-            log_sigma=float(d["log_sigma"]),
-            diagnostics=diagnostics,
-            schema=schema,
-            standardization=std,
-        )
-    if kind == "logistic":
-        return LogisticModel(
-            feature_names=names,
-            weights=coefs,
-            horizon_t_hours=float(d["horizon_t_hours"]),
-            diagnostics=diagnostics,
-            schema=schema,
-            standardization=std,
-        )
-    raise DataError(f"unknown model_type {kind!r}")

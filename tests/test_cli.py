@@ -423,8 +423,9 @@ def test_decide_moo_fractional_rounded_and_flagged(tmp_path):
 @pytest.mark.parametrize("seed", range(5))
 def test_decide_moo_report_states_click_total_of_whole_sends(tmp_path, seed):
     # 2,000 random candidates with a binding floor: the LP's fractional
-    # click_total sits on the floor, but rounding its two fractional users
-    # leaves the whole sends short of it. The report must say so.
+    # click_total sits on the floor. Rounding its two fractional users in
+    # delta order leaves the whole sends short of it; rounding by p_click
+    # within the same cap keeps it, and the report says what they reach.
     rng = np.random.default_rng(seed)
     delta, p_wait, p_click = rng.uniform(size=(3, 2000))
     scores = tmp_path / "scores.jsonl"
@@ -441,6 +442,7 @@ def test_decide_moo_report_states_click_total_of_whole_sends(tmp_path, seed):
     sent = [int(r["user_id"][1:]) for r in read_jsonl(out / "decisions.jsonl") if r["send"]]
     assert report["sent_click_total"] == pytest.approx(math.fsum(p_click[sent]), abs=1e-12)
     assert report["floor_met"] is (report["sent_click_total"] >= 320.0 - 1e-9 * 320.0)
+    assert report["floor_met"]
     assert report["n_send"] == len(sent) <= 400
 
 
@@ -530,10 +532,12 @@ def test_manifest_input_digests_match_files(ingest_dir, sim_dir):
     assert manifest["input_digests"]["schema"] == file_sha256(sim_dir / "schema.json")
 
 
-def test_threads_flag_validated(tmp_path, sim_dir):
-    assert run("ingest", "--events", sim_dir / "events.jsonl",
-               "--schema", sim_dir / "schema.json",
-               "--out", tmp_path / "o", "--threads", 0) == 2
+def test_removed_flags_are_unknown_arguments(tmp_path, capsys):
+    for argv in (("train", "--threads", 1), ("decide", "--horizon-T", 24)):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

@@ -168,22 +168,6 @@ class TestTransition:
         assert x1[s.index("badge_count")] == 1.0
 
 
-class TestOnlinePartition:
-    def test_interaction_inherits_online(self):
-        s = demo_schema()
-        mask = s.online_mask()
-        by_name = dict(zip(s.names, mask))
-        assert by_name["badge_count"] is np.True_
-        assert by_name["recent_visits"] is np.True_
-        assert by_name["profile_0"] is np.False_
-        # badge is online, so badge*profile_0 must be online too
-        assert by_name["badge_count*profile_0"] is np.True_
-
-    def test_all_offline(self):
-        s = FeatureSchema.build(base=["a"], badge=None)
-        assert not s.online_mask().any()
-
-
 class TestPersistence:
     def test_round_trip(self):
         s = demo_schema()

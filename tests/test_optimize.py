@@ -1,10 +1,12 @@
-"""L-BFGS driver: the objective trace costs no evaluations beyond the solver's own."""
+"""Optimizer drivers: trace bookkeeping and numeric blowups at probe points."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from scipy.optimize import minimize
 
+from sendwhen.errors import ConvergenceError, NumericalError
 from sendwhen.optimize import OptConfig, _guarded, minimize_smooth
 from sendwhen.training import logistic_negloglik_and_gradient
 
@@ -50,3 +52,24 @@ def test_trace_and_fit_match_reevaluation():
         assert len(res.fun_trace) == res.n_iters + 1
         assert old_calls - calls[0] == res.n_iters
 
+
+
+def blows_up_past_08(w):
+    """(w - 0.5)^2, undefined beyond |w| = 0.8; the first full step overshoots."""
+    if abs(w[0]) > 0.8:
+        raise NumericalError(f"probe at w={w[0]}")
+    return float((w[0] - 0.5) ** 2), np.array([2.0 * (w[0] - 0.5)])
+
+
+def test_gd_backtracks_from_a_failed_probe():
+    res = minimize_smooth(blows_up_past_08, np.zeros(1), OptConfig(method="gd"))
+    assert res.converged
+    assert res.x[0] == pytest.approx(0.5, abs=1e-7)
+
+
+def test_lbfgs_stops_at_a_failed_probe_and_says_so():
+    with pytest.raises(ConvergenceError) as exc:
+        minimize_smooth(blows_up_past_08, np.zeros(1), OptConfig(method="lbfgs"))
+    result = exc.value.result
+    assert not result.converged
+    assert result.grad_max_norm > OptConfig().tol

@@ -1,4 +1,4 @@
-"""Tests for event ingestion: observation building, outliers, splitting, IO."""
+"""Tests for event ingestion: observation building and IO."""
 
 from __future__ import annotations
 
@@ -22,9 +22,6 @@ from sendwhen.pipeline import (
     PipelineConfig,
     build_observations,
     build_send_instances,
-    count_user_events,
-    filter_outliers,
-    split,
 )
 
 SCHEMA = FeatureSchema.build(base=["p"], badge="badge_count")
@@ -171,107 +168,6 @@ class TestSendInstances:
         for o, i in zip(obs, inst):
             assert o.origin_ts_hours == i.ts_hours
             assert_allclose(o.x, i.x)
-
-
-class TestOutliers:
-    def make_obs(self, uid, n):
-        events = []
-        for k in range(n):
-            events.append(send(uid, 2.0 * k))
-            events.append(visit(uid, 2.0 * k + 1.0))
-        return events
-
-    def test_under_limits_kept(self):
-        events = self.make_obs("u", 3)
-        obs = build_observations(events, SCHEMA, CFG)
-        counts = count_user_events(events)
-        kept, report = filter_outliers(obs, counts, CFG)
-        assert len(kept) == len(obs)
-        assert report.observations_dropped == 0
-
-    def test_boundary_plus_one_dropped(self):
-        events = self.make_obs("u", 201)  # 201 sends > 200 limit
-        obs = build_observations(events, SCHEMA, CFG)
-        counts = count_user_events(events)
-        assert counts["u"][0] == 201
-        kept, report = filter_outliers(obs, counts, CFG)
-        assert kept == []
-        assert report.users_dropped_notifications == 1
-        assert report.dropped_user_ids == ("u",)
-
-    def test_boundary_exact_kept(self):
-        events = self.make_obs("u", 200)
-        obs = build_observations(events, SCHEMA, CFG)
-        kept, report = filter_outliers(obs, count_user_events(events), CFG)
-        assert len(kept) == len(obs)
-
-    def test_mixed_population(self):
-        events = []
-        for i in range(9):
-            events += self.make_obs(f"u{i}", 2)
-        events += self.make_obs("heavy", 250)
-        obs = build_observations(events, SCHEMA, CFG)
-        kept, report = filter_outliers(obs, count_user_events(events), CFG)
-        assert {o.user_id for o in kept} == {f"u{i}" for i in range(9)}
-        assert report.users_total == 10
-        assert report.users_dropped_notifications == 1
-
-    def test_visit_limit(self):
-        events = [send("u", 0.0)]
-        events += [visit("u", 0.1 * (k + 1)) for k in range(501)]
-        obs = build_observations(events, SCHEMA, CFG)
-        kept, report = filter_outliers(obs, count_user_events(events), CFG)
-        assert kept == []
-        assert report.users_dropped_visits == 1
-
-
-class TestSplit:
-    def make_population(self, n_users, obs_per_user=3):
-        events = []
-        for i in range(n_users):
-            uid = f"user{i:04d}"
-            for k in range(obs_per_user):
-                events.append(send(uid, 2.0 * k))
-                events.append(visit(uid, 2.0 * k + 1.0))
-        return build_observations(events, SCHEMA, CFG)
-
-    def test_ratio_and_determinism(self):
-        obs = self.make_population(100)
-        s1 = split(obs, seed=42)
-        s2 = split(obs, seed=42)
-        train_users = {o.user_id for o in s1.train}
-        test_users = {o.user_id for o in s1.test}
-        assert len(test_users) == 20
-        assert len(train_users) == 80
-        assert not (train_users & test_users)
-        assert [o.user_id for o in s1.test] == [o.user_id for o in s2.test]
-        assert [o.origin_ts_hours for o in s1.train] == [
-            o.origin_ts_hours for o in s2.train
-        ]
-
-    def test_different_seed_different_split(self):
-        obs = self.make_population(100)
-        a = {o.user_id for o in split(obs, seed=1).test}
-        b = {o.user_id for o in split(obs, seed=2).test}
-        assert a != b
-
-    def test_single_user_not_straddled(self):
-        obs = self.make_population(1)
-        s = split(obs, seed=0)
-        assert (len(s.train) == 0) != (len(s.test) == 0)  # all on one side
-
-    def test_empty_input(self):
-        s = split([], seed=0)
-        assert s.train == [] and s.test == []
-
-    def test_observation_order_irrelevant(self):
-        obs = self.make_population(50)
-        rng = random.Random(3)
-        shuffled = obs[:]
-        rng.shuffle(shuffled)
-        a = {o.user_id for o in split(obs, seed=9).test}
-        b = {o.user_id for o in split(shuffled, seed=9).test}
-        assert a == b
 
 
 class TestIO:

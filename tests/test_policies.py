@@ -28,6 +28,7 @@ def test_threshold_sends_strictly_above_kappa():
         [cand("a", 0.3), cand("b", 0.2), cand("c", 0.1)], kappa=0.2
     )
     assert res.rule == "threshold"
+    assert res.kappa == 0.2
     assert [d.send for d in res.decisions] == [True, False, False]
     assert res.send_ids() == ("a",)
 
@@ -54,12 +55,6 @@ def test_threshold_infinite_kappa_sends_nothing():
 def test_threshold_nan_kappa_rejected():
     with pytest.raises(ConfigError):
         threshold_rule([cand("a", 0.1)], kappa=math.nan)
-
-
-def test_threshold_records_horizon():
-    res = threshold_rule([cand("a", 0.1)], kappa=0.0, horizon_T=24.0)
-    assert res.horizon_T == 24.0
-    assert res.kappa == 0.0
 
 
 def test_threshold_send_sets_nest_as_kappa_rises():

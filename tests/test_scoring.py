@@ -1,4 +1,4 @@
-"""Tests for delta-effect scoring and the offline/online split."""
+"""Tests for delta-effect scoring."""
 
 import math
 
@@ -10,13 +10,9 @@ from sendwhen.features import FeatureSchema
 from sendwhen.scoring import (
     DeltaEffectResult,
     ScoringContext,
-    combine,
     model_digest,
-    partial_score,
-    partition_slots,
     score_batch,
     score_delta_effect,
-    transition_features,
 )
 from sendwhen.training import WeibullAftModel
 
@@ -24,12 +20,9 @@ from sendwhen.training import WeibullAftModel
 DELTA_INTERCEPT_ONLY = 0.292980360235385608
 
 
-def badge_schema(online=()):
+def badge_schema():
     return FeatureSchema.build(
-        base=["p0", "p1"],
-        badge="badge_count",
-        interactions=[("badge_count", "p0")],
-        online=online,
+        base=["p0", "p1"], badge="badge_count", interactions=[("badge_count", "p0")]
     )
 
 
@@ -43,34 +36,10 @@ def model_for(schema, coefficients, log_sigma):
 
 
 class TestTransitionFeatures:
-    def test_badge_increments_and_interaction_recomputes(self):
-        schema = badge_schema()
-        x0 = np.array([1.0, 2.0, -1.0, 0.0, 0.0])
-        x1 = transition_features(x0, schema)
-        assert list(x1) == [1.0, 2.0, -1.0, 1.0, 2.0]
-
-    def test_badge_five_to_six_interaction_is_six_p(self):
-        schema = badge_schema()
-        x0 = np.array([1.0, 3.0, 0.5, 5.0, 15.0])
-        x1 = transition_features(x0, schema)
-        assert list(x1) == [1.0, 3.0, 0.5, 6.0, 18.0]
-
-    def test_without_interactions_only_state_changes(self):
-        schema = FeatureSchema.build(base=["p0"], badge="badge_count")
-        x1 = transition_features(np.array([1.0, 4.0, 2.0]), schema)
-        assert list(x1) == [1.0, 4.0, 3.0]
-
-    def test_w0_slot_resets(self):
-        schema = FeatureSchema.build(
-            base=["p0"], badge="badge_count", w0="hours_in_state"
-        )
-        x1 = transition_features(np.array([1.0, 4.0, 2.0, 7.5]), schema)
-        assert list(x1) == [1.0, 4.0, 3.0, 0.0]
-
     def test_stateless_schema_is_identity(self):
         schema = FeatureSchema.build(base=["p0"], badge=None)
         x0 = np.array([1.0, 2.5])
-        assert list(transition_features(x0, schema)) == [1.0, 2.5]
+        assert list(schema.transition(x0)) == [1.0, 2.5]
 
 
 class TestScoreDeltaEffect:
@@ -201,90 +170,7 @@ class TestScoreDeltaEffect:
         }
 
 
-class TestPartialScore:
-    def test_recombination_exact_on_random_partitions(self):
-        # 20 slots: intercept + 17 base + badge + one interaction
-        rng = np.random.default_rng(31)
-        base = [f"f{i}" for i in range(17)]
-        for trial in range(50):
-            n_online = int(rng.integers(0, 18))
-            online = list(rng.choice(base + ["badge_count"], size=n_online, replace=False))
-            schema = FeatureSchema.build(
-                base=base,
-                badge="badge_count",
-                interactions=[("badge_count", "f0")],
-                online=online,
-            )
-            b = rng.normal(size=20)
-            model = model_for(schema, b, 0.0)
-            badge = float(rng.integers(0, 5))
-            vals = rng.normal(size=17)
-            x = np.concatenate([[1.0], vals, [badge], [badge * vals[0]]])
-            mu = combine(partial_score(x, model), x, model)
-            assert mu == pytest.approx(float(x @ b), abs=1e-12)
-
-    def test_all_slots_offline(self):
-        schema = badge_schema()
-        b = [1.0, 0.5, -0.5, 0.25, 0.1]
-        model = model_for(schema, b, 0.0)
-        x = np.array([1.0, 2.0, -1.0, 3.0, 6.0])
-        ps = partial_score(x, model)
-        assert ps.offline_dot == pytest.approx(float(x @ np.array(b)), abs=1e-15)
-        assert combine(ps, x, model) == pytest.approx(ps.offline_dot, abs=1e-15)
-
-    def test_all_base_slots_online(self):
-        schema = badge_schema(online=["p0", "p1", "badge_count"])
-        b = [1.0, 0.5, -0.5, 0.25, 0.1]
-        model = model_for(schema, b, 0.0)
-        x = np.array([1.0, 2.0, -1.0, 3.0, 6.0])
-        ps = partial_score(x, model)
-        # only the intercept stays offline
-        assert ps.offline_dot == pytest.approx(1.0, abs=1e-15)
-        assert combine(ps, x, model) == pytest.approx(float(x @ np.array(b)), abs=1e-12)
-
-    def test_stale_offline_slots_ignored_at_combine(self):
-        schema = badge_schema(online=["badge_count"])
-        model = model_for(schema, [1.0, 0.5, -0.5, 0.25, 0.1], 0.0)
-        x = np.array([1.0, 2.0, -1.0, 3.0, 6.0])
-        ps = partial_score(x, model)
-        stale = x.copy()
-        stale[1] = 999.0  # offline slot, must not be read
-        stale[2] = -999.0
-        assert combine(ps, stale, model) == combine(ps, x, model)
-
-    def test_interaction_follows_online_parent(self):
-        schema = badge_schema(online=["badge_count"])
-        offline, online = partition_slots(schema)
-        names = schema.names
-        assert names.index("badge_count") in online
-        assert names.index("badge_count*p0") in online
-        assert names.index("p0") in offline
-
-    def test_explicit_partition_overlap_rejected(self):
-        schema = badge_schema()
-        with pytest.raises(SchemaError, match="online parent"):
-            partition_slots(schema, online_names=["badge_count"])
-
-    def test_unknown_partition_name_rejected(self):
-        schema = badge_schema()
-        with pytest.raises(SchemaError, match="unknown"):
-            partition_slots(schema, online_names=["nope"])
-
-    def test_partition_is_disjoint_and_covering(self):
-        schema = badge_schema(online=["p1"])
-        offline, online = partition_slots(schema)
-        assert sorted(offline + online) == list(range(len(schema)))
-        assert set(offline).isdisjoint(online)
-
-    def test_model_version_mismatch_rejected(self):
-        schema = badge_schema()
-        m1 = model_for(schema, [1.0, 0.5, -0.5, 0.25, 0.1], 0.0)
-        m2 = model_for(schema, [1.0, 0.5, -0.5, 0.25, 0.2], 0.0)
-        x = np.array([1.0, 2.0, -1.0, 3.0, 6.0])
-        ps = partial_score(x, m1)
-        with pytest.raises(SchemaError, match="model"):
-            combine(ps, x, m2)
-
+class TestModelDigest:
     def test_digest_stable_and_sensitive(self):
         schema = badge_schema()
         m1 = model_for(schema, [1.0, 0.5, -0.5, 0.25, 0.1], 0.0)

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from sendwhen import ConvergenceError, DataError
 from sendwhen.features import FeatureSchema
+from sendwhen.io import read_model_json, write_model_json
 from sendwhen.optimize import OptConfig
 from sendwhen.pipeline import Observation
 from sendwhen.training import (
@@ -21,8 +22,6 @@ from sendwhen.training import (
     fit_aft,
     fit_logistic,
     logistic_negloglik_and_gradient,
-    model_from_dict,
-    model_to_dict,
 )
 
 
@@ -303,34 +302,51 @@ class TestPersistence:
         logit = fit_logistic(X, y, 12.0, schema=schema)
         return aft, logit
 
-    def test_aft_round_trip(self):
+    def round_trip(self, tmp_path, model, edit=None):
+        path = tmp_path / "model.json"
+        write_model_json(path, model)
+        if edit is not None:
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps(edit(doc)))
+        return read_model_json(path)
+
+    def test_aft_round_trip(self, tmp_path):
         aft, _ = self.fit_pair()
-        doc = json.loads(json.dumps(model_to_dict(aft)))
-        back = model_from_dict(doc)
+        back = self.round_trip(tmp_path, aft)
         assert isinstance(back, WeibullAftModel)
         assert back.feature_names == aft.feature_names
         assert np.array_equal(back.coefficients, aft.coefficients)
         assert back.log_sigma == aft.log_sigma
         assert back.schema == aft.schema
 
-    def test_logistic_round_trip(self):
+    def test_logistic_round_trip(self, tmp_path):
         _, logit = self.fit_pair()
-        doc = json.loads(json.dumps(model_to_dict(logit)))
-        back = model_from_dict(doc)
+        back = self.round_trip(tmp_path, logit)
         assert isinstance(back, LogisticModel)
+        assert back.feature_names == logit.feature_names
         assert np.array_equal(back.weights, logit.weights)
         assert back.horizon_t_hours == logit.horizon_t_hours
+        assert back.schema == logit.schema
 
-    def test_version_check(self):
+    def test_version_check(self, tmp_path):
         aft, _ = self.fit_pair()
-        doc = model_to_dict(aft)
-        doc["format_version"] = 999
         with pytest.raises(DataError, match="format_version"):
-            model_from_dict(doc)
+            self.round_trip(tmp_path, aft, lambda doc: {**doc, "format_version": 999})
 
-    def test_unknown_type(self):
+    def test_unknown_type(self, tmp_path):
         aft, _ = self.fit_pair()
-        doc = model_to_dict(aft)
-        doc["model_type"] = "cox"
-        with pytest.raises(DataError, match="model_type"):
-            model_from_dict(doc)
+        with pytest.raises(DataError, match="unknown model kind 'cox'"):
+            self.round_trip(tmp_path, aft, lambda doc: {**doc, "kind": "cox"})
+
+    def test_non_object_document(self, tmp_path):
+        aft, _ = self.fit_pair()
+        with pytest.raises(DataError, match="JSON object"):
+            self.round_trip(tmp_path, aft, lambda doc: [doc])
+
+    def test_missing_coefficients(self, tmp_path):
+        aft, _ = self.fit_pair()
+        with pytest.raises(DataError, match="malformed model file.*coefficients"):
+            self.round_trip(
+                tmp_path, aft,
+                lambda doc: {k: v for k, v in doc.items() if k != "coefficients"},
+            )
