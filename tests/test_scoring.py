@@ -36,6 +36,30 @@ def model_for(schema, coefficients, log_sigma):
 
 
 class TestTransitionFeatures:
+    def test_badge_increments_and_interaction_recomputes(self):
+        schema = badge_schema()
+        x0 = np.array([1.0, 2.0, -1.0, 0.0, 0.0])
+        x1 = schema.transition(x0)
+        assert list(x1) == [1.0, 2.0, -1.0, 1.0, 2.0]
+
+    def test_badge_five_to_six_interaction_is_six_p(self):
+        schema = badge_schema()
+        x0 = np.array([1.0, 3.0, 0.5, 5.0, 15.0])
+        x1 = schema.transition(x0)
+        assert list(x1) == [1.0, 3.0, 0.5, 6.0, 18.0]
+
+    def test_without_interactions_only_state_changes(self):
+        schema = FeatureSchema.build(base=["p0"], badge="badge_count")
+        x1 = schema.transition(np.array([1.0, 4.0, 2.0]))
+        assert list(x1) == [1.0, 4.0, 3.0]
+
+    def test_w0_slot_resets(self):
+        schema = FeatureSchema.build(
+            base=["p0"], badge="badge_count", w0="hours_in_state"
+        )
+        x1 = schema.transition(np.array([1.0, 4.0, 2.0, 7.5]))
+        assert list(x1) == [1.0, 4.0, 3.0, 0.0]
+
     def test_stateless_schema_is_identity(self):
         schema = FeatureSchema.build(base=["p0"], badge=None)
         x0 = np.array([1.0, 2.5])
