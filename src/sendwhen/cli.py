@@ -283,7 +283,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out = _prepare_out(args.out, ("observations.jsonl", "schema.json", "report.json"), args.force)
 
     observations = build_observations(events, schema, pipe_cfg)
-    n_sends = sum(1 for e in events if e.kind == "send")
+    n_sends = sum(1 for e in events if e.kind == "send" and pipe_cfg.in_window(e))
     report = {
         "n_events": len(events),
         "n_sends": n_sends,

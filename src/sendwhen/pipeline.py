@@ -103,13 +103,13 @@ class PipelineConfig:
             if self.window_end <= self.window_start:
                 raise DataError("window_end must be greater than window_start")
 
-
-def _in_window(ev: Event, cfg: PipelineConfig) -> bool:
-    if cfg.window_start is not None and ev.ts_hours < cfg.window_start:
-        return False
-    if cfg.window_end is not None and ev.ts_hours > cfg.window_end:
-        return False
-    return True
+    def in_window(self, ev: Event) -> bool:
+        """True when ev lies inside the window; both bounds are inclusive."""
+        if self.window_start is not None and ev.ts_hours < self.window_start:
+            return False
+        if self.window_end is not None and ev.ts_hours > self.window_end:
+            return False
+        return True
 
 
 def _group_sorted(events: Iterable[Event], cfg: PipelineConfig) -> dict[str, list[Event]]:
@@ -120,7 +120,7 @@ def _group_sorted(events: Iterable[Event], cfg: PipelineConfig) -> dict[str, lis
     """
     by_user: dict[str, list[Event]] = {}
     for ev in events:
-        if _in_window(ev, cfg):
+        if cfg.in_window(ev):
             by_user.setdefault(ev.user_id, []).append(ev)
     for stream in by_user.values():
         stream.sort(key=lambda e: (e.ts_hours, 0 if e.kind == VISIT else 1))

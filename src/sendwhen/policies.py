@@ -5,14 +5,18 @@ ratio that normalizes the delta by the no-send visit probability, and
 a linear program that maximizes total delta subject to a minimum
 expected click total and a maximum send volume.
 
-The LP is solved through its dual structure: for a fixed click price
-kappa1, the best volume-feasible choice is the top of the ranking by
-delta + kappa1 * p_click, with the volume threshold kappa2 at the
-cutoff score.  kappa1 = 0 is tried first; otherwise kappa1 rises until
-the click constraint binds.  Candidates tied at the cutoff all have
-equal adjusted score, so their total contribution is fixed by the
-constraint totals and any feasible completion among them is optimal;
-a basic completion needs at most two fractional entries.
+The LP is solved through its dual.  For a click price kappa1 the best
+volume-feasible choice is greedy: rank by delta + kappa1 * p_click, ties
+by user_id, and fill the positive scores up to the volume cap.  kappa1 = 0
+is tried first; otherwise kappa1 is bracketed and bisected down to two
+adjacent floats whose greedy fills miss and meet the click floor.  The
+two fills differ only in candidates tied at the crossing price; a
+leaving and an entering one, or an entrant alone at score zero, give
+kappa1 in closed form.  Those candidates are refilled so the clicks meet the floor exactly: mass t
+on the highest p_click and, when the volume cap carries a price, the
+rest of their volume on the lowest.  So at most two entries are
+fractional.  When the volume cap is consumed, kappa2 is the lowest
+adjusted score filled, or the highest score if the cap is zero.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ __all__ = [
     "moo_solve",
 ]
 
-# relative guard for "at the cutoff score" membership and constraint checks
+# guard for the click floor (relative) and the volume cap (absolute) checks
 _EDGE_TOL = 1e-9
 
 
@@ -147,120 +151,6 @@ def ratio_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:
 # -- MOO linear program ------------------------------------------------------
 
 
-def _greedy_fill(
-    order: np.ndarray, scores: np.ndarray, c_send: float
-) -> tuple[np.ndarray, bool]:
-    """Volume-capped prefix of positive-score candidates, in ranking order.
-
-    Returns (y, volume_tight).  At most one fractional entry, at the
-    volume cap.
-    """
-    y = np.zeros(len(scores))
-    mass = 0.0
-    for i in order:
-        if scores[i] <= 0.0:
-            break
-        room = c_send - mass
-        if room <= 0.0:
-            return y, True
-        take = min(1.0, room)
-        y[i] = take
-        mass += take
-        if take < 1.0:
-            return y, True
-    return y, bool(mass >= c_send - 1e-15 and mass > 0.0)
-
-
-def _rank(scores: np.ndarray, user_ids: Sequence[str]) -> np.ndarray:
-    # descending score, ties by user_id for determinism
-    return np.array(
-        sorted(range(len(scores)), key=lambda i: (-scores[i], user_ids[i])),
-        dtype=int,
-    )
-
-
-def _max_click_under_volume(p: np.ndarray, c_send: float) -> float:
-    order = np.argsort(-p, kind="stable")
-    mass = 0.0
-    click = 0.0
-    for i in order:
-        if p[i] <= 0.0 or mass >= c_send:
-            break
-        take = min(1.0, c_send - mass)
-        click += take * p[i]
-        mass += take
-    return click
-
-
-def _two_sided_fill(
-    p_sorted: np.ndarray, v: float, t: float
-) -> np.ndarray:
-    """Mass t front-filled plus mass v - t back-filled onto capacity 1 each."""
-    m = len(p_sorted)
-    y = np.zeros(m)
-    rem = t
-    for i in range(m):
-        take = min(1.0, rem)
-        y[i] = take
-        rem -= take
-        if rem <= 0.0:
-            break
-    rem = v - t
-    for i in range(m - 1, -1, -1):
-        room = 1.0 - y[i]
-        take = min(room, rem)
-        y[i] += take
-        rem -= take
-        if rem <= 0.0:
-            break
-    return y
-
-
-def _complete_boundary(
-    p_b: np.ndarray, v: float, c: float, volume_tight: bool
-) -> np.ndarray:
-    """Distribute boundary mass to hit the remaining constraint totals.
-
-    All boundary candidates share the same adjusted score, so any
-    feasible completion is optimal; this picks a basic one.
-    """
-    m = len(p_b)
-    order = np.argsort(-p_b, kind="stable")
-    ps = p_b[order]
-    if not volume_tight:
-        # volume slack: meet the click shortfall with the least mass
-        y_s = np.zeros(m)
-        rem = c
-        for i in range(m):
-            if ps[i] <= 0.0:
-                break
-            take = min(1.0, rem / ps[i], v - float(np.sum(y_s)))
-            if take <= 0.0:
-                break
-            y_s[i] = take
-            rem -= take * ps[i]
-            if rem <= 1e-15:
-                break
-        if rem > _EDGE_TOL * max(1.0, c):
-            raise NumericalError("boundary completion cannot meet click floor")
-    else:
-        v = min(max(v, 0.0), float(m))
-        lo, hi = 0.0, v
-        click_lo = float(ps @ _two_sided_fill(ps, v, lo))
-        click_hi = float(ps @ _two_sided_fill(ps, v, hi))
-        target = min(max(c, click_lo), click_hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(ps @ _two_sided_fill(ps, v, mid)) < target:
-                lo = mid
-            else:
-                hi = mid
-        y_s = _two_sided_fill(ps, v, hi)
-    out = np.zeros(m)
-    out[order] = y_s
-    return out
-
-
 def moo_solve(candidates: Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
     """Maximize total delta under a click floor and a send-volume cap.
 
@@ -277,139 +167,104 @@ def moo_solve(candidates: Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
     delta = np.array([c.delta for c in candidates])
     p = np.array([c.p_click for c in candidates])
     n = len(candidates)
+    id_pos = np.empty(n, dtype=np.intp)
+    id_pos[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    room = np.clip(cfg.c_send - np.arange(n), 0.0, 1.0)  # volume left by rank
 
-    reachable = _max_click_under_volume(p, cfg.c_send)
-    if reachable < cfg.c_click - _EDGE_TOL * max(1.0, cfg.c_click):
-        return PolicyResult(
-            rule="moo",
-            decisions=(),
-            status="infeasible",
-            report={
-                "c_click": cfg.c_click,
-                "c_send": cfg.c_send,
-                "max_click_reachable": reachable,
-            },
-        )
+    def greedy(s: np.ndarray) -> np.ndarray:
+        # positive scores by descending s, ties by user_id, up to the cap
+        order = np.lexsort((id_pos, -s))
+        y = np.zeros(n)
+        y[order] = np.where(s[order] > 0.0, room, 0.0)
+        return y
 
-    def greedy(kappa1: float) -> tuple[np.ndarray, np.ndarray, bool]:
-        s = delta + kappa1 * p
-        order = _rank(s, ids)
-        y, tight = _greedy_fill(order, s, cfg.c_send)
-        return s, y, tight
+    def meets_floor(y: np.ndarray) -> bool:
+        return float(p @ y) >= cfg.c_click - _EDGE_TOL * max(1.0, cfg.c_click)
 
-    def state_of(
-        s: np.ndarray, y: np.ndarray, tight: bool, scale: float
-    ) -> tuple[float, bool]:
-        # cut = adjusted score of the marginal (last-filled) candidate;
-        # the volume cap carries a positive price only when the set was
-        # cut off while that score was still positive
-        touched = y > 1e-12
-        cut = float(np.min(s[touched])) if np.any(touched) else 0.0
-        return cut, bool(tight and cut > _EDGE_TOL * scale)
+    y = greedy(p)  # the most clicks the volume cap allows
+    if not meets_floor(y):
+        report = {"c_click": cfg.c_click, "c_send": cfg.c_send}
+        report["max_click_reachable"] = float(p @ y)
+        return PolicyResult(rule="moo", decisions=(), status="infeasible", report=report)
 
     # click price 0: pure volume-capped selection by delta
-    s, y, volume_tight = greedy(0.0)
-    kappa1 = 0.0
-    if float(p @ y) < cfg.c_click - _EDGE_TOL * max(1.0, cfg.c_click):
-        # raise the click price until the greedy set can cover the floor
-        hi = 1.0
+    kappa1, y = 0.0, greedy(delta)
+    if not meets_floor(y):
+        # bracket the click price, then bisect down to adjacent floats
+        lo, y_lo, hi = 0.0, y, 1.0
         for _ in range(200):
-            _, y_hi, _ = greedy(hi)
-            if float(p @ y_hi) >= cfg.c_click:
+            y_hi = greedy(delta + hi * p)
+            if meets_floor(y_hi):
                 break
             hi *= 2.0
         else:
             raise NumericalError("click price search failed to bracket")
-        lo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            _, y_mid, _ = greedy(mid)
-            if float(p @ y_mid) >= cfg.c_click:
-                hi = mid
+            if mid == lo or mid == hi:
+                break
+            y_mid = greedy(delta + mid * p)
+            if meets_floor(y_mid):
+                hi, y_hi = mid, y_mid
             else:
-                lo = mid
+                lo, y_lo = mid, y_mid
+
+        # Only candidates tied at the crossing price differ between the two
+        # fills.  One that leaves means a swap at the priced volume cap; else
+        # entrants cross score zero: a swap with holding, the candidate
+        # delta = p_click = 0 at index n.
+        priced = bool(np.any(y_hi < y_lo))
+        entrant = int(np.argmax(y_hi > y_lo))
+        a, b = sorted((int(np.argmax(y_hi < y_lo)) if priced else n, entrant))
+        dz, pz = np.append(delta, 0.0), np.append(p, 0.0)
         kappa1 = hi
-        s, y_g, tight = greedy(kappa1)
-        scale = max(1.0, float(np.max(np.abs(s))), kappa1)
-        cut, volume_priced = state_of(s, y_g, tight, scale)
+        if pz[a] != pz[b]:
+            k = float((dz[b] - dz[a]) / (pz[a] - pz[b])) + 0.0
+            if k >= 0.0 and abs(k - hi) <= 1e-6 * max(1.0, hi):
+                kappa1 = k
 
-        # the price sits at a crossing: candidates tied at the cutoff
-        # score there determine both the price and the cutoff exactly
-        loose = np.flatnonzero(np.abs(s - cut) <= 1e-7 * scale)
-        refined: tuple[float, float] | None = None
-        if volume_priced:
-            # a swap at the cap: two tied candidates with distinct slopes
-            for ii in range(len(loose)):
-                for jj in range(ii + 1, len(loose)):
-                    a, b = loose[ii], loose[jj]
-                    if abs(p[a] - p[b]) > 1e-12:
-                        k = (delta[b] - delta[a]) / (p[a] - p[b]) + 0.0
-                        if k >= 0 and abs(k - kappa1) <= 1e-6 * max(1.0, kappa1):
-                            refined = (float(k), float(delta[a] + k * p[a]))
-                            break
-                if refined is not None:
-                    break
-        else:
-            # an entrant at score zero: its own zero crossing
-            for a in loose:
-                if p[a] > 1e-12:
-                    k = -delta[a] / p[a] + 0.0
-                    if k >= 0 and abs(k - kappa1) <= 1e-6 * max(1.0, kappa1):
-                        if refined is None or abs(k - kappa1) < abs(
-                            refined[0] - kappa1
-                        ):
-                            refined = (float(k), 0.0)
-        if refined is not None:
-            kappa1, cut = refined
-            s = delta + kappa1 * p
-            tol_b = 1e-11 * scale
-        else:
-            tol_b = _EDGE_TOL * scale
-
-        boundary = np.abs(s - cut) <= tol_b
-        sure = s > cut + tol_b
-        if float(np.sum(sure)) > cfg.c_send + 1e-9:
-            raise NumericalError("cutoff detection lost the volume cap")
-
-        y = np.zeros(n)
-        y[sure] = 1.0
-        n_b = int(np.count_nonzero(boundary))
-        v = min(max(cfg.c_send - float(np.sum(y)), 0.0), float(n_b))
+        # Refill them and the fractional one at the cap with the volume and
+        # clicks the rest leave: mass t on the highest p_click and, when the
+        # cap is priced, the rest on the lowest; the least t meeting the floor.
+        tied = (y_lo != y_hi) | ((y_hi > 0.0) & (y_hi < 1.0))
+        y = np.where(tied, 0.0, y_hi)
+        order = np.flatnonzero(tied)[np.argsort(-p[tied], kind="stable")]
+        m = len(order)
+        v = min(max(cfg.c_send - float(np.sum(y)), 0.0), float(m))
         c_rem = max(cfg.c_click - float(p @ y), 0.0)
-        if n_b:
-            y[boundary] = _complete_boundary(p[boundary], v, c_rem, volume_priced)
+        x = np.arange(m + 1.0)
+        clicks = np.concatenate(([0.0], np.cumsum(p[order])))  # of slots [0, x)
+        t_br = np.unique(np.clip(np.concatenate((x, x - (m - v))), 0.0, v))
+        c_br = np.interp(t_br, x, clicks)
+        if priced:
+            c_br += clicks[-1] - np.interp(t_br + (m - v), x, clicks)
+        c_br = np.maximum.accumulate(c_br)
+        j = min(int(np.searchsorted(c_br, c_rem)), len(c_br) - 1)  # least t
+        seg = slice(max(j - 1, 0), j + 1)
+        t = float(np.interp(c_rem, c_br[seg], t_br[seg]))
+        back = v - t if priced else 0.0
+        y[order] = np.clip(t - x[:-1], 0.0, 1.0) + np.clip(x[1:] - (m - back), 0.0, 1.0)
 
     # volume threshold: marginal adjusted score when the cap is consumed
-    touched = y > 1e-12
-    if (
-        np.any(touched)
-        and cfg.c_send > 0
-        and float(np.sum(y)) >= cfg.c_send - _EDGE_TOL
-    ):
-        kappa2 = max(float(np.min(s[touched])), 0.0)
-    else:
-        kappa2 = 0.0
+    s = delta + kappa1 * p
+    consumed = float(np.sum(y)) >= cfg.c_send - _EDGE_TOL
+    kappa2 = max(float(np.min(s[y > 1e-12], initial=np.max(s))), 0.0) if consumed else 0.0
 
-    objective = float(delta @ y)
+    y_out = np.clip(y, 0.0, 1.0).tolist()
+    frac = [1e-12 < yi < 1.0 - 1e-12 for yi in y_out]
     decisions = tuple(
-        Decision(
-            ids[i],
-            float(np.clip(y[i], 0.0, 1.0)),
-            bool(y[i] >= 1.0 - 1e-12),
-            flagged=bool(1e-12 < y[i] < 1.0 - 1e-12),
-            note="fractional" if 1e-12 < y[i] < 1.0 - 1e-12 else "",
-        )
-        for i in range(n)
+        Decision(uid, yi, yi >= 1.0 - 1e-12, flagged=f, note="fractional" if f else "")
+        for uid, yi, f in zip(ids, y_out, frac)
     )
     return PolicyResult(
         rule="moo",
         decisions=decisions,
         kappa1=kappa1,
         kappa2=kappa2,
-        objective=objective,
+        objective=float(delta @ y),
         report={
             "click_total": float(p @ y),
             "send_total": float(np.sum(y)),
-            "n_fractional": int(np.sum((y > 1e-12) & (y < 1.0 - 1e-12))),
+            "n_fractional": sum(frac),
         },
     )

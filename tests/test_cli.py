@@ -153,6 +153,19 @@ def test_ingest_report_counts(sim_dir, ingest_dir):
     assert report["n_dropped_sends"] > 0  # trailing sends have no follow-up
 
 
+def test_ingest_counts_only_sends_inside_the_window(tmp_path, sim_dir):
+    # sends past --window-end are neither observations nor dropped sends
+    out = tmp_path / "win"
+    assert run("ingest", "--events", sim_dir / "events.jsonl", "--schema",
+               sim_dir / "schema.json", "--window-end", 84, "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    events = read_events_jsonl(sim_dir / "events.jsonl")
+    in_window = [e for e in events if e.ts_hours <= 84]
+    assert report["n_sends"] == sum(1 for e in in_window if e.kind == "send")
+    assert report["n_sends"] < sum(1 for e in events if e.kind == "send")
+    assert report["n_sends"] == report["n_observations"] + report["n_dropped_sends"]
+
+
 def test_ingest_empty_input_exit_zero_with_warning(tmp_path, sim_dir, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

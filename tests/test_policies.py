@@ -166,6 +166,24 @@ def test_moo_zero_caps_give_zero_solution():
     assert res.objective == 0.0
 
 
+def test_moo_zero_cap_prices_volume_at_the_top_score():
+    # nothing may be sent, so the volume threshold must clear every score
+    cands = [cand("a", 0.5, p_click=0.4), cand("b", 0.2, p_click=0.1)]
+    res = moo_solve(cands, MooConfig(c_click=0.0, c_send=0.0))
+    assert res.kappa1 == 0.0
+    assert res.kappa2 == 0.5
+
+
+def test_moo_floor_reachable_only_within_tolerance():
+    # 0.1 + 0.7 sums to just under 0.8 in floating point: the floor is
+    # feasible within the tolerance, so the price search must accept it
+    cands = [cand("a", 0.0, p_click=0.1), cand("b", 0.0, p_click=0.7)]
+    res = moo_solve(cands, MooConfig(c_click=0.8, c_send=2.0))
+    assert res.status == "ok"
+    assert [d.y for d in res.decisions] == [1.0, 1.0]
+    assert res.kappa1 == 0.0
+
+
 def test_moo_nonpositive_deltas_stay_home_when_click_free():
     cands = [cand("a", -0.5, p_click=0.4), cand("b", 0.0, p_click=0.1)]
     res = moo_solve(cands, MooConfig(c_click=0.0, c_send=2.0))
