@@ -44,7 +44,7 @@ from .evaluation import (
     LABELERS,
     REFERENCE_AUC_POINTS,
     auc_vs_horizon,
-    label_naive,
+    fit_logistic_baselines,
 )
 from .io import (
     dump_json,
@@ -60,11 +60,11 @@ from .io import (
     write_schema_json,
 )
 from .optimize import OptConfig
-from .pipeline import PipelineConfig, build_observations, build_send_instances
+from .pipeline import PipelineConfig, send_table
 from .policies import Candidate, MooConfig, moo_solve, ratio_rule, threshold_rule
 from .scoring import ScoringContext, model_digest, score_batch
 from .simulate import SimConfig, default_sim_schema, generate_event_log
-from .training import LogisticModel, WeibullAftModel, fit_aft, fit_logistic
+from .training import LogisticModel, WeibullAftModel, fit_aft
 
 __all__ = ["main"]
 
@@ -282,8 +282,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     events = read_events(args.events)
     out = _prepare_out(args.out, ("observations.jsonl", "schema.json", "report.json"), args.force)
 
-    observations = build_observations(events, schema, pipe_cfg)
-    n_sends = sum(1 for e in events if e.kind == "send" and pipe_cfg.in_window(e))
+    table = send_table(events, pipe_cfg)
+    observations = table.observations(schema, pipe_cfg.duration_floor_hours)
+    n_sends = len(table.sends)
     report = {
         "n_events": len(events),
         "n_sends": n_sends,
@@ -378,14 +379,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         schema = read_schema_json(args.schema)
         events = read_events(args.events)
         pipe_cfg = _pipeline_config(merged)
-        instances = build_send_instances(events, schema, pipe_cfg)
-        if not instances:
-            raise DataError("no send instances found in the event input")
-        X = np.stack([inst.x for inst in instances])
-        y = label_naive(events, horizon, pipe_cfg).astype(float)
         inputs["events"] = args.events
         inputs["schema"] = args.schema
-        model = fit_logistic(X, y, horizon, opt_cfg, schema=schema)
+        model = fit_logistic_baselines(events, schema, [horizon], pipe_cfg, opt_cfg)[horizon]
 
     write_model_json(out / "model.json", model)
     version = (
@@ -517,21 +513,23 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise SchemaError(f"{args.model} carries no feature schema; scoring needs one")
 
     records = _read_jsonl(args.contexts)
-    contexts: list[ScoringContext] = []
     user_ids: list[str] = []
+    features: list[dict] = []
+    badges: list[int] = []
     w0s: list[float] = []
     for i, rec in enumerate(records, start=1):
         try:
-            user_id = str(rec["user_id"])
-            features = {k: float(v) for k, v in dict(rec["features"]).items()}
-            badge = int(rec["badge_count"])
-            w0 = float(rec["w0_hours"])
+            user_ids.append(str(rec["user_id"]))
+            features.append({k: float(v) for k, v in dict(rec["features"]).items()})
+            badges.append(int(rec["badge_count"]))
+            w0s.append(float(rec["w0_hours"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{args.contexts}:{i}: malformed context: {exc}") from exc
-        x0 = model.schema.materialize(features, badge_count=badge)
-        contexts.append(ScoringContext(features_now=tuple(x0), w0_hours=w0, horizon_T=horizon))
-        user_ids.append(user_id)
-        w0s.append(w0)
+    X0 = model.schema.materialize_rows(features, badges, np.zeros(len(records)))
+    contexts = [
+        ScoringContext(features_now=tuple(x0), w0_hours=w0, horizon_T=horizon)
+        for x0, w0 in zip(X0, w0s)
+    ]
 
     out = _prepare_out(args.out, ("deltas.jsonl",), args.force)
     results = score_batch(contexts, model)

@@ -5,7 +5,9 @@ implied visit probability F(T); the baseline is one logistic model per
 horizon.  Two labelers are provided: the naive one attributes a visit to
 every send within the horizon (including sends that were superseded by a
 later one), the censoring-clean one uses the resolved survival triplets
-and marks unresolvable instances ambiguous instead of guessing.
+and marks unresolvable instances ambiguous instead of guessing.  Both
+read pipeline.send_table, so the events are walked once however many
+horizons are labelled.
 """
 
 from __future__ import annotations
@@ -19,16 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
 from .optimize import OptConfig
-from .pipeline import (
-    VISIT,
-    Event,
-    Observation,
-    PipelineConfig,
-    _group_sorted,
-    _walk_user,
-    build_observations,
-    build_send_instances,
-)
+from .pipeline import Event, Observation, PipelineConfig, send_table
 from .training import LogisticModel, WeibullAftModel, fit_logistic
 
 DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
@@ -67,17 +60,7 @@ def label_naive(
     build_send_instances (users sorted, sends in time order).
     """
     horizon = _check_horizon(horizon_t_hours)
-    by_user = _group_sorted(events, cfg)
-    out: list[bool] = []
-    for user_id in sorted(by_user):
-        stream = by_user[user_id]
-        visits = np.asarray(
-            sorted(e.ts_hours for e in stream if e.kind == VISIT), dtype=float
-        )
-        for send, _, _ in _walk_user(stream):
-            i = int(np.searchsorted(visits, send.ts_hours, side="right"))
-            out.append(bool(i < visits.size and visits[i] <= send.ts_hours + horizon))
-    return np.asarray(out, dtype=bool)
+    return send_table(events, cfg).visited_within(horizon)
 
 
 def label_censoring_clean(
@@ -91,14 +74,9 @@ def label_censoring_clean(
     must be excluded rather than guessed).
     """
     horizon = _check_horizon(horizon_t_hours)
-    labels = np.zeros(len(observations), dtype=bool)
-    ambiguous = np.zeros(len(observations), dtype=bool)
-    for i, o in enumerate(observations):
-        if o.uncensored and o.t_hours <= horizon:
-            labels[i] = True
-        elif not o.uncensored and o.t_hours < horizon:
-            ambiguous[i] = True
-    return labels, ambiguous
+    t = np.array([o.t_hours for o in observations], dtype=float)
+    uncensored = np.array([o.uncensored for o in observations], dtype=bool)
+    return uncensored & (t <= horizon), ~uncensored & (t < horizon)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -225,17 +203,18 @@ def fit_logistic_baselines(
     cfg: PipelineConfig = PipelineConfig(),
     opt_cfg: OptConfig = OptConfig(),
 ) -> dict[float, LogisticModel]:
-    """One logistic model per horizon, trained on naive per-send labels."""
-    instances = build_send_instances(events, schema, cfg)
-    if not instances:
+    """One logistic model per horizon, trained on naive per-send labels.
+
+    The events are walked once; every horizon labels the same sends.
+    """
+    table = send_table(events, cfg)
+    if not table.sends:
         raise DataError("no send instances to train on")
-    X = np.stack([inst.x for inst in instances])
-    models: dict[float, LogisticModel] = {}
-    for t in horizons:
-        horizon = _check_horizon(t)
-        y = label_naive(events, horizon, cfg).astype(float)
-        models[horizon] = fit_logistic(X, y, horizon, opt_cfg, schema=schema)
-    return models
+    X = table.matrix(schema)
+    return {
+        h: fit_logistic(X, table.visited_within(h).astype(float), h, opt_cfg, schema=schema)
+        for h in map(_check_horizon, horizons)
+    }
 
 
 def auc_vs_horizon(
@@ -257,20 +236,12 @@ def auc_vs_horizon(
     if not isinstance(aft_model, WeibullAftModel):
         raise SchemaError("aft_model must be the survival model, not a baseline")
 
+    table = send_table(events, cfg)
     if labeler == "naive":
-        instances = build_send_instances(events, schema, cfg)
-        X_all = (
-            np.stack([inst.x for inst in instances])
-            if instances
-            else np.zeros((0, len(schema)))
-        )
+        X_all = table.matrix(schema)
     else:
-        observations = build_observations(events, schema, cfg)
-        X_all = (
-            np.stack([o.x for o in observations])
-            if observations
-            else np.zeros((0, len(schema)))
-        )
+        observations = table.observations(schema, cfg.duration_floor_hours)
+        X_all = np.array([o.x for o in observations]).reshape(-1, len(schema))
 
     rows = []
     for t in horizons:
@@ -284,7 +255,7 @@ def auc_vs_horizon(
                 f"T={logistic.horizon_t_hours}h"
             )
         if labeler == "naive":
-            labels = label_naive(events, horizon, cfg)
+            labels = table.visited_within(horizon)
             keep = np.ones(labels.shape, dtype=bool)
             n_ambiguous = 0
         else:

@@ -138,29 +138,46 @@ class FeatureSchema:
     ) -> np.ndarray:
         """Build a dense vector from raw named features plus state inputs.
 
-        Interaction slots are computed from their parents, so callers never
-        supply them.  Missing base features and non-finite values raise.
+        The one-row case of materialize_rows, with the same errors.
         """
-        x = np.empty(len(self.slots), dtype=float)
+        return self.materialize_rows([raw], [badge_count], [w0_hours])[0]
+
+    def materialize_rows(
+        self,
+        raws: Sequence[Mapping[str, float]],
+        badge_counts: Sequence[float] | np.ndarray,
+        w0_hours: Sequence[float] | np.ndarray,
+    ) -> np.ndarray:
+        """Build an (n, k) matrix, one row per raw feature mapping.
+
+        Interaction slots are computed from their parents, so callers never
+        supply them.  Missing base features and non-finite values raise a
+        SchemaError for the first bad row, as if the rows were built one by
+        one: a missing feature first, then the first non-finite slot.
+        """
+        X = np.empty((len(raws), len(self.slots)))
         for i, s in enumerate(self.slots):
             if s.kind == "intercept":
-                x[i] = 1.0
+                X[:, i] = 1.0
             elif s.kind == "badge":
-                x[i] = float(badge_count)
+                X[:, i] = badge_counts
             elif s.kind == "w0":
-                x[i] = float(w0_hours)
-            elif s.kind == "base":
-                if s.name not in raw:
-                    raise SchemaError(f"missing base feature {s.name!r}")
-                x[i] = float(raw[s.name])
-            else:  # interaction, filled in the second pass
-                x[i] = 0.0
+                X[:, i] = w0_hours
+            elif s.kind == "base":  # a missing feature reads as nan here
+                X[:, i] = [raw.get(s.name, np.nan) for raw in raws]
         for i, s in enumerate(self.slots):
             if s.kind == "interaction":
                 a, b = (self._index[p] for p in s.parents)
-                x[i] = x[a] * x[b]
-        self.validate_vector(x)
-        return x
+                X[:, i] = X[:, a] * X[:, b]
+        finite = np.isfinite(X)
+        if np.count_nonzero(finite) < finite.size:
+            row = int(np.argmin(finite.all(axis=1)))
+            for s in self.slots:
+                if s.kind == "base" and s.name not in raws[row]:
+                    raise SchemaError(f"missing base feature {s.name!r}")
+            bad = self.slots[int(np.argmin(finite[row]))].name
+            raise SchemaError(f"non-finite value in slot {bad!r}")
+        return X
 
     def validate_vector(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
         arr = np.asarray(x, dtype=float)

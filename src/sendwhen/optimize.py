@@ -8,7 +8,7 @@ module never differentiates numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,7 +45,6 @@ class OptResult:
     grad_max_norm: float
     n_iters: int
     converged: bool
-    fun_trace: tuple[float, ...] = field(default_factory=tuple)
 
 
 def _guarded(objective: ObjectiveFn) -> ObjectiveFn:
@@ -76,27 +75,11 @@ def _guarded(objective: ObjectiveFn) -> ObjectiveFn:
 def _run_lbfgs(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptResult:
     from scipy.optimize import minimize
 
-    guarded = _guarded(objective)
-    last: list = [None, None]  # x and f of the latest evaluation
-
-    def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        f, g = guarded(theta)
-        last[:] = np.array(theta, dtype=float), f
-        return f, g
-
-    trace: list[float] = [evaluate(x0)[0]]
-
-    def callback(xk: np.ndarray) -> None:
-        # the line search ends on the accepted iterate, so its value is
-        # normally the one just computed
-        trace.append(last[1] if np.array_equal(xk, last[0]) else guarded(xk)[0])
-
     res = minimize(
-        evaluate,
+        _guarded(objective),
         x0,
         jac=True,
         method="L-BFGS-B",
-        callback=callback,
         options={
             "maxiter": cfg.max_iters,
             "gtol": cfg.tol,
@@ -111,7 +94,6 @@ def _run_lbfgs(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptRes
         grad_max_norm=gnorm,
         n_iters=int(res.nit),
         converged=gnorm <= cfg.tol,
-        fun_trace=tuple(trace),
     )
 
 
@@ -119,7 +101,6 @@ def _run_gd(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptResult
     guarded = _guarded(objective)
     x = np.asarray(x0, dtype=float).copy()
     f, g = guarded(x)
-    trace = [f]
     step = 1.0
     it = 0
     for it in range(1, cfg.max_iters + 1):
@@ -135,7 +116,6 @@ def _run_gd(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptResult
             f_cand, g_cand = guarded(cand)
             if f_cand <= f + 1e-4 * step * slope:
                 x, f, g = cand, f_cand, g_cand
-                trace.append(f)
                 step *= 2.0  # re-grow after success
                 accepted = True
                 break
@@ -150,7 +130,6 @@ def _run_gd(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptResult
         grad_max_norm=gnorm,
         n_iters=it,
         converged=gnorm <= cfg.tol,
-        fun_trace=tuple(trace),
     )
 
 

@@ -1,17 +1,18 @@
 """Turn interleaved send/visit event logs into censored survival observations.
 
-The walk over a user's timeline produces one record per notification send:
-the feature snapshot at the send, how long the user had already been in the
-pre-send state (w0), and what event came next.  Observations keep only
-sends that have a successor event; the evaluation layer reuses the same
-walk to get an instance for every send.
+send_table walks every user's timeline once, with one sort over all
+events, and returns one row per notification send: the send, how long the
+user had already been in the pre-send state (w0), the successor event and
+the first later visit.  Observations (sends with a successor), send
+instances (every send) and the evaluation layer's naive labels are all
+views of that one table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -23,6 +24,8 @@ __all__ = [
     "Observation",
     "SendInstance",
     "PipelineConfig",
+    "SendTable",
+    "send_table",
     "build_observations",
     "build_send_instances",
 ]
@@ -112,45 +115,93 @@ class PipelineConfig:
         return True
 
 
-def _group_sorted(events: Iterable[Event], cfg: PipelineConfig) -> dict[str, list[Event]]:
-    """Group by user and sort each stream by time.
+@dataclass(frozen=True, eq=False)
+class SendTable:
+    """One row per send inside the window, ordered by (user_id, time).
 
-    Ties at equal timestamps put the visit first (it is attributed to the
-    prior state); Python's stable sort preserves input order beyond that.
+    w0_hours is the time the user had already spent in the pre-send state:
+    hours since the latest preceding send or visit, zero when the send is
+    the user's first event.  next_ts_hours is the time of the successor
+    event (nan when nothing follows inside the window) and uncensored says
+    whether that successor is a visit.  next_visit_hours is the first visit
+    strictly after the send (inf when there is none); later sends do not
+    stop it.
     """
-    by_user: dict[str, list[Event]] = {}
-    for ev in events:
-        if cfg.in_window(ev):
-            by_user.setdefault(ev.user_id, []).append(ev)
-    for stream in by_user.values():
-        stream.sort(key=lambda e: (e.ts_hours, 0 if e.kind == VISIT else 1))
-    return by_user
+
+    sends: list[Event]
+    ts_hours: np.ndarray
+    w0_hours: np.ndarray
+    next_ts_hours: np.ndarray
+    uncensored: np.ndarray
+    next_visit_hours: np.ndarray
+
+    def matrix(self, schema: FeatureSchema, rows: np.ndarray | None = None) -> np.ndarray:
+        """Feature snapshots of the given rows (all rows by default)."""
+        rows = np.arange(len(self.sends)) if rows is None else rows
+        sends = [self.sends[i] for i in rows.tolist()]
+        return schema.materialize_rows(
+            [e.features for e in sends], [e.badge_count for e in sends], self.w0_hours[rows]
+        )
+
+    def observations(self, schema: FeatureSchema, duration_floor_hours: float) -> list[Observation]:
+        """The censored triplets: one per send that has a successor."""
+        rows = np.flatnonzero(~np.isnan(self.next_ts_hours))
+        ts = self.ts_hours[rows]
+        t = np.maximum(self.next_ts_hours[rows] - ts, duration_floor_hours)
+        return [
+            Observation(self.sends[i].user_id, x, ti, u, si)
+            for i, x, ti, u, si in zip(
+                rows.tolist(), self.matrix(schema, rows), t.tolist(),
+                self.uncensored[rows].tolist(), ts.tolist(),
+            )
+        ]
+
+    def visited_within(self, horizon_t_hours: float) -> np.ndarray:
+        """Per-send naive labels: did any visit land in (send, send + T]?"""
+        return self.next_visit_hours <= self.ts_hours + horizon_t_hours
 
 
-def _walk_user(stream: Sequence[Event]):
-    """Yield (send, w0_hours, next_event_or_None) for each send in order.
+def send_table(events: Iterable[Event], cfg: PipelineConfig) -> SendTable:
+    """Walk every user's timeline once and return the send table.
 
-    w0 is the time the user had already spent in the pre-send state: hours
-    since the latest preceding send or visit (whichever came later), zero
-    when the send is the user's first event.
-
-    The successor of a send is the next event in sorted order, except that
-    a visit at the very same timestamp counts as the successor (yielding a
-    floor-duration uncensored observation) even though the tie rule sorts
-    it before the send; that visit also terminates any earlier pending
+    Events are sorted by (user_id, time), with a visit before a send at the
+    same timestamp (it is attributed to the prior state) and input order
+    kept beyond that.  The successor of a send is the next event in that
+    order, except that a visit at the very same timestamp counts as the
+    successor (a floor-duration uncensored observation) even though it
+    sorts before the send; that visit also ends any earlier pending
     observation, so a simultaneous pair is never silently dropped.
     """
-    visit_ts = {e.ts_hours for e in stream if e.kind == VISIT}
-    state_start: float | None = None
-    for i, ev in enumerate(stream):
-        if ev.kind == SEND:
-            w0 = 0.0 if state_start is None else ev.ts_hours - state_start
-            if ev.ts_hours in visit_ts:
-                nxt: Event | None = Event(ev.user_id, ev.ts_hours, VISIT)
-            else:
-                nxt = stream[i + 1] if i + 1 < len(stream) else None
-            yield ev, max(w0, 0.0), nxt
-        state_start = ev.ts_hours  # both kinds start a new state
+    evs = [e for e in events if cfg.in_window(e)]
+    n = len(evs)
+    code = {u: i for i, u in enumerate(sorted({e.user_id for e in evs}))}
+    user = np.fromiter((code[e.user_id] for e in evs), np.intp, n)
+    ts = np.fromiter((e.ts_hours for e in evs), float, n)
+    is_send = np.fromiter((e.kind == SEND for e in evs), bool, n)
+    order = np.lexsort((is_send, ts, user))
+    # a sentinel at position n (reached as -1 too) belongs to no user
+    user = np.append(user[order], -1)
+    ts = np.append(ts[order], np.inf)
+    is_send = np.append(is_send[order], True)
+
+    s = np.flatnonzero(is_send[:n])
+    visits = np.append(np.flatnonzero(~is_send), n)
+    k = np.searchsorted(visits, s)
+    after, before = visits[k], visits[k - 1]  # nearest visits on either side
+
+    def same_user(pos: np.ndarray) -> np.ndarray:
+        return user[pos] == user[s]
+
+    tie = same_user(before) & (ts[before] == ts[s])
+    has_next = same_user(s + 1)
+    return SendTable(
+        sends=[evs[i] for i in order[s].tolist()],
+        ts_hours=ts[s],
+        w0_hours=np.where(same_user(s - 1), ts[s] - ts[s - 1], 0.0),
+        next_ts_hours=np.where(tie, ts[s], np.where(has_next, ts[s + 1], np.nan)),
+        uncensored=tie | (has_next & ~is_send[s + 1]),
+        next_visit_hours=np.where(same_user(after), ts[after], np.inf),
+    )
 
 
 def build_observations(
@@ -164,26 +215,7 @@ def build_observations(
     by (user_id, origin timestamp) so the result does not depend on input
     order.
     """
-    by_user = _group_sorted(events, cfg)
-    out: list[Observation] = []
-    for user_id in sorted(by_user):
-        for send, w0, nxt in _walk_user(by_user[user_id]):
-            if nxt is None:
-                continue
-            duration = max(nxt.ts_hours - send.ts_hours, cfg.duration_floor_hours)
-            x = schema.materialize(
-                send.features, badge_count=send.badge_count, w0_hours=w0
-            )
-            out.append(
-                Observation(
-                    user_id=user_id,
-                    x=x,
-                    t_hours=duration,
-                    uncensored=nxt.kind == VISIT,
-                    origin_ts_hours=send.ts_hours,
-                )
-            )
-    return out
+    return send_table(events, cfg).observations(schema, cfg.duration_floor_hours)
 
 
 def build_send_instances(
@@ -191,16 +223,11 @@ def build_send_instances(
 ) -> list[SendInstance]:
     """Feature snapshot for every send, including trailing ones.
 
-    This is the instance set for per-send labeling in evaluation, built
-    with exactly the same state walk as build_observations.
+    This is the instance set for per-send labeling in evaluation, in the
+    same order as SendTable.visited_within.
     """
-    by_user = _group_sorted(events, cfg)
-    out: list[SendInstance] = []
-    for user_id in sorted(by_user):
-        for send, w0, _ in _walk_user(by_user[user_id]):
-            x = schema.materialize(
-                send.features, badge_count=send.badge_count, w0_hours=w0
-            )
-            out.append(SendInstance(user_id=user_id, ts_hours=send.ts_hours, x=x))
-    return out
-
+    table = send_table(events, cfg)
+    return [
+        SendInstance(e.user_id, ts, x)
+        for e, ts, x in zip(table.sends, table.ts_hours.tolist(), table.matrix(schema))
+    ]

@@ -379,7 +379,6 @@ def _diagnostics(
         "grad_max_norm": result.grad_max_norm,
         "n_iters": result.n_iters,
         "converged": result.converged,
-        "nll_trace": list(result.fun_trace),
         "method": cfg.method,
         "ridge": cfg.ridge,
         "n_obs": n,

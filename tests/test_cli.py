@@ -5,10 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sendwhen
 from sendwhen.cli import main
 from sendwhen.io import (
     file_sha256,
@@ -173,6 +175,19 @@ def test_ingest_empty_input_exit_zero_with_warning(tmp_path, sim_dir, capsys):
     assert run("ingest", "--events", empty, "--schema", sim_dir / "schema.json", "--out", out) == 0
     assert "warning" in capsys.readouterr().err
     assert (out / "observations.jsonl").read_text() == ""
+
+
+def test_ingest_window_past_every_event_writes_nothing(tmp_path, sim_dir):
+    out = tmp_path / "out"
+    assert run("ingest", "--events", sim_dir / "events.jsonl", "--schema",
+               sim_dir / "schema.json", "--window-start", 1e6, "--out", out) == 0
+    assert (out / "observations.jsonl").read_text() == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_events"] > 0
+    assert {k: v for k, v in report.items() if k != "n_events"} == {
+        "n_sends": 0, "n_observations": 0, "n_dropped_sends": 0,
+        "n_censored": 0, "n_uncensored": 0,
+    }
 
 
 def test_ingest_unsorted_input_equals_sorted(tmp_path, sim_dir):
@@ -554,9 +569,13 @@ def test_removed_flags_are_unknown_arguments(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child finds src through PYTHONPATH, as in a checkout that is not installed
+    src = str(Path(sendwhen.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "sendwhen.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "sendwhen" in proc.stdout

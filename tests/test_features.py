@@ -110,6 +110,18 @@ class TestMaterialize:
                 badge_count=0,
             )
 
+    def test_rows_report_the_first_bad_row_as_materialize_does(self):
+        s = demo_schema()
+        good = {"profile_0": 1.0, "profile_1": 0.5, "recent_visits": 2.0}
+        missing = {"profile_0": 1.0, "recent_visits": 2.0}
+        nan = dict(good, profile_1=float("nan"))
+        for bad in (missing, nan):
+            with pytest.raises(SchemaError) as one:
+                s.materialize(bad, badge_count=1)
+            with pytest.raises(SchemaError) as rows:
+                s.materialize_rows([good, good, bad, missing], [0, 1, 1, 1], [0.0] * 4)
+            assert str(rows.value) == str(one.value)
+
     def test_w0_slot_materialization(self):
         s = FeatureSchema.build(
             base=["p"], badge="badge_count", w0="hours_in_state"
