@@ -1,19 +1,22 @@
 """Command-line surface tying the modules into reproducible runs.
 
 Six subcommands cover the pipeline end to end: simulate, ingest, train,
-evaluate, score, decide.  Every command follows the same conventions:
+evaluate, score, decide.  Each is a _Command (config defaults, needed input
+flags, a settings function that types the merged config, and the body
+cmd_<name>) run by one function, _run, which in order:
 
-  * config-file-first: --config FILE supplies values, individual flags
-    override them, --print-config shows the effective merged config;
-  * outputs land in --out DIR and are never overwritten without --force;
-  * each output directory gets exactly one manifest.json recording the
-    command, config digest, input digests, package version, seed, and
-    timestamps, so runs are reproducible and diffable;
-  * exit codes: 0 success, 2 config error, 3 data error, 4 numerical
-    failure.
+  * merges the defaults, then --config FILE, then every flag whose dest is
+    a config key; --print-config prints the result and exits;
+  * refuses a missing input flag, then a missing --out DIR;
+  * builds the settings, where a wrongly typed value is a config error;
+  * calls the body.
 
-Timestamps honor SOURCE_DATE_EPOCH so archived runs can be compared
-byte for byte.
+Outputs land in --out DIR and are never overwritten without --force; each
+output directory gets exactly one manifest.json recording the command,
+config digest, input digests, package version, seed, and timestamps.
+Exit codes: 0 success, 2 config error, 3 data error (including a missing
+or unreadable input file), 4 numerical failure.  Timestamps honor
+SOURCE_DATE_EPOCH so archived runs can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,9 +56,11 @@ from .io import (
     load_json_config,
     read_events,
     read_model_json,
+    read_jsonl,
     read_observations_jsonl,
     read_schema_json,
     write_events_jsonl,
+    write_jsonl,
     write_model_json,
     write_observations_jsonl,
     write_schema_json,
@@ -79,14 +85,6 @@ _MANIFEST_NAME = "manifest.json"
 # -- shared plumbing ------------------------------------------------------------
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _digest_config(cfg: Mapping) -> str:
-    return hashlib.sha256(_canonical(cfg).encode()).hexdigest()
-
-
 def _utc_stamp() -> str:
     raw = os.environ.get("SOURCE_DATE_EPOCH")
     epoch = int(raw) if raw else int(time.time())
@@ -95,7 +93,10 @@ def _utc_stamp() -> str:
 
 def _prepare_out(out_dir: str, filenames: Sequence[str], force: bool) -> Path:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"--out {out} is not a directory") from None
     existing = [n for n in (*filenames, _MANIFEST_NAME) if (out / n).exists()]
     if existing and not force:
         raise ConfigError(
@@ -112,10 +113,11 @@ def _write_manifest(
     seed: int | None = None,
     model_version: str | None = None,
 ) -> None:
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": command,
         "config": dict(config),
-        "config_digest": _digest_config(config),
+        "config_digest": hashlib.sha256(blob.encode()).hexdigest(),
         "input_digests": {name: file_sha256(path) for name, path in inputs.items()},
         "model_version": model_version,
         "tool_version": __version__,
@@ -125,69 +127,17 @@ def _write_manifest(
     dump_json(out / _MANIFEST_NAME, manifest)
 
 
-def _merge_config(
-    defaults: Mapping, config_path: str | None, overrides: Mapping
-) -> dict:
-    merged = dict(defaults)
-    if config_path is not None:
-        merged.update(load_json_config(config_path, allowed_keys=list(defaults)))
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _print_config(merged: Mapping) -> int:
-    print(json.dumps(merged, sort_keys=True, indent=2))
-    return EXIT_OK
-
-
 def _pipeline_config(merged: Mapping) -> PipelineConfig:
+    start, end = merged["window_start"], merged["window_end"]
     try:
         return PipelineConfig(
             duration_floor_hours=float(merged["duration_floor_hours"]),
-            window_start=merged["window_start"],
-            window_end=merged["window_end"],
+            window_start=None if start is None else float(start),
+            window_end=None if end is None else float(end),
         )
-    except DataError:
+    except (TypeError, ValueError):  # DataError included
         # invalid pipeline settings are a configuration problem at the CLI
         raise ConfigError(f"invalid pipeline config: {merged}") from None
-
-
-def _opt_config(merged: Mapping) -> OptConfig:
-    return OptConfig(
-        tol=float(merged["tol"]),
-        max_iters=int(merged["max_iters"]),
-        ridge=float(merged["ridge"]),
-        method=str(merged["method"]),
-        seed=int(merged["seed"]),
-    )
-
-
-def _write_jsonl(path: Path, records: Sequence[Mapping]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(_canonical(rec) + "\n")
-
-
-def _read_jsonl(path: str) -> list[dict]:
-    records: list[dict] = []
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(rec, dict):
-                    raise DataError(f"{path}:{lineno}: expected a JSON object")
-                records.append(rec)
-    except FileNotFoundError:
-        raise DataError(f"input file not found: {path}") from None
-    return records
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -204,22 +154,7 @@ _SIMULATE_DEFAULTS: dict = {
 }
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    merged = _merge_config(
-        _SIMULATE_DEFAULTS,
-        args.config,
-        {
-            "n_users": args.n_users,
-            "seed": args.seed,
-            "window_hours": args.window_hours,
-        },
-    )
-    if args.print_config:
-        return _print_config(merged)
-    if args.out is None:
-        raise ConfigError("simulate needs --out DIR (or --print-config)")
-    sim_cfg = SimConfig.from_dict(merged)
-
+def cmd_simulate(args: argparse.Namespace, merged: Mapping, sim_cfg: SimConfig) -> int:
     out = _prepare_out(
         args.out, ("events.jsonl", "contexts.jsonl", "truth.json", "schema.json"), args.force
     )
@@ -227,7 +162,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     schema = default_sim_schema(sim_cfg)
 
     write_events_jsonl(out / "events.jsonl", result.events)
-    _write_jsonl(
+    write_jsonl(
         out / "contexts.jsonl",
         [
             {
@@ -259,25 +194,7 @@ _INGEST_DEFAULTS: dict = {
 }
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    merged = _merge_config(
-        _INGEST_DEFAULTS,
-        args.config,
-        {
-            "duration_floor_hours": args.duration_floor_hours,
-            "window_start": args.window_start,
-            "window_end": args.window_end,
-        },
-    )
-    if args.print_config:
-        return _print_config(merged)
-    for name, value in (("--events", args.events), ("--schema", args.schema)):
-        if value is None:
-            raise ConfigError(f"ingest needs {name} (or --print-config)")
-    if args.out is None:
-        raise ConfigError("ingest needs --out DIR")
-    pipe_cfg = _pipeline_config(merged)
-
+def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConfig) -> int:
     schema = read_schema_json(args.schema)
     events = read_events(args.events)
     out = _prepare_out(args.out, ("observations.jsonl", "schema.json", "report.json"), args.force)
@@ -338,26 +255,20 @@ def _parse_model_kind(spec: str) -> tuple[str, float | None]:
     raise ConfigError(f"unknown model kind {spec!r}; expected 'aft' or 'logistic:T'")
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    merged = _merge_config(
-        _TRAIN_DEFAULTS,
-        args.config,
-        {
-            "model": args.model,
-            "tol": args.tol,
-            "max_iters": args.max_iters,
-            "ridge": args.ridge,
-            "method": args.method,
-            "seed": args.seed,
-        },
-    )
-    if args.print_config:
-        return _print_config(merged)
-    if args.out is None:
-        raise ConfigError("train needs --out DIR (or --print-config)")
+def _train_settings(merged: Mapping) -> tuple[str, float | None, OptConfig]:
     kind, horizon = _parse_model_kind(str(merged["model"]))
-    opt_cfg = _opt_config(merged)
+    opt_cfg = OptConfig(
+        tol=float(merged["tol"]),
+        max_iters=int(merged["max_iters"]),
+        ridge=float(merged["ridge"]),
+        method=str(merged["method"]),
+        seed=int(merged["seed"]),
+    )
+    return kind, horizon, opt_cfg
 
+
+def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
+    kind, horizon, opt_cfg = settings
     inputs: dict[str, str] = {}
     out = _prepare_out(args.out, ("model.json",), args.force)
     if kind == "aft":
@@ -406,35 +317,16 @@ _EVALUATE_DEFAULTS: dict = {
 }
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    merged = _merge_config(
-        _EVALUATE_DEFAULTS,
-        args.config,
-        {
-            "horizons": args.horizons,
-            "labeler": args.labeler,
-        },
-    )
-    if args.print_config:
-        return _print_config(merged)
-    for name, value in (
-        ("--aft-model", args.aft_model),
-        ("--events", args.events),
-        ("--schema", args.schema),
-    ):
-        if value is None:
-            raise ConfigError(f"evaluate needs {name} (or --print-config)")
-    if not args.logistic_model:
-        raise ConfigError("evaluate needs at least one --logistic-model FILE")
-    if args.out is None:
-        raise ConfigError("evaluate needs --out DIR")
+def _evaluate_settings(merged: Mapping) -> tuple[list[float], PipelineConfig]:
     if merged["labeler"] not in LABELERS:
         raise ConfigError(
             f"unknown labeler {merged['labeler']!r}; expected one of {sorted(LABELERS)}"
         )
-    horizons = [float(t) for t in merged["horizons"]]
-    pipe_cfg = _pipeline_config(merged)
+    return [float(t) for t in merged["horizons"]], _pipeline_config(merged)
 
+
+def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
+    horizons, pipe_cfg = settings
     aft = read_model_json(args.aft_model)
     if not isinstance(aft, WeibullAftModel):
         raise SchemaError(f"{args.aft_model} does not hold a survival model")
@@ -489,43 +381,33 @@ _SCORE_DEFAULTS: dict = {
 }
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    merged = _merge_config(
-        _SCORE_DEFAULTS,
-        args.config,
-        {"horizon_T": args.horizon_T},
-    )
-    if args.print_config:
-        return _print_config(merged)
-    for name, value in (("--model", args.model), ("--contexts", args.contexts)):
-        if value is None:
-            raise ConfigError(f"score needs {name} (or --print-config)")
-    if args.out is None:
-        raise ConfigError("score needs --out DIR")
+def _score_settings(merged: Mapping) -> float:
     horizon = float(merged["horizon_T"])
     if not horizon > 0:
         raise ConfigError(f"horizon_T must be > 0, got {horizon}")
+    return horizon
 
+
+def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:
     model = read_model_json(args.model)
     if not isinstance(model, WeibullAftModel):
         raise SchemaError(f"{args.model} does not hold a survival model; scoring needs one")
     if model.schema is None:
         raise SchemaError(f"{args.model} carries no feature schema; scoring needs one")
 
-    records = _read_jsonl(args.contexts)
     user_ids: list[str] = []
     features: list[dict] = []
     badges: list[int] = []
     w0s: list[float] = []
-    for i, rec in enumerate(records, start=1):
+    for lineno, rec in read_jsonl(args.contexts):
         try:
             user_ids.append(str(rec["user_id"]))
             features.append({k: float(v) for k, v in dict(rec["features"]).items()})
             badges.append(int(rec["badge_count"]))
             w0s.append(float(rec["w0_hours"]))
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{args.contexts}:{i}: malformed context: {exc}") from exc
-    X0 = model.schema.materialize_rows(features, badges, np.zeros(len(records)))
+            raise DataError(f"{args.contexts}:{lineno}: malformed context: {exc}") from exc
+    X0 = model.schema.materialize_rows(features, badges, np.zeros(len(user_ids)))
     contexts = [
         ScoringContext(features_now=tuple(x0), w0_hours=w0, horizon_T=horizon)
         for x0, w0 in zip(X0, w0s)
@@ -534,13 +416,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     out = _prepare_out(args.out, ("deltas.jsonl",), args.force)
     results = score_batch(contexts, model)
     version = model_digest(model)
-    rows = []
-    for user_id, w0, res in zip(user_ids, w0s, results):
-        rec = {"user_id": user_id, "w0_hours": w0, "horizon_T": horizon}
-        rec.update(res.to_dict())
-        rec["model_version"] = version
-        rows.append(rec)
-    _write_jsonl(out / "deltas.jsonl", rows)
+    write_jsonl(
+        out / "deltas.jsonl",
+        (
+            {"user_id": user_id, "w0_hours": w0, "horizon_T": horizon,
+             **res.to_dict(), "model_version": version}
+            for user_id, w0, res in zip(user_ids, w0s, results)
+        ),
+    )
     _write_manifest(
         out,
         "score",
@@ -548,7 +431,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         inputs={"model": args.model, "contexts": args.contexts},
         model_version=version,
     )
-    print(f"score: {len(rows)} users at T={horizon}h -> {out / 'deltas.jsonl'}")
+    print(f"score: {len(results)} users at T={horizon}h -> {out / 'deltas.jsonl'}")
     return EXIT_OK
 
 
@@ -564,11 +447,26 @@ _DECIDE_DEFAULTS: dict = {
 }
 
 
+def _decide_settings(merged: Mapping) -> tuple:
+    rule = str(merged["rule"])
+    if rule not in ("threshold", "ratio", "moo"):
+        raise ConfigError(f"unknown rule {rule!r}; expected threshold, ratio, or moo")
+    seed = merged["synth_p_click_seed"]
+    return (
+        rule,
+        float(merged["kappa"]),
+        float(merged["c_click"]),
+        float(merged["c_send"]),
+        float(merged["evaluation_cadence_hours"]),
+        None if seed is None else int(seed),
+    )
+
+
 def _candidates_from_scores(
-    records: Sequence[Mapping], where: str, synth_seed: int | None, need_p_click: bool
+    path: str, synth_seed: int | None, need_p_click: bool
 ) -> list[Candidate]:
     rows = []
-    for i, rec in enumerate(records, start=1):
+    for lineno, rec in read_jsonl(path):
         try:
             rows.append(
                 (
@@ -579,7 +477,7 @@ def _candidates_from_scores(
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{where}:{i}: malformed score row: {exc}") from exc
+            raise DataError(f"{path}:{lineno}: malformed score row: {exc}") from exc
     missing = [r[0] for r in rows if r[3] is None]
     if need_p_click and missing:
         if synth_seed is None:
@@ -589,7 +487,7 @@ def _candidates_from_scores(
             )
         # placeholder click-through rates: uniform draws, keyed by seed and
         # user order, documented as synthetic stand-ins for a real CTR model
-        rng = np.random.default_rng([int(synth_seed)])
+        rng = np.random.default_rng([synth_seed])
         draws = iter(rng.uniform(0.0, 1.0, size=len(missing)))
         synth = {uid: float(next(draws)) for uid in missing}
         rows = [
@@ -646,59 +544,35 @@ def _round_fractional(result, cfg: MooConfig, candidates: Sequence[Candidate]):
     return out, clicks
 
 
-def cmd_decide(args: argparse.Namespace) -> int:
-    merged = _merge_config(
-        _DECIDE_DEFAULTS,
-        args.config,
-        {
-            "rule": args.rule,
-            "kappa": args.kappa,
-            "c_click": args.c_click,
-            "c_send": args.c_send,
-            "synth_p_click_seed": args.synth_p_click_seed,
-        },
-    )
-    if args.print_config:
-        return _print_config(merged)
-    if args.scores is None:
-        raise ConfigError("decide needs --scores FILE (or --print-config)")
-    if args.out is None:
-        raise ConfigError("decide needs --out DIR")
-    rule = str(merged["rule"])
-    if rule not in ("threshold", "ratio", "moo"):
-        raise ConfigError(f"unknown rule {rule!r}; expected threshold, ratio, or moo")
-
-    records = _read_jsonl(args.scores)
-    synth_seed = merged["synth_p_click_seed"]
-    candidates = _candidates_from_scores(
-        records, args.scores, synth_seed, need_p_click=(rule == "moo")
-    )
+def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
+    rule, kappa, c_click, c_send, cadence, synth_seed = settings
+    candidates = _candidates_from_scores(args.scores, synth_seed, need_p_click=(rule == "moo"))
     out = _prepare_out(args.out, ("decisions.jsonl", "report.json"), args.force)
 
     decisions: list = []
     report: dict = {
         "rule": rule,
         "n_candidates": len(candidates),
-        "evaluation_cadence_hours": float(merged["evaluation_cadence_hours"]),
+        "evaluation_cadence_hours": cadence,
     }
     status = "ok"
     if not candidates:
         print("decide: warning: empty candidate input", file=sys.stderr)
     elif rule == "threshold":
-        result = threshold_rule(candidates, float(merged["kappa"]))
+        result = threshold_rule(candidates, kappa)
         decisions = list(result.decisions)
         report["kappa"] = result.kappa
     elif rule == "ratio":
-        result = ratio_rule(candidates, float(merged["kappa"]))
+        result = ratio_rule(candidates, kappa)
         decisions = list(result.decisions)
         report["kappa"] = result.kappa
     else:
-        cfg = MooConfig(c_click=float(merged["c_click"]), c_send=float(merged["c_send"]))
+        cfg = MooConfig(c_click=c_click, c_send=c_send)
         result = moo_solve(candidates, cfg)
         status = result.status
         if result.status == "infeasible":
             dump_json(out / "report.json", {**report, "status": status, **dict(result.report)})
-            _write_jsonl(out / "decisions.jsonl", [])
+            write_jsonl(out / "decisions.jsonl", [])
             _write_manifest(out, "decide", merged, inputs={"scores": args.scores})
             print(
                 f"decide: infeasible: click floor {cfg.c_click} unreachable "
@@ -733,7 +607,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         rows.append(row)
     report["status"] = status
     report["n_send"] = sum(1 for d in decisions if d.send)
-    _write_jsonl(out / "decisions.jsonl", rows)
+    write_jsonl(out / "decisions.jsonl", rows)
     dump_json(out / "report.json", report)
     _write_manifest(out, "decide", merged, inputs={"scores": args.scores})
     print(
@@ -741,6 +615,63 @@ def cmd_decide(args: argparse.Namespace) -> int:
         f"({rule}) -> {out / 'decisions.jsonl'}"
     )
     return EXIT_OK
+
+
+# -- running a command ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Command:
+    """What _run needs to know of one subcommand."""
+
+    body: Callable[[argparse.Namespace, Mapping, object], int]
+    defaults: Mapping
+    settings: Callable[[Mapping], object]
+    needs: tuple[str, ...] = ()  # input flags in check order, as refusals name them
+
+
+_COMMANDS = {
+    "simulate": _Command(cmd_simulate, _SIMULATE_DEFAULTS, SimConfig.from_dict),
+    "ingest": _Command(cmd_ingest, _INGEST_DEFAULTS, _pipeline_config, ("--events", "--schema")),
+    "train": _Command(cmd_train, _TRAIN_DEFAULTS, _train_settings),
+    "evaluate": _Command(
+        cmd_evaluate, _EVALUATE_DEFAULTS, _evaluate_settings,
+        ("--aft-model", "--events", "--schema", "--logistic-model FILE"),
+    ),
+    "score": _Command(cmd_score, _SCORE_DEFAULTS, _score_settings, ("--model", "--contexts")),
+    "decide": _Command(cmd_decide, _DECIDE_DEFAULTS, _decide_settings, ("--scores FILE",)),
+}
+
+
+def _run(args: argparse.Namespace) -> int:
+    name, spec = args.command, _COMMANDS[args.command]
+    merged = dict(spec.defaults)
+    if args.config is not None:
+        merged.update(load_json_config(args.config, allowed_keys=list(spec.defaults)))
+    for key in spec.defaults:
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
+    if args.print_config:
+        print(json.dumps(merged, sort_keys=True, indent=2))
+        return EXIT_OK
+    for need in spec.needs:
+        flag = need.split()[0]
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value == []:  # a repeatable flag never given
+            raise ConfigError(f"{name} needs at least one {need}")
+        if value is None:
+            raise ConfigError(f"{name} needs {need} (or --print-config)")
+    if args.out is None:
+        # commands with input flags already named --print-config in those refusals
+        alt = "" if spec.needs else " (or --print-config)"
+        raise ConfigError(f"{name} needs --out DIR{alt}")
+    try:
+        settings = spec.settings(merged)
+    except SendwhenError:  # a ValueError too, but it keeps its own exit code
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name} config: {exc}") from None
+    return spec.body(args, merged, settings)
 
 
 # -- parser -----------------------------------------------------------------------
@@ -769,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-users", type=int, dest="n_users")
     p.add_argument("--seed", type=int)
     p.add_argument("--window-hours", type=float, dest="window_hours")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ingest", help="turn an event log into censored observations")
     _add_common(p)
@@ -778,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-floor-hours", type=float, dest="duration_floor_hours")
     p.add_argument("--window-start", type=float, dest="window_start")
     p.add_argument("--window-end", type=float, dest="window_end")
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="fit the survival model or a logistic baseline")
     _add_common(p)
@@ -791,7 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ridge", type=float)
     p.add_argument("--method", choices=("lbfgs", "gd"))
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="AUC-versus-horizon comparison report")
     _add_common(p)
@@ -804,14 +732,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", help="feature schema JSON")
     p.add_argument("--horizons", type=float, nargs="+")
     p.add_argument("--labeler", choices=tuple(sorted(LABELERS)))
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("score", help="per-user delta effect of sending now versus waiting")
     _add_common(p)
     p.add_argument("--model", help="survival model JSON")
     p.add_argument("--contexts", help="scoring contexts JSONL")
     p.add_argument("--horizon-T", type=float, dest="horizon_T")
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("decide", help="turn scores into send/hold decisions")
     _add_common(p)
@@ -824,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--synth-p-click-seed", type=int, dest="synth_p_click_seed",
         help="seed for placeholder uniform p_click draws when the scores lack them",
     )
-    p.set_defaults(func=cmd_decide)
 
     return parser
 
@@ -833,19 +758,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _run(args)
     except SendwhenError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        if isinstance(exc, ConfigError):
+            return EXIT_CONFIG
+        # DataError, SchemaError and any other package error are data errors
+        return EXIT_NUMERIC if isinstance(exc, NumericalError) else EXIT_DATA
 
 
 if __name__ == "__main__":

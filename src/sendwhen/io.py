@@ -1,8 +1,11 @@
 """File formats: JSONL event logs, CSV event logs, observations, configs.
 
-All writers emit one JSON object per line with sorted keys, so identical
-in-memory data always produces identical bytes.  See FORMATS.md at the
-repository root for the field-by-field reference.
+Every JSONL file (events, observations, contexts, deltas, decisions) is
+read by read_jsonl and written by write_jsonl: one JSON object per line
+with sorted keys and no spaces, so identical in-memory data always
+produces identical bytes.  Every input file is opened by one helper, so
+a missing or unreadable input is a DataError naming the path.  See
+FORMATS.md at the repository root for the field-by-field reference.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ import csv
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +26,8 @@ from .pipeline import SEND, Event, Observation
 from .training import LogisticModel, WeibullAftModel
 
 __all__ = [
+    "read_jsonl",
+    "write_jsonl",
     "read_events_jsonl",
     "write_events_jsonl",
     "read_events_csv",
@@ -43,8 +49,9 @@ MODEL_FORMAT_VERSION = 1
 _EVENT_META_COLUMNS = ("user_id", "ts_hours", "kind", "badge_count")
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every JSONL line; json.dumps with these arguments would
+# build the same encoder again on each call
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def dump_json(path: str | Path, obj) -> None:
@@ -52,6 +59,50 @@ def dump_json(path: str | Path, obj) -> None:
     Path(path).write_text(
         json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+
+
+@contextmanager
+def _open_input(path: str | Path, what: str = "input"):
+    try:
+        # newline="" lets the csv module see raw line ends; JSON readers strip them
+        f = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    with f:
+        yield f
+
+
+def _read_json(path: str | Path, what: str = "input"):
+    try:
+        with _open_input(path, what) as f:
+            return json.load(f)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSONL file."""
+    with _open_input(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, rec
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
+    """Write one canonical (sorted keys, compact) JSON object per line."""
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            f.write(_encode_line(rec) + "\n")
 
 
 def file_sha256(path: str | Path) -> str:
@@ -75,48 +126,36 @@ def _event_from_record(rec: dict, lineno: int, where: str) -> Event:
             badge_count=None if badge is None else int(badge),
             features={k: float(v) for k, v in (rec.get("features") or {}).items()},
         )
-    except DataError:
-        raise
+    except DataError as exc:  # Event's own checks
+        raise DataError(f"{where}:{lineno}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{where}:{lineno}: malformed event record: {exc}") from exc
 
 
 def read_events_jsonl(path: str | Path) -> list[Event]:
-    events: list[Event] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                events.append(_event_from_record(rec, lineno, str(path)))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    return events
+    return [_event_from_record(rec, lineno, str(path)) for lineno, rec in read_jsonl(path)]
+
+
+def _event_record(ev: Event) -> dict:
+    rec = {
+        "user_id": ev.user_id,
+        "ts_hours": ev.ts_hours,
+        "kind": ev.kind,
+        "badge_count": ev.badge_count,
+    }
+    if ev.features:
+        rec["features"] = dict(sorted(ev.features.items()))
+    return rec
 
 
 def write_events_jsonl(path: str | Path, events: Iterable[Event]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for ev in events:
-            rec = {
-                "user_id": ev.user_id,
-                "ts_hours": ev.ts_hours,
-                "kind": ev.kind,
-                "badge_count": ev.badge_count,
-            }
-            if ev.features:
-                rec["features"] = dict(sorted(ev.features.items()))
-            f.write(_dumps(rec) + "\n")
+    write_jsonl(path, map(_event_record, events))
 
 
 def read_events_csv(path: str | Path) -> list[Event]:
     """CSV variant: meta columns first, every extra column is a feature."""
     events: list[Event] = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with _open_input(path) as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty CSV (missing header row)")
@@ -155,44 +194,41 @@ def read_events(path: str | Path) -> list[Event]:
 
 
 def write_observations_jsonl(path: str | Path, observations: Iterable[Observation]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for o in observations:
-            rec = {
+    write_jsonl(
+        path,
+        (
+            {
                 "user_id": o.user_id,
                 "t_hours": o.t_hours,
                 "censored": not o.uncensored,
                 "x": [float(v) for v in o.x],
                 "origin_ts_hours": o.origin_ts_hours,
             }
-            f.write(_dumps(rec) + "\n")
+            for o in observations
+        ),
+    )
 
 
 def read_observations_jsonl(
     path: str | Path, schema: FeatureSchema | None = None
 ) -> list[Observation]:
     out: list[Observation] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                x = np.asarray(rec["x"], dtype=float)
-                obs = Observation(
-                    user_id=str(rec["user_id"]),
-                    x=x,
-                    t_hours=float(rec["t_hours"]),
-                    uncensored=not bool(rec["censored"]),
-                    origin_ts_hours=float(rec.get("origin_ts_hours", math.nan)),
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed observation: {exc}") from exc
-            if obs.t_hours <= 0 or not math.isfinite(obs.t_hours):
-                raise DataError(f"{path}:{lineno}: non-positive duration {obs.t_hours}")
-            if schema is not None:
-                schema.validate_vector(obs.x)
-            out.append(obs)
+    for lineno, rec in read_jsonl(path):
+        try:
+            obs = Observation(
+                user_id=str(rec["user_id"]),
+                x=np.asarray(rec["x"], dtype=float),
+                t_hours=float(rec["t_hours"]),
+                uncensored=not bool(rec["censored"]),
+                origin_ts_hours=float(rec.get("origin_ts_hours", math.nan)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed observation: {exc}") from exc
+        if obs.t_hours <= 0 or not math.isfinite(obs.t_hours):
+            raise DataError(f"{path}:{lineno}: non-positive duration {obs.t_hours}")
+        if schema is not None:
+            schema.validate_vector(obs.x)
+        out.append(obs)
     return out
 
 
@@ -234,13 +270,7 @@ def write_model_json(path: str | Path, model: WeibullAftModel | LogisticModel) -
 
 
 def read_model_json(path: str | Path) -> WeibullAftModel | LogisticModel:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            rec = json.load(f)
-    except FileNotFoundError:
-        raise DataError(f"model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    rec = _read_json(path, "model")
     if not isinstance(rec, dict):
         raise DataError(f"{path}: model file must hold a JSON object")
     version = rec.get("format_version")
@@ -287,8 +317,7 @@ def write_schema_json(path: str | Path, schema: FeatureSchema) -> None:
 
 
 def read_schema_json(path: str | Path) -> FeatureSchema:
-    with open(path, "r", encoding="utf-8") as f:
-        return FeatureSchema.from_dict(json.load(f))
+    return FeatureSchema.from_dict(_read_json(path))
 
 
 def load_json_config(path: str | Path, *, allowed_keys: Sequence[str] | None = None) -> dict:

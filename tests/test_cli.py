@@ -536,6 +536,133 @@ def test_decide_policy_config_file(tmp_path, score_dir):
 
 # -- cross-cutting ------------------------------------------------------------------
 
+_EVAL = ("evaluate", "--aft-model", "a.json", "--events", "e.jsonl", "--schema", "s.json")
+_LABEL_ERR = "unknown labeler 'x'; expected one of ['censoring_clean', 'naive']"
+_P_CLICK_ERR = ("1 score rows lack p_click; supply p_click in the scores file "
+                "or pass --synth-p-click-seed for placeholder draws")
+
+# argv ({t} is a scratch directory), exit code, last stderr line without "error: "
+REFUSALS = [
+    (("simulate",), 2, "simulate needs --out DIR (or --print-config)"),
+    (("ingest", "--out", "{t}/o"), 2, "ingest needs --events (or --print-config)"),
+    (("ingest", "--events", "e.jsonl"), 2, "ingest needs --schema (or --print-config)"),
+    (("ingest", "--events", "e.jsonl", "--schema", "s.json"), 2, "ingest needs --out DIR"),
+    (("train",), 2, "train needs --out DIR (or --print-config)"),
+    (("train", "--out", "{t}/o"), 2, "train --model aft needs --observations FILE"),
+    (("train", "--model", "logistic:24", "--events", "e.jsonl", "--out", "{t}/o"), 2,
+     "train --model logistic:T needs --events and --schema"),
+    (("evaluate", "--out", "{t}/o"), 2, "evaluate needs --aft-model (or --print-config)"),
+    (("evaluate", "--aft-model", "a.json"), 2, "evaluate needs --events (or --print-config)"),
+    (("evaluate", "--aft-model", "a.json", "--events", "e.jsonl"), 2,
+     "evaluate needs --schema (or --print-config)"),
+    (_EVAL, 2, "evaluate needs at least one --logistic-model FILE"),
+    (_EVAL + ("--out", "{t}/o"), 2, "evaluate needs at least one --logistic-model FILE"),
+    (_EVAL + ("--logistic-model", "l.json"), 2, "evaluate needs --out DIR"),
+    (("score", "--out", "{t}/o"), 2, "score needs --model (or --print-config)"),
+    (("score", "--model", "m.json"), 2, "score needs --contexts (or --print-config)"),
+    (("score", "--model", "m.json", "--contexts", "c.jsonl"), 2, "score needs --out DIR"),
+    (("decide", "--out", "{t}/o"), 2, "decide needs --scores FILE (or --print-config)"),
+    (("decide", "--scores", "s.jsonl"), 2, "decide needs --out DIR"),
+    (("train", "--model", "cox", "--out", "{t}/o"), 2,
+     "unknown model kind 'cox'; expected 'aft' or 'logistic:T'"),
+    (("train", "--model", "logistic:-1", "--out", "{t}/o"), 2,
+     "model horizon must be > 0, got -1.0"),
+    (("decide", "--scores", "s.jsonl", "--config", "{t}/rule.json", "--out", "{t}/o"), 2,
+     "unknown rule 'x'; expected threshold, ratio, or moo"),
+    (_EVAL + ("--logistic-model", "l.json", "--config", "{t}/labeler.json", "--out", "{t}/o"),
+     2, _LABEL_ERR),
+    (("score", "--model", "m.json", "--contexts", "c.jsonl", "--horizon-T", "-1",
+      "--out", "{t}/o"), 2, "horizon_T must be > 0, got -1.0"),
+    (("decide", "--scores", "{t}/scores.jsonl", "--out", "{t}/full"), 2,
+     "refusing to overwrite ['manifest.json'] in {t}/full; pass --force to allow"),
+    (("decide", "--scores", "{t}/scores.jsonl", "--rule", "moo", "--c-send", "1",
+      "--out", "{t}/o"), 2, _P_CLICK_ERR),
+]
+
+
+@pytest.mark.parametrize("argv,code,message", REFUSALS)
+def test_refusal_message_and_exit_code(tmp_path, capsys, argv, code, message):
+    (tmp_path / "rule.json").write_text('{"rule": "x"}')
+    (tmp_path / "labeler.json").write_text('{"labeler": "x"}')
+    (tmp_path / "scores.jsonl").write_text('{"user_id": "u", "delta": 0.1, "p_wait": 0.5}\n')
+    (tmp_path / "full").mkdir()
+    (tmp_path / "full" / "manifest.json").write_text("{}")
+    assert run(*(a.format(t=tmp_path) for a in argv)) == code
+    assert capsys.readouterr().err.splitlines()[-1] == "error: " + message.format(t=tmp_path)
+
+
+PRINT_CONFIG_KEYS = {
+    "simulate": {"n_users", "n_profile_features", "true_coefficients", "true_sigma",
+                 "send_process", "window_hours", "seed", "include_interaction"},
+    "ingest": {"duration_floor_hours", "window_start", "window_end"},
+    "train": {"model", "tol", "max_iters", "ridge", "method", "seed",
+              "duration_floor_hours", "window_start", "window_end"},
+    "evaluate": {"horizons", "labeler", "duration_floor_hours", "window_start", "window_end"},
+    "score": {"horizon_T"},
+    "decide": {"rule", "kappa", "c_click", "c_send", "evaluation_cadence_hours",
+               "synth_p_click_seed"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRINT_CONFIG_KEYS))
+def test_print_config_touches_no_files(tmp_path, capsys, command):
+    assert run(command, "--print-config", "--out", tmp_path / "o") == 0
+    assert set(json.loads(capsys.readouterr().out)) == PRINT_CONFIG_KEYS[command]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("score", "--model", "{aft}/model.json", "--contexts", "{sim}/contexts.jsonl"),
+     {"horizon_T": "abc"}),
+    (("decide", "--scores", "{score}/deltas.jsonl"), {"kappa": "x"}),
+    (("decide", "--scores", "{score}/deltas.jsonl", "--rule", "moo", "--c-send", "5"),
+     {"synth_p_click_seed": "s"}),
+    (("train", "--observations", "{ing}/observations.jsonl"), {"tol": "x"}),
+    (("evaluate", "--aft-model", "{aft}/model.json", "--logistic-model", "{aft}/model.json",
+      "--events", "{sim}/events.jsonl", "--schema", "{sim}/schema.json"), {"horizons": 5}),
+    (("evaluate", "--aft-model", "{aft}/model.json", "--logistic-model", "{aft}/model.json",
+      "--events", "{sim}/events.jsonl", "--schema", "{sim}/schema.json"), {"horizons": ["a"]}),
+    (("ingest", "--events", "{sim}/events.jsonl", "--schema", "{sim}/schema.json"),
+     {"window_start": "x"}),
+    (("train", "--model", "logistic:24", "--events", "{sim}/events.jsonl",
+      "--schema", "{sim}/schema.json"), {"window_end": "x"}),
+])
+def test_wrong_typed_config_value_is_a_config_error(
+    tmp_path, capsys, sim_dir, ingest_dir, aft_dir, score_dir, argv, config
+):
+    dirs = {"sim": sim_dir, "ing": ingest_dir, "aft": aft_dir, "score": score_dir}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [a.format(**dirs) for a in argv]
+    assert run(*argv, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: invalid ")
+
+
+def test_unreadable_inputs_and_outputs_get_exit_codes(tmp_path, capsys, sim_dir):
+    events, schema = sim_dir / "events.jsonl", sim_dir / "schema.json"
+    bad_schema = tmp_path / "bad.json"
+    bad_schema.write_text("{bad")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    cases = [
+        (("ingest", "--events", tmp_path / "no.jsonl", "--schema", schema), 3,
+         f"input file not found: {tmp_path / 'no.jsonl'}"),
+        (("ingest", "--events", events, "--schema", tmp_path / "no.json"), 3,
+         f"input file not found: {tmp_path / 'no.json'}"),
+        (("train", "--observations", tmp_path / "no.jsonl"), 3,
+         f"input file not found: {tmp_path / 'no.jsonl'}"),
+        (("ingest", "--events", events, "--schema", bad_schema), 3,
+         f"{bad_schema}: invalid JSON:"),
+        (("ingest", "--events", sim_dir, "--schema", schema), 3,
+         f"cannot read input file {sim_dir}:"),
+    ]
+    for k, (argv, code, message) in enumerate(cases):
+        assert run(*argv, "--out", tmp_path / f"o{k}") == code, argv
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
+    for out in (a_file, a_file / "sub"):
+        assert run("ingest", "--events", events, "--schema", schema, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: --out {out} is not a directory"
+
 
 def test_no_overwrite_without_force(tmp_path, sim_dir):
     out = tmp_path / "out"

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from sendwhen import DataError
 from sendwhen.features import FeatureSchema
 from sendwhen.io import (
+    read_events,
     read_events_csv,
     read_events_jsonl,
     read_observations_jsonl,
@@ -210,6 +211,23 @@ class TestIO:
         path.write_text('{"user_id":"u","ts_hours":0.0,"kind":"send","badge_count":1}\nnot json\n')
         with pytest.raises(DataError, match=":2"):
             read_events_jsonl(path)
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("ev.jsonl", '{"user_id":"u","kind":"visit"}\n',
+         "ev.jsonl:2: malformed event record: 'ts_hours'"),
+        ("ev.jsonl", "[1,2]\n", "ev.jsonl:2: expected a JSON object"),
+        ("ev.csv", "u,1.0,send,\n",
+         "ev.csv:3: send event at t=1.0 for user 'u' is missing badge_count"),
+    ])
+    def test_bad_event_names_its_line_once(self, tmp_path, name, text, message):
+        first = ('{"user_id":"u","ts_hours":0.0,"kind":"send","badge_count":1}\n'
+                 if name.endswith(".jsonl") else
+                 "user_id,ts_hours,kind,badge_count\nu,0.0,send,1\n")
+        path = tmp_path / name
+        path.write_text(first + text)
+        with pytest.raises(DataError) as exc:
+            read_events(path)
+        assert str(exc.value) == f"{tmp_path}/{message}"
 
     def test_bad_kind_rejected(self, tmp_path):
         path = tmp_path / "events.jsonl"
