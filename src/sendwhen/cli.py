@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -468,80 +467,32 @@ def _candidates_from_scores(
     rows = []
     for lineno, rec in read_jsonl(path):
         try:
+            p = rec.get("p_click")
             rows.append(
-                (
-                    str(rec["user_id"]),
-                    float(rec["delta"]),
-                    float(rec["p_wait"]),
-                    None if rec.get("p_click") is None else float(rec["p_click"]),
-                )
+                (lineno, str(rec["user_id"]), float(rec["delta"]), float(rec["p_wait"]),
+                 None if p is None else float(p))
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: malformed score row: {exc}") from exc
-    missing = [r[0] for r in rows if r[3] is None]
-    if need_p_click and missing:
+    n_missing = sum(1 for r in rows if r[4] is None)
+    draws = iter(())
+    if need_p_click and n_missing:
         if synth_seed is None:
             raise ConfigError(
-                f"{len(missing)} score rows lack p_click; supply p_click in the scores "
+                f"{n_missing} score rows lack p_click; supply p_click in the scores "
                 "file or pass --synth-p-click-seed for placeholder draws"
             )
         # placeholder click-through rates: uniform draws, keyed by seed and
         # user order, documented as synthetic stand-ins for a real CTR model
         rng = np.random.default_rng([synth_seed])
-        draws = iter(rng.uniform(0.0, 1.0, size=len(missing)))
-        synth = {uid: float(next(draws)) for uid in missing}
-        rows = [
-            (uid, delta, p_wait, synth.get(uid) if p is None else p)
-            for uid, delta, p_wait, p in rows
-        ]
-    return [
-        Candidate(user_id=uid, delta=delta, p_wait=p_wait, p_click=0.0 if p is None else p)
-        for uid, delta, p_wait, p in rows
-    ]
-
-
-def _meets_floor(click_total: float, c_click: float) -> bool:
-    return click_total >= c_click - 1e-9 * max(1.0, c_click)
-
-
-def _round_fractional(result, cfg: MooConfig, candidates: Sequence[Candidate]):
-    """Integerize fractional LP entries; return the decisions and their clicks.
-
-    A fractional y rounds up while the rounded send count still fits the
-    volume cap, in the same delta-descending order the LP itself fills.
-    If the whole sends then miss the click floor, the users round up in
-    descending p_click instead.  That order gives the most whole-send
-    clicks the cap allows, so the floor is kept whenever any rounding
-    keeps it.
-    """
-    by_id = {c.user_id: c for c in candidates}
-    fractional = [d for d in result.decisions if d.flagged and 0.0 < d.y < 1.0]
-    whole_clicks = [by_id[d.user_id].p_click for d in result.decisions if d.send]
-    budget = cfg.c_send - len(whole_clicks)
-    n_up = 0
-    while n_up < len(fractional) and budget >= 1.0 - 1e-9:
-        budget -= 1.0
-        n_up += 1
-
-    def round_up(key) -> tuple[set[str], float]:
-        up = [d.user_id for d in sorted(fractional, key=key)[:n_up]]
-        return set(up), math.fsum(whole_clicks + [by_id[u].p_click for u in up])
-
-    up, clicks = round_up(lambda d: (-by_id[d.user_id].delta, d.user_id))
-    if not _meets_floor(clicks, cfg.c_click):
-        up, clicks = round_up(lambda d: (-by_id[d.user_id].p_click, d.user_id))
-    rounded = {d.user_id for d in fractional}
-    out = []
-    for d in result.decisions:
-        if d.user_id in rounded:
-            send = d.user_id in up
-            note = f"fractional y={d.y:.6f} rounded {'up' if send else 'down'}"
-            out.append(
-                type(d)(user_id=d.user_id, y=d.y, send=send, flagged=True, note=note)
-            )
-        else:
-            out.append(d)
-    return out, clicks
+        draws = iter(rng.uniform(0.0, 1.0, size=n_missing).tolist())
+    candidates = []
+    for lineno, uid, delta, p_wait, p in rows:  # a missing p_click: next draw, or 0.0
+        try:
+            candidates.append(Candidate(uid, delta, p_wait, next(draws, 0.0) if p is None else p))
+        except DataError as exc:  # Candidate's own checks
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    return candidates
 
 
 def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
@@ -549,69 +500,46 @@ def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> in
     candidates = _candidates_from_scores(args.scores, synth_seed, need_p_click=(rule == "moo"))
     out = _prepare_out(args.out, ("decisions.jsonl", "report.json"), args.force)
 
-    decisions: list = []
     report: dict = {
         "rule": rule,
         "n_candidates": len(candidates),
         "evaluation_cadence_hours": cadence,
+        "status": "ok",
     }
-    status = "ok"
+    rows: list[dict] = []
     if not candidates:
         print("decide: warning: empty candidate input", file=sys.stderr)
-    elif rule == "threshold":
-        result = threshold_rule(candidates, kappa)
-        decisions = list(result.decisions)
-        report["kappa"] = result.kappa
-    elif rule == "ratio":
-        result = ratio_rule(candidates, kappa)
-        decisions = list(result.decisions)
-        report["kappa"] = result.kappa
     else:
-        cfg = MooConfig(c_click=c_click, c_send=c_send)
-        result = moo_solve(candidates, cfg)
-        status = result.status
-        if result.status == "infeasible":
-            dump_json(out / "report.json", {**report, "status": status, **dict(result.report)})
-            write_jsonl(out / "decisions.jsonl", [])
-            _write_manifest(out, "decide", merged, inputs={"scores": args.scores})
-            print(
-                f"decide: infeasible: click floor {cfg.c_click} unreachable "
-                f"(max {result.report['max_click_reachable']:.6f})",
-                file=sys.stderr,
-            )
-            return EXIT_DATA
-        decisions, sent_click_total = _round_fractional(result, cfg, candidates)
-        # click_total is the fractional LP's; report what the whole sends reach
-        report.update(
-            kappa1=result.kappa1,
-            kappa2=result.kappa2,
-            objective=result.objective,
-            click_total=result.report["click_total"],
-            send_total=result.report["send_total"],
-            n_fractional=result.report["n_fractional"],
-            sent_click_total=sent_click_total,
-            floor_met=_meets_floor(sent_click_total, cfg.c_click),
-        )
-
-    rows = []
-    for d in decisions:
-        row = {"user_id": d.user_id, "y": d.y, "send": d.send, "rule": rule}
         if rule == "moo":
-            row["kappa1"] = report.get("kappa1")
-            row["kappa2"] = report.get("kappa2")
+            result = moo_solve(candidates, MooConfig(c_click=c_click, c_send=c_send))
         else:
-            row["kappa"] = report.get("kappa")
-        if d.flagged:
-            row["flagged"] = True
-            row["note"] = d.note
-        rows.append(row)
-    report["status"] = status
-    report["n_send"] = sum(1 for d in decisions if d.send)
+            result = (threshold_rule if rule == "threshold" else ratio_rule)(candidates, kappa)
+        # the rule's own parameters; an infeasible LP has none
+        params = {k: v for k in ("kappa", "kappa1", "kappa2")
+                  if (v := getattr(result, k)) is not None}
+        report.update(result.report, status=result.status, **params)
+        if result.objective is not None:
+            report["objective"] = result.objective
+        rows = [
+            {"user_id": c.user_id, "y": y, "send": send, "rule": rule, **params}
+            for c, y, send in zip(candidates, result.y.tolist(), result.send.tolist())
+        ]
+        for i in np.flatnonzero(result.flagged):
+            rows[i].update(flagged=True, note=result.note(i))
+    if report["status"] == "ok":
+        report["n_send"] = sum(r["send"] for r in rows)
     write_jsonl(out / "decisions.jsonl", rows)
     dump_json(out / "report.json", report)
     _write_manifest(out, "decide", merged, inputs={"scores": args.scores})
+    if report["status"] == "infeasible":
+        print(
+            f"decide: infeasible: click floor {c_click} unreachable "
+            f"(max {report['max_click_reachable']:.6f})",
+            file=sys.stderr,
+        )
+        return EXIT_DATA
     print(
-        f"decide: {report['n_send']} of {len(decisions)} candidates send "
+        f"decide: {report['n_send']} of {len(rows)} candidates send "
         f"({rule}) -> {out / 'decisions.jsonl'}"
     )
     return EXIT_OK

@@ -47,6 +47,7 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 
 _EVENT_META_COLUMNS = ("user_id", "ts_hours", "kind", "badge_count")
+_NUMBER_TYPES = {int, float}  # what a JSON number parses to; bool is not one
 
 
 # one encoder for every JSONL line; json.dumps with these arguments would
@@ -71,7 +72,10 @@ def _open_input(path: str | Path, what: str = "input"):
     except OSError as exc:
         raise DataError(f"cannot read {what} file {path}: {exc.strerror}") from None
     with f:
-        yield f
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read {what} file {path}: not UTF-8 ({exc.reason})") from None
 
 
 def _read_json(path: str | Path, what: str = "input"):
@@ -213,13 +217,22 @@ def read_observations_jsonl(
     path: str | Path, schema: FeatureSchema | None = None
 ) -> list[Observation]:
     out: list[Observation] = []
+    width = None  # every x has the length of the first
     for lineno, rec in read_jsonl(path):
         try:
+            x, censored = rec["x"], rec["censored"]
+            if type(censored) is not bool:
+                raise ValueError(f"censored must be true or false, got {censored!r}")
+            if type(x) is not list or not _NUMBER_TYPES.issuperset(map(type, x)):
+                raise ValueError("x must be a list of numbers")
+            width = len(x) if width is None else width
+            if len(x) != width:
+                raise ValueError(f"x has {len(x)} values, the first row {width}")
             obs = Observation(
                 user_id=str(rec["user_id"]),
-                x=np.asarray(rec["x"], dtype=float),
+                x=np.asarray(x, dtype=float),
                 t_hours=float(rec["t_hours"]),
-                uncensored=not bool(rec["censored"]),
+                uncensored=not censored,
                 origin_ts_hours=float(rec.get("origin_ts_hours", math.nan)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -326,6 +339,10 @@ def load_json_config(path: str | Path, *, allowed_keys: Sequence[str] | None = N
             cfg = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):

@@ -17,6 +17,9 @@ on the highest p_click and, when the volume cap carries a price, the
 rest of their volume on the lowest.  So at most two entries are
 fractional.  When the volume cap is consumed, kappa2 is the lowest
 adjusted score filled, or the highest score if the cap is zero.
+
+moo_solve also rounds them to whole sends while the volume cap allows, in
+the LP's (delta, user_id) order, or by p_click if that misses the floor.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .errors import ConfigError, DataError, NumericalError
 __all__ = [
     "Candidate",
     "MooConfig",
-    "Decision",
     "PolicyResult",
     "threshold_rule",
     "ratio_rule",
@@ -76,23 +78,14 @@ class MooConfig:
             raise ConfigError(f"c_send must be >= 0, got {self.c_send}")
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Per-candidate outcome; y is the fractional LP value."""
-
-    user_id: str
-    y: float
-    send: bool
-    flagged: bool = False
-    note: str = ""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyResult:
-    """Decisions plus the rule's own parameters and diagnostics."""
+    """Columns y, send and flagged in candidate order, plus the rule's parameters."""
 
     rule: str
-    decisions: tuple[Decision, ...]
+    y: np.ndarray
+    send: np.ndarray
+    flagged: np.ndarray
     status: str = "ok"
     kappa: float | None = None
     kappa1: float | None = None
@@ -100,8 +93,11 @@ class PolicyResult:
     objective: float | None = None
     report: Mapping[str, float] = field(default_factory=dict)
 
-    def send_ids(self) -> tuple[str, ...]:
-        return tuple(d.user_id for d in self.decisions if d.send)
+    def note(self, i: int) -> str:
+        """Why row i is flagged."""
+        if self.rule == "moo":
+            return f"fractional y={self.y[i]:.6f} rounded {'up' if self.send[i] else 'down'}"
+        return "p_wait=0; decided by sign of delta"
 
 
 def _check_kappa(kappa: float) -> None:
@@ -111,14 +107,15 @@ def _check_kappa(kappa: float) -> None:
         raise ConfigError("kappa must not be NaN")
 
 
+def _column(candidates: Sequence[Candidate], name: str) -> np.ndarray:
+    return np.array([getattr(c, name) for c in candidates], dtype=float)
+
+
 def threshold_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:
     """Send exactly when delta exceeds the global threshold (strictly)."""
     _check_kappa(kappa)
-    decisions = tuple(
-        Decision(c.user_id, 1.0 if c.delta > kappa else 0.0, c.delta > kappa)
-        for c in candidates
-    )
-    return PolicyResult(rule="threshold", decisions=decisions, kappa=kappa)
+    send = _column(candidates, "delta") > kappa
+    return PolicyResult("threshold", send.astype(float), send, np.zeros_like(send), kappa=kappa)
 
 
 def ratio_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:
@@ -129,23 +126,11 @@ def ratio_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:
     flagged so downstream consumers can see the division never happened.
     """
     _check_kappa(kappa)
-    decisions = []
-    for c in candidates:
-        if c.p_wait == 0.0:
-            send = c.delta > 0.0
-            decisions.append(
-                Decision(
-                    c.user_id,
-                    1.0 if send else 0.0,
-                    send,
-                    flagged=True,
-                    note="p_wait=0; decided by sign of delta",
-                )
-            )
-        else:
-            send = c.delta / c.p_wait > kappa
-            decisions.append(Decision(c.user_id, 1.0 if send else 0.0, send))
-    return PolicyResult(rule="ratio", decisions=tuple(decisions), kappa=kappa)
+    delta, p_wait = _column(candidates, "delta"), _column(candidates, "p_wait")
+    flagged = p_wait == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        send = np.where(flagged, delta > 0.0, delta / p_wait > kappa)
+    return PolicyResult("ratio", send.astype(float), send, flagged, kappa=kappa)
 
 
 # -- MOO linear program ------------------------------------------------------
@@ -154,18 +139,20 @@ def ratio_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:
 def moo_solve(candidates: Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
     """Maximize total delta under a click floor and a send-volume cap.
 
-    Returns the fractional optimum with its duals: kappa1 prices the
+    Returns the fractional optimum y with its duals: kappa1 prices the
     click floor, kappa2 is the volume threshold on the adjusted score
-    delta + kappa1 * p_click.  Infeasible instances come back with
-    status "infeasible" and a report instead of decisions.
+    delta + kappa1 * p_click.  send rounds y to whole sends and flags the
+    fractional entries; the report gives the clicks those sends reach
+    (sent_click_total) and whether they meet the floor (floor_met).
+    Infeasible instances come back with status "infeasible", empty
+    columns and a report.
     """
     if len(candidates) == 0:
         raise DataError("moo_solve needs at least one candidate")
     ids = [c.user_id for c in candidates]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate user_id among candidates")
-    delta = np.array([c.delta for c in candidates])
-    p = np.array([c.p_click for c in candidates])
+    delta, p = _column(candidates, "delta"), _column(candidates, "p_click")
     n = len(candidates)
     id_pos = np.empty(n, dtype=np.intp)
     id_pos[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
@@ -178,23 +165,24 @@ def moo_solve(candidates: Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
         y[order] = np.where(s[order] > 0.0, room, 0.0)
         return y
 
-    def meets_floor(y: np.ndarray) -> bool:
-        return float(p @ y) >= cfg.c_click - _EDGE_TOL * max(1.0, cfg.c_click)
+    def meets_floor(clicks: float) -> bool:
+        return clicks >= cfg.c_click - _EDGE_TOL * max(1.0, cfg.c_click)
 
     y = greedy(p)  # the most clicks the volume cap allows
-    if not meets_floor(y):
+    if not meets_floor(float(p @ y)):
         report = {"c_click": cfg.c_click, "c_send": cfg.c_send}
         report["max_click_reachable"] = float(p @ y)
-        return PolicyResult(rule="moo", decisions=(), status="infeasible", report=report)
+        empty = np.zeros(0, dtype=bool)
+        return PolicyResult("moo", np.zeros(0), empty, empty, "infeasible", report=report)
 
     # click price 0: pure volume-capped selection by delta
     kappa1, y = 0.0, greedy(delta)
-    if not meets_floor(y):
+    if not meets_floor(float(p @ y)):
         # bracket the click price, then bisect down to adjacent floats
         lo, y_lo, hi = 0.0, y, 1.0
         for _ in range(200):
             y_hi = greedy(delta + hi * p)
-            if meets_floor(y_hi):
+            if meets_floor(float(p @ y_hi)):
                 break
             hi *= 2.0
         else:
@@ -204,7 +192,7 @@ def moo_solve(candidates: Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
             if mid == lo or mid == hi:
                 break
             y_mid = greedy(delta + mid * p)
-            if meets_floor(y_mid):
+            if meets_floor(float(p @ y_mid)):
                 hi, y_hi = mid, y_mid
             else:
                 lo, y_lo = mid, y_mid
@@ -250,21 +238,36 @@ def moo_solve(candidates: Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
     consumed = float(np.sum(y)) >= cfg.c_send - _EDGE_TOL
     kappa2 = max(float(np.min(s[y > 1e-12], initial=np.max(s))), 0.0) if consumed else 0.0
 
-    y_out = np.clip(y, 0.0, 1.0).tolist()
-    frac = [1e-12 < yi < 1.0 - 1e-12 for yi in y_out]
-    decisions = tuple(
-        Decision(uid, yi, yi >= 1.0 - 1e-12, flagged=f, note="fractional" if f else "")
-        for uid, yi, f in zip(ids, y_out, frac)
-    )
+    # Round fractional entries up while the cap allows, in the LP's fill
+    # order; if the whole sends then miss the floor, by descending p_click,
+    # which keeps the floor whenever any rounding within the cap can.
+    y_out = np.clip(y, 0.0, 1.0)
+    whole = y_out >= 1.0 - 1e-12
+    flagged = (y_out > 1e-12) & ~whole
+    frac = np.flatnonzero(flagged)
+    budget, n_up = cfg.c_send - int(np.count_nonzero(whole)), 0
+    while n_up < len(frac) and budget >= 1.0 - _EDGE_TOL:
+        budget -= 1.0
+        n_up += 1
+
+    def round_up(key: np.ndarray) -> tuple[np.ndarray, float]:
+        send = whole.copy()
+        send[frac[np.lexsort((id_pos[frac], key[frac]))[:n_up]]] = True
+        return send, math.fsum(p[send].tolist())
+
+    send, sent_clicks = round_up(-delta)
+    if not meets_floor(sent_clicks):
+        send, sent_clicks = round_up(-p)
     return PolicyResult(
-        rule="moo",
-        decisions=decisions,
+        "moo", y_out, send, flagged,
         kappa1=kappa1,
         kappa2=kappa2,
         objective=float(delta @ y),
         report={
             "click_total": float(p @ y),
             "send_total": float(np.sum(y)),
-            "n_fractional": sum(frac),
+            "n_fractional": len(frac),
+            "sent_click_total": sent_clicks,
+            "floor_met": meets_floor(sent_clicks),
         },
     )

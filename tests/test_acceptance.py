@@ -279,7 +279,7 @@ def test_criterion_06_lp_matches_vertex_enumeration():
             n_infeasible += 1
             continue
         assert result.status == "ok", trial
-        y = np.array([dec.y for dec in result.decisions])
+        y = result.y
         obj = float(d @ y)
         worst_obj = max(worst_obj, abs(obj - obj_star))
         assert abs(obj - obj_star) < 1e-9, (trial, obj, obj_star)
@@ -299,7 +299,7 @@ def test_criterion_06_lp_matches_vertex_enumeration():
         ],
         MooConfig(c_click=0.5, c_send=2.0),
     )
-    y = [dec.y for dec in worked.decisions]
+    y = worked.y.tolist()
     assert y == pytest.approx([0.0, 1.0, 1.0], abs=1e-9)
     assert worked.objective == pytest.approx(0.3, abs=1e-9)
     print(

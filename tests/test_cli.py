@@ -664,6 +664,51 @@ def test_unreadable_inputs_and_outputs_get_exit_codes(tmp_path, capsys, sim_dir)
         assert capsys.readouterr().err.splitlines()[-1] == f"error: --out {out} is not a directory"
 
 
+@pytest.mark.parametrize("which", ["events", "events_csv", "schema", "observations", "model"])
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys, sim_dir, ingest_dir, which):
+    bad = tmp_path / ("bad.csv" if which == "events_csv" else "bad.json")
+    if which.startswith("events"):
+        bad.write_bytes(np.random.default_rng(5).bytes(200) + b"\xff")
+    else:
+        bad.write_bytes(b"\xff\xfe{}")
+    events, schema = sim_dir / "events.jsonl", sim_dir / "schema.json"
+    argv = {
+        "events": ("ingest", "--events", bad, "--schema", schema),
+        "events_csv": ("ingest", "--events", bad, "--schema", schema),
+        "schema": ("ingest", "--events", events, "--schema", bad),
+        "observations": ("train", "--observations", bad),
+        "model": ("score", "--model", bad, "--contexts", sim_dir / "contexts.jsonl"),
+    }[which]
+    assert run(*argv, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: cannot read ") and f"{bad}: not UTF-8 (" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, sim_dir, kind):
+    cfg = tmp_path / "cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b'\xff\xfe{"seed": 1}')
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"error: cannot read config file {cfg}: "
+    )
+
+
+@pytest.mark.parametrize("row,message", [
+    ({"user_id": "b", "delta": 0.1, "p_wait": 1.5}, "p_wait must be in [0, 1], got 1.5"),
+    ({"user_id": "", "delta": 0.1, "p_wait": 0.5}, "candidate needs a user_id"),
+])
+def test_decide_bad_candidate_names_its_line(tmp_path, capsys, row, message):
+    scores = tmp_path / "s.jsonl"
+    good = {"user_id": "a", "delta": 0.2, "p_wait": 0.5}
+    scores.write_text(json.dumps(good) + "\n\n" + json.dumps(row) + "\n")
+    assert run("decide", "--scores", scores, "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {scores}:3: {message}"
+
+
 def test_no_overwrite_without_force(tmp_path, sim_dir):
     out = tmp_path / "out"
     args = ("ingest", "--events", sim_dir / "events.jsonl",

@@ -25,7 +25,7 @@ def _solve(d, p, c_click, c_send):
 
 def _check_optimal(res, d, p, c_click, c_send, obj_ref):
     assert res.status == "ok"
-    y = np.array([dec.y for dec in res.decisions])
+    y = res.y
     assert abs(res.objective - obj_ref) <= 1e-9 * max(1.0, abs(obj_ref))
     assert float(p @ y) >= c_click - 1e-9 * max(1.0, c_click)
     assert float(np.sum(y)) <= c_send + 1e-9 * max(1.0, c_send)

@@ -249,6 +249,24 @@ class TestIO:
             assert a.origin_ts_hours == b.origin_ts_hours
             assert_allclose(a.x, b.x)
 
+    @pytest.mark.parametrize("second,message", [
+        ('"censored":"false","x":[1.0]', "censored must be true or false, got 'false'"),
+        ('"censored":0,"x":[1.0]', "censored must be true or false, got 0"),
+        ('"censored":false,"x":[1.0,2.0]', "x has 2 values, the first row 1"),
+        ('"censored":false,"x":1.0', "x must be a list of numbers"),
+        ('"censored":false,"x":["1.0"]', "x must be a list of numbers"),
+        ('"censored":false,"x":[[1.0]]', "x must be a list of numbers"),
+    ])
+    def test_observation_bad_censored_or_x_names_its_line(self, tmp_path, second, message):
+        path = tmp_path / "obs.jsonl"
+        path.write_text(
+            '{"user_id":"u","t_hours":1.0,"censored":true,"x":[1.0]}\n'
+            '{"user_id":"u","t_hours":2.0,' + second + '}\n'
+        )
+        with pytest.raises(DataError) as exc:
+            read_observations_jsonl(path)
+        assert str(exc.value) == f"{path}:2: malformed observation: {message}"
+
     def test_observation_bad_duration(self, tmp_path):
         path = tmp_path / "obs.jsonl"
         path.write_text('{"user_id":"u","t_hours":0.0,"censored":false,"x":[1.0]}\n')

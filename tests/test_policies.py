@@ -20,36 +20,40 @@ def cand(uid, delta, p_wait=0.0, p_click=0.0):
     return Candidate(uid, delta, p_wait, p_click)
 
 
+def sent_ids(res, cands):
+    """The user ids of the candidates sent, in candidate order."""
+    return [c.user_id for c, send in zip(cands, res.send.tolist()) if send]
+
+
 # -- threshold rule ----------------------------------------------------------
 
 
 def test_threshold_sends_strictly_above_kappa():
-    res = threshold_rule(
-        [cand("a", 0.3), cand("b", 0.2), cand("c", 0.1)], kappa=0.2
-    )
+    cands = [cand("a", 0.3), cand("b", 0.2), cand("c", 0.1)]
+    res = threshold_rule(cands, kappa=0.2)
     assert res.rule == "threshold"
     assert res.kappa == 0.2
-    assert [d.send for d in res.decisions] == [True, False, False]
-    assert res.send_ids() == ("a",)
+    assert res.send.tolist() == [True, False, False]
+    assert sent_ids(res, cands) == ["a"]
 
 
 def test_threshold_equality_holds():
     # the comparison is strict: delta == kappa does not send
     res = threshold_rule([cand("a", 0.2)], kappa=0.2)
-    assert res.decisions[0].send is False
-    assert res.decisions[0].y == 0.0
+    assert not res.send[0]
+    assert res.y[0] == 0.0
 
 
 def test_threshold_negative_kappa_sends_everything():
     res = threshold_rule(
         [cand("a", -0.5), cand("b", 0.0), cand("c", 0.2)], kappa=-1.0
     )
-    assert all(d.send for d in res.decisions)
+    assert res.send.all()
 
 
 def test_threshold_infinite_kappa_sends_nothing():
     res = threshold_rule([cand("a", 0.9), cand("b", 1.0)], kappa=math.inf)
-    assert not any(d.send for d in res.decisions)
+    assert not res.send.any()
 
 
 def test_threshold_nan_kappa_rejected():
@@ -62,7 +66,7 @@ def test_threshold_send_sets_nest_as_kappa_rises():
     cands = [cand(f"u{i:02d}", float(d)) for i, d in enumerate(rng.uniform(-1, 1, 40))]
     prev = None
     for kappa in np.linspace(-1.2, 1.2, 25):
-        sent = set(threshold_rule(cands, float(kappa)).send_ids())
+        sent = set(sent_ids(threshold_rule(cands, float(kappa)), cands))
         if prev is not None:
             assert sent <= prev
         prev = sent
@@ -74,21 +78,21 @@ def test_threshold_send_sets_nest_as_kappa_rises():
 def test_ratio_sends_when_ratio_exceeds_kappa():
     res = ratio_rule([cand("a", 0.1, p_wait=0.5)], kappa=0.15)
     # 0.1 / 0.5 = 0.2 > 0.15
-    assert res.decisions[0].send is True
-    assert res.decisions[0].flagged is False
+    assert res.send[0]
+    assert not res.flagged[0]
 
 
 def test_ratio_holds_when_ratio_below_kappa():
     res = ratio_rule([cand("a", 0.1, p_wait=0.9)], kappa=0.15)
     # 0.1 / 0.9 = 0.111 < 0.15
-    assert res.decisions[0].send is False
+    assert not res.send[0]
 
 
 def test_ratio_infinite_kappa_sends_nothing():
     res = ratio_rule(
         [cand("a", 0.9, p_wait=0.1), cand("b", 1.0, p_wait=0.5)], kappa=math.inf
     )
-    assert not any(d.send for d in res.decisions)
+    assert not res.send.any()
 
 
 def test_ratio_zero_p_wait_decided_by_sign():
@@ -100,13 +104,10 @@ def test_ratio_zero_p_wait_decided_by_sign():
         ],
         kappa=5.0,
     )
-    by_id = {d.user_id: d for d in res.decisions}
-    assert by_id["pos"].send is True
-    assert by_id["zero"].send is False
-    assert by_id["neg"].send is False
-    for d in res.decisions:
-        assert d.flagged is True
-        assert "p_wait" in d.note
+    assert res.send.tolist() == [True, False, False]  # pos, zero, neg
+    for i in range(3):
+        assert res.flagged[i]
+        assert "p_wait" in res.note(i)
 
 
 def test_ratio_send_sets_nest_as_kappa_rises():
@@ -119,7 +120,7 @@ def test_ratio_send_sets_nest_as_kappa_rises():
     ]
     prev = None
     for kappa in np.linspace(-3.0, 3.0, 25):
-        sent = set(ratio_rule(cands, float(kappa)).send_ids())
+        sent = set(sent_ids(ratio_rule(cands, float(kappa)), cands))
         if prev is not None:
             assert sent <= prev
         prev = sent
@@ -141,11 +142,11 @@ def test_moo_worked_instance():
     ]
     res = moo_solve(cands, MooConfig(c_click=0.5, c_send=2.0))
     assert res.status == "ok"
-    y = [d.y for d in res.decisions]
+    y = res.y.tolist()
     assert y == pytest.approx([0.0, 1.0, 1.0], abs=1e-9)
     assert res.objective == pytest.approx(0.3, abs=1e-9)
-    assert [d.send for d in res.decisions] == [False, True, True]
-    assert res.send_ids() == ("u2", "u3")
+    assert res.send.tolist() == [False, True, True]
+    assert sent_ids(res, cands) == ["u2", "u3"]
     # duals: the click price where u1 and u3 swap, and the score cut there
     assert res.kappa1 == pytest.approx(2.0, abs=1e-9)
     assert res.kappa2 == pytest.approx(0.5, abs=1e-9)
@@ -154,15 +155,15 @@ def test_moo_worked_instance():
 def test_moo_unconstrained_positive_deltas_send_all():
     cands = [cand(f"u{i}", 0.1 * (i + 1), p_click=0.2) for i in range(5)]
     res = moo_solve(cands, MooConfig(c_click=0.0, c_send=5.0))
-    assert [d.y for d in res.decisions] == [1.0] * 5
-    assert all(d.send for d in res.decisions)
+    assert res.y.tolist() == [1.0] * 5
+    assert res.send.all()
 
 
 def test_moo_zero_caps_give_zero_solution():
     cands = [cand("a", 0.5, p_click=0.4), cand("b", 0.2, p_click=0.1)]
     res = moo_solve(cands, MooConfig(c_click=0.0, c_send=0.0))
     assert res.status == "ok"
-    assert [d.y for d in res.decisions] == [0.0, 0.0]
+    assert res.y.tolist() == [0.0, 0.0]
     assert res.objective == 0.0
 
 
@@ -180,14 +181,14 @@ def test_moo_floor_reachable_only_within_tolerance():
     cands = [cand("a", 0.0, p_click=0.1), cand("b", 0.0, p_click=0.7)]
     res = moo_solve(cands, MooConfig(c_click=0.8, c_send=2.0))
     assert res.status == "ok"
-    assert [d.y for d in res.decisions] == [1.0, 1.0]
+    assert res.y.tolist() == [1.0, 1.0]
     assert res.kappa1 == 0.0
 
 
 def test_moo_nonpositive_deltas_stay_home_when_click_free():
     cands = [cand("a", -0.5, p_click=0.4), cand("b", 0.0, p_click=0.1)]
     res = moo_solve(cands, MooConfig(c_click=0.0, c_send=2.0))
-    assert [d.y for d in res.decisions] == [0.0, 0.0]
+    assert res.y.tolist() == [0.0, 0.0]
     assert res.objective == 0.0
     assert res.kappa1 == 0.0
     assert res.kappa2 == 0.0
@@ -199,10 +200,10 @@ def test_moo_click_floor_forces_negative_delta():
     res = moo_solve(
         [cand("a", -0.5, p_click=0.8)], MooConfig(c_click=0.4, c_send=1.0)
     )
-    d = res.decisions[0]
-    assert d.y == pytest.approx(0.5, abs=1e-12)
-    assert d.flagged is True
-    assert d.send is False
+    assert res.y[0] == pytest.approx(0.5, abs=1e-12)
+    assert res.flagged[0]
+    # the volume cap has room to round it up
+    assert res.send[0]
     assert res.objective == pytest.approx(-0.25, abs=1e-12)
     assert res.kappa1 == pytest.approx(0.625, abs=1e-9)
     assert res.kappa2 == 0.0
@@ -217,8 +218,8 @@ def test_moo_click_tight_volume_slack():
     cc, cs = 0.3737831457309126, 0.5424714410905639
     res = moo_solve(cands, MooConfig(c_click=cc, c_send=cs))
     want_y0 = cc / 0.7994661
-    assert res.decisions[0].y == pytest.approx(want_y0, abs=1e-9)
-    assert res.decisions[1].y == 0.0
+    assert res.y[0] == pytest.approx(want_y0, abs=1e-9)
+    assert res.y[1] == 0.0
     assert res.objective == pytest.approx(-0.5713536 * want_y0, abs=1e-9)
     assert res.kappa2 == 0.0
 
@@ -231,7 +232,7 @@ def test_moo_both_constraints_tight_two_fractional():
     ]
     cc, cs = 0.9, 2.0
     res = moo_solve(cands, MooConfig(c_click=cc, c_send=cs))
-    y = np.array([d.y for d in res.decisions])
+    y = res.y
     _, _, obj_oracle = lp_oracle(
         np.array([0.1, 0.5, 0.45]), np.array([0.9, 0.1, 0.15]), cc, cs
     )
@@ -245,7 +246,7 @@ def test_moo_both_constraints_tight_two_fractional():
 def test_moo_kappa1_zero_when_click_free_but_volume_tight():
     cands = [cand("a", 0.3, p_click=0.5), cand("b", 0.2, p_click=0.1)]
     res = moo_solve(cands, MooConfig(c_click=0.2, c_send=1.0))
-    assert [d.y for d in res.decisions] == [1.0, 0.0]
+    assert res.y.tolist() == [1.0, 0.0]
     assert res.kappa1 == 0.0
     # volume threshold equals the marginal taken score
     assert res.kappa2 == pytest.approx(0.3, abs=1e-12)
@@ -256,7 +257,7 @@ def test_moo_infeasible_reports_reachable_click():
         [cand("a", 0.1, p_click=0.3)], MooConfig(c_click=0.5, c_send=1.0)
     )
     assert res.status == "infeasible"
-    assert res.decisions == ()
+    assert len(res.y) == len(res.send) == len(res.flagged) == 0
     assert res.report["c_click"] == 0.5
     assert res.report["max_click_reachable"] == pytest.approx(0.3)
 
@@ -268,7 +269,7 @@ def test_moo_tie_broken_by_user_id():
         cand("c", 0.1, p_click=0.0),
     ]
     res = moo_solve(cands, MooConfig(c_click=0.0, c_send=2.0))
-    by_id = {d.user_id: d.y for d in res.decisions}
+    by_id = dict(zip(["b", "a", "c"], res.y.tolist()))
     assert by_id == {"a": 1.0, "b": 1.0, "c": 0.0}
 
 
@@ -281,7 +282,11 @@ def test_moo_deterministic():
         )
     ]
     cfg = MooConfig(c_click=3.0, c_send=10.0)
-    assert moo_solve(cands, cfg) == moo_solve(cands, cfg)
+    a, b = moo_solve(cands, cfg), moo_solve(cands, cfg)
+    for name in ("y", "send", "flagged"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    for name in ("kappa1", "kappa2", "objective", "report"):
+        assert getattr(a, name) == getattr(b, name)
 
 
 def test_moo_validation():
@@ -341,7 +346,7 @@ def test_moo_matches_vertex_oracle_on_random_instances():
             n_infeasible += 1
             continue
         assert res.status == "ok"
-        y = np.array([dec.y for dec in res.decisions])
+        y = res.y
         # objective optimal, constraints met, at most 2 fractional entries
         assert abs(res.objective - obj_o) <= 1e-9 * max(1.0, abs(obj_o))
         assert float(p @ y) >= cc - 1e-9 * max(1.0, cc)
@@ -350,11 +355,11 @@ def test_moo_matches_vertex_oracle_on_random_instances():
         assert int(np.sum((y > 1e-9) & (y < 1 - 1e-9))) <= 2
         # duals reconstruct the decisions away from the threshold
         s = d + res.kappa1 * p
-        for i, dec in enumerate(res.decisions):
+        for i, y_i in enumerate(res.y):
             if abs(s[i] - res.kappa2) > 1e-7:
                 if s[i] > res.kappa2:
-                    assert dec.y > 1 - 1e-9
+                    assert y_i > 1 - 1e-9
                 else:
-                    assert dec.y < 1e-9
+                    assert y_i < 1e-9
     # the generator must actually exercise the infeasible branch
     assert n_infeasible > 10
