@@ -53,10 +53,10 @@ from .io import (
     dump_json,
     file_sha256,
     load_json_config,
-    read_events,
+    read_event_columns,
     read_model_json,
     read_jsonl,
-    read_observations_jsonl,
+    read_observation_columns,
     read_schema_json,
     write_events_jsonl,
     write_jsonl,
@@ -69,7 +69,7 @@ from .pipeline import PipelineConfig, send_table
 from .policies import Candidate, MooConfig, moo_solve, ratio_rule, threshold_rule
 from .scoring import ScoringContext, model_digest, score_batch
 from .simulate import SimConfig, default_sim_schema, generate_event_log
-from .training import LogisticModel, WeibullAftModel, fit_aft
+from .training import DesignMatrix, LogisticModel, WeibullAftModel, fit_aft
 
 __all__ = ["main"]
 
@@ -195,19 +195,19 @@ _INGEST_DEFAULTS: dict = {
 
 def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConfig) -> int:
     schema = read_schema_json(args.schema)
-    events = read_events(args.events)
+    events = read_event_columns(args.events)
     out = _prepare_out(args.out, ("observations.jsonl", "schema.json", "report.json"), args.force)
 
     table = send_table(events, pipe_cfg)
     observations = table.observations(schema, pipe_cfg.duration_floor_hours)
-    n_sends = len(table.sends)
+    n_uncensored = int(np.count_nonzero(observations.uncensored))
     report = {
         "n_events": len(events),
-        "n_sends": n_sends,
+        "n_sends": len(table),
         "n_observations": len(observations),
-        "n_dropped_sends": n_sends - len(observations),
-        "n_censored": sum(1 for o in observations if not o.uncensored),
-        "n_uncensored": sum(1 for o in observations if o.uncensored),
+        "n_dropped_sends": len(table) - len(observations),
+        "n_censored": len(observations) - n_uncensored,
+        "n_uncensored": n_uncensored,
     }
     write_observations_jsonl(out / "observations.jsonl", observations)
     write_schema_json(out / "schema.json", schema)
@@ -215,7 +215,7 @@ def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConf
     _write_manifest(
         out, "ingest", merged, inputs={"events": args.events, "schema": args.schema}
     )
-    if not events:
+    if len(events) == 0:
         print("ingest: warning: empty event input, wrote empty observations", file=sys.stderr)
     print(
         f"ingest: {report['n_events']} events -> {report['n_observations']} observations "
@@ -269,17 +269,16 @@ def _train_settings(merged: Mapping) -> tuple[str, float | None, OptConfig]:
 def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
     kind, horizon, opt_cfg = settings
     inputs: dict[str, str] = {}
-    out = _prepare_out(args.out, ("model.json",), args.force)
     if kind == "aft":
         if args.observations is None:
             raise ConfigError("train --model aft needs --observations FILE")
         schema = read_schema_json(args.schema) if args.schema else None
-        observations = read_observations_jsonl(args.observations, schema)
+        obs = read_observation_columns(args.observations, schema)
         inputs["observations"] = args.observations
         if args.schema:
             inputs["schema"] = args.schema
         model: WeibullAftModel | LogisticModel = fit_aft(
-            observations, opt_cfg, schema=schema
+            DesignMatrix.from_columns(obs.x, obs.t_hours, obs.uncensored), opt_cfg, schema=schema
         )
     else:
         # the logistic baseline trains on per-send labels, so it needs the
@@ -287,12 +286,14 @@ def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int
         if args.events is None or args.schema is None:
             raise ConfigError("train --model logistic:T needs --events and --schema")
         schema = read_schema_json(args.schema)
-        events = read_events(args.events)
+        events = read_event_columns(args.events)
         pipe_cfg = _pipeline_config(merged)
         inputs["events"] = args.events
         inputs["schema"] = args.schema
         model = fit_logistic_baselines(events, schema, [horizon], pipe_cfg, opt_cfg)[horizon]
 
+    # the out directory is made only once the inputs have given a model
+    out = _prepare_out(args.out, ("model.json",), args.force)
     write_model_json(out / "model.json", model)
     version = (
         model_digest(model) if isinstance(model, WeibullAftModel) else None
@@ -336,7 +337,7 @@ def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> 
             raise SchemaError(f"{path} does not hold a logistic model")
         logistic_models[m.horizon_t_hours] = m
     schema = read_schema_json(args.schema)
-    events = read_events(args.events)
+    events = read_event_columns(args.events)
 
     out = _prepare_out(args.out, ("auc_report.csv", "auc_report.json"), args.force)
     report = auc_vs_horizon(

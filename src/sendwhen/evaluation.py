@@ -21,7 +21,14 @@ import numpy as np
 from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
 from .optimize import OptConfig
-from .pipeline import Event, Observation, PipelineConfig, send_table
+from .pipeline import (
+    Event,
+    EventColumns,
+    Observation,
+    ObservationColumns,
+    PipelineConfig,
+    send_table,
+)
 from .training import LogisticModel, WeibullAftModel, fit_logistic
 
 DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
@@ -49,7 +56,7 @@ def _check_horizon(horizon_t_hours: float) -> float:
 
 
 def label_naive(
-    events: Iterable[Event],
+    events: EventColumns | Iterable[Event],
     horizon_t_hours: float,
     cfg: PipelineConfig = PipelineConfig(),
 ) -> np.ndarray:
@@ -64,7 +71,7 @@ def label_naive(
 
 
 def label_censoring_clean(
-    observations: Sequence[Observation], horizon_t_hours: float
+    observations: ObservationColumns | Sequence[Observation], horizon_t_hours: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels from survival triplets: (labels, ambiguous) aligned masks.
 
@@ -74,8 +81,11 @@ def label_censoring_clean(
     must be excluded rather than guessed).
     """
     horizon = _check_horizon(horizon_t_hours)
-    t = np.array([o.t_hours for o in observations], dtype=float)
-    uncensored = np.array([o.uncensored for o in observations], dtype=bool)
+    if isinstance(observations, ObservationColumns):
+        t, uncensored = observations.t_hours, observations.uncensored
+    else:
+        t = np.array([o.t_hours for o in observations], dtype=float)
+        uncensored = np.array([o.uncensored for o in observations], dtype=bool)
     return uncensored & (t <= horizon), ~uncensored & (t < horizon)
 
 
@@ -197,7 +207,7 @@ class AucReport:
 
 
 def fit_logistic_baselines(
-    events: Sequence[Event],
+    events: EventColumns | Iterable[Event],
     schema: FeatureSchema,
     horizons: Sequence[float] = DEFAULT_HORIZONS,
     cfg: PipelineConfig = PipelineConfig(),
@@ -208,7 +218,7 @@ def fit_logistic_baselines(
     The events are walked once; every horizon labels the same sends.
     """
     table = send_table(events, cfg)
-    if not table.sends:
+    if len(table) == 0:
         raise DataError("no send instances to train on")
     X = table.matrix(schema)
     return {
@@ -220,7 +230,7 @@ def fit_logistic_baselines(
 def auc_vs_horizon(
     aft_model: WeibullAftModel,
     logistic_models: Mapping[float, LogisticModel],
-    events: Sequence[Event],
+    events: EventColumns | Iterable[Event],
     schema: FeatureSchema,
     horizons: Sequence[float] = DEFAULT_HORIZONS,
     labeler: str = "naive",
@@ -241,7 +251,7 @@ def auc_vs_horizon(
         X_all = table.matrix(schema)
     else:
         observations = table.observations(schema, cfg.duration_floor_hours)
-        X_all = np.array([o.x for o in observations]).reshape(-1, len(schema))
+        X_all = observations.x
 
     rows = []
     for t in horizons:

@@ -150,12 +150,31 @@ class FeatureSchema:
     ) -> np.ndarray:
         """Build an (n, k) matrix, one row per raw feature mapping.
 
+        materialize_columns over the base slots' columns of the mappings.
+        """
+        columns = {
+            s.name: ([raw.get(s.name, np.nan) for raw in raws], [s.name in raw for raw in raws])
+            for s in self.slots if s.kind == "base"
+        }
+        return self.materialize_columns(columns, badge_counts, w0_hours)
+
+    def materialize_columns(
+        self,
+        features: Mapping[str, tuple[Sequence[float], Sequence[bool]]],
+        badge_counts: Sequence[float] | np.ndarray,
+        w0_hours: Sequence[float] | np.ndarray,
+    ) -> np.ndarray:
+        """Build an (n, k) matrix from named feature columns, n = len(badge_counts).
+
+        features maps a base slot's name to (values, present) columns; a row
+        whose present entry is False lacks the feature and holds nan in
+        values, and a name absent from features is missing on every row.
         Interaction slots are computed from their parents, so callers never
         supply them.  Missing base features and non-finite values raise a
         SchemaError for the first bad row, as if the rows were built one by
         one: a missing feature first, then the first non-finite slot.
         """
-        X = np.empty((len(raws), len(self.slots)))
+        X = np.empty((len(badge_counts), len(self.slots)))
         for i, s in enumerate(self.slots):
             if s.kind == "intercept":
                 X[:, i] = 1.0
@@ -164,7 +183,7 @@ class FeatureSchema:
             elif s.kind == "w0":
                 X[:, i] = w0_hours
             elif s.kind == "base":  # a missing feature reads as nan here
-                X[:, i] = [raw.get(s.name, np.nan) for raw in raws]
+                X[:, i] = features[s.name][0] if s.name in features else np.nan
         for i, s in enumerate(self.slots):
             if s.kind == "interaction":
                 a, b = (self._index[p] for p in s.parents)
@@ -173,11 +192,18 @@ class FeatureSchema:
         if np.count_nonzero(finite) < finite.size:
             row = int(np.argmin(finite.all(axis=1)))
             for s in self.slots:
-                if s.kind == "base" and s.name not in raws[row]:
+                if s.kind == "base" and not (s.name in features and features[s.name][1][row]):
                     raise SchemaError(f"missing base feature {s.name!r}")
             bad = self.slots[int(np.argmin(finite[row]))].name
             raise SchemaError(f"non-finite value in slot {bad!r}")
         return X
+
+    def invalid_rows(self, X: np.ndarray) -> np.ndarray:
+        """Mask of the rows of an (n, w) matrix that validate_vector rejects."""
+        if X.shape[1] != len(self.slots):
+            return np.ones(X.shape[0], dtype=bool)
+        icpt = self.indices_of_kind("intercept")[0]
+        return ~np.isfinite(X).all(axis=1) | (X[:, icpt] != 1.0)
 
     def validate_vector(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
         arr = np.asarray(x, dtype=float)

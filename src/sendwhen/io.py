@@ -1,11 +1,19 @@
 """File formats: JSONL event logs, CSV event logs, observations, configs.
 
-Every JSONL file (events, observations, contexts, deltas, decisions) is
-read by read_jsonl and written by write_jsonl: one JSON object per line
-with sorted keys and no spaces, so identical in-memory data always
-produces identical bytes.  Every input file is opened by one helper, so
-a missing or unreadable input is a DataError naming the path.  See
-FORMATS.md at the repository root for the field-by-field reference.
+read_jsonl parses every JSONL input line by line.  Event logs and
+observations go from there (or from csv.reader) straight into columns
+(read_event_columns, read_observation_columns): each line is converted
+and checked in order, so a DataError names the first bad line, and then
+appended to typed arrays, so no Python object per row outlives its line.
+Events and observations are written with one f-string template per
+format, and contexts, deltas and decisions by write_jsonl; either way a
+line's bytes equal json.dumps(record, sort_keys=True, separators=(",",
+":")), so identical in-memory data always produces identical files.
+read_events, read_events_jsonl, read_events_csv and
+read_observations_jsonl are the one-object-per-row forms of the column
+readers.  Every input file is opened by one helper, so a missing or
+unreadable input is a DataError naming the path.  See FORMATS.md at the
+repository root for the field-by-field reference.
 """
 
 from __future__ import annotations
@@ -14,15 +22,25 @@ import csv
 import hashlib
 import json
 import math
+from array import array
 from contextlib import contextmanager
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
-from .pipeline import SEND, Event, Observation
+from .pipeline import (
+    SEND,
+    Event,
+    EventColumnAppender,
+    EventColumns,
+    Observation,
+    ObservationColumns,
+)
 from .training import LogisticModel, WeibullAftModel
 
 __all__ = [
@@ -32,8 +50,10 @@ __all__ = [
     "write_events_jsonl",
     "read_events_csv",
     "read_events",
+    "read_event_columns",
     "write_observations_jsonl",
     "read_observations_jsonl",
+    "read_observation_columns",
     "write_schema_json",
     "read_schema_json",
     "write_model_json",
@@ -120,103 +140,173 @@ def file_sha256(path: str | Path) -> str:
 # -- events -----------------------------------------------------------------
 
 
-def _event_from_record(rec: dict, lineno: int, where: str) -> Event:
-    try:
-        badge = rec.get("badge_count")
-        return Event(
-            user_id=str(rec["user_id"]),
-            ts_hours=float(rec["ts_hours"]),
-            kind=str(rec["kind"]),
-            badge_count=None if badge is None else int(badge),
-            features={k: float(v) for k, v in (rec.get("features") or {}).items()},
-        )
-    except DataError as exc:  # Event's own checks
-        raise DataError(f"{where}:{lineno}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{where}:{lineno}: malformed event record: {exc}") from exc
+def _event_columns(records: Iterable[tuple[int, Mapping]], where: str) -> EventColumns:
+    """Convert and check each (line number, record), then append it to columns.
+
+    The conversions run in a fixed order (user_id, ts_hours, kind,
+    badge_count, features) and the event checks after them, so the first
+    bad line, and the first fault on it, names the error.
+    """
+    columns = EventColumnAppender()
+    for lineno, rec in records:
+        try:
+            badge = rec.get("badge_count")
+            columns.append(
+                str(rec["user_id"]),
+                float(rec["ts_hours"]),
+                str(rec["kind"]),
+                None if badge is None else int(badge),
+                {k: float(v) for k, v in (rec.get("features") or {}).items()},
+            )
+        except DataError as exc:  # the event checks
+            raise DataError(f"{where}:{lineno}: {exc}") from None
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise DataError(f"{where}:{lineno}: malformed event record: {exc}") from exc
+    return columns.build()
+
+
+def _csv_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, event record) per CSV row, as csv.DictReader reads them.
+
+    Meta columns first, every extra column is a feature, read on sends
+    only.  Like DictReader, a blank row is skipped and not counted, a short
+    row reads None in its missing cells, and a repeated column name reads
+    its last column.
+    """
+    with _open_input(path) as f:
+        rows = csv.reader(f)
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"{path}: empty CSV (missing header row)")
+        missing = [c for c in _EVENT_META_COLUMNS if c not in header]
+        if missing:
+            raise DataError(f"{path}: header is missing columns {missing}")
+        column = {name: i for i, name in enumerate(header)}
+        iu, it, ik, ib = (column[c] for c in _EVENT_META_COLUMNS)
+        features = [(c, i) for c, i in column.items() if c not in _EVENT_META_COLUMNS]
+        pad = [None] * len(header)
+        lineno = 1
+        for row in rows:
+            if not row:
+                continue
+            lineno += 1
+            row += pad[len(row):]
+            feats = {}
+            if row[ik] == SEND:
+                for c, i in features:
+                    cell = (row[i] or "").strip()
+                    if cell:
+                        feats[c] = cell
+            yield lineno, {
+                "user_id": row[iu],
+                "ts_hours": row[it],
+                "kind": row[ik],
+                "badge_count": (row[ib] or "").strip() or None,
+                "features": feats,
+            }
+
+
+def read_event_columns(path: str | Path) -> EventColumns:
+    """Read an event log into columns: .csv as CSV, anything else as JSONL."""
+    if str(path).lower().endswith(".csv"):
+        return _event_columns(_csv_records(path), str(path))
+    return _event_columns(read_jsonl(path), str(path))
 
 
 def read_events_jsonl(path: str | Path) -> list[Event]:
-    return [_event_from_record(rec, lineno, str(path)) for lineno, rec in read_jsonl(path)]
-
-
-def _event_record(ev: Event) -> dict:
-    rec = {
-        "user_id": ev.user_id,
-        "ts_hours": ev.ts_hours,
-        "kind": ev.kind,
-        "badge_count": ev.badge_count,
-    }
-    if ev.features:
-        rec["features"] = dict(sorted(ev.features.items()))
-    return rec
-
-
-def write_events_jsonl(path: str | Path, events: Iterable[Event]) -> None:
-    write_jsonl(path, map(_event_record, events))
+    return _event_columns(read_jsonl(path), str(path)).to_events()
 
 
 def read_events_csv(path: str | Path) -> list[Event]:
     """CSV variant: meta columns first, every extra column is a feature."""
-    events: list[Event] = []
-    with _open_input(path) as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty CSV (missing header row)")
-        missing = [c for c in _EVENT_META_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: header is missing columns {missing}")
-        feature_cols = [c for c in reader.fieldnames if c not in _EVENT_META_COLUMNS]
-        for lineno, row in enumerate(reader, start=2):
-            badge_raw = (row.get("badge_count") or "").strip()
-            rec = {
-                "user_id": row.get("user_id"),
-                "ts_hours": row.get("ts_hours"),
-                "kind": row.get("kind"),
-                "badge_count": badge_raw or None,
-                "features": {},
-            }
-            if row.get("kind") == SEND:
-                feats = {}
-                for c in feature_cols:
-                    cell = (row.get(c) or "").strip()
-                    if cell:
-                        feats[c] = cell
-                rec["features"] = feats
-            events.append(_event_from_record(rec, lineno, str(path)))
-    return events
+    return _event_columns(_csv_records(path), str(path)).to_events()
 
 
 def read_events(path: str | Path) -> list[Event]:
     """Dispatch on extension: .csv goes to the CSV reader, else JSONL."""
-    if str(path).lower().endswith(".csv"):
-        return read_events_csv(path)
-    return read_events_jsonl(path)
+    return read_event_columns(path).to_events()
+
+
+def _json_float(v: float) -> str:
+    return float.__repr__(v) if v - v == 0.0 else _encode_line(v)  # NaN, Infinity
+
+
+def _json_scalar(v) -> str:
+    """v as json.dumps writes it, without building a dict around it."""
+    t = type(v)
+    if t is float:
+        return _json_float(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    return _encode_line(v)
+
+
+def _event_line(ev: Event) -> str:
+    features = f'"features":{_encode_line(dict(ev.features))},' if ev.features else ""
+    return (
+        f'{{"badge_count":{_json_scalar(ev.badge_count)},{features}'
+        f'"kind":{_json_scalar(ev.kind)},"ts_hours":{_json_scalar(ev.ts_hours)},'
+        f'"user_id":{_json_scalar(ev.user_id)}}}\n'
+    )
+
+
+def write_events_jsonl(path: str | Path, events: Iterable[Event]) -> None:
+    """One line per event, the bytes write_jsonl would write for its record."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(map(_event_line, events))
 
 
 # -- observations -------------------------------------------------------------
 
 
-def write_observations_jsonl(path: str | Path, observations: Iterable[Observation]) -> None:
-    write_jsonl(
-        path,
-        (
-            {
-                "user_id": o.user_id,
-                "t_hours": o.t_hours,
-                "censored": not o.uncensored,
-                "x": [float(v) for v in o.x],
-                "origin_ts_hours": o.origin_ts_hours,
-            }
+def _column_rows(obs: ObservationColumns, chunk: int = 8192) -> Iterator[tuple]:
+    """Each row of the columns as Python values, converting a chunk at a time."""
+    for lo in range(0, len(obs), chunk):
+        part = slice(lo, lo + chunk)
+        yield from zip(
+            [obs.user_ids[u] for u in obs.user[part].tolist()],
+            obs.t_hours[part].tolist(),
+            (~obs.uncensored[part]).tolist(),
+            obs.origin_ts_hours[part].tolist(),
+            obs.x[part].tolist(),
+        )
+
+
+def write_observations_jsonl(
+    path: str | Path, observations: ObservationColumns | Iterable[Observation]
+) -> None:
+    """One line per observation, the bytes write_jsonl would write for its record."""
+    if isinstance(observations, ObservationColumns):
+        rows = _column_rows(observations)
+    else:
+        rows = (
+            (o.user_id, o.t_hours, not o.uncensored, o.origin_ts_hours, map(float, o.x))
             for o in observations
-        ),
-    )
+        )
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(
+            f'{{"censored":{"true" if censored else "false"},'
+            f'"origin_ts_hours":{_json_scalar(origin)},"t_hours":{_json_scalar(t)},'
+            f'"user_id":{_json_scalar(user_id)},"x":[{",".join(map(_json_float, x))}]}}\n'
+            for user_id, t, censored, origin, x in rows
+        )
 
 
-def read_observations_jsonl(
+def _line_of_row(path: str | Path, row: int) -> int:
+    """Line number of the row-th record of a JSONL file (blank lines hold none)."""
+    with _open_input(path) as f:
+        return next(islice((n for n, line in enumerate(f, start=1) if line.strip()), row, None))
+
+
+def read_observation_columns(
     path: str | Path, schema: FeatureSchema | None = None
-) -> list[Observation]:
-    out: list[Observation] = []
+) -> ObservationColumns:
+    """Read observations into columns; with a schema, every x must satisfy it."""
+    codes: dict[str, int] = {}  # user id -> code in order of first sight
+    user, x_values, t_hours, origin = array("q"), array("d"), array("d"), array("d")
+    uncensored = bytearray()
     width = None  # every x has the length of the first
     for lineno, rec in read_jsonl(path):
         try:
@@ -228,21 +318,40 @@ def read_observations_jsonl(
             width = len(x) if width is None else width
             if len(x) != width:
                 raise ValueError(f"x has {len(x)} values, the first row {width}")
-            obs = Observation(
-                user_id=str(rec["user_id"]),
-                x=np.asarray(x, dtype=float),
-                t_hours=float(rec["t_hours"]),
-                uncensored=not censored,
-                origin_ts_hours=float(rec.get("origin_ts_hours", math.nan)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            user_id = str(rec["user_id"])
+            x_values.extend(x)
+            t = float(rec["t_hours"])
+            o = float(rec.get("origin_ts_hours", math.nan))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{lineno}: malformed observation: {exc}") from exc
-        if obs.t_hours <= 0 or not math.isfinite(obs.t_hours):
-            raise DataError(f"{path}:{lineno}: non-positive duration {obs.t_hours}")
-        if schema is not None:
-            schema.validate_vector(obs.x)
-        out.append(obs)
-    return out
+        if t <= 0 or not math.isfinite(t):
+            raise DataError(f"{path}:{lineno}: non-positive duration {t}")
+        user.append(codes.setdefault(user_id, len(codes)))
+        t_hours.append(t)
+        uncensored.append(not censored)
+        origin.append(o)
+    X = np.frombuffer(x_values, float).reshape(len(t_hours), width or 0)
+    if schema is not None:
+        bad = np.flatnonzero(schema.invalid_rows(X))
+        if bad.size:
+            try:
+                schema.validate_vector(X[bad[0]])
+            except SchemaError as exc:
+                raise SchemaError(f"{path}:{_line_of_row(path, int(bad[0]))}: {exc}") from None
+    return ObservationColumns(
+        user_ids=list(codes),
+        user=np.frombuffer(user, np.int64),
+        x=X,
+        t_hours=np.frombuffer(t_hours, float),
+        uncensored=np.frombuffer(uncensored, bool),
+        origin_ts_hours=np.frombuffer(origin, float),
+    )
+
+
+def read_observations_jsonl(
+    path: str | Path, schema: FeatureSchema | None = None
+) -> list[Observation]:
+    return read_observation_columns(path, schema).to_observations()
 
 
 # -- models ---------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Turn interleaved send/visit event logs into censored survival observations.
 
-send_table walks every user's timeline once, with one sort over all
-events, and returns one row per notification send: the send, how long the
-user had already been in the pre-send state (w0), the successor event and
-the first later visit.  Observations (sends with a successor), send
-instances (every send) and the evaluation layer's naive labels are all
-views of that one table.
+An event log is held as columns (EventColumns): one user code, timestamp,
+kind and badge per event, and one (values, present) pair per feature, in
+input order.  send_table walks every user's timeline once, with one sort
+over all events, and returns one row per notification send: the send, how
+long the user had already been in the pre-send state (w0), the successor
+event and the first later visit.  Observations (sends with a successor,
+as ObservationColumns), send instances (every send) and the evaluation
+layer's naive labels are all views of that one table.  Event, Observation
+and SendInstance are the one-object-per-row forms of the Python API; the
+commands never build them.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +26,10 @@ from .features import FeatureSchema
 
 __all__ = [
     "Event",
+    "EventColumns",
+    "EventColumnAppender",
     "Observation",
+    "ObservationColumns",
     "SendInstance",
     "PipelineConfig",
     "SendTable",
@@ -33,6 +41,21 @@ __all__ = [
 SEND = "send"
 VISIT = "visit"
 _KINDS = (SEND, VISIT)
+
+
+def _check_event(user_id: str, ts_hours: float, kind: str, badge_count: int | None) -> None:
+    """The checks every event passes, in this order."""
+    if kind not in _KINDS:
+        raise DataError(f"unknown event kind {kind!r}")
+    if not (isinstance(ts_hours, (int, float)) and math.isfinite(ts_hours)):
+        raise DataError(f"non-finite timestamp {ts_hours!r} for user {user_id!r}")
+    if kind == SEND:
+        if badge_count is None:
+            raise DataError(
+                f"send event at t={ts_hours} for user {user_id!r} is missing badge_count"
+            )
+        if badge_count < 0:
+            raise DataError(f"negative badge_count {badge_count} for user {user_id!r}")
 
 
 @dataclass(frozen=True)
@@ -51,22 +74,109 @@ class Event:
     features: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DataError(f"unknown event kind {self.kind!r}")
-        if not (isinstance(self.ts_hours, (int, float)) and math.isfinite(self.ts_hours)):
-            raise DataError(
-                f"non-finite timestamp {self.ts_hours!r} for user {self.user_id!r}"
-            )
-        if self.kind == SEND:
-            if self.badge_count is None:
-                raise DataError(
-                    f"send event at t={self.ts_hours} for user {self.user_id!r} "
-                    "is missing badge_count"
-                )
-            if self.badge_count < 0:
-                raise DataError(
-                    f"negative badge_count {self.badge_count} for user {self.user_id!r}"
-                )
+        _check_event(self.user_id, self.ts_hours, self.kind, self.badge_count)
+
+
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """An event log as columns, one entry per event in input order.
+
+    user_ids holds the distinct users sorted as Python strings, and row i
+    belongs to user_ids[user[i]], so codes order like the ids.
+    badge_count is meaningful where has_badge is True.  features maps each
+    feature name to (values, present) columns; values are nan where the
+    event does not carry the feature.
+    """
+
+    user_ids: list[str]
+    user: np.ndarray
+    ts_hours: np.ndarray
+    is_send: np.ndarray
+    badge_count: np.ndarray
+    has_badge: np.ndarray
+    features: Mapping[str, tuple[np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        return self.ts_hours.size
+
+    @classmethod
+    def from_events(cls, events: Iterable[Event]) -> "EventColumns":
+        b = EventColumnAppender()
+        for e in events:
+            b.append(e.user_id, e.ts_hours, e.kind, e.badge_count, e.features)
+        return b.build()
+
+    def to_events(self) -> list[Event]:
+        ids = self.user_ids
+        feats = [(name, v.tolist(), p.tolist()) for name, (v, p) in self.features.items()]
+        return [
+            Event(ids[u], t, SEND if s else VISIT, b if hb else None,
+                  {name: v[i] for name, v, p in feats if p[i]})
+            for i, (u, t, s, b, hb) in enumerate(zip(
+                self.user.tolist(), self.ts_hours.tolist(), self.is_send.tolist(),
+                self.badge_count.tolist(), self.has_badge.tolist(),
+            ))
+        ]
+
+
+class EventColumnAppender:
+    """Checks events one at a time and appends them to growing columns."""
+
+    def __init__(self) -> None:
+        self._codes: dict[str, int] = {}  # user id -> code in order of first sight
+        self._user = array("q")
+        self._ts = array("d")
+        self._send = bytearray()
+        self._badge = array("q")
+        self._has_badge = bytearray()
+        self._features: dict[str, tuple[array, array]] = {}  # name -> (rows, values)
+
+    def append(
+        self,
+        user_id: str,
+        ts_hours: float,
+        kind: str,
+        badge_count: int | None,
+        features: Mapping[str, float],
+    ) -> None:
+        """Append one event, or raise the DataError of its first failed check."""
+        _check_event(user_id, ts_hours, kind, badge_count)
+        row = len(self._ts)
+        self._user.append(self._codes.setdefault(user_id, len(self._codes)))
+        self._ts.append(ts_hours)
+        self._send.append(kind == SEND)
+        self._has_badge.append(badge_count is not None)
+        self._badge.append(0 if badge_count is None else badge_count)
+        for name, v in features.items():
+            column = self._features.get(name)
+            if column is None:
+                column = self._features[name] = (array("q"), array("d"))
+            column[0].append(row)
+            column[1].append(v)
+
+    def build(self) -> EventColumns:
+        """The columns of every event appended; no event can be appended after."""
+        n = len(self._ts)
+        features = {}
+        for name in list(self._features):  # each sparse pair is freed once spread
+            rows, sparse = self._features.pop(name)
+            rows = np.frombuffer(rows, np.int64)
+            values, present = np.full(n, np.nan), np.zeros(n, bool)
+            values[rows] = np.frombuffer(sparse, float)
+            present[rows] = True
+            features[name] = (values, present)
+        ids = sorted(self._codes)
+        rank = np.empty(len(ids), np.int64)
+        rank[np.fromiter((self._codes[u] for u in ids), np.int64, len(ids))] = np.arange(len(ids))
+        return EventColumns(
+            user_ids=ids,
+            user=rank[np.frombuffer(self._user, np.int64)],
+            ts_hours=np.frombuffer(self._ts, float),
+            is_send=np.frombuffer(self._send, bool),
+            badge_count=np.frombuffer(self._badge, np.int64),
+            has_badge=np.frombuffer(self._has_badge, bool),
+            features=features,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +192,31 @@ class Observation:
     t_hours: float
     uncensored: bool
     origin_ts_hours: float
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationColumns:
+    """Observations as columns; row i belongs to user_ids[user[i]]."""
+
+    user_ids: Sequence[str]
+    user: np.ndarray
+    x: np.ndarray  # (n, k)
+    t_hours: np.ndarray
+    uncensored: np.ndarray
+    origin_ts_hours: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t_hours.size
+
+    def to_observations(self) -> list[Observation]:
+        ids = self.user_ids
+        return [
+            Observation(ids[u], x, t, c, o)
+            for u, x, t, c, o in zip(
+                self.user.tolist(), self.x, self.t_hours.tolist(),
+                self.uncensored.tolist(), self.origin_ts_hours.tolist(),
+            )
+        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,54 +249,78 @@ class PipelineConfig:
             return False
         return True
 
+    def window_rows(self, ts_hours: np.ndarray) -> np.ndarray:
+        """Indices of the timestamps inside the window, as in_window decides."""
+        keep = np.ones(ts_hours.shape, bool)
+        if self.window_start is not None:
+            keep &= ts_hours >= self.window_start
+        if self.window_end is not None:
+            keep &= ts_hours <= self.window_end
+        return np.flatnonzero(keep)
+
 
 @dataclass(frozen=True, eq=False)
 class SendTable:
     """One row per send inside the window, ordered by (user_id, time).
 
-    w0_hours is the time the user had already spent in the pre-send state:
-    hours since the latest preceding send or visit, zero when the send is
-    the user's first event.  next_ts_hours is the time of the successor
-    event (nan when nothing follows inside the window) and uncensored says
-    whether that successor is a visit.  next_visit_hours is the first visit
-    strictly after the send (inf when there is none); later sends do not
-    stop it.
+    rows holds each send's row in events.  w0_hours is the time the user
+    had already spent in the pre-send state: hours since the latest
+    preceding send or visit, zero when the send is the user's first event.
+    next_ts_hours is the time of the successor event (nan when nothing
+    follows inside the window) and uncensored says whether that successor
+    is a visit.  next_visit_hours is the first visit strictly after the
+    send (inf when there is none); later sends do not stop it.
     """
 
-    sends: list[Event]
+    events: EventColumns
+    rows: np.ndarray
     ts_hours: np.ndarray
     w0_hours: np.ndarray
     next_ts_hours: np.ndarray
     uncensored: np.ndarray
     next_visit_hours: np.ndarray
 
-    def matrix(self, schema: FeatureSchema, rows: np.ndarray | None = None) -> np.ndarray:
-        """Feature snapshots of the given rows (all rows by default)."""
-        rows = np.arange(len(self.sends)) if rows is None else rows
-        sends = [self.sends[i] for i in rows.tolist()]
-        return schema.materialize_rows(
-            [e.features for e in sends], [e.badge_count for e in sends], self.w0_hours[rows]
+    def __len__(self) -> int:
+        return self.rows.size
+
+    @property
+    def user(self) -> np.ndarray:
+        return self.events.user[self.rows]
+
+    def matrix(self, schema: FeatureSchema, sends: np.ndarray | None = None) -> np.ndarray:
+        """Feature snapshots of the given sends (all of them by default)."""
+        sends = slice(None) if sends is None else sends
+        rows = self.rows[sends]
+        names = set(schema.names)
+        features = {
+            name: (values[rows], present[rows])
+            for name, (values, present) in self.events.features.items() if name in names
+        }
+        return schema.materialize_columns(
+            features, self.events.badge_count[rows], self.w0_hours[sends]
         )
 
-    def observations(self, schema: FeatureSchema, duration_floor_hours: float) -> list[Observation]:
+    def observations(
+        self, schema: FeatureSchema, duration_floor_hours: float
+    ) -> ObservationColumns:
         """The censored triplets: one per send that has a successor."""
-        rows = np.flatnonzero(~np.isnan(self.next_ts_hours))
-        ts = self.ts_hours[rows]
-        t = np.maximum(self.next_ts_hours[rows] - ts, duration_floor_hours)
-        return [
-            Observation(self.sends[i].user_id, x, ti, u, si)
-            for i, x, ti, u, si in zip(
-                rows.tolist(), self.matrix(schema, rows), t.tolist(),
-                self.uncensored[rows].tolist(), ts.tolist(),
-            )
-        ]
+        sends = np.flatnonzero(~np.isnan(self.next_ts_hours))
+        ts = self.ts_hours[sends]
+        return ObservationColumns(
+            user_ids=self.events.user_ids,
+            user=self.user[sends],
+            x=self.matrix(schema, sends),
+            t_hours=np.maximum(self.next_ts_hours[sends] - ts, duration_floor_hours),
+            uncensored=self.uncensored[sends],
+            origin_ts_hours=ts,
+        )
 
     def visited_within(self, horizon_t_hours: float) -> np.ndarray:
         """Per-send naive labels: did any visit land in (send, send + T]?"""
         return self.next_visit_hours <= self.ts_hours + horizon_t_hours
 
 
-def send_table(events: Iterable[Event], cfg: PipelineConfig) -> SendTable:
+def send_table(events: EventColumns | Iterable[Event], cfg: PipelineConfig) -> SendTable:
     """Walk every user's timeline once and return the send table.
 
     Events are sorted by (user_id, time), with a visit before a send at the
@@ -172,12 +331,11 @@ def send_table(events: Iterable[Event], cfg: PipelineConfig) -> SendTable:
     sorts before the send; that visit also ends any earlier pending
     observation, so a simultaneous pair is never silently dropped.
     """
-    evs = [e for e in events if cfg.in_window(e)]
-    n = len(evs)
-    code = {u: i for i, u in enumerate(sorted({e.user_id for e in evs}))}
-    user = np.fromiter((code[e.user_id] for e in evs), np.intp, n)
-    ts = np.fromiter((e.ts_hours for e in evs), float, n)
-    is_send = np.fromiter((e.kind == SEND for e in evs), bool, n)
+    if not isinstance(events, EventColumns):
+        events = EventColumns.from_events(events)
+    kept = cfg.window_rows(events.ts_hours)
+    n = kept.size
+    user, ts, is_send = events.user[kept], events.ts_hours[kept], events.is_send[kept]
     order = np.lexsort((is_send, ts, user))
     # a sentinel at position n (reached as -1 too) belongs to no user
     user = np.append(user[order], -1)
@@ -195,7 +353,8 @@ def send_table(events: Iterable[Event], cfg: PipelineConfig) -> SendTable:
     tie = same_user(before) & (ts[before] == ts[s])
     has_next = same_user(s + 1)
     return SendTable(
-        sends=[evs[i] for i in order[s].tolist()],
+        events=events,
+        rows=kept[order[s]],
         ts_hours=ts[s],
         w0_hours=np.where(same_user(s - 1), ts[s] - ts[s - 1], 0.0),
         next_ts_hours=np.where(tie, ts[s], np.where(has_next, ts[s + 1], np.nan)),
@@ -205,7 +364,7 @@ def send_table(events: Iterable[Event], cfg: PipelineConfig) -> SendTable:
 
 
 def build_observations(
-    events: Iterable[Event], schema: FeatureSchema, cfg: PipelineConfig
+    events: EventColumns | Iterable[Event], schema: FeatureSchema, cfg: PipelineConfig
 ) -> list[Observation]:
     """One observation per send that has a successor event.
 
@@ -215,11 +374,12 @@ def build_observations(
     by (user_id, origin timestamp) so the result does not depend on input
     order.
     """
-    return send_table(events, cfg).observations(schema, cfg.duration_floor_hours)
+    table = send_table(events, cfg)
+    return table.observations(schema, cfg.duration_floor_hours).to_observations()
 
 
 def build_send_instances(
-    events: Iterable[Event], schema: FeatureSchema, cfg: PipelineConfig
+    events: EventColumns | Iterable[Event], schema: FeatureSchema, cfg: PipelineConfig
 ) -> list[SendInstance]:
     """Feature snapshot for every send, including trailing ones.
 
@@ -227,7 +387,8 @@ def build_send_instances(
     same order as SendTable.visited_within.
     """
     table = send_table(events, cfg)
+    ids = table.events.user_ids
     return [
-        SendInstance(e.user_id, ts, x)
-        for e, ts, x in zip(table.sends, table.ts_hours.tolist(), table.matrix(schema))
+        SendInstance(ids[u], ts, x)
+        for u, ts, x in zip(table.user.tolist(), table.ts_hours.tolist(), table.matrix(schema))
     ]

@@ -41,12 +41,14 @@ class DesignMatrix:
     delta: np.ndarray  # (n,) float 0/1, 1 = uncensored
 
     @classmethod
-    def from_observations(cls, observations: Sequence[Observation]) -> "DesignMatrix":
-        if len(observations) == 0:
+    def from_columns(
+        cls, X: np.ndarray, t_hours: np.ndarray, uncensored: np.ndarray
+    ) -> "DesignMatrix":
+        """Validate observation columns: (n, k) features, durations, uncensored flags."""
+        t = np.asarray(t_hours, dtype=float)
+        if t.size == 0:
             raise DataError("no observations to train on")
-        X = np.stack([o.x for o in observations]).astype(float)
-        t = np.array([o.t_hours for o in observations], dtype=float)
-        delta = np.array([1.0 if o.uncensored else 0.0 for o in observations])
+        X = np.asarray(X, dtype=float)
         if not np.all(np.isfinite(X)):
             i = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
             raise DataError(f"non-finite feature value at observation index {i}")
@@ -55,7 +57,15 @@ class DesignMatrix:
             raise DataError(
                 f"non-positive or non-finite duration at observation index {i}"
             )
-        return cls(X=X, log_t=np.log(t), delta=delta)
+        return cls(X=X, log_t=np.log(t), delta=np.asarray(uncensored, dtype=float))
+
+    @classmethod
+    def from_observations(cls, observations: Sequence[Observation]) -> "DesignMatrix":
+        return cls.from_columns(
+            np.array([o.x for o in observations], dtype=float),
+            [o.t_hours for o in observations],
+            [1.0 if o.uncensored else 0.0 for o in observations],
+        )
 
     @property
     def n(self) -> int:

@@ -271,6 +271,46 @@ def test_train_logistic_roundtrip(tmp_path, sim_dir):
     assert model.horizon_t_hours == 24.0
 
 
+CENSORED_ROW = '{"user_id":"u","t_hours":5.0,"censored":true,"x":[1.0,0.1,-0.2,1.0,0.1]}\n'
+EMPTY_TRAIN_INPUTS = [
+    ("aft", "obs.jsonl", "", "no observations to train on"),
+    ("logistic:24", "events.csv", "user_id,ts_hours,kind,badge_count\n",
+     "no send instances to train on"),
+    ("aft", "obs.jsonl", CENSORED_ROW * 3,
+     "all observations are censored; sigma is unidentifiable"),
+]
+
+
+@pytest.mark.parametrize("model,name,text,message", EMPTY_TRAIN_INPUTS,
+                         ids=["aft-empty", "logistic-header-only", "aft-all-censored"])
+def test_train_on_empty_or_censored_input_creates_no_out_dir(
+    tmp_path, capsys, sim_dir, model, name, text, message
+):
+    path = tmp_path / name
+    path.write_text(text)
+    flag = "--observations" if model == "aft" else "--events"
+    out = tmp_path / "out"
+    assert run("train", "--model", model, flag, path, "--schema", sim_dir / "schema.json",
+               "--out", out) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
+
+
+def test_evaluate_on_header_only_csv_flags_one_empty_row(tmp_path, sim_dir, aft_dir):
+    log_dir = tmp_path / "log"
+    assert run("train", "--model", "logistic:24", "--events", sim_dir / "events.jsonl",
+               "--schema", sim_dir / "schema.json", "--out", log_dir) == 0
+    events = tmp_path / "events.csv"
+    events.write_text("user_id,ts_hours,kind,badge_count\n")
+    out = tmp_path / "eval"
+    assert run("evaluate", "--aft-model", aft_dir / "model.json",
+               "--logistic-model", log_dir / "model.json", "--events", events,
+               "--schema", sim_dir / "schema.json", "--horizons", 24, "--out", out) == 0
+    rows = json.loads((out / "auc_report.json").read_text())["rows"]
+    assert rows == [{"t_hours": 24.0, "auc_aft": None, "auc_logistic": None, "n": 0,
+                     "n_ambiguous": 0, "labeler": "naive", "flag": "insufficient-data"}]
+
+
 # -- evaluate ---------------------------------------------------------------------
 
 

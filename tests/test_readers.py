@@ -1,0 +1,276 @@
+"""Reader messages, template writers and reader memory, through the public API.
+
+A malformed line in the middle of a file must give the same DataError text
+and exit code whichever way the file is read.  The template writers must
+write exactly what json.dumps(sort_keys=True, separators=(",", ":")) would,
+and the column readers must not build one Python object per row.
+"""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sendwhen.cli import main
+from sendwhen.features import FeatureSchema
+from sendwhen.io import (
+    read_event_columns,
+    read_observation_columns,
+    write_events_jsonl,
+    write_observations_jsonl,
+    write_schema_json,
+)
+from sendwhen.pipeline import (
+    Event,
+    Observation,
+    ObservationColumns,
+    PipelineConfig,
+    SendInstance,
+    send_table,
+)
+from sendwhen.simulate import SendProcess, SimConfig, generate_event_log
+
+SCHEMA = FeatureSchema.build(base=["p"], badge="badge_count")
+
+EVENTS_JSONL = [
+    '{"badge_count":1,"features":{"p":0.5},"kind":"send","ts_hours":0.0,"user_id":"u"}',
+    '{"badge_count":null,"kind":"visit","ts_hours":1.0,"user_id":"u"}',
+    None,  # the malformed line
+    '{"badge_count":1,"features":{"p":0.5},"kind":"send","ts_hours":3.0,"user_id":"v"}',
+    '{"badge_count":null,"kind":"visit","ts_hours":4.0,"user_id":"v"}',
+]
+EVENTS_CSV = [
+    "user_id,ts_hours,kind,badge_count,p",
+    "u,0.0,send,1,0.5",
+    None,
+    "u,3.0,visit,,",
+    "v,4.0,send,2,0.25",
+    "v,5.0,visit,,",
+]
+OBSERVATIONS = [
+    '{"censored":false,"origin_ts_hours":0.0,"t_hours":1.0,"user_id":"u","x":[1.0,0.5,1.0]}',
+    '{"censored":true,"origin_ts_hours":1.0,"t_hours":2.0,"user_id":"u","x":[1.0,0.5,2.0]}',
+    None,
+    '{"censored":false,"origin_ts_hours":0.0,"t_hours":1.5,"user_id":"v","x":[1.0,0.2,1.0]}',
+    '{"censored":false,"origin_ts_hours":2.0,"t_hours":0.5,"user_id":"v","x":[1.0,0.2,2.0]}',
+]
+
+BAD_LINES = {
+    "events.jsonl": [
+        ('{"user_id":', "invalid JSON: Expecting value: line 1 column 12 (char 11)"),
+        ("[1,2]", "expected a JSON object"),
+        ('{"user_id":"u","kind":"visit"}', "malformed event record: 'ts_hours'"),
+        ('{"user_id":"u","ts_hours":2.0,"kind":"push"}', "unknown event kind 'push'"),
+        ('{"user_id":"u","ts_hours":NaN,"kind":"visit"}', "non-finite timestamp nan for user 'u'"),
+        ('{"user_id":"u","ts_hours":2.0,"kind":"send","features":{"p":0.5}}',
+         "send event at t=2.0 for user 'u' is missing badge_count"),
+        ('{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":-1,"features":{"p":0.5}}',
+         "negative badge_count -1 for user 'u'"),
+    ],
+    "events.csv": [
+        ("u,2.0,send,1,abc", "malformed event record: could not convert string to float: 'abc'"),
+        ("u,2.0,send,,0.5", "send event at t=2.0 for user 'u' is missing badge_count"),
+    ],
+    "observations.jsonl": [
+        ('{"censored":"false","t_hours":1.0,"user_id":"u","x":[1.0,0.5,1.0]}',
+         "malformed observation: censored must be true or false, got 'false'"),
+        ('{"censored":false,"t_hours":1.0,"user_id":"u","x":[1.0,0.5]}',
+         "malformed observation: x has 2 values, the first row 3"),
+        ('{"censored":false,"t_hours":0,"user_id":"u","x":[1.0,0.5,1.0]}',
+         "non-positive duration 0.0"),
+    ],
+}
+CASES = [(name, line, message) for name, rows in BAD_LINES.items() for line, message in rows]
+
+
+def _write(path, lines, bad):
+    path.write_text("\n".join(bad if line is None else line for line in lines) + "\n")
+
+
+def _argv(tmp_path, name, path):
+    if name == "observations.jsonl":
+        return ["train", "--model", "aft", "--observations", path]
+    schema = tmp_path / "schema.json"
+    write_schema_json(schema, SCHEMA)
+    return ["ingest", "--events", path, "--schema", schema]
+
+
+@pytest.mark.parametrize("name,line,message", CASES,
+                         ids=[f"{name}-{i}" for i, (name, *_) in enumerate(CASES)])
+def test_malformed_middle_line_names_its_line(tmp_path, capsys, name, line, message):
+    path = tmp_path / name
+    _write(path, {"events.jsonl": EVENTS_JSONL, "events.csv": EVENTS_CSV,
+                  "observations.jsonl": OBSERVATIONS}[name], line)
+    argv = [str(a) for a in _argv(tmp_path, name, path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}:3: {message}"
+
+
+def test_empty_feature_cell_on_a_send_reaches_materialize(tmp_path, capsys):
+    path = tmp_path / "events.csv"
+    _write(path, EVENTS_CSV, "u,2.0,send,1,")
+    argv = [str(a) for a in _argv(tmp_path, "events.csv", path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "error: missing base feature 'p'"
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["", OBSERVATIONS[0].replace("[1.0,0.5,1.0]", "[1.0,0.5]"),
+      OBSERVATIONS[1].replace("[1.0,0.5,2.0]", "[1.0,0.5]")],
+     "2: vector length (2,) does not match schema (3 slots)"),
+    (OBSERVATIONS[:2] + [OBSERVATIONS[3].replace("0.2", "NaN")] + OBSERVATIONS[4:],
+     "3: non-finite value in slot 'p'"),
+    (OBSERVATIONS[:2] + [OBSERVATIONS[3].replace("[1.0", "[2.0")] + OBSERVATIONS[4:],
+     "3: intercept slot 'intercept' must be 1.0, got 2.0"),
+], ids=["length", "non-finite", "intercept"])
+def test_observation_against_schema_names_its_line(tmp_path, capsys, lines, message):
+    path = tmp_path / "obs.jsonl"
+    _write(path, lines, None)
+    schema = tmp_path / "schema.json"
+    write_schema_json(schema, SCHEMA)
+    argv = ["train", "--model", "aft", "--observations", path, "--schema", schema]
+    assert main([str(a) for a in argv] + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}:{message}"
+
+
+# -- template writers ---------------------------------------------------------------
+
+SPECIAL_FLOATS = [1e-05, 2.5e-07, 1e16, 5e-324, -0.0, math.nan, math.inf, -math.inf]
+floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+ids = st.sampled_from(["a\x00", '"', "\\", "é", "\x1f", " ", "😀"]) | st.text(max_size=6)
+finite_ts = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+
+
+@st.composite
+def events(draw):
+    kind = draw(st.sampled_from(["send", "visit"]))
+    badge = draw(st.integers(0, 2**62) if kind == "send" else st.none() | st.integers(-5, 5))
+    features = draw(st.dictionaries(ids, floats, max_size=3))
+    return Event(draw(ids), draw(finite_ts), kind, badge, features)
+
+
+def _dumps(rec):
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def _written_lines(write, rows, tmp):
+    path = tmp.getbasetemp() / "writer.jsonl"
+    write(path, rows)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(events(), max_size=8))
+def test_event_lines_equal_json_dumps(tmp_path_factory, evs):
+    want = []
+    for e in evs:
+        rec = {"user_id": e.user_id, "ts_hours": e.ts_hours, "kind": e.kind,
+               "badge_count": e.badge_count}
+        if e.features:
+            rec["features"] = e.features
+        want.append(_dumps(rec))
+    assert _written_lines(write_events_jsonl, evs, tmp_path_factory) == want
+
+
+@st.composite
+def observation_rows(draw):
+    k = draw(st.integers(0, 4))
+    row = st.tuples(ids, finite_ts | floats, st.booleans(), floats,
+                    st.lists(floats, min_size=k, max_size=k))
+    return k, draw(st.lists(row, max_size=8))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(observation_rows())
+def test_observation_lines_equal_json_dumps(tmp_path_factory, drawn):
+    k, rows = drawn
+    obs = [Observation(u, np.array(x, dtype=float), t, not c, o) for u, t, c, o, x in rows]
+    want = [_dumps({"user_id": u, "t_hours": t, "censored": c, "x": x, "origin_ts_hours": o})
+            for u, t, c, o, x in rows]
+    assert _written_lines(write_observations_jsonl, obs, tmp_path_factory) == want
+    # the column form, as ingest writes it: durations are floats there
+    columns = ObservationColumns(
+        user_ids=[u for u, *_ in rows],
+        user=np.arange(len(rows)),
+        x=np.array([x for *_, x in rows], dtype=float).reshape(len(rows), k),
+        t_hours=np.array([t for _, t, *_ in rows], dtype=float),
+        uncensored=np.array([not c for _, _, c, *_ in rows], dtype=bool),
+        origin_ts_hours=np.array([o for *_, o, _ in rows], dtype=float),
+    )
+    want = [_dumps({"user_id": u, "t_hours": float(t), "censored": c, "x": x,
+                    "origin_ts_hours": o}) for u, t, c, o, x in rows]
+    assert _written_lines(write_observations_jsonl, columns, tmp_path_factory) == want
+
+
+# -- reader memory ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def simulated_files(tmp_path_factory):
+    """A 150-user week (about 3,000 events) as JSONL, as CSV and as observations."""
+    sim = generate_event_log(SimConfig(
+        n_users=150, n_profile_features=2, true_coefficients=(3.2, 0.4, -0.3, -0.2, 0.05),
+        true_sigma=1.5, send_process=SendProcess("poisson", rate_per_hour=1 / 12),
+        window_hours=168.0, seed=3,
+    ))
+    d = tmp_path_factory.mktemp("memory")
+    write_events_jsonl(d / "events.jsonl", sim.events)
+    with open(d / "events.csv", "w", encoding="utf-8") as f:
+        f.write("user_id,ts_hours,kind,badge_count,profile_0,profile_1\n")
+        for e in sim.events:  # sends carry both profiles, visits none
+            p0, p1 = (repr(v) for v in e.features.values()) if e.features else ("", "")
+            badge = "" if e.badge_count is None else e.badge_count
+            f.write(f"{e.user_id},{e.ts_hours!r},{e.kind},{badge},{p0},{p1}\n")
+    schema = FeatureSchema.build(base=["profile_0", "profile_1"], badge="badge_count")
+    write_schema_json(d / "schema.json", schema)
+    table = send_table(read_event_columns(d / "events.jsonl"), PipelineConfig())
+    write_observations_jsonl(d / "observations.jsonl", table.observations(schema, 1 / 3600))
+    return d
+
+
+# Traced peak bytes per row, about twice what the column readers need on
+# these files (70 per event, 75 per observation); readers that build an
+# Event or Observation per row need 375 to 515.
+READER_BUDGET = {"events.jsonl": 140, "events.csv": 140, "observations.jsonl": 150}
+
+
+@pytest.mark.parametrize("name", sorted(READER_BUDGET))
+def test_column_readers_keep_no_object_per_row(simulated_files, name):
+    read = read_observation_columns if name == "observations.jsonl" else read_event_columns
+    path = simulated_files / name
+    read(path)  # imports and caches warmed up
+    tracemalloc.start()
+    try:
+        n = len(read(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n > 2000
+    assert peak / n <= READER_BUDGET[name], f"{peak / n:.0f} traced bytes per row"
+
+
+def test_commands_build_no_row_objects(simulated_files, tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (Event, Observation, SendInstance):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    d, out = simulated_files, tmp_path
+    schema = ["--schema", d / "schema.json"]
+    for argv in [
+        ["ingest", "--events", d / "events.jsonl", *schema, "--out", out / "ingest"],
+        ["ingest", "--events", d / "events.csv", *schema, "--out", out / "ingest_csv"],
+        ["train", "--model", "aft", "--observations", out / "ingest" / "observations.jsonl",
+         *schema, "--out", out / "aft"],
+        ["train", "--model", "logistic:24", "--events", d / "events.csv", *schema,
+         "--out", out / "logistic"],
+        *(["evaluate", "--aft-model", out / "aft" / "model.json", "--logistic-model",
+           out / "logistic" / "model.json", "--events", d / "events.jsonl", *schema,
+           "--horizons", "24", "--labeler", labeler, "--out", out / labeler]
+          for labeler in ("naive", "censoring_clean")),
+    ]:
+        assert main([str(a) for a in argv]) == 0, argv
