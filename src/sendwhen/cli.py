@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -38,6 +38,7 @@ from . import __version__
 from .errors import (
     ConfigError,
     DataError,
+    DomainError,
     NumericalError,
     SchemaError,
     SendwhenError,
@@ -50,13 +51,15 @@ from .evaluation import (
     fit_logistic_baselines,
 )
 from .io import (
+    ROW_ERRORS,
     dump_json,
     file_sha256,
+    json_badge,
     load_json_config,
-    read_event_columns,
+    read_events,
     read_model_json,
     read_jsonl,
-    read_observation_columns,
+    read_observations_jsonl,
     read_schema_json,
     write_events_jsonl,
     write_jsonl,
@@ -69,7 +72,7 @@ from .pipeline import PipelineConfig, send_table
 from .policies import Candidate, MooConfig, moo_solve, ratio_rule, threshold_rule
 from .scoring import ScoringContext, model_digest, score_batch
 from .simulate import SimConfig, default_sim_schema, generate_event_log
-from .training import DesignMatrix, LogisticModel, WeibullAftModel, fit_aft
+from .training import LogisticModel, WeibullAftModel, fit_aft
 
 __all__ = ["main"]
 
@@ -195,9 +198,7 @@ _INGEST_DEFAULTS: dict = {
 
 def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConfig) -> int:
     schema = read_schema_json(args.schema)
-    events = read_event_columns(args.events)
-    out = _prepare_out(args.out, ("observations.jsonl", "schema.json", "report.json"), args.force)
-
+    events = read_events(args.events)
     table = send_table(events, pipe_cfg)
     observations = table.observations(schema, pipe_cfg.duration_floor_hours)
     n_uncensored = int(np.count_nonzero(observations.uncensored))
@@ -209,6 +210,7 @@ def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConf
         "n_censored": len(observations) - n_uncensored,
         "n_uncensored": n_uncensored,
     }
+    out = _prepare_out(args.out, ("observations.jsonl", "schema.json", "report.json"), args.force)
     write_observations_jsonl(out / "observations.jsonl", observations)
     write_schema_json(out / "schema.json", schema)
     dump_json(out / "report.json", report)
@@ -273,20 +275,18 @@ def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int
         if args.observations is None:
             raise ConfigError("train --model aft needs --observations FILE")
         schema = read_schema_json(args.schema) if args.schema else None
-        obs = read_observation_columns(args.observations, schema)
+        obs = read_observations_jsonl(args.observations, schema)
         inputs["observations"] = args.observations
         if args.schema:
             inputs["schema"] = args.schema
-        model: WeibullAftModel | LogisticModel = fit_aft(
-            DesignMatrix.from_columns(obs.x, obs.t_hours, obs.uncensored), opt_cfg, schema=schema
-        )
+        model: WeibullAftModel | LogisticModel = fit_aft(obs, opt_cfg, schema=schema)
     else:
         # the logistic baseline trains on per-send labels, so it needs the
         # raw event timeline rather than censored triplets
         if args.events is None or args.schema is None:
             raise ConfigError("train --model logistic:T needs --events and --schema")
         schema = read_schema_json(args.schema)
-        events = read_event_columns(args.events)
+        events = read_events(args.events)
         pipe_cfg = _pipeline_config(merged)
         inputs["events"] = args.events
         inputs["schema"] = args.schema
@@ -337,32 +337,19 @@ def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> 
             raise SchemaError(f"{path} does not hold a logistic model")
         logistic_models[m.horizon_t_hours] = m
     schema = read_schema_json(args.schema)
-    events = read_event_columns(args.events)
-
-    out = _prepare_out(args.out, ("auc_report.csv", "auc_report.json"), args.force)
+    events = read_events(args.events)
     report = auc_vs_horizon(
         aft, logistic_models, events, schema,
         horizons=horizons, labeler=str(merged["labeler"]), cfg=pipe_cfg,
     )
+
+    out = _prepare_out(args.out, ("auc_report.csv", "auc_report.json"), args.force)
     (out / "auc_report.csv").write_text(report.to_csv(), encoding="utf-8")
-    dump_json(
-        out / "auc_report.json",
-        {
-            "rows": [
-                {
-                    "t_hours": r.t_hours,
-                    "auc_aft": None if r.flag else r.auc_aft,
-                    "auc_logistic": None if r.flag else r.auc_logistic,
-                    "n": r.n,
-                    "n_ambiguous": r.n_ambiguous,
-                    "labeler": r.labeler,
-                    "flag": r.flag,
-                }
-                for r in report.rows
-            ],
-            "reference_points": REFERENCE_AUC_POINTS,
-        },
-    )
+    rows = [
+        {**asdict(r), "auc_aft": None, "auc_logistic": None} if r.flag else asdict(r)
+        for r in report.rows
+    ]
+    dump_json(out / "auc_report.json", {"rows": rows, "reference_points": REFERENCE_AUC_POINTS})
     inputs = {"aft_model": args.aft_model, "events": args.events, "schema": args.schema}
     for i, path in enumerate(args.logistic_model):
         inputs[f"logistic_model_{i}"] = path
@@ -395,6 +382,7 @@ def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:
     if model.schema is None:
         raise SchemaError(f"{args.model} carries no feature schema; scoring needs one")
 
+    linenos: list[int] = []
     user_ids: list[str] = []
     features: list[dict] = []
     badges: list[int] = []
@@ -403,18 +391,21 @@ def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:
         try:
             user_ids.append(str(rec["user_id"]))
             features.append({k: float(v) for k, v in dict(rec["features"]).items()})
-            badges.append(int(rec["badge_count"]))
+            badges.append(json_badge(rec["badge_count"]))
             w0s.append(float(rec["w0_hours"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ROW_ERRORS as exc:
             raise DataError(f"{args.contexts}:{lineno}: malformed context: {exc}") from exc
+        linenos.append(lineno)
     X0 = model.schema.materialize_rows(features, badges, np.zeros(len(user_ids)))
-    contexts = [
-        ScoringContext(features_now=tuple(x0), w0_hours=w0, horizon_T=horizon)
-        for x0, w0 in zip(X0, w0s)
-    ]
+    contexts = []
+    for lineno, x0, w0 in zip(linenos, X0, w0s):
+        try:
+            contexts.append(ScoringContext(features_now=tuple(x0), w0_hours=w0, horizon_T=horizon))
+        except DomainError as exc:
+            raise DataError(f"{args.contexts}:{lineno}: {exc}") from None
+    results = score_batch(contexts, model)
 
     out = _prepare_out(args.out, ("deltas.jsonl",), args.force)
-    results = score_batch(contexts, model)
     version = model_digest(model)
     write_jsonl(
         out / "deltas.jsonl",
@@ -473,7 +464,7 @@ def _candidates_from_scores(
                 (lineno, str(rec["user_id"]), float(rec["delta"]), float(rec["p_wait"]),
                  None if p is None else float(p))
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ROW_ERRORS as exc:
             raise DataError(f"{path}:{lineno}: malformed score row: {exc}") from exc
     n_missing = sum(1 for r in rows if r[4] is None)
     draws = iter(())
@@ -499,8 +490,6 @@ def _candidates_from_scores(
 def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
     rule, kappa, c_click, c_send, cadence, synth_seed = settings
     candidates = _candidates_from_scores(args.scores, synth_seed, need_p_click=(rule == "moo"))
-    out = _prepare_out(args.out, ("decisions.jsonl", "report.json"), args.force)
-
     report: dict = {
         "rule": rule,
         "n_candidates": len(candidates),
@@ -529,6 +518,7 @@ def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> in
             rows[i].update(flagged=True, note=result.note(i))
     if report["status"] == "ok":
         report["n_send"] = sum(r["send"] for r in rows)
+    out = _prepare_out(args.out, ("decisions.jsonl", "report.json"), args.force)
     write_jsonl(out / "decisions.jsonl", rows)
     dump_json(out / "report.json", report)
     _write_manifest(out, "decide", merged, inputs={"scores": args.scores})

@@ -21,14 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
 from .optimize import OptConfig
-from .pipeline import (
-    Event,
-    EventColumns,
-    Observation,
-    ObservationColumns,
-    PipelineConfig,
-    send_table,
-)
+from .pipeline import Event, EventColumns, ObservationColumns, PipelineConfig, send_table
 from .training import LogisticModel, WeibullAftModel, fit_logistic
 
 DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
@@ -71,7 +64,7 @@ def label_naive(
 
 
 def label_censoring_clean(
-    observations: ObservationColumns | Sequence[Observation], horizon_t_hours: float
+    observations: ObservationColumns, horizon_t_hours: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels from survival triplets: (labels, ambiguous) aligned masks.
 
@@ -81,11 +74,7 @@ def label_censoring_clean(
     must be excluded rather than guessed).
     """
     horizon = _check_horizon(horizon_t_hours)
-    if isinstance(observations, ObservationColumns):
-        t, uncensored = observations.t_hours, observations.uncensored
-    else:
-        t = np.array([o.t_hours for o in observations], dtype=float)
-        uncensored = np.array([o.uncensored for o in observations], dtype=bool)
+    t, uncensored = observations.t_hours, observations.uncensored
     return uncensored & (t <= horizon), ~uncensored & (t < horizon)
 
 

@@ -2,17 +2,15 @@
 
 read_jsonl parses every JSONL input line by line.  Event logs and
 observations go from there (or from csv.reader) straight into columns
-(read_event_columns, read_observation_columns): each line is converted
-and checked in order, so a DataError names the first bad line, and then
+(read_events, read_observations_jsonl): each line is converted and
+checked in order, so a DataError names the first bad line, and then
 appended to typed arrays, so no Python object per row outlives its line.
 Events and observations are written with one f-string template per
 format, and contexts, deltas and decisions by write_jsonl; either way a
 line's bytes equal json.dumps(record, sort_keys=True, separators=(",",
 ":")), so identical in-memory data always produces identical files.
-read_events, read_events_jsonl, read_events_csv and
-read_observations_jsonl are the one-object-per-row forms of the column
-readers.  Every input file is opened by one helper, so a missing or
-unreadable input is a DataError naming the path.  See FORMATS.md at the
+Every input file is opened by one helper, so a missing or unreadable
+input is a DataError naming the path.  See FORMATS.md at the
 repository root for the field-by-field reference.
 """
 
@@ -27,33 +25,22 @@ from contextlib import contextmanager
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
-from .pipeline import (
-    SEND,
-    Event,
-    EventColumnAppender,
-    EventColumns,
-    Observation,
-    ObservationColumns,
-)
+from .pipeline import SEND, Event, EventColumnAppender, EventColumns, ObservationColumns
 from .training import LogisticModel, WeibullAftModel
 
 __all__ = [
     "read_jsonl",
     "write_jsonl",
-    "read_events_jsonl",
     "write_events_jsonl",
-    "read_events_csv",
     "read_events",
-    "read_event_columns",
     "write_observations_jsonl",
     "read_observations_jsonl",
-    "read_observation_columns",
     "write_schema_json",
     "read_schema_json",
     "write_model_json",
@@ -68,6 +55,9 @@ MODEL_FORMAT_VERSION = 1
 
 _EVENT_META_COLUMNS = ("user_id", "ts_hours", "kind", "badge_count")
 _NUMBER_TYPES = {int, float}  # what a JSON number parses to; bool is not one
+# what converting one record's fields can raise; the readers report each as
+# a malformed row on its line
+ROW_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 # one encoder for every JSONL line; json.dumps with these arguments would
@@ -140,12 +130,22 @@ def file_sha256(path: str | Path) -> str:
 # -- events -----------------------------------------------------------------
 
 
-def _event_columns(records: Iterable[tuple[int, Mapping]], where: str) -> EventColumns:
+def json_badge(v) -> int:
+    """A badge_count as JSON holds it: an integer, never a bool or a float."""
+    if type(v) is not int:
+        raise TypeError(f"badge_count must be an integer, got {v!r}")
+    return v
+
+
+def _event_columns(
+    records: Iterable[tuple[int, Mapping]], where: str, badge_of: Callable[[object], int]
+) -> EventColumns:
     """Convert and check each (line number, record), then append it to columns.
 
     The conversions run in a fixed order (user_id, ts_hours, kind,
     badge_count, features) and the event checks after them, so the first
-    bad line, and the first fault on it, names the error.
+    bad line, and the first fault on it, names the error.  badge_of
+    converts a present badge_count: json_badge for JSON, int for CSV text.
     """
     columns = EventColumnAppender()
     for lineno, rec in records:
@@ -155,12 +155,12 @@ def _event_columns(records: Iterable[tuple[int, Mapping]], where: str) -> EventC
                 str(rec["user_id"]),
                 float(rec["ts_hours"]),
                 str(rec["kind"]),
-                None if badge is None else int(badge),
+                None if badge is None else badge_of(badge),
                 {k: float(v) for k, v in (rec.get("features") or {}).items()},
             )
         except DataError as exc:  # the event checks
             raise DataError(f"{where}:{lineno}: {exc}") from None
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        except ROW_ERRORS as exc:
             raise DataError(f"{where}:{lineno}: malformed event record: {exc}") from exc
     return columns.build()
 
@@ -206,25 +206,11 @@ def _csv_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             }
 
 
-def read_event_columns(path: str | Path) -> EventColumns:
+def read_events(path: str | Path) -> EventColumns:
     """Read an event log into columns: .csv as CSV, anything else as JSONL."""
     if str(path).lower().endswith(".csv"):
-        return _event_columns(_csv_records(path), str(path))
-    return _event_columns(read_jsonl(path), str(path))
-
-
-def read_events_jsonl(path: str | Path) -> list[Event]:
-    return _event_columns(read_jsonl(path), str(path)).to_events()
-
-
-def read_events_csv(path: str | Path) -> list[Event]:
-    """CSV variant: meta columns first, every extra column is a feature."""
-    return _event_columns(_csv_records(path), str(path)).to_events()
-
-
-def read_events(path: str | Path) -> list[Event]:
-    """Dispatch on extension: .csv goes to the CSV reader, else JSONL."""
-    return read_event_columns(path).to_events()
+        return _event_columns(_csv_records(path), str(path), int)
+    return _event_columns(read_jsonl(path), str(path), json_badge)
 
 
 def _json_float(v: float) -> str:
@@ -274,23 +260,14 @@ def _column_rows(obs: ObservationColumns, chunk: int = 8192) -> Iterator[tuple]:
         )
 
 
-def write_observations_jsonl(
-    path: str | Path, observations: ObservationColumns | Iterable[Observation]
-) -> None:
+def write_observations_jsonl(path: str | Path, observations: ObservationColumns) -> None:
     """One line per observation, the bytes write_jsonl would write for its record."""
-    if isinstance(observations, ObservationColumns):
-        rows = _column_rows(observations)
-    else:
-        rows = (
-            (o.user_id, o.t_hours, not o.uncensored, o.origin_ts_hours, map(float, o.x))
-            for o in observations
-        )
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(
             f'{{"censored":{"true" if censored else "false"},'
             f'"origin_ts_hours":{_json_scalar(origin)},"t_hours":{_json_scalar(t)},'
             f'"user_id":{_json_scalar(user_id)},"x":[{",".join(map(_json_float, x))}]}}\n'
-            for user_id, t, censored, origin, x in rows
+            for user_id, t, censored, origin, x in _column_rows(observations)
         )
 
 
@@ -300,7 +277,7 @@ def _line_of_row(path: str | Path, row: int) -> int:
         return next(islice((n for n, line in enumerate(f, start=1) if line.strip()), row, None))
 
 
-def read_observation_columns(
+def read_observations_jsonl(
     path: str | Path, schema: FeatureSchema | None = None
 ) -> ObservationColumns:
     """Read observations into columns; with a schema, every x must satisfy it."""
@@ -322,7 +299,7 @@ def read_observation_columns(
             x_values.extend(x)
             t = float(rec["t_hours"])
             o = float(rec.get("origin_ts_hours", math.nan))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except ROW_ERRORS as exc:
             raise DataError(f"{path}:{lineno}: malformed observation: {exc}") from exc
         if t <= 0 or not math.isfinite(t):
             raise DataError(f"{path}:{lineno}: non-positive duration {t}")
@@ -346,12 +323,6 @@ def read_observation_columns(
         uncensored=np.frombuffer(uncensored, bool),
         origin_ts_hours=np.frombuffer(origin, float),
     )
-
-
-def read_observations_jsonl(
-    path: str | Path, schema: FeatureSchema | None = None
-) -> list[Observation]:
-    return read_observation_columns(path, schema).to_observations()
 
 
 # -- models ---------------------------------------------------------------------

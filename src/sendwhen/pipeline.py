@@ -7,9 +7,9 @@ over all events, and returns one row per notification send: the send, how
 long the user had already been in the pre-send state (w0), the successor
 event and the first later visit.  Observations (sends with a successor,
 as ObservationColumns), send instances (every send) and the evaluation
-layer's naive labels are all views of that one table.  Event, Observation
-and SendInstance are the one-object-per-row forms of the Python API; the
-commands never build them.
+layer's naive labels are all views of that one table.  Event is one row of
+a log: what the simulator produces and what iterating EventColumns yields.
+SendInstance is one send's snapshot; the commands build neither.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "Event",
     "EventColumns",
     "EventColumnAppender",
-    "Observation",
     "ObservationColumns",
     "SendInstance",
     "PipelineConfig",
@@ -106,17 +105,16 @@ class EventColumns:
             b.append(e.user_id, e.ts_hours, e.kind, e.badge_count, e.features)
         return b.build()
 
-    def to_events(self) -> list[Event]:
+    def __iter__(self) -> Iterator[Event]:
+        """Each event as a checked Event row, in input order."""
         ids = self.user_ids
         feats = [(name, v.tolist(), p.tolist()) for name, (v, p) in self.features.items()]
-        return [
-            Event(ids[u], t, SEND if s else VISIT, b if hb else None,
-                  {name: v[i] for name, v, p in feats if p[i]})
-            for i, (u, t, s, b, hb) in enumerate(zip(
-                self.user.tolist(), self.ts_hours.tolist(), self.is_send.tolist(),
-                self.badge_count.tolist(), self.has_badge.tolist(),
-            ))
-        ]
+        for i, (u, t, s, b, hb) in enumerate(zip(
+            self.user.tolist(), self.ts_hours.tolist(), self.is_send.tolist(),
+            self.badge_count.tolist(), self.has_badge.tolist(),
+        )):
+            yield Event(ids[u], t, SEND if s else VISIT, b if hb else None,
+                        {name: v[i] for name, v, p in feats if p[i]})
 
 
 class EventColumnAppender:
@@ -180,23 +178,12 @@ class EventColumnAppender:
 
 
 @dataclass(frozen=True, eq=False)
-class Observation:
-    """Censored survival triplet plus bookkeeping.
-
-    uncensored is True iff the event following the origin send was a visit;
-    otherwise the duration is the gap to the next notification.
-    """
-
-    user_id: str
-    x: np.ndarray
-    t_hours: float
-    uncensored: bool
-    origin_ts_hours: float
-
-
-@dataclass(frozen=True, eq=False)
 class ObservationColumns:
-    """Observations as columns; row i belongs to user_ids[user[i]]."""
+    """Censored survival triplets as columns; row i belongs to user_ids[user[i]].
+
+    uncensored[i] is True iff the event following the origin send was a
+    visit; otherwise t_hours[i] is the gap to the next notification.
+    """
 
     user_ids: Sequence[str]
     user: np.ndarray
@@ -207,16 +194,6 @@ class ObservationColumns:
 
     def __len__(self) -> int:
         return self.t_hours.size
-
-    def to_observations(self) -> list[Observation]:
-        ids = self.user_ids
-        return [
-            Observation(ids[u], x, t, c, o)
-            for u, x, t, c, o in zip(
-                self.user.tolist(), self.x, self.t_hours.tolist(),
-                self.uncensored.tolist(), self.origin_ts_hours.tolist(),
-            )
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,16 +218,8 @@ class PipelineConfig:
             if self.window_end <= self.window_start:
                 raise DataError("window_end must be greater than window_start")
 
-    def in_window(self, ev: Event) -> bool:
-        """True when ev lies inside the window; both bounds are inclusive."""
-        if self.window_start is not None and ev.ts_hours < self.window_start:
-            return False
-        if self.window_end is not None and ev.ts_hours > self.window_end:
-            return False
-        return True
-
     def window_rows(self, ts_hours: np.ndarray) -> np.ndarray:
-        """Indices of the timestamps inside the window, as in_window decides."""
+        """Indices of the timestamps inside the window; both bounds are inclusive."""
         keep = np.ones(ts_hours.shape, bool)
         if self.window_start is not None:
             keep &= ts_hours >= self.window_start
@@ -365,7 +334,7 @@ def send_table(events: EventColumns | Iterable[Event], cfg: PipelineConfig) -> S
 
 def build_observations(
     events: EventColumns | Iterable[Event], schema: FeatureSchema, cfg: PipelineConfig
-) -> list[Observation]:
+) -> ObservationColumns:
     """One observation per send that has a successor event.
 
     Duration is the gap to the next event, clamped to the duration floor;
@@ -374,8 +343,7 @@ def build_observations(
     by (user_id, origin timestamp) so the result does not depend on input
     order.
     """
-    table = send_table(events, cfg)
-    return table.observations(schema, cfg.duration_floor_hours).to_observations()
+    return send_table(events, cfg).observations(schema, cfg.duration_floor_hours)
 
 
 def build_send_instances(

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError, NumericalError, SchemaError
 from .features import FeatureSchema
 from .optimize import OptConfig, OptResult, minimize_smooth
-from .pipeline import Observation
+from .pipeline import ObservationColumns
 from .survival import WeibullParams
 
 __all__ = [
@@ -60,12 +60,8 @@ class DesignMatrix:
         return cls(X=X, log_t=np.log(t), delta=np.asarray(uncensored, dtype=float))
 
     @classmethod
-    def from_observations(cls, observations: Sequence[Observation]) -> "DesignMatrix":
-        return cls.from_columns(
-            np.array([o.x for o in observations], dtype=float),
-            [o.t_hours for o in observations],
-            [1.0 if o.uncensored else 0.0 for o in observations],
-        )
+    def from_observations(cls, observations: ObservationColumns) -> "DesignMatrix":
+        return cls.from_columns(observations.x, observations.t_hours, observations.uncensored)
 
     @property
     def n(self) -> int:
@@ -76,17 +72,17 @@ class DesignMatrix:
         return self.X.shape[1]
 
 
-def _as_design(data) -> DesignMatrix:
+def _as_design(data: DesignMatrix | ObservationColumns) -> DesignMatrix:
     if isinstance(data, DesignMatrix):
         return data
-    return DesignMatrix.from_observations(list(data))
+    return DesignMatrix.from_observations(data)
 
 
 # -- objectives ----------------------------------------------------------------
 
 
 def aft_negloglik_and_gradient(
-    b: np.ndarray, log_sigma: float, data
+    b: np.ndarray, log_sigma: float, data: DesignMatrix | ObservationColumns
 ) -> tuple[float, np.ndarray]:
     """Exact censored-Weibull negative log-likelihood and its gradient.
 
@@ -248,7 +244,7 @@ def _ridge_mask(k: int, intercept_index: int | None) -> np.ndarray:
 
 
 def fit_aft(
-    data,
+    data: DesignMatrix | ObservationColumns,
     opt_cfg: OptConfig = OptConfig(),
     *,
     schema: FeatureSchema | None = None,

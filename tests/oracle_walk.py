@@ -10,7 +10,16 @@ each rule is written out once and in the order it applies.
 import numpy as np
 
 from sendwhen.errors import SchemaError
-from sendwhen.pipeline import SEND, VISIT, Event, Observation, SendInstance
+from sendwhen.pipeline import SEND, VISIT, Event, ObservationColumns, SendInstance
+
+
+def _in_window(ev, cfg):
+    """True when ev lies inside the window; both bounds are inclusive."""
+    if cfg.window_start is not None and ev.ts_hours < cfg.window_start:
+        return False
+    if cfg.window_end is not None and ev.ts_hours > cfg.window_end:
+        return False
+    return True
 
 
 def _group_sorted(events, cfg):
@@ -21,7 +30,7 @@ def _group_sorted(events, cfg):
     """
     by_user = {}
     for ev in events:
-        if cfg.in_window(ev):
+        if _in_window(ev, cfg):
             by_user.setdefault(ev.user_id, []).append(ev)
     for stream in by_user.values():
         stream.sort(key=lambda e: (e.ts_hours, 0 if e.kind == VISIT else 1))
@@ -82,23 +91,24 @@ def materialize(schema, raw, *, badge_count=0.0, w0_hours=0.0):
 
 def build_observations(events, schema, cfg):
     by_user = _group_sorted(events, cfg)
-    out = []
-    for user_id in sorted(by_user):
+    user_ids = sorted(by_user)
+    rows = []  # (user code, x, duration, uncensored, origin)
+    for code, user_id in enumerate(user_ids):
         for send, w0, nxt in _walk_user(by_user[user_id]):
             if nxt is None:
                 continue
             duration = max(nxt.ts_hours - send.ts_hours, cfg.duration_floor_hours)
             x = materialize(schema, send.features, badge_count=send.badge_count, w0_hours=w0)
-            out.append(
-                Observation(
-                    user_id=user_id,
-                    x=x,
-                    t_hours=duration,
-                    uncensored=nxt.kind == VISIT,
-                    origin_ts_hours=send.ts_hours,
-                )
-            )
-    return out
+            rows.append((code, x, duration, nxt.kind == VISIT, send.ts_hours))
+    user, xs, t, uncensored, origin = zip(*rows) if rows else ((),) * 5
+    return ObservationColumns(
+        user_ids=user_ids,
+        user=np.array(user, dtype=np.int64),
+        x=np.array(xs, dtype=float).reshape(len(rows), len(schema.slots)),
+        t_hours=np.array(t, dtype=float),
+        uncensored=np.array(uncensored, dtype=bool),
+        origin_ts_hours=np.array(origin, dtype=float),
+    )
 
 
 def build_send_instances(events, schema, cfg):

@@ -5,6 +5,7 @@ succeeds; a failure reads as the usual assertion with the measured value.
 Run with `pytest tests/test_acceptance.py -v` for the checklist view.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 from sendwhen.cli import main
 from sendwhen.evaluation import auc_vs_horizon, fit_logistic_baselines
 from sendwhen.io import file_sha256
-from sendwhen.pipeline import Observation, PipelineConfig, build_observations
+from sendwhen.pipeline import PipelineConfig, build_observations
 from sendwhen.policies import Candidate, MooConfig, moo_solve
 from sendwhen.simulate import (
     SendProcess,
@@ -34,6 +35,7 @@ from sendwhen.survival import (
     weibull_cdf,
 )
 from sendwhen.training import (
+    DesignMatrix,
     aft_negloglik_and_gradient,
     fit_aft,
     logistic_negloglik_and_gradient,
@@ -91,9 +93,7 @@ def test_criterion_02_gradient_correctness():
     X[:, 0] = 1.0
     t = np.exp(rng.normal(loc=1.0, scale=0.8, size=n))
     delta = rng.uniform(size=n) < 0.6
-    obs = [
-        Observation(f"u{i}", X[i], float(t[i]), bool(delta[i]), 0.0) for i in range(n)
-    ]
+    obs = DesignMatrix.from_columns(X, t, delta)
     y = (rng.uniform(size=n) < 0.5).astype(float)
 
     worst = 0.0
@@ -208,8 +208,7 @@ def test_criterion_05_auc_gap_shape():
     assert 11.0 < mean_gap < 13.0, f"mean send interval {mean_gap:.2f}h"
 
     obs = build_observations(test_sim.events, schema, PIPE_CFG)
-    t_arr = np.array([o.t_hours for o in obs])
-    d_arr = np.array([o.uncensored for o in obs], dtype=bool)
+    t_arr, d_arr = obs.t_hours, obs.uncensored
     order = np.argsort(t_arr, kind="stable")
     survival, km_median = 1.0, math.inf
     at_risk = len(t_arr)
@@ -405,10 +404,7 @@ def test_criterion_10_time_rescaling_equivariance():
     sim = generate_event_log(cfg)
     obs = build_observations(sim.events, schema, PIPE_CFG)
     c = 24.0
-    scaled = [
-        Observation(o.user_id, o.x, o.t_hours * c, o.uncensored, o.origin_ts_hours)
-        for o in obs
-    ]
+    scaled = dataclasses.replace(obs, t_hours=obs.t_hours * c)
     base = fit_aft(obs, schema=schema)
     rescaled = fit_aft(scaled, schema=schema)
 

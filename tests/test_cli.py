@@ -14,7 +14,7 @@ import sendwhen
 from sendwhen.cli import main
 from sendwhen.io import (
     file_sha256,
-    read_events_jsonl,
+    read_events,
     read_model_json,
     read_observations_jsonl,
     read_schema_json,
@@ -85,7 +85,7 @@ def read_jsonl(path):
 
 
 def test_simulate_outputs_are_ingestible(sim_dir):
-    events = read_events_jsonl(sim_dir / "events.jsonl")
+    events = read_events(sim_dir / "events.jsonl")
     schema = read_schema_json(sim_dir / "schema.json")
     assert len(events) > 0
     assert len(schema) == 5  # intercept, 2 profiles, badge, interaction
@@ -161,10 +161,10 @@ def test_ingest_counts_only_sends_inside_the_window(tmp_path, sim_dir):
     assert run("ingest", "--events", sim_dir / "events.jsonl", "--schema",
                sim_dir / "schema.json", "--window-end", 84, "--out", out) == 0
     report = json.loads((out / "report.json").read_text())
-    events = read_events_jsonl(sim_dir / "events.jsonl")
-    in_window = [e for e in events if e.ts_hours <= 84]
-    assert report["n_sends"] == sum(1 for e in in_window if e.kind == "send")
-    assert report["n_sends"] < sum(1 for e in events if e.kind == "send")
+    events = read_events(sim_dir / "events.jsonl")
+    in_window = events.is_send & (events.ts_hours <= 84)
+    assert report["n_sends"] == np.count_nonzero(in_window)
+    assert report["n_sends"] < np.count_nonzero(events.is_send)
     assert report["n_sends"] == report["n_observations"] + report["n_dropped_sends"]
 
 
@@ -202,11 +202,12 @@ def test_ingest_unsorted_input_equals_sorted(tmp_path, sim_dir):
     b_dir = tmp_path / "sorted"
     assert run("ingest", "--events", sim_dir / "events.jsonl", "--schema", sim_dir / "schema.json", "--out", b_dir) == 0
     b = read_observations_jsonl(b_dir / "observations.jsonl")
-    assert len(a) == len(b)
-    for oa, ob in zip(a, b):
-        assert oa.user_id == ob.user_id
-        assert oa.t_hours == ob.t_hours
-        assert oa.uncensored == ob.uncensored
+
+    def rows(obs):
+        ids = [obs.user_ids[u] for u in obs.user.tolist()]
+        return list(zip(ids, obs.t_hours.tolist(), obs.uncensored.tolist()))
+
+    assert rows(a) == rows(b)
 
 
 # -- train ------------------------------------------------------------------------
@@ -740,6 +741,8 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, sim_dir, kin
 @pytest.mark.parametrize("row,message", [
     ({"user_id": "b", "delta": 0.1, "p_wait": 1.5}, "p_wait must be in [0, 1], got 1.5"),
     ({"user_id": "", "delta": 0.1, "p_wait": 0.5}, "candidate needs a user_id"),
+    ({"user_id": "b", "delta": 10**400, "p_wait": 0.5},
+     "malformed score row: int too large to convert to float"),
 ])
 def test_decide_bad_candidate_names_its_line(tmp_path, capsys, row, message):
     scores = tmp_path / "s.jsonl"
@@ -747,6 +750,60 @@ def test_decide_bad_candidate_names_its_line(tmp_path, capsys, row, message):
     scores.write_text(json.dumps(good) + "\n\n" + json.dumps(row) + "\n")
     assert run("decide", "--scores", scores, "--out", tmp_path / "o") == 3
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {scores}:3: {message}"
+    assert not (tmp_path / "o").exists()
+
+
+CONTEXT = {"user_id": "a", "features": {"profile_0": 0.1, "profile_1": -0.2},
+           "badge_count": 1, "w0_hours": 2.0}
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("badge_count", 2.7, "malformed context: badge_count must be an integer, got 2.7"),
+    ("badge_count", True, "malformed context: badge_count must be an integer, got True"),
+    ("badge_count", math.inf, "malformed context: badge_count must be an integer, got inf"),
+    ("badge_count", "2", "malformed context: badge_count must be an integer, got '2'"),
+    ("w0_hours", -1, "w0_hours must be >= 0, got -1.0"),
+], ids=["float-badge", "bool-badge", "infinite-badge", "string-badge", "negative-w0"])
+def test_score_bad_context_names_its_line(tmp_path, capsys, aft_dir, key, value, message):
+    contexts = tmp_path / "c.jsonl"
+    contexts.write_text(json.dumps(CONTEXT) + "\n\n" + json.dumps({**CONTEXT, key: value}) + "\n")
+    out = tmp_path / "o"
+    assert run("score", "--model", aft_dir / "model.json", "--contexts", contexts,
+               "--out", out) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {contexts}:3: {message}"
+    assert not out.exists()
+
+
+def _failing_run(case, tmp_path, sim_dir, aft_dir):
+    """argv of a command that reads valid inputs and then fails, and its message."""
+    if case == "decide-moo-duplicate-user":
+        scores = tmp_path / "s.jsonl"
+        row = json.dumps({"user_id": "a", "delta": 0.2, "p_wait": 0.5, "p_click": 0.5})
+        scores.write_text(row + "\n" + row + "\n")
+        return (["decide", "--scores", scores, "--rule", "moo", "--c-send", 1],
+                "duplicate user_id among candidates")
+    if case == "evaluate-horizon-without-model":
+        assert run("train", "--model", "logistic:24", "--events", sim_dir / "events.jsonl",
+                   "--schema", sim_dir / "schema.json", "--out", tmp_path / "l24") == 0
+        return (["evaluate", "--aft-model", aft_dir / "model.json",
+                 "--logistic-model", tmp_path / "l24" / "model.json",
+                 "--events", sim_dir / "events.jsonl", "--schema", sim_dir / "schema.json",
+                 "--horizons", 4, 24], "no logistic model provided for horizon T=4.0h")
+    events = tmp_path / "events.csv"
+    events.write_text("user_id,ts_hours,kind,badge_count,profile_0,profile_1\n"
+                      "u,0.0,send,1,0.5,\nu,1.0,visit,,,\n")
+    return (["ingest", "--events", events, "--schema", sim_dir / "schema.json"],
+            "missing base feature 'profile_1'")
+
+
+@pytest.mark.parametrize("case", ["decide-moo-duplicate-user", "evaluate-horizon-without-model",
+                                  "ingest-send-without-feature"])
+def test_failed_command_leaves_no_out_dir(tmp_path, capsys, sim_dir, aft_dir, case):
+    argv, message = _failing_run(case, tmp_path, sim_dir, aft_dir)
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
 
 
 def test_no_overwrite_without_force(tmp_path, sim_dir):

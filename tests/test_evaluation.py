@@ -21,7 +21,7 @@ from sendwhen.evaluation import (
 )
 from sendwhen.pipeline import (
     Event,
-    Observation,
+    ObservationColumns,
     PipelineConfig,
     build_observations,
     build_send_instances,
@@ -46,13 +46,16 @@ def visit(uid, ts):
     return Event(uid, ts, "visit")
 
 
-def obs(t_hours, uncensored):
-    return Observation(
-        user_id="u",
-        x=np.array([1.0]),
-        t_hours=t_hours,
-        uncensored=uncensored,
-        origin_ts_hours=0.0,
+def obs(*rows):
+    """Observations of one user from (t_hours, uncensored) pairs."""
+    t, uncensored = zip(*rows)
+    return ObservationColumns(
+        user_ids=["u"],
+        user=np.zeros(len(rows), dtype=np.int64),
+        x=np.ones((len(rows), 1)),
+        t_hours=np.array(t, dtype=float),
+        uncensored=np.array(uncensored, dtype=bool),
+        origin_ts_hours=np.zeros(len(rows)),
     )
 
 
@@ -118,25 +121,25 @@ class TestLabelNaive:
 
 class TestLabelCensoringClean:
     def test_resolved_within_horizon_positive(self):
-        labels, amb = label_censoring_clean([obs(3.0, True)], 4.0)
+        labels, amb = label_censoring_clean(obs((3.0, True)), 4.0)
         assert labels.tolist() == [True] and amb.tolist() == [False]
 
     def test_censored_past_horizon_negative(self):
-        labels, amb = label_censoring_clean([obs(5.0, False)], 4.0)
+        labels, amb = label_censoring_clean(obs((5.0, False)), 4.0)
         assert labels.tolist() == [False] and amb.tolist() == [False]
 
     def test_censored_before_horizon_ambiguous(self):
-        labels, amb = label_censoring_clean([obs(2.0, False)], 4.0)
+        labels, amb = label_censoring_clean(obs((2.0, False)), 4.0)
         assert labels.tolist() == [False] and amb.tolist() == [True]
 
     def test_resolved_past_horizon_negative(self):
-        labels, amb = label_censoring_clean([obs(5.0, True)], 4.0)
+        labels, amb = label_censoring_clean(obs((5.0, True)), 4.0)
         assert labels.tolist() == [False] and amb.tolist() == [False]
 
     def test_boundary_at_horizon(self):
         # resolved at exactly T is a visit within the window; censored at
         # exactly T survived the whole window
-        labels, amb = label_censoring_clean([obs(4.0, True), obs(4.0, False)], 4.0)
+        labels, amb = label_censoring_clean(obs((4.0, True), (4.0, False)), 4.0)
         assert labels.tolist() == [True, False]
         assert amb.tolist() == [False, False]
 

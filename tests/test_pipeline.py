@@ -12,8 +12,6 @@ from sendwhen import DataError
 from sendwhen.features import FeatureSchema
 from sendwhen.io import (
     read_events,
-    read_events_csv,
-    read_events_jsonl,
     read_observations_jsonl,
     write_events_jsonl,
     write_observations_jsonl,
@@ -37,6 +35,19 @@ def visit(uid, ts):
     return Event(uid, ts, "visit")
 
 
+def outcomes(obs):
+    """(t_hours, uncensored) of each observation."""
+    return list(zip(obs.t_hours.tolist(), obs.uncensored.tolist()))
+
+
+def rows(obs):
+    """(user_id, origin, t_hours, uncensored, x) of each observation."""
+    return list(zip(
+        [obs.user_ids[u] for u in obs.user.tolist()], obs.origin_ts_hours.tolist(),
+        obs.t_hours.tolist(), obs.uncensored.tolist(), obs.x.tolist(),
+    ))
+
+
 class TestBuildObservations:
     def test_hand_trace(self):
         # M1@0, V@5, M2@8, M3@20, M4@30, V@33
@@ -49,18 +60,17 @@ class TestBuildObservations:
             visit("u", 33.0),
         ]
         obs = build_observations(events, SCHEMA, CFG)
-        got = [(o.t_hours, o.uncensored) for o in obs]
-        assert got == [(5.0, True), (12.0, False), (10.0, False), (3.0, True)]
-        assert [o.origin_ts_hours for o in obs] == [0.0, 8.0, 20.0, 30.0]
+        assert outcomes(obs) == [(5.0, True), (12.0, False), (10.0, False), (3.0, True)]
+        assert obs.origin_ts_hours.tolist() == [0.0, 8.0, 20.0, 30.0]
 
     def test_single_send_dropped(self):
-        assert build_observations([send("u", 0.0)], SCHEMA, CFG) == []
+        assert len(build_observations([send("u", 0.0)], SCHEMA, CFG)) == 0
 
     def test_simultaneous_send_visit_clamped(self):
         # A send and a visit at the same instant yield one floor-duration
         # uncensored observation.
         obs = build_observations([send("u", 0.0), visit("u", 0.0)], SCHEMA, CFG)
-        assert [(o.t_hours, o.uncensored) for o in obs] == [
+        assert outcomes(obs) == [
             (CFG.duration_floor_hours, True)
         ]
 
@@ -68,9 +78,7 @@ class TestBuildObservations:
         obs = build_observations(
             [send("u", 3.0), visit("u", 3.0 + 1e-9)], SCHEMA, CFG
         )
-        assert len(obs) == 1
-        assert obs[0].t_hours == CFG.duration_floor_hours
-        assert obs[0].uncensored
+        assert outcomes(obs) == [(CFG.duration_floor_hours, True)]
 
     def test_tie_visit_attributed_to_prior_send(self):
         # send@0 then visit and send both at t=5: the visit terminates the
@@ -78,7 +86,7 @@ class TestBuildObservations:
         # send), and also resolves the simultaneous send at the floor.
         events = [send("u", 0.0), send("u", 5.0), visit("u", 5.0)]
         obs = build_observations(events, SCHEMA, CFG)
-        assert [(o.t_hours, o.uncensored) for o in obs] == [
+        assert outcomes(obs) == [
             (5.0, True),
             (CFG.duration_floor_hours, True),
         ]
@@ -97,15 +105,12 @@ class TestBuildObservations:
         for _ in range(5):
             shuffled = events[:]
             rng.shuffle(shuffled)
-            got = build_observations(shuffled, SCHEMA, CFG)
-            assert [(o.user_id, o.origin_ts_hours, o.t_hours, o.uncensored) for o in got] == [
-                (o.user_id, o.origin_ts_hours, o.t_hours, o.uncensored) for o in base
-            ]
+            assert rows(build_observations(shuffled, SCHEMA, CFG)) == rows(base)
 
     def test_feature_snapshot(self):
         events = [send("u", 0.0, badge=3, p=2.0), visit("u", 4.0)]
         obs = build_observations(events, SCHEMA, CFG)
-        assert_allclose(obs[0].x, [1.0, 2.0, 3.0])  # intercept, p, badge
+        assert_allclose(obs.x[0], [1.0, 2.0, 3.0])  # intercept, p, badge
 
     def test_w0_snapshot(self):
         schema = FeatureSchema.build(base=["p"], badge="badge_count", w0="w0")
@@ -118,7 +123,7 @@ class TestBuildObservations:
             visit("u", 33.0),
         ]
         obs = build_observations(events, schema, CFG)
-        w0s = [o.x[schema.index("w0")] for o in obs]
+        w0s = obs.x[:, schema.index("w0")].tolist()
         # first send: no prior event; then sends at 8 (state start 5),
         # 20 (state start 8), 30 (state start 20)
         assert w0s == [0.0, 3.0, 12.0, 10.0]
@@ -128,7 +133,7 @@ class TestBuildObservations:
         events = [send("u", 0.0), visit("u", 5.0), send("u", 8.0), send("u", 26.0)]
         obs = build_observations(events, SCHEMA, cfg)
         # send@8 has no successor inside the window -> dropped
-        assert [(o.t_hours, o.uncensored) for o in obs] == [(5.0, True)]
+        assert outcomes(obs) == [(5.0, True)]
 
     def test_multiple_users_sorted_output(self):
         events = [
@@ -138,7 +143,7 @@ class TestBuildObservations:
             visit("a", 2.0),
         ]
         obs = build_observations(events, SCHEMA, CFG)
-        assert [o.user_id for o in obs] == ["a", "b"]
+        assert [row[0] for row in rows(obs)] == ["a", "b"]
 
     def test_missing_badge_on_send_rejected(self):
         with pytest.raises(DataError, match="badge_count"):
@@ -166,9 +171,8 @@ class TestSendInstances:
         ]
         obs = build_observations(events, SCHEMA, CFG)
         inst = build_send_instances(events, SCHEMA, CFG)
-        for o, i in zip(obs, inst):
-            assert o.origin_ts_hours == i.ts_hours
-            assert_allclose(o.x, i.x)
+        assert obs.origin_ts_hours.tolist() == [i.ts_hours for i in inst]
+        assert_allclose(obs.x, [i.x for i in inst])
 
 
 class TestIO:
@@ -180,8 +184,7 @@ class TestIO:
         ]
         path = tmp_path / "events.jsonl"
         write_events_jsonl(path, events)
-        back = read_events_jsonl(path)
-        assert back == events
+        assert list(read_events(path)) == events
 
     def test_events_jsonl_deterministic_bytes(self, tmp_path):
         events = [send("u1", 0.1, badge=1, p=1 / 3), visit("u1", 0.7)]
@@ -197,20 +200,20 @@ class TestIO:
             "u1,0.0,send,2,0.5\n"
             "u1,3.5,visit,,\n"
         )
-        events = read_events_csv(path)
+        events = list(read_events(path))
         assert events == [send("u1", 0.0, badge=2, p=0.5), visit("u1", 3.5)]
 
     def test_csv_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("user_id,ts_hours\nu1,0.0\n")
         with pytest.raises(DataError, match="missing columns"):
-            read_events_csv(path)
+            read_events(path)
 
     def test_malformed_jsonl_line_number(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text('{"user_id":"u","ts_hours":0.0,"kind":"send","badge_count":1}\nnot json\n')
         with pytest.raises(DataError, match=":2"):
-            read_events_jsonl(path)
+            read_events(path)
 
     @pytest.mark.parametrize("name,text,message", [
         ("ev.jsonl", '{"user_id":"u","kind":"visit"}\n',
@@ -233,7 +236,7 @@ class TestIO:
         path = tmp_path / "events.jsonl"
         path.write_text('{"user_id":"u","ts_hours":0.0,"kind":"push"}\n')
         with pytest.raises(DataError):
-            read_events_jsonl(path)
+            read_events(path)
 
     def test_observations_round_trip(self, tmp_path):
         events = [send("u", 0.0, badge=1, p=2.0), visit("u", 4.0), send("u", 6.0)]
@@ -241,13 +244,7 @@ class TestIO:
         path = tmp_path / "obs.jsonl"
         write_observations_jsonl(path, obs)
         back = read_observations_jsonl(path, SCHEMA)
-        assert len(back) == len(obs)
-        for a, b in zip(obs, back):
-            assert a.user_id == b.user_id
-            assert a.t_hours == b.t_hours
-            assert a.uncensored == b.uncensored
-            assert a.origin_ts_hours == b.origin_ts_hours
-            assert_allclose(a.x, b.x)
+        assert rows(back) == rows(obs)
 
     @pytest.mark.parametrize("second,message", [
         ('"censored":"false","x":[1.0]', "censored must be true or false, got 'false'"),

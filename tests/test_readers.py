@@ -3,7 +3,8 @@
 A malformed line in the middle of a file must give the same DataError text
 and exit code whichever way the file is read.  The template writers must
 write exactly what json.dumps(sort_keys=True, separators=(",", ":")) would,
-and the column readers must not build one Python object per row.
+the column readers must not build one Python object per row, and a log read
+as columns must iterate as the Event rows it was built from.
 """
 
 import json
@@ -18,15 +19,15 @@ from hypothesis import strategies as st
 from sendwhen.cli import main
 from sendwhen.features import FeatureSchema
 from sendwhen.io import (
-    read_event_columns,
-    read_observation_columns,
+    read_events,
+    read_observations_jsonl,
     write_events_jsonl,
     write_observations_jsonl,
     write_schema_json,
 )
 from sendwhen.pipeline import (
     Event,
-    Observation,
+    EventColumns,
     ObservationColumns,
     PipelineConfig,
     SendInstance,
@@ -85,6 +86,17 @@ BAD_LINES = {
     ],
 }
 CASES = [(name, line, message) for name, rows in BAD_LINES.items() for line, message in rows]
+# a badge count is a JSON integer, never a float or a bool; CSV text goes through int()
+CASES += [
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":2.7,'
+     '"features":{"p":0.5}}', "malformed event record: badge_count must be an integer, got 2.7"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":true,'
+     '"features":{"p":0.5}}', "malformed event record: badge_count must be an integer, got True"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"visit","badge_count":1.0}',
+     "malformed event record: badge_count must be an integer, got 1.0"),
+    ("events.csv", "u,2.0,send,2.7,0.5",
+     "malformed event record: invalid literal for int() with base 10: '2.7'"),
+]
 
 
 def _write(path, lines, bad):
@@ -146,10 +158,10 @@ finite_ts = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**
 
 
 @st.composite
-def events(draw):
+def events(draw, values=floats):
     kind = draw(st.sampled_from(["send", "visit"]))
     badge = draw(st.integers(0, 2**62) if kind == "send" else st.none() | st.integers(-5, 5))
-    features = draw(st.dictionaries(ids, floats, max_size=3))
+    features = draw(st.dictionaries(ids, values, max_size=3))
     return Event(draw(ids), draw(finite_ts), kind, badge, features)
 
 
@@ -188,11 +200,6 @@ def observation_rows(draw):
 @given(observation_rows())
 def test_observation_lines_equal_json_dumps(tmp_path_factory, drawn):
     k, rows = drawn
-    obs = [Observation(u, np.array(x, dtype=float), t, not c, o) for u, t, c, o, x in rows]
-    want = [_dumps({"user_id": u, "t_hours": t, "censored": c, "x": x, "origin_ts_hours": o})
-            for u, t, c, o, x in rows]
-    assert _written_lines(write_observations_jsonl, obs, tmp_path_factory) == want
-    # the column form, as ingest writes it: durations are floats there
     columns = ObservationColumns(
         user_ids=[u for u, *_ in rows],
         user=np.arange(len(rows)),
@@ -227,20 +234,20 @@ def simulated_files(tmp_path_factory):
             f.write(f"{e.user_id},{e.ts_hours!r},{e.kind},{badge},{p0},{p1}\n")
     schema = FeatureSchema.build(base=["profile_0", "profile_1"], badge="badge_count")
     write_schema_json(d / "schema.json", schema)
-    table = send_table(read_event_columns(d / "events.jsonl"), PipelineConfig())
+    table = send_table(read_events(d / "events.jsonl"), PipelineConfig())
     write_observations_jsonl(d / "observations.jsonl", table.observations(schema, 1 / 3600))
     return d
 
 
 # Traced peak bytes per row, about twice what the column readers need on
 # these files (70 per event, 75 per observation); readers that build an
-# Event or Observation per row need 375 to 515.
+# Python object per event or observation need 375 to 515.
 READER_BUDGET = {"events.jsonl": 140, "events.csv": 140, "observations.jsonl": 150}
 
 
 @pytest.mark.parametrize("name", sorted(READER_BUDGET))
 def test_column_readers_keep_no_object_per_row(simulated_files, name):
-    read = read_observation_columns if name == "observations.jsonl" else read_event_columns
+    read = read_observations_jsonl if name == "observations.jsonl" else read_events
     path = simulated_files / name
     read(path)  # imports and caches warmed up
     tracemalloc.start()
@@ -257,7 +264,7 @@ def test_commands_build_no_row_objects(simulated_files, tmp_path, monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"built a {type(self).__name__}")
 
-    for cls in (Event, Observation, SendInstance):
+    for cls in (Event, SendInstance):
         monkeypatch.setattr(cls, "__init__", refuse)
     d, out = simulated_files, tmp_path
     schema = ["--schema", d / "schema.json"]
@@ -274,3 +281,18 @@ def test_commands_build_no_row_objects(simulated_files, tmp_path, monkeypatch):
           for labeler in ("naive", "censoring_clean")),
     ]:
         assert main([str(a) for a in argv]) == 0, argv
+
+
+# -- a log as columns and as rows -----------------------------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(events(st.floats(allow_nan=False)), max_size=8))
+def test_event_columns_iterate_as_the_events_they_hold(evs):
+    assert list(EventColumns.from_events(evs)) == evs
+
+
+def test_reading_and_rewriting_a_log_keeps_its_bytes(simulated_files, tmp_path):
+    src = simulated_files / "events.jsonl"
+    write_events_jsonl(tmp_path / "events.jsonl", read_events(src))
+    assert (tmp_path / "events.jsonl").read_bytes() == src.read_bytes()

@@ -31,7 +31,10 @@ USER_IDS = ("a", "a\x00", "é", "u9", "u10")
 
 
 def observation_rows(obs):
-    return [(o.user_id, o.x.tolist(), o.t_hours, o.uncensored, o.origin_ts_hours) for o in obs]
+    return list(zip(
+        [obs.user_ids[u] for u in obs.user.tolist()], obs.x.tolist(), obs.t_hours.tolist(),
+        obs.uncensored.tolist(), obs.origin_ts_hours.tolist(),
+    ))
 
 
 def instance_rows(inst):
@@ -119,7 +122,7 @@ def test_simulated_log_matches_the_reference_walk(cfg):
     ids=["no-events", "window-excludes-all", "only-visits"],
 )
 def test_no_sends_gives_empty_results(events, cfg):
-    assert build_observations(events, SCHEMA, cfg) == []
+    assert len(build_observations(events, SCHEMA, cfg)) == 0
     assert build_send_instances(events, SCHEMA, cfg) == []
     labels = label_naive(events, 4.0, cfg)
     assert labels.shape == (0,) and labels.dtype == bool

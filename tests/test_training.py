@@ -13,7 +13,7 @@ from sendwhen import ConvergenceError, DataError
 from sendwhen.features import FeatureSchema
 from sendwhen.io import read_model_json, write_model_json
 from sendwhen.optimize import OptConfig
-from sendwhen.pipeline import Observation
+from sendwhen.pipeline import ObservationColumns
 from sendwhen.training import (
     DesignMatrix,
     LogisticModel,
@@ -26,10 +26,16 @@ from sendwhen.training import (
 
 
 def make_obs(X, t, delta):
-    return [
-        Observation("u", np.asarray(X[i], dtype=float), float(t[i]), bool(delta[i]), 0.0)
-        for i in range(len(t))
-    ]
+    """Observations of one user, all sent at time 0."""
+    n = len(t)
+    return ObservationColumns(
+        user_ids=["u"],
+        user=np.zeros(n, dtype=np.int64),
+        x=np.asarray(X, dtype=float),
+        t_hours=np.asarray(t, dtype=float),
+        uncensored=np.asarray(delta, dtype=bool),
+        origin_ts_hours=np.zeros(n),
+    )
 
 
 def sample_aft(rng, n, b_true, sigma_true, censor_at=None):
@@ -149,21 +155,15 @@ class TestFitAft:
     def test_duplication_invariance(self):
         rng = np.random.default_rng(2005)
         X, t, delta = sample_aft(rng, 500, [1.0, 0.4], 1.2, censor_at=15.0)
-        obs = make_obs(X, t, delta)
-        m1 = fit_aft(obs)
-        m2 = fit_aft(obs + obs)
+        m1 = fit_aft(make_obs(X, t, delta))
+        m2 = fit_aft(make_obs(np.vstack([X, X]), np.tile(t, 2), np.tile(delta, 2)))
         assert_allclose(m2.coefficients, m1.coefficients, atol=1e-6)
         assert m2.sigma == pytest.approx(m1.sigma, abs=1e-6)
 
     def test_rescaling_equivariance(self):
         rng = np.random.default_rng(2006)
         X, t, delta = sample_aft(rng, 3000, [1.5, 0.3, -0.2], 1.5, censor_at=12.0)
-        obs = make_obs(X, t, delta)
-        scaled = [
-            Observation(o.user_id, o.x, o.t_hours * 24.0, o.uncensored, 0.0)
-            for o in obs
-        ]
-        m1, m2 = fit_aft(obs), fit_aft(scaled)
+        m1, m2 = fit_aft(make_obs(X, t, delta)), fit_aft(make_obs(X, t * 24.0, delta))
         assert m2.coefficients[0] - m1.coefficients[0] == pytest.approx(
             math.log(24.0), abs=1e-3
         )
@@ -208,7 +208,7 @@ class TestFitAft:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="no observations"):
-            fit_aft([])
+            fit_aft(make_obs(np.ones((0, 1)), [], []))
 
     def test_max_iters_exhausted_raises(self):
         rng = np.random.default_rng(2011)
