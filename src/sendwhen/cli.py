@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,7 +39,6 @@ from . import __version__
 from .errors import (
     ConfigError,
     DataError,
-    DomainError,
     NumericalError,
     SchemaError,
     SendwhenError,
@@ -55,6 +55,8 @@ from .io import (
     dump_json,
     file_sha256,
     json_badge,
+    json_number,
+    line_of_record,
     load_json_config,
     read_events,
     read_model_json,
@@ -70,7 +72,7 @@ from .io import (
 from .optimize import OptConfig
 from .pipeline import PipelineConfig, send_table
 from .policies import Candidate, MooConfig, moo_solve, ratio_rule, threshold_rule
-from .scoring import ScoringContext, model_digest, score_batch
+from .scoring import model_digest, score_columns
 from .simulate import SimConfig, default_sim_schema, generate_event_log
 from .training import LogisticModel, WeibullAftModel, fit_aft
 
@@ -105,6 +107,18 @@ def _prepare_out(out_dir: str, filenames: Sequence[str], force: bool) -> Path:
             f"refusing to overwrite {existing} in {out}; pass --force to allow"
         )
     return out
+
+
+@contextmanager
+def _naming_lines(path: str, lines: Sequence[int] | None = None):
+    """Prefix path:line to a row error raised inside: lines[row], or read from path."""
+    try:
+        yield
+    except SendwhenError as exc:
+        if exc.row is None:
+            raise
+        line = line_of_record(path, exc.row) if lines is None else lines[exc.row]
+        raise type(exc)(f"{path}:{line}: {exc}") from None
 
 
 def _write_manifest(
@@ -200,7 +214,8 @@ def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConf
     schema = read_schema_json(args.schema)
     events = read_events(args.events)
     table = send_table(events, pipe_cfg)
-    observations = table.observations(schema, pipe_cfg.duration_floor_hours)
+    with _naming_lines(args.events):
+        observations = table.observations(schema, pipe_cfg.duration_floor_hours)
     n_uncensored = int(np.count_nonzero(observations.uncensored))
     report = {
         "n_events": len(events),
@@ -290,7 +305,8 @@ def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int
         pipe_cfg = _pipeline_config(merged)
         inputs["events"] = args.events
         inputs["schema"] = args.schema
-        model = fit_logistic_baselines(events, schema, [horizon], pipe_cfg, opt_cfg)[horizon]
+        with _naming_lines(args.events):
+            model = fit_logistic_baselines(events, schema, [horizon], pipe_cfg, opt_cfg)[horizon]
 
     # the out directory is made only once the inputs have given a model
     out = _prepare_out(args.out, ("model.json",), args.force)
@@ -338,10 +354,11 @@ def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> 
         logistic_models[m.horizon_t_hours] = m
     schema = read_schema_json(args.schema)
     events = read_events(args.events)
-    report = auc_vs_horizon(
-        aft, logistic_models, events, schema,
-        horizons=horizons, labeler=str(merged["labeler"]), cfg=pipe_cfg,
-    )
+    with _naming_lines(args.events):
+        report = auc_vs_horizon(
+            aft, logistic_models, events, schema,
+            horizons=horizons, labeler=str(merged["labeler"]), cfg=pipe_cfg,
+        )
 
     out = _prepare_out(args.out, ("auc_report.csv", "auc_report.json"), args.force)
     (out / "auc_report.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -382,38 +399,27 @@ def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:
     if model.schema is None:
         raise SchemaError(f"{args.model} carries no feature schema; scoring needs one")
 
-    linenos: list[int] = []
-    user_ids: list[str] = []
-    features: list[dict] = []
-    badges: list[int] = []
-    w0s: list[float] = []
+    linenos, user_ids, features, badges, w0s = [], [], [], [], []
     for lineno, rec in read_jsonl(args.contexts):
         try:
             user_ids.append(str(rec["user_id"]))
-            features.append({k: float(v) for k, v in dict(rec["features"]).items()})
+            features.append({k: json_number(v, k) for k, v in dict(rec["features"]).items()})
             badges.append(json_badge(rec["badge_count"]))
-            w0s.append(float(rec["w0_hours"]))
+            w0s.append(json_number(rec["w0_hours"], "w0_hours"))
         except ROW_ERRORS as exc:
             raise DataError(f"{args.contexts}:{lineno}: malformed context: {exc}") from exc
         linenos.append(lineno)
-    X0 = model.schema.materialize_rows(features, badges, np.zeros(len(user_ids)))
-    contexts = []
-    for lineno, x0, w0 in zip(linenos, X0, w0s):
-        try:
-            contexts.append(ScoringContext(features_now=tuple(x0), w0_hours=w0, horizon_T=horizon))
-        except DomainError as exc:
-            raise DataError(f"{args.contexts}:{lineno}: {exc}") from None
-    results = score_batch(contexts, model)
+    with _naming_lines(args.contexts, linenos):
+        X0 = model.schema.materialize_rows(features, badges, np.zeros(len(user_ids)))
+        scores = score_columns(model, X0, w0s, horizon)
 
     out = _prepare_out(args.out, ("deltas.jsonl",), args.force)
     version = model_digest(model)
+    shared = {"horizon_T": horizon, "alpha": scores.pop("alpha"), "model_version": version}
     write_jsonl(
         out / "deltas.jsonl",
-        (
-            {"user_id": user_id, "w0_hours": w0, "horizon_T": horizon,
-             **res.to_dict(), "model_version": version}
-            for user_id, w0, res in zip(user_ids, w0s, results)
-        ),
+        ({"user_id": user_id, "w0_hours": w0, **dict(zip(scores, row)), **shared}
+         for user_id, w0, *row in zip(user_ids, w0s, *(c.tolist() for c in scores.values()))),
     )
     _write_manifest(
         out,
@@ -422,7 +428,9 @@ def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:
         inputs={"model": args.model, "contexts": args.contexts},
         model_version=version,
     )
-    print(f"score: {len(results)} users at T={horizon}h -> {out / 'deltas.jsonl'}")
+    if not user_ids:
+        print("score: warning: empty context input, wrote empty deltas", file=sys.stderr)
+    print(f"score: {len(user_ids)} users at T={horizon}h -> {out / 'deltas.jsonl'}")
     return EXIT_OK
 
 
@@ -460,10 +468,9 @@ def _candidates_from_scores(
     for lineno, rec in read_jsonl(path):
         try:
             p = rec.get("p_click")
-            rows.append(
-                (lineno, str(rec["user_id"]), float(rec["delta"]), float(rec["p_wait"]),
-                 None if p is None else float(p))
-            )
+            rows.append((lineno, str(rec["user_id"]), json_number(rec["delta"], "delta"),
+                         json_number(rec["p_wait"], "p_wait"),
+                         None if p is None else json_number(p, "p_click")))
         except ROW_ERRORS as exc:
             raise DataError(f"{path}:{lineno}: malformed score row: {exc}") from exc
     n_missing = sum(1 for r in rows if r[4] is None)

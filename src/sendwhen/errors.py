@@ -6,7 +6,13 @@ can catch the base class or the specific subtype.
 
 
 class SendwhenError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Where a check over columns failed, row is the index of the first bad
+    row, so that a reader can name that row's line (see at_row).
+    """
+
+    row: int | None = None
 
 
 class DomainError(SendwhenError, ValueError):
@@ -31,3 +37,9 @@ class NumericalError(SendwhenError, ArithmeticError):
 
 class ConvergenceError(NumericalError):
     """An iterative fit stopped without meeting its convergence tolerance."""
+
+
+def at_row(exc: SendwhenError, row: int) -> SendwhenError:
+    """exc, marked as the fault of the given row of the columns checked."""
+    exc.row = int(row)
+    return exc

@@ -22,6 +22,7 @@ from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
 from .optimize import OptConfig
 from .pipeline import Event, EventColumns, ObservationColumns, PipelineConfig, send_table
+from .survival import cum_hazard
 from .training import LogisticModel, WeibullAftModel, fit_logistic
 
 DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
@@ -139,7 +140,7 @@ def score_for_auc(
         return model.predict_proba(X)
     mu = model.linear_predictor(X)
     lam = np.exp(-mu / model.sigma)
-    return -np.expm1(-lam * horizon**model.alpha)
+    return -np.expm1(-cum_hazard(horizon, lam, model.alpha))
 
 
 @dataclass(frozen=True)

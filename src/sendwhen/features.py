@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, at_row
 
 __all__ = ["SlotSpec", "FeatureSchema", "SLOT_KINDS"]
 
@@ -172,7 +172,8 @@ class FeatureSchema:
         Interaction slots are computed from their parents, so callers never
         supply them.  Missing base features and non-finite values raise a
         SchemaError for the first bad row, as if the rows were built one by
-        one: a missing feature first, then the first non-finite slot.
+        one: a missing feature first, then the first non-finite slot.  The
+        error's row is that row's index.
         """
         X = np.empty((len(badge_counts), len(self.slots)))
         for i, s in enumerate(self.slots):
@@ -184,67 +185,67 @@ class FeatureSchema:
                 X[:, i] = w0_hours
             elif s.kind == "base":  # a missing feature reads as nan here
                 X[:, i] = features[s.name][0] if s.name in features else np.nan
-        for i, s in enumerate(self.slots):
-            if s.kind == "interaction":
-                a, b = (self._index[p] for p in s.parents)
-                X[:, i] = X[:, a] * X[:, b]
+        self._interact(X)
         finite = np.isfinite(X)
         if np.count_nonzero(finite) < finite.size:
             row = int(np.argmin(finite.all(axis=1)))
             for s in self.slots:
                 if s.kind == "base" and not (s.name in features and features[s.name][1][row]):
-                    raise SchemaError(f"missing base feature {s.name!r}")
+                    raise at_row(SchemaError(f"missing base feature {s.name!r}"), row)
             bad = self.slots[int(np.argmin(finite[row]))].name
-            raise SchemaError(f"non-finite value in slot {bad!r}")
+            raise at_row(SchemaError(f"non-finite value in slot {bad!r}"), row)
         return X
 
-    def invalid_rows(self, X: np.ndarray) -> np.ndarray:
-        """Mask of the rows of an (n, w) matrix that validate_vector rejects."""
-        if X.shape[1] != len(self.slots):
-            return np.ones(X.shape[0], dtype=bool)
-        icpt = self.indices_of_kind("intercept")[0]
-        return ~np.isfinite(X).all(axis=1) | (X[:, icpt] != 1.0)
+    def _interact(self, X: np.ndarray) -> None:
+        """Set every interaction slot of X (a vector or a matrix) from its parents."""
+        with np.errstate(invalid="ignore"):  # inf * 0 is a nan the callers report
+            for i, s in enumerate(self.slots):
+                if s.kind == "interaction":
+                    a, b = (self._index[p] for p in s.parents)
+                    X[..., i] = X[..., a] * X[..., b]
 
-    def validate_vector(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] != len(self.slots):
-            raise SchemaError(
-                f"vector length {arr.shape} does not match schema "
-                f"({len(self.slots)} slots)"
-            )
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise SchemaError(
-                f"non-finite value in slot {self.slots[bad].name!r}"
-            )
+    def check_rows(self, X: np.ndarray) -> None:
+        """Raise a SchemaError for the first row of an (n, w) matrix the schema refuses.
+
+        A row needs one value per slot, every value finite and 1.0 in the
+        intercept slot; the error's row is the first bad row's index.
+        """
+        if X.ndim != 2 or X.shape[1] != len(self.slots):
+            if len(X):
+                raise at_row(SchemaError(
+                    f"vector length {X.shape[1:]} does not match schema ({len(self.slots)} slots)"
+                ), 0)
+            return
         icpt = self.indices_of_kind("intercept")[0]
-        if arr[icpt] != 1.0:
-            raise SchemaError(
-                f"intercept slot {self.slots[icpt].name!r} must be 1.0, "
-                f"got {arr[icpt]}"
-            )
-        return arr
+        finite = np.isfinite(X)
+        bad = ~finite.all(axis=1) | (X[:, icpt] != 1.0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            if not finite[row].all():
+                name = self.slots[int(np.argmin(finite[row]))].name
+                raise at_row(SchemaError(f"non-finite value in slot {name!r}"), row)
+            raise at_row(SchemaError(f"intercept slot {self.slots[icpt].name!r} must be 1.0, "
+                                     f"got {X[row, icpt]}"), row)
 
     # -- the send transition ----------------------------------------------
 
-    def transition(self, x0: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Feature vector after a hypothetical send right now.
+    def transition(self, X0: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Feature vectors after a hypothetical send right now.
 
-        The badge count goes up by one, slots derived from time-in-state
-        drop to zero (a send starts a new state), and every interaction is
-        recomputed from its updated parents.  Everything else is carried
-        over unchanged.
+        X0 is one vector or an (n, k) matrix of them, unchecked (see
+        check_rows).  The badge count goes up by one, slots derived from
+        time-in-state drop to zero (a send starts a new state), and every
+        interaction is recomputed from its updated parents.  Everything
+        else is carried over unchanged.
         """
-        x1 = self.validate_vector(x0).copy()
-        for i in self.indices_of_kind("badge"):
-            x1[i] += 1.0
-        for i in self.indices_of_kind("w0"):
-            x1[i] = 0.0
+        X1 = np.array(X0, dtype=float)
         for i, s in enumerate(self.slots):
-            if s.kind == "interaction":
-                a, b = (self._index[p] for p in s.parents)
-                x1[i] = x1[a] * x1[b]
-        return x1
+            if s.kind == "badge":
+                X1[..., i] += 1.0
+            elif s.kind == "w0":
+                X1[..., i] = 0.0
+        self._interact(X1)
+        return X1
 
     # -- persistence --------------------------------------------------------
 

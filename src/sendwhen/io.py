@@ -137,15 +137,24 @@ def json_badge(v) -> int:
     return v
 
 
+def json_number(v, name: str) -> float:
+    """A JSON number field as a float: an int or a float, never a bool or a string."""
+    if type(v) not in _NUMBER_TYPES:
+        raise TypeError(f"{name} must be a number, got {v!r}")
+    return float(v)
+
+
 def _event_columns(
-    records: Iterable[tuple[int, Mapping]], where: str, badge_of: Callable[[object], int]
+    records: Iterable[tuple[int, Mapping]], where: str,
+    badge_of: Callable[[object], int], number_of: Callable[[object, str], float],
 ) -> EventColumns:
     """Convert and check each (line number, record), then append it to columns.
 
     The conversions run in a fixed order (user_id, ts_hours, kind,
     badge_count, features) and the event checks after them, so the first
     bad line, and the first fault on it, names the error.  badge_of
-    converts a present badge_count: json_badge for JSON, int for CSV text.
+    converts a present badge_count and number_of(value, name) a number:
+    json_badge and json_number for JSON, int and float for CSV text.
     """
     columns = EventColumnAppender()
     for lineno, rec in records:
@@ -153,10 +162,10 @@ def _event_columns(
             badge = rec.get("badge_count")
             columns.append(
                 str(rec["user_id"]),
-                float(rec["ts_hours"]),
+                number_of(rec["ts_hours"], "ts_hours"),
                 str(rec["kind"]),
                 None if badge is None else badge_of(badge),
-                {k: float(v) for k, v in (rec.get("features") or {}).items()},
+                {k: number_of(v, k) for k, v in (rec.get("features") or {}).items()},
             )
         except DataError as exc:  # the event checks
             raise DataError(f"{where}:{lineno}: {exc}") from None
@@ -209,8 +218,14 @@ def _csv_records(path: str | Path) -> Iterator[tuple[int, dict]]:
 def read_events(path: str | Path) -> EventColumns:
     """Read an event log into columns: .csv as CSV, anything else as JSONL."""
     if str(path).lower().endswith(".csv"):
-        return _event_columns(_csv_records(path), str(path), int)
-    return _event_columns(read_jsonl(path), str(path), json_badge)
+        return _event_columns(_csv_records(path), str(path), int, lambda cell, _: float(cell))
+    return _event_columns(read_jsonl(path), str(path), json_badge, json_number)
+
+
+def line_of_record(path: str | Path, row: int) -> int:
+    """Line of the row-th record of a JSONL or CSV file, read again, as its reader counts."""
+    records = _csv_records(path) if str(path).lower().endswith(".csv") else read_jsonl(path)
+    return next(islice(records, row, None))[0]
 
 
 def _json_float(v: float) -> str:
@@ -271,12 +286,6 @@ def write_observations_jsonl(path: str | Path, observations: ObservationColumns)
         )
 
 
-def _line_of_row(path: str | Path, row: int) -> int:
-    """Line number of the row-th record of a JSONL file (blank lines hold none)."""
-    with _open_input(path) as f:
-        return next(islice((n for n, line in enumerate(f, start=1) if line.strip()), row, None))
-
-
 def read_observations_jsonl(
     path: str | Path, schema: FeatureSchema | None = None
 ) -> ObservationColumns:
@@ -297,8 +306,8 @@ def read_observations_jsonl(
                 raise ValueError(f"x has {len(x)} values, the first row {width}")
             user_id = str(rec["user_id"])
             x_values.extend(x)
-            t = float(rec["t_hours"])
-            o = float(rec.get("origin_ts_hours", math.nan))
+            t = json_number(rec["t_hours"], "t_hours")
+            o = json_number(rec.get("origin_ts_hours", math.nan), "origin_ts_hours")
         except ROW_ERRORS as exc:
             raise DataError(f"{path}:{lineno}: malformed observation: {exc}") from exc
         if t <= 0 or not math.isfinite(t):
@@ -309,12 +318,10 @@ def read_observations_jsonl(
         origin.append(o)
     X = np.frombuffer(x_values, float).reshape(len(t_hours), width or 0)
     if schema is not None:
-        bad = np.flatnonzero(schema.invalid_rows(X))
-        if bad.size:
-            try:
-                schema.validate_vector(X[bad[0]])
-            except SchemaError as exc:
-                raise SchemaError(f"{path}:{_line_of_row(path, int(bad[0]))}: {exc}") from None
+        try:
+            schema.check_rows(X)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{line_of_record(path, exc.row)}: {exc}") from None
     return ObservationColumns(
         user_ids=list(codes),
         user=np.frombuffer(user, np.int64),

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, SchemaError, at_row
 from .features import FeatureSchema
 
 __all__ = [
@@ -257,7 +257,7 @@ class SendTable:
         return self.events.user[self.rows]
 
     def matrix(self, schema: FeatureSchema, sends: np.ndarray | None = None) -> np.ndarray:
-        """Feature snapshots of the given sends (all of them by default)."""
+        """Feature snapshots of the given sends (all by default); an error's row is in events."""
         sends = slice(None) if sends is None else sends
         rows = self.rows[sends]
         names = set(schema.names)
@@ -265,9 +265,12 @@ class SendTable:
             name: (values[rows], present[rows])
             for name, (values, present) in self.events.features.items() if name in names
         }
-        return schema.materialize_columns(
-            features, self.events.badge_count[rows], self.w0_hours[sends]
-        )
+        try:
+            return schema.materialize_columns(
+                features, self.events.badge_count[rows], self.w0_hours[sends]
+            )
+        except SchemaError as exc:
+            raise at_row(exc, rows[exc.row])
 
     def observations(
         self, schema: FeatureSchema, duration_floor_hours: float

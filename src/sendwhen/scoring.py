@@ -1,10 +1,10 @@
-"""Per-user delta-effect scoring.
+"""Per-user delta-effect scoring, on columns.
 
 Scoring answers: if this user gets a notification right now, how much
 more likely is a visit within the next T hours than if we stay quiet?
 The answer needs the user's current feature vector, the hypothetical
 post-send vector (badge up one, state clock reset), and the fitted
-model, all combined through the survival layer.
+model, all combined through the survival layer's send_vs_wait.
 """
 
 from __future__ import annotations
@@ -17,20 +17,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SchemaError
-from .survival import (
-    StatePair,
-    WeibullParams,
-    delta_effect,
-    prob_visit_if_not_send,
-    prob_visit_if_send,
-)
+from .errors import DomainError, NumericalError, SchemaError, at_row
+from .survival import send_vs_wait
 from .training import WeibullAftModel
 
 __all__ = [
     "ScoringContext",
-    "DeltaEffectResult",
-    "score_delta_effect",
+    "score_columns",
     "score_batch",
     "model_digest",
 ]
@@ -44,40 +37,6 @@ class ScoringContext:
     w0_hours: float
     horizon_T: float
 
-    def __post_init__(self) -> None:
-        x = np.asarray(self.features_now, dtype=float)
-        if x.ndim != 1 or len(x) == 0:
-            raise DomainError("features_now must be a non-empty vector")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("features_now must be finite")
-        if not (math.isfinite(self.w0_hours) and self.w0_hours >= 0):
-            raise DomainError(f"w0_hours must be >= 0, got {self.w0_hours}")
-        if not (math.isfinite(self.horizon_T) and self.horizon_T > 0):
-            raise DomainError(f"horizon_T must be > 0, got {self.horizon_T}")
-        object.__setattr__(self, "features_now", tuple(float(v) for v in x))
-
-
-@dataclass(frozen=True)
-class DeltaEffectResult:
-    """Delta effect plus every intermediate needed to audit it."""
-
-    delta: float
-    p_send: float
-    p_wait: float
-    lambda0: float
-    lambda1: float
-    alpha: float
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "p_send": self.p_send,
-            "p_wait": self.p_wait,
-            "lambda0": self.lambda0,
-            "lambda1": self.lambda1,
-            "alpha": self.alpha,
-        }
-
 
 def model_digest(model: WeibullAftModel) -> str:
     """Short stable digest of what the model predicts with."""
@@ -90,57 +49,67 @@ def model_digest(model: WeibullAftModel) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def score_delta_effect(
-    ctx: ScoringContext, model: WeibullAftModel
-) -> DeltaEffectResult:
-    """Visit-probability gain of sending now versus waiting.
+def _rate(mu: float, sigma: float) -> float:
+    try:
+        return math.exp(-mu / sigma)
+    except OverflowError:
+        return math.inf
 
-    The current state maps to one Weibull law, the post-send state to
-    another with the same shape; the result carries both rates, the
-    shape, and both conditional probabilities.
+
+def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T) -> dict:
+    """Visit-probability gain of sending now versus waiting, one row per user.
+
+    X0 holds the users' feature vectors, w0_hours their hours in the
+    current state and horizon_T one horizon or a column of them.  Returns
+    the columns delta, p_send, p_wait, lambda0 and lambda1 (the pre- and
+    post-send rates), and alpha.  Inputs, then rates, are checked as
+    columns; a rate or hazard that overflows is a NumericalError, and an
+    error's row is the first bad row.  The arithmetic runs per row on
+    Python floats, so a row's bits do not depend on the others.
     """
     schema = model.schema
     if schema is None:
         raise SchemaError("model carries no feature schema; scoring needs one")
-    x0 = np.asarray(ctx.features_now, dtype=float)
-    if len(x0) != len(model.feature_names):
-        raise SchemaError(
-            f"context has {len(x0)} features, model expects "
-            f"{len(model.feature_names)}"
-        )
     if len(schema) != len(model.feature_names):
         raise SchemaError("model schema and coefficient vector disagree")
-    x1 = schema.transition(x0)
+    X0 = np.asarray(X0, dtype=float)
+    schema.check_rows(X0)
+    w0 = np.asarray(w0_hours, dtype=float).reshape(len(X0))
+    T = np.broadcast_to(np.asarray(horizon_T, dtype=float), w0.shape)
+    for col, ok, name, bound in ((w0, w0 >= 0, "w0_hours", ">="), (T, T > 0, "horizon_T", ">")):
+        bad = ~(ok & np.isfinite(col))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise at_row(DomainError(f"{name} must be {bound} 0, got {float(col[i])}"), i)
 
-    mu0 = float(x0 @ model.coefficients)
-    mu1 = float(x1 @ model.coefficients)
-    sigma = model.sigma
-    try:
-        lam0 = math.exp(-mu0 / sigma)
-        lam1 = math.exp(-mu1 / sigma)
-    except OverflowError:
-        lam0 = lam1 = math.inf
-    if not (math.isfinite(lam0) and math.isfinite(lam1)):
-        raise NumericalError(
-            f"non-finite rate from linear predictors ({mu0}, {mu1})"
-        )
-    alpha = model.alpha
-    pre = WeibullParams(rate=lam0, shape=alpha)
-    post = WeibullParams(rate=lam1, shape=alpha)
-    pair = StatePair(pre=pre, post=post, elapsed_w0=ctx.w0_hours)
+    b, sigma, alpha = model.coefficients, model.sigma, model.alpha
+    mu = [(float(x0 @ b), float(x1 @ b)) for x0, x1 in zip(X0, schema.transition(X0))]
+    lam = np.array([(_rate(m0, sigma), _rate(m1, sigma)) for m0, m1 in mu]).reshape(-1, 2)
+    bad = ~(np.isfinite(lam) & (lam > 0.0)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not np.isfinite(lam[i]).all():
+            raise at_row(NumericalError(f"non-finite rate from linear predictors {mu[i]}"), i)
+        raise at_row(DomainError(f"rate must be finite and > 0, got {float(lam[i].min())}"), i)
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError(f"shape must be finite and > 0, got {alpha}")
+    terms = np.empty((len(lam), 3))
+    for i, (t, w, (lam0, lam1)) in enumerate(zip(T.tolist(), w0.tolist(), lam.tolist())):
+        try:
+            terms[i] = send_vs_wait(t, w, lam0, alpha, lam1, alpha)
+        except OverflowError:  # a hazard rate * t**shape beyond the largest float
+            raise at_row(NumericalError(f"hazard overflows at w0_hours {w}"), i) from None
+    return {
+        "delta": terms[:, 0], "p_send": terms[:, 1], "p_wait": terms[:, 2],
+        "lambda0": lam[:, 0], "lambda1": lam[:, 1], "alpha": alpha,
+    }
 
-    return DeltaEffectResult(
-        delta=delta_effect(pair, ctx.horizon_T),
-        p_send=prob_visit_if_send(ctx.horizon_T, post),
-        p_wait=prob_visit_if_not_send(ctx.horizon_T, pre, ctx.w0_hours),
-        lambda0=lam0,
-        lambda1=lam1,
-        alpha=alpha,
+
+def score_batch(contexts: Iterable[ScoringContext], model: WeibullAftModel) -> dict:
+    """score_columns over context records, each with its own horizon."""
+    contexts = list(contexts)
+    X0 = np.array([c.features_now for c in contexts], dtype=float)
+    return score_columns(
+        model, X0.reshape(len(contexts), len(model.feature_names)),
+        [c.w0_hours for c in contexts], [c.horizon_T for c in contexts],
     )
-
-
-def score_batch(
-    contexts: Iterable[ScoringContext], model: WeibullAftModel
-) -> list[DeltaEffectResult]:
-    return [score_delta_effect(ctx, model) for ctx in contexts]
-

@@ -18,13 +18,14 @@ from .errors import DomainError
 
 __all__ = [
     "WeibullParams",
-    "StatePair",
     "weibull_cdf",
     "weibull_sf",
     "weibull_pdf",
     "prob_visit_if_send",
     "prob_visit_if_not_send",
     "delta_effect",
+    "cum_hazard",
+    "send_vs_wait",
 ]
 
 
@@ -45,25 +46,6 @@ class WeibullParams:
             raise DomainError(f"shape must be finite and > 0, got {self.shape}")
 
 
-@dataclass(frozen=True)
-class StatePair:
-    """Time-to-visit laws before (pre) and after (post) a hypothetical send.
-
-    ``elapsed_w0`` is how long, in hours, the user has already spent in the
-    pre-send state (time since the last badge update).
-    """
-
-    pre: WeibullParams
-    post: WeibullParams
-    elapsed_w0: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.elapsed_w0) and self.elapsed_w0 >= 0.0):
-            raise DomainError(
-                f"elapsed_w0 must be finite and >= 0, got {self.elapsed_w0}"
-            )
-
-
 def _check_time(t: float, name: str = "t", positive: bool = False) -> float:
     t = float(t)
     if not math.isfinite(t):
@@ -73,14 +55,40 @@ def _check_time(t: float, name: str = "t", positive: bool = False) -> float:
             raise DomainError(f"{name} must be > 0, got {t}")
     elif t < 0.0:
         raise DomainError(f"{name} must be >= 0, got {t}")
-    return t
+    return t + 0.0  # -0.0 becomes 0.0
 
 
-def _cum_hazard(t: float, p: WeibullParams) -> float:
-    """rate * t**shape; the Weibull cumulative hazard at t."""
-    if t == 0.0:
-        return 0.0
-    return p.rate * t**p.shape
+def cum_hazard(t, rate, shape):
+    """rate * t**shape, the Weibull cumulative hazard at t >= 0; floats or arrays."""
+    return rate * t**shape
+
+
+def send_vs_wait(
+    horizon_t: float, w0: float, rate0: float, shape0: float, rate1: float, shape1: float
+) -> tuple[float, float, float]:
+    """(delta, p_send, p_wait) of a send now; plain floats, unchecked.
+
+    (rate0, shape0) is the pre-send law and (rate1, shape1) the post-send
+    one; the caller ensures T = horizon_t > 0, w0 >= 0 and finite positive
+    rates and shapes.  p_send is the post-send CDF at T.  p_wait is the
+    pre-send probability of a visit within T after w0 hours without one,
+    [F(T + w0) - F(w0)] / [1 - F(w0)] = 1 - exp(-gap) with the hazard gap
+    gap = rate0 * ((T + w0)**shape0 - w0**shape0), a form that never
+    divides by a tiny survival value.  delta = exp(-gap) - exp(-rate1 *
+    T**shape1) is signed and, for shape0 in (0, 1), increasing in w0.
+
+    Huge w0: the gap cancels when w0 >> T, so delta's absolute error grows
+    like 2**-51 * (1 + rate0 * w0**shape0); the stable form rate0 *
+    w0**shape0 * expm1(shape0 * log1p(T / w0)) would change the bits of
+    ordinary scores.  For rate 0.05 and shape 0.5 in both laws and T = 24,
+    the relative error stays below 1e-12 up to w0 = 1e8 h (about 11,000
+    years) and is near 1e-9 at 1e14 h.  p_wait stays in [0, 1] until a
+    power overflows (OverflowError), and delta falls as w0 grows only
+    between w0 values so close that its true rise is below that error.
+    """
+    gap = cum_hazard(horizon_t + w0, rate0, shape0) - cum_hazard(w0, rate0, shape0)
+    post = cum_hazard(horizon_t, rate1, shape1)
+    return math.exp(-gap) - math.exp(-post), -math.expm1(-post), -math.expm1(-gap)
 
 
 def weibull_cdf(t: float, p: WeibullParams) -> float:
@@ -90,13 +98,13 @@ def weibull_cdf(t: float, p: WeibullParams) -> float:
     precision in the survival tail.
     """
     t = _check_time(t)
-    return -math.expm1(-_cum_hazard(t, p))
+    return -math.expm1(-cum_hazard(t, p.rate, p.shape))
 
 
 def weibull_sf(t: float, p: WeibullParams) -> float:
     """Survival function P(visit time > t) = exp(-rate * t**shape)."""
     t = _check_time(t)
-    return math.exp(-_cum_hazard(t, p))
+    return math.exp(-cum_hazard(t, p.rate, p.shape))
 
 
 def weibull_pdf(t: float, p: WeibullParams) -> float:
@@ -117,52 +125,29 @@ def weibull_pdf(t: float, p: WeibullParams) -> float:
         math.log(p.shape)
         + math.log(p.rate)
         + (p.shape - 1.0) * math.log(t)
-        - _cum_hazard(t, p)
+        - cum_hazard(t, p.rate, p.shape)
     )
     return math.exp(log_pdf)
 
 
 def prob_visit_if_send(horizon_t: float, post: WeibullParams) -> float:
-    """Probability of a visit within horizon_t hours if we send now.
-
-    Sending starts the post-send state, so this is simply the post-state
-    CDF at the horizon.
-    """
+    """Probability of a visit within horizon_t hours if we send now: post's CDF there."""
     horizon_t = _check_time(horizon_t, "horizon_t", positive=True)
-    return weibull_cdf(horizon_t, post)
+    return send_vs_wait(horizon_t, 0.0, post.rate, post.shape, post.rate, post.shape)[1]
 
 
-def prob_visit_if_not_send(
-    horizon_t: float, pre: WeibullParams, w0: float
-) -> float:
-    """Probability of a visit within horizon_t hours if we hold.
+def prob_visit_if_not_send(horizon_t: float, pre: WeibullParams, w0: float) -> float:
+    """Probability of a visit within horizon_t hours if we hold, w0 hours into pre."""
+    horizon_t = _check_time(horizon_t, "horizon_t", positive=True)
+    w0 = _check_time(w0, "w0")
+    return send_vs_wait(horizon_t, w0, pre.rate, pre.shape, pre.rate, pre.shape)[2]
 
-    The user has already spent w0 hours in the current state without
-    visiting, so this is the conditional probability
-    [F(horizon_t + w0) - F(w0)] / [1 - F(w0)], which for the Weibull
-    collapses to 1 - exp(-rate * ((horizon_t + w0)**shape - w0**shape)).
-    The collapsed form is used: it never divides by a tiny survival value.
+
+def delta_effect(horizon_t: float, pre: WeibullParams, post: WeibullParams, w0: float) -> float:
+    """Extra visit probability within horizon_t from sending now, w0 hours into pre.
+
+    pre and post are the time-to-visit laws before and after the send.
     """
     horizon_t = _check_time(horizon_t, "horizon_t", positive=True)
     w0 = _check_time(w0, "w0")
-    hazard_gap = _cum_hazard(horizon_t + w0, pre) - _cum_hazard(w0, pre)
-    return -math.expm1(-hazard_gap)
-
-
-def delta_effect(sp: StatePair, horizon_t: float) -> float:
-    """Extra visit probability within horizon_t gained by sending now.
-
-    Equals prob_visit_if_send - prob_visit_if_not_send, evaluated in the
-    closed form
-
-        exp(-rate0 * ((T + w0)**shape0 - w0**shape0)) - exp(-rate1 * T**shape1)
-
-    which is strictly increasing in w0 whenever shape0 is in (0, 1).  The
-    value is signed; a post-send state worse than waiting yields a
-    negative delta, and thresholding is left to the decision policies.
-    """
-    horizon_t = _check_time(horizon_t, "horizon_t", positive=True)
-    hazard_gap = _cum_hazard(horizon_t + sp.elapsed_w0, sp.pre) - _cum_hazard(
-        sp.elapsed_w0, sp.pre
-    )
-    return math.exp(-hazard_gap) - math.exp(-_cum_hazard(horizon_t, sp.post))
+    return send_vs_wait(horizon_t, w0, pre.rate, pre.shape, post.rate, post.shape)[0]

@@ -19,7 +19,6 @@ from .errors import DataError, NumericalError, SchemaError
 from .features import FeatureSchema
 from .optimize import OptConfig, OptResult, minimize_smooth
 from .pipeline import ObservationColumns
-from .survival import WeibullParams
 
 __all__ = [
     "DesignMatrix",
@@ -200,16 +199,6 @@ class WeibullAftModel:
 
     def linear_predictor(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.coefficients
-
-    def rate_of(self, x: np.ndarray) -> float:
-        """Weibull rate for one feature vector: exp(-(b.x)/sigma)."""
-        mu = float(np.asarray(x, dtype=float) @ self.coefficients)
-        if not math.isfinite(mu):
-            raise NumericalError(f"non-finite linear predictor {mu}")
-        return math.exp(-mu / self.sigma)
-
-    def weibull_of(self, x: np.ndarray) -> WeibullParams:
-        return WeibullParams(rate=self.rate_of(x), shape=self.alpha)
 
 
 @dataclass(frozen=True, eq=False)

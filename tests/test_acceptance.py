@@ -27,7 +27,6 @@ from sendwhen.simulate import (
     sample_time_to_visit,
 )
 from sendwhen.survival import (
-    StatePair,
     WeibullParams,
     delta_effect,
     prob_visit_if_not_send,
@@ -142,7 +141,7 @@ def test_criterion_03_idle_time_monotonicity_suite():
             math.exp(rng.uniform(-4.0, 0.0)), rng.uniform(0.1, 3.0)
         )
         t = rng.uniform(0.1, 48.0)
-        deltas = [delta_effect(StatePair(pre, post, w0), t) for w0 in w0_grid]
+        deltas = [delta_effect(t, pre, post, w0) for w0 in w0_grid]
         diffs = np.diff(deltas)
         assert np.all(diffs > 0.0), (trial, pre, post, t)
 
@@ -168,7 +167,7 @@ def test_criterion_04_delta_closed_form_equals_direct_difference():
         w0 = rng.uniform(0.0, 72.0)
         t = rng.uniform(0.01, 72.0)
         direct = prob_visit_if_send(t, post) - prob_visit_if_not_send(t, pre, w0)
-        closed = delta_effect(StatePair(pre, post, w0), t)
+        closed = delta_effect(t, pre, post, w0)
         worst = max(worst, abs(direct - closed))
         assert worst < 1e-12, (pre, post, w0, t)
     print(

@@ -19,10 +19,10 @@ from sendwhen.io import (
     read_observations_jsonl,
     read_schema_json,
 )
-from sendwhen.scoring import ScoringContext, score_delta_effect
 from sendwhen.training import WeibullAftModel
 
 from oracle_lp import lp_oracle
+from oracle_score import score_row
 
 
 def run(*argv) -> int:
@@ -393,11 +393,9 @@ def test_score_batch_equals_per_row(sim_dir, aft_dir, score_dir):
     rows = {r["user_id"]: r for r in read_jsonl(score_dir / "deltas.jsonl")}
     for rec in contexts[:10]:
         x0 = model.schema.materialize(rec["features"], badge_count=rec["badge_count"])
-        res = score_delta_effect(
-            ScoringContext(features_now=tuple(x0), w0_hours=rec["w0_hours"], horizon_T=24.0),
-            model,
-        )
-        assert rows[rec["user_id"]]["delta"] == pytest.approx(res.delta, abs=0.0)
+        row = rows[rec["user_id"]]
+        assert {k: row[k] for k in ("delta", "p_send", "p_wait", "lambda0", "lambda1", "alpha")} \
+            == score_row(model, x0, rec["w0_hours"], 24.0)
 
 
 def test_score_zero_coefficients_zero_delta_at_w0_zero(tmp_path, sim_dir, aft_dir):
@@ -415,6 +413,40 @@ def test_score_zero_coefficients_zero_delta_at_w0_zero(tmp_path, sim_dir, aft_di
                "--horizon-T", 24, "--out", out) == 0
     rows = read_jsonl(out / "deltas.jsonl")
     assert rows[0]["delta"] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("context,model,code,message", [
+    ({"features": {"profile_0": 1e4, "profile_1": 1e4}}, {"coefficients": 0.5}, 3,
+     "rate must be finite and > 0, got 0.0"),
+    ({"features": {"profile_0": -1e4, "profile_1": -1e4}}, {"coefficients": 0.5}, 4,
+     "non-finite rate from linear predictors ("),
+    ({"w0_hours": 1e300}, {"log_sigma": -0.5}, 4, "hazard overflows at w0_hours 1e+300"),
+], ids=["rate-underflow", "rate-overflow", "hazard-overflow"])
+def test_score_extremes_name_their_line(tmp_path, capsys, aft_dir, context, model, code, message):
+    model_rec = json.loads((aft_dir / "model.json").read_text())
+    if "coefficients" in model:
+        model_rec["coefficients"] = [model["coefficients"]] * len(model_rec["coefficients"])
+    else:
+        model_rec.update(model)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_rec))
+    contexts = tmp_path / "c.jsonl"
+    contexts.write_text(json.dumps(CONTEXT) + "\n\n" + json.dumps({**CONTEXT, **context}) + "\n")
+    out = tmp_path / "o"
+    assert run("score", "--model", model_path, "--contexts", contexts, "--out", out) == code
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {contexts}:3: {message}")
+    assert not out.exists()
+
+
+def test_score_empty_contexts_warns_and_writes_empty_deltas(tmp_path, capsys, aft_dir):
+    contexts = tmp_path / "c.jsonl"
+    contexts.write_text("")
+    out = tmp_path / "o"
+    assert run("score", "--model", aft_dir / "model.json", "--contexts", contexts,
+               "--out", out) == 0
+    assert (out / "deltas.jsonl").read_text() == ""
+    assert capsys.readouterr().err == "score: warning: empty context input, wrote empty deltas\n"
 
 
 def test_score_numerical_failure_exit_code(tmp_path, aft_dir):
@@ -743,6 +775,12 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, sim_dir, kin
     ({"user_id": "", "delta": 0.1, "p_wait": 0.5}, "candidate needs a user_id"),
     ({"user_id": "b", "delta": 10**400, "p_wait": 0.5},
      "malformed score row: int too large to convert to float"),
+    ({"user_id": "b", "delta": True, "p_wait": 0.5},
+     "malformed score row: delta must be a number, got True"),
+    ({"user_id": "b", "delta": 0.1, "p_wait": "0.5"},
+     "malformed score row: p_wait must be a number, got '0.5'"),
+    ({"user_id": "b", "delta": 0.1, "p_wait": 0.5, "p_click": False},
+     "malformed score row: p_click must be a number, got False"),
 ])
 def test_decide_bad_candidate_names_its_line(tmp_path, capsys, row, message):
     scores = tmp_path / "s.jsonl"
@@ -763,14 +801,20 @@ CONTEXT = {"user_id": "a", "features": {"profile_0": 0.1, "profile_1": -0.2},
     ("badge_count", math.inf, "malformed context: badge_count must be an integer, got inf"),
     ("badge_count", "2", "malformed context: badge_count must be an integer, got '2'"),
     ("w0_hours", -1, "w0_hours must be >= 0, got -1.0"),
-], ids=["float-badge", "bool-badge", "infinite-badge", "string-badge", "negative-w0"])
+    ("w0_hours", True, "malformed context: w0_hours must be a number, got True"),
+    ("features", {"profile_0": True, "profile_1": 0.0},
+     "malformed context: profile_0 must be a number, got True"),
+    ("features", {"profile_0": 1e400, "profile_1": 0.0}, "non-finite value in slot 'profile_0'"),
+    ("features", {"profile_1": 0.0}, "missing base feature 'profile_0'"),
+], ids=["float-badge", "bool-badge", "infinite-badge", "string-badge", "negative-w0",
+        "bool-w0", "bool-feature", "infinite-feature", "missing-feature"])
 def test_score_bad_context_names_its_line(tmp_path, capsys, aft_dir, key, value, message):
     contexts = tmp_path / "c.jsonl"
     contexts.write_text(json.dumps(CONTEXT) + "\n\n" + json.dumps({**CONTEXT, key: value}) + "\n")
     out = tmp_path / "o"
     assert run("score", "--model", aft_dir / "model.json", "--contexts", contexts,
                "--out", out) == 3
-    assert capsys.readouterr().err.splitlines()[-1] == f"error: {contexts}:3: {message}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {contexts}:3: {message}"]
     assert not out.exists()
 
 
@@ -793,7 +837,7 @@ def _failing_run(case, tmp_path, sim_dir, aft_dir):
     events.write_text("user_id,ts_hours,kind,badge_count,profile_0,profile_1\n"
                       "u,0.0,send,1,0.5,\nu,1.0,visit,,,\n")
     return (["ingest", "--events", events, "--schema", sim_dir / "schema.json"],
-            "missing base feature 'profile_1'")
+            f"{events}:2: missing base feature 'profile_1'")
 
 
 @pytest.mark.parametrize("case", ["decide-moo-duplicate-user", "evaluate-horizon-without-model",

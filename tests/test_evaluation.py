@@ -33,7 +33,7 @@ from sendwhen.simulate import (
     generate_event_log,
 )
 from sendwhen.training import WeibullAftModel, fit_aft
-from sendwhen.survival import weibull_cdf
+from sendwhen.survival import WeibullParams, weibull_cdf
 
 B_TRUE = (2.6, 0.4, -0.3, -0.15, 0.05)
 
@@ -239,7 +239,8 @@ class TestScoreForAuc:
         X = np.column_stack([np.ones(20), rng.normal(size=(20, 2))])
         s = score_for_auc(m, X, 24.0)
         for i in range(20):
-            assert s[i] == pytest.approx(weibull_cdf(24.0, m.weibull_of(X[i])), rel=1e-12)
+            law = WeibullParams(math.exp(-float(X[i] @ m.coefficients) / m.sigma), m.alpha)
+            assert s[i] == pytest.approx(weibull_cdf(24.0, law), rel=1e-12)
 
     def test_logistic_scores_are_probabilities(self, corpus):
         sim, schema, _, logistics = corpus

@@ -129,17 +129,26 @@ class TestMaterialize:
         x = s.materialize({"p": 7.0}, badge_count=2, w0_hours=13.5)
         assert x[s.index("hours_in_state")] == 13.5
 
-    def test_validate_vector_shape_and_intercept(self):
+    def test_check_rows_shape_and_intercept(self):
         s = demo_schema()
-        with pytest.raises(SchemaError, match="length"):
-            s.validate_vector([1.0, 2.0])
-        bad = s.materialize(
+        with pytest.raises(SchemaError, match="length") as info:
+            s.check_rows(np.array([[1.0, 2.0]]))
+        assert info.value.row == 0
+        s.check_rows(np.empty((0, 2)))  # no row, nothing to refuse
+        good = s.materialize(
             {"profile_0": 1.0, "profile_1": 1.0, "recent_visits": 1.0},
             badge_count=0,
         )
-        bad[0] = 0.0
-        with pytest.raises(SchemaError, match="intercept"):
-            s.validate_vector(bad)
+        bad = np.stack([good, good, good])
+        bad[1, 0] = 0.0
+        bad[2, 1] = np.nan
+        with pytest.raises(SchemaError, match="intercept") as info:
+            s.check_rows(bad)
+        assert info.value.row == 1
+        with pytest.raises(SchemaError, match="non-finite value in slot 'profile_0'") as info:
+            s.check_rows(bad[[0, 2]])
+        assert info.value.row == 1
+        s.check_rows(bad[:1])
 
 
 class TestTransition:

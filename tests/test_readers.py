@@ -22,6 +22,7 @@ from sendwhen.io import (
     read_events,
     read_observations_jsonl,
     write_events_jsonl,
+    write_model_json,
     write_observations_jsonl,
     write_schema_json,
 )
@@ -34,6 +35,7 @@ from sendwhen.pipeline import (
     send_table,
 )
 from sendwhen.simulate import SendProcess, SimConfig, generate_event_log
+from sendwhen.training import LogisticModel, WeibullAftModel
 
 SCHEMA = FeatureSchema.build(base=["p"], badge="badge_count")
 
@@ -97,6 +99,18 @@ CASES += [
     ("events.csv", "u,2.0,send,2.7,0.5",
      "malformed event record: invalid literal for int() with base 10: '2.7'"),
 ]
+# every JSON number field is an int or a float, never a bool; CSV text goes through float()
+CASES += [
+    ("events.jsonl", '{"user_id":"u","ts_hours":true,"kind":"visit"}',
+     "malformed event record: ts_hours must be a number, got True"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":1,'
+     '"features":{"p":true}}', "malformed event record: p must be a number, got True"),
+    ("observations.jsonl", '{"censored":false,"t_hours":true,"user_id":"u","x":[1.0,0.5,1.0]}',
+     "malformed observation: t_hours must be a number, got True"),
+    ("observations.jsonl", '{"censored":false,"origin_ts_hours":false,"t_hours":1.0,'
+     '"user_id":"u","x":[1.0,0.5,1.0]}',
+     "malformed observation: origin_ts_hours must be a number, got False"),
+]
 
 
 def _write(path, lines, bad):
@@ -122,12 +136,36 @@ def test_malformed_middle_line_names_its_line(tmp_path, capsys, name, line, mess
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}:3: {message}"
 
 
-def test_empty_feature_cell_on_a_send_reaches_materialize(tmp_path, capsys):
-    path = tmp_path / "events.csv"
-    _write(path, EVENTS_CSV, "u,2.0,send,1,")
-    argv = [str(a) for a in _argv(tmp_path, "events.csv", path)]
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.splitlines()[-1] == "error: missing base feature 'p'"
+SCHEMA_FAULTS = [  # a send whose features the schema refuses, on line 3 of each log
+    ("events.jsonl", '{"badge_count":1,"features":{},"kind":"send","ts_hours":0.5,"user_id":"u"}',
+     "missing base feature 'p'"),
+    ("events.jsonl", '{"badge_count":1,"features":{"p":1e400},"kind":"send","ts_hours":0.5,'
+     '"user_id":"u"}', "non-finite value in slot 'p'"),
+    ("events.csv", "u,2.0,send,1,", "missing base feature 'p'"),
+    ("events.csv", "u,2.0,send,1,inf", "non-finite value in slot 'p'"),
+]
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "evaluate"])
+@pytest.mark.parametrize("name,line,message", SCHEMA_FAULTS,
+                         ids=[f"{name}-{i}" for i, (name, *_) in enumerate(SCHEMA_FAULTS)])
+def test_schema_fault_in_an_event_log_names_its_line(tmp_path, capsys, command, name, line,
+                                                     message):
+    path = tmp_path / name
+    _write(path, {"events.jsonl": EVENTS_JSONL, "events.csv": EVENTS_CSV}[name], line)
+    schema = tmp_path / "schema.json"
+    write_schema_json(schema, SCHEMA)
+    argv = {"ingest": ["ingest"], "train": ["train", "--model", "logistic:24"]}.get(command)
+    if argv is None:
+        aft, logistic = tmp_path / "aft.json", tmp_path / "l24.json"
+        write_model_json(aft, WeibullAftModel(SCHEMA.names, np.ones(3), 0.0, schema=SCHEMA))
+        write_model_json(logistic, LogisticModel(SCHEMA.names, np.zeros(3), 24.0, schema=SCHEMA))
+        argv = ["evaluate", "--aft-model", aft, "--logistic-model", logistic, "--horizons", 24]
+    out = tmp_path / "out"
+    argv += ["--events", path, "--schema", schema, "--out", out]
+    assert main([str(a) for a in argv]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:3: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lines,message", [

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from sendwhen import (
     DomainError,
-    StatePair,
     WeibullParams,
     delta_effect,
     prob_visit_if_not_send,
@@ -20,6 +21,7 @@ from sendwhen import (
     weibull_pdf,
     weibull_sf,
 )
+from sendwhen.survival import send_vs_wait
 
 # Frozen reference values, computed independently with mpmath at 30 digits.
 CDF_1_1_1 = 0.632120558828557678
@@ -45,10 +47,9 @@ class TestHandValues:
         assert_allclose(p, P_WAIT_HALF_SHAPE, rtol=1e-14)
 
     def test_delta(self):
-        sp1 = StatePair(WeibullParams(1.0, 0.5), WeibullParams(1.0, 1.0), 1.0)
-        sp4 = StatePair(WeibullParams(1.0, 0.5), WeibullParams(1.0, 1.0), 4.0)
-        assert_allclose(delta_effect(sp1, 1.0), DELTA_W0_1, rtol=1e-14)
-        assert_allclose(delta_effect(sp4, 1.0), DELTA_W0_4, rtol=1e-14)
+        pre, post = WeibullParams(1.0, 0.5), WeibullParams(1.0, 1.0)
+        assert_allclose(delta_effect(1.0, pre, post, 1.0), DELTA_W0_1, rtol=1e-14)
+        assert_allclose(delta_effect(1.0, pre, post, 4.0), DELTA_W0_4, rtol=1e-14)
 
 
 class TestDistributionConsistency:
@@ -168,9 +169,7 @@ class TestSendVsWait:
             pre = WeibullParams(math.exp(rng.uniform(-4.0, 0.0)), rng.uniform(0.05, 0.95))
             post = WeibullParams(math.exp(rng.uniform(-4.0, 0.0)), rng.uniform(0.1, 3.0))
             t = rng.uniform(0.1, 48.0)
-            deltas = [
-                delta_effect(StatePair(pre, post, w0), t) for w0 in w0_grid
-            ]
+            deltas = [delta_effect(t, pre, post, w0) for w0 in w0_grid]
             diffs = np.diff(deltas)
             assert np.all(diffs > 0), (pre, post, t, deltas)
 
@@ -181,19 +180,16 @@ class TestSendVsWait:
             post = WeibullParams(math.exp(rng.uniform(-3.0, 0.0)), rng.uniform(0.2, 1.5))
             w0 = rng.uniform(0.0, 48.0)
             t = rng.uniform(0.1, 48.0)
-            sp = StatePair(pre, post, w0)
             explicit = prob_visit_if_send(t, post) - prob_visit_if_not_send(t, pre, w0)
-            assert_allclose(delta_effect(sp, t), explicit, atol=1e-15)
+            assert_allclose(delta_effect(t, pre, post, w0), explicit, atol=1e-15)
 
     def test_delta_can_be_negative(self):
         # A much slower post-send state makes sending now a bad idea.
-        sp = StatePair(WeibullParams(1.0, 1.0), WeibullParams(0.01, 1.0), 0.0)
-        assert delta_effect(sp, 1.0) < 0.0
+        assert delta_effect(1.0, WeibullParams(1.0, 1.0), WeibullParams(0.01, 1.0), 0.0) < 0.0
 
     def test_identical_states_w0_zero_gives_zero_delta(self):
         p = WeibullParams(0.6, 0.8)
-        sp = StatePair(p, p, 0.0)
-        assert delta_effect(sp, 5.0) == pytest.approx(0.0, abs=1e-15)
+        assert delta_effect(5.0, p, p, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestDomainValidation:
@@ -220,4 +216,72 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             prob_visit_if_not_send(1.0, p, -1.0)
         with pytest.raises(DomainError):
-            StatePair(p, p, -0.5)
+            delta_effect(1.0, p, p, -0.5)
+        with pytest.raises(DomainError):
+            delta_effect(0.0, p, p, 1.0)
+
+
+def stable_delta(t, w0, rate0, shape0, rate1, shape1):
+    """delta with the hazard gap as rate0 * w0**shape0 * expm1(shape0 * log1p(t / w0))."""
+    if w0 == 0.0:
+        gap = rate0 * t**shape0
+    else:
+        gap = rate0 * w0**shape0 * math.expm1(shape0 * math.log1p(t / w0))
+    return math.exp(-gap) - math.exp(-rate1 * t**shape1)
+
+
+# the scorer's case: one shape for both laws, below 1 (a decreasing hazard)
+laws = st.tuples(
+    st.floats(0.5, 168.0),  # horizon
+    st.floats(1e-4, 5.0),  # pre rate
+    st.floats(0.05, 0.99),  # shared shape
+    st.floats(1e-4, 5.0),  # post rate
+)
+idle = st.just(0.0) | st.floats(0.0, 1e12)
+
+
+class TestHugeW0:
+    """send_vs_wait at idle times far beyond the horizon, as its docstring states."""
+
+    def test_delta_grows_with_w0_on_a_grid(self):
+        rng = np.random.default_rng(1101)
+        w0_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e8, 2000)])
+        for _ in range(200):
+            t, a = rng.uniform(0.5, 168.0), rng.uniform(0.05, 0.99)
+            r0, r1 = np.exp(rng.uniform(-7.0, 1.0, size=2))
+            deltas = [send_vs_wait(t, w0, r0, a, r1, a)[0] for w0 in w0_grid]
+            assert np.all(np.diff(deltas) >= 0.0), (t, a, r0, r1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(laws, idle, idle)
+    def test_delta_does_not_decrease_beyond_rounding(self, law, w0, w1):
+        t, r0, a, r1 = law
+        w0, w1 = sorted((w0, w1))
+        d0, d1 = (send_vs_wait(t, w, r0, a, r1, a)[0] for w in (w0, w1))
+        assert d1 >= d0 - 2.0**-51 * (1.0 + r0 * w1**a)
+
+    @settings(max_examples=500, deadline=None)
+    @given(laws, st.floats(0.0, 1e300))
+    def test_p_wait_stays_in_the_unit_interval(self, law, w0):
+        t, r0, a, r1 = law
+        delta, p_send, p_wait = send_vs_wait(t, w0, r0, a, r1, a)
+        assert 0.0 <= p_wait <= 1.0
+        assert 0.0 <= p_send <= 1.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(laws, st.floats(1.0, 1e11))
+    def test_absolute_error_grows_with_the_hazard_at_w0(self, law, w0_over_t):
+        # the stable form is itself the inaccurate one for w0 well below t
+        t, r0, a, r1 = law
+        w0 = w0_over_t * t
+        delta = send_vs_wait(t, w0, r0, a, r1, a)[0]
+        assert abs(delta - stable_delta(t, w0, r0, a, r1, a)) <= 2.0**-50 * (1.0 + r0 * w0**a)
+
+    def test_relative_error_below_1e_12_up_to_1e8_hours(self):
+        def rel_err(w0):
+            exact = stable_delta(24.0, w0, 0.05, 0.5, 0.05, 0.5)
+            return abs(send_vs_wait(24.0, w0, 0.05, 0.5, 0.05, 0.5)[0] - exact) / exact
+
+        assert max(map(rel_err, np.geomspace(1e-3, 1e8, 2001))) < 1e-12
+        # the bound is where the docstring puts it, not far above
+        assert 1e-10 < max(map(rel_err, np.geomspace(1e14, 1e15, 101))) < 1e-8

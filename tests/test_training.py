@@ -14,6 +14,7 @@ from sendwhen.features import FeatureSchema
 from sendwhen.io import read_model_json, write_model_json
 from sendwhen.optimize import OptConfig
 from sendwhen.pipeline import ObservationColumns
+from sendwhen.scoring import score_columns
 from sendwhen.training import (
     DesignMatrix,
     LogisticModel,
@@ -219,12 +220,13 @@ class TestFitAft:
     def test_weibull_mapping(self):
         rng = np.random.default_rng(2012)
         X, t, delta = sample_aft(rng, 500, [1.0, 0.3], 1.5, censor_at=10.0)
-        m = fit_aft(make_obs(X, t, delta))
+        schema = FeatureSchema.build(base=["f"], badge=None)
+        m = fit_aft(make_obs(X, t, delta), schema=schema)
         x = np.array([1.0, 0.7])
         mu = float(x @ m.coefficients)
-        assert m.rate_of(x) == pytest.approx(math.exp(-mu / m.sigma), rel=1e-12)
-        wp = m.weibull_of(x)
-        assert wp.shape == pytest.approx(1.0 / m.sigma, rel=1e-15)
+        scores = score_columns(m, x[None, :], [0.0], 24.0)
+        assert scores["lambda0"][0] == pytest.approx(math.exp(-mu / m.sigma), rel=1e-12)
+        assert scores["alpha"] == pytest.approx(1.0 / m.sigma, rel=1e-15)
 
 
 class TestFitLogistic:
