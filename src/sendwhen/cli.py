@@ -171,10 +171,10 @@ _SIMULATE_DEFAULTS: dict = {
 
 
 def cmd_simulate(args: argparse.Namespace, merged: Mapping, sim_cfg: SimConfig) -> int:
+    result = generate_event_log(sim_cfg)  # first, so a run it refuses leaves no --out
     out = _prepare_out(
         args.out, ("events.jsonl", "contexts.jsonl", "truth.json", "schema.json"), args.force
     )
-    result = generate_event_log(sim_cfg)
     schema = default_sim_schema(sim_cfg)
 
     write_events_jsonl(out / "events.jsonl", result.events)

@@ -130,11 +130,16 @@ def file_sha256(path: str | Path) -> str:
 # -- events -----------------------------------------------------------------
 
 
+def json_int(v, name: str) -> int:
+    """A JSON integer field: an int, never a bool or a float."""
+    if type(v) is not int:
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
 def json_badge(v) -> int:
     """A badge_count as JSON holds it: an integer, never a bool or a float."""
-    if type(v) is not int:
-        raise TypeError(f"badge_count must be an integer, got {v!r}")
-    return v
+    return json_int(v, "badge_count")
 
 
 def json_number(v, name: str) -> float:
@@ -244,19 +249,65 @@ def _json_scalar(v) -> str:
     return _encode_line(v)
 
 
-def _event_line(ev: Event) -> str:
-    features = f'"features":{_encode_line(dict(ev.features))},' if ev.features else ""
-    return (
-        f'{{"badge_count":{_json_scalar(ev.badge_count)},{features}'
-        f'"kind":{_json_scalar(ev.kind)},"ts_hours":{_json_scalar(ev.ts_hours)},'
-        f'"user_id":{_json_scalar(ev.user_id)}}}\n'
-    )
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each float as json.dumps writes it."""
+    fmt = float.__repr__ if np.isfinite(values).all() else _json_float
+    return list(map(fmt, values.tolist()))
 
 
-def write_events_jsonl(path: str | Path, events: Iterable[Event]) -> None:
-    """One line per event, the bytes write_jsonl would write for its record."""
+def _feature_members(events: EventColumns, part: slice) -> list[str]:
+    """Each row's '"features":{...},' member, or "" for a row with no features.
+
+    A member lists the row's present features in sorted-name order.  Rows
+    whose present features and values are bit for bit the same share one
+    formatted member, so a profile repeated on every send is formatted once.
+    """
+    names = sorted(events.features)
+    if not names:
+        return [""] * len(events.ts_hours[part])
+    present = np.column_stack([events.features[name][1][part] for name in names])
+    values = np.column_stack([events.features[name][0][part] for name in names])
+    bits = np.hstack([present, np.where(present, values.view(np.int64), 0)])
+    rows = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()  # a row as bytes
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    keys = [_json_scalar(name) for name in names]
+    members = []
+    for i in first.tolist():
+        shown = ",".join(f"{k}:{_json_float(v)}" for k, v, p in
+                         zip(keys, values[i].tolist(), present[i].tolist()) if p)
+        members.append(f'"features":{{{shown}}},' if shown else "")
+    return [members[j] for j in inverse.tolist()]
+
+
+def _event_rows(events: EventColumns, chunk: int = 8192) -> Iterator[tuple]:
+    """Each event's JSON field values as text, converting a chunk at a time."""
+    ids = [_json_scalar(u) for u in events.user_ids]  # encoded once per user
+    for lo in range(0, len(events), chunk):
+        part = slice(lo, lo + chunk)
+        yield from zip(
+            [ids[u] for u in events.user[part].tolist()],
+            _json_floats(events.ts_hours[part]),
+            ['"send"' if s else '"visit"' for s in events.is_send[part].tolist()],
+            [int.__repr__(b) if hb else "null" for b, hb in
+             zip(events.badge_count[part].tolist(), events.has_badge[part].tolist())],
+            _feature_members(events, part),
+        )
+
+
+def write_events_jsonl(path: str | Path, events: EventColumns | Iterable[Event]) -> None:
+    """One line per event, the bytes write_jsonl would write for its record.
+
+    Event rows are written as EventColumns.from_events holds them, so a
+    timestamp is always written as a float.
+    """
+    if not isinstance(events, EventColumns):
+        events = EventColumns.from_events(events)
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(map(_event_line, events))
+        f.writelines(
+            f'{{"badge_count":{badge},{features}"kind":{kind},'
+            f'"ts_hours":{t},"user_id":{user_id}}}\n'
+            for user_id, t, kind, badge, features in _event_rows(events)
+        )
 
 
 # -- observations -------------------------------------------------------------

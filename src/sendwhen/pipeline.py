@@ -8,8 +8,8 @@ long the user had already been in the pre-send state (w0), the successor
 event and the first later visit.  Observations (sends with a successor,
 as ObservationColumns), send instances (every send) and the evaluation
 layer's naive labels are all views of that one table.  Event is one row of
-a log: what the simulator produces and what iterating EventColumns yields.
-SendInstance is one send's snapshot; the commands build neither.
+a log, what iterating EventColumns yields.  SendInstance is one send's
+snapshot; the commands build neither.
 """
 
 from __future__ import annotations

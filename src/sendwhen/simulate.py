@@ -11,6 +11,7 @@ which is exactly how right-censoring arises in the real pipeline.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -18,8 +19,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .features import FeatureSchema
-from .pipeline import SEND, VISIT, Event
-from .survival import WeibullParams, weibull_sf
+from .io import json_int, json_number
+from .pipeline import EventColumns
+from .survival import WeibullParams, cum_hazard
 
 __all__ = [
     "SendProcess",
@@ -28,6 +30,11 @@ __all__ = [
     "sample_time_to_visit",
     "generate_event_log",
 ]
+
+
+def _positive(v: float | None) -> bool:
+    """True for a finite number > 0."""
+    return v is not None and math.isfinite(v) and v > 0
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,11 @@ class SendProcess:
 
     def __post_init__(self) -> None:
         if self.kind == "fixed":
-            if not (self.interval_hours and self.interval_hours > 0):
-                raise ConfigError("fixed send process needs interval_hours > 0")
+            if not _positive(self.interval_hours):
+                raise ConfigError(
+                    "fixed send process needs a finite interval_hours > 0, "
+                    f"got {self.interval_hours}"
+                )
             if self.phase_hours is not None and not (
                 math.isfinite(self.phase_hours) and self.phase_hours >= 0
             ):
@@ -58,8 +68,11 @@ class SendProcess:
                     f"phase_hours must be finite and >= 0, got {self.phase_hours}"
                 )
         elif self.kind == "poisson":
-            if not (self.rate_per_hour and self.rate_per_hour > 0):
-                raise ConfigError("poisson send process needs rate_per_hour > 0")
+            if not _positive(self.rate_per_hour):
+                raise ConfigError(
+                    "poisson send process needs a finite rate_per_hour > 0, "
+                    f"got {self.rate_per_hour}"
+                )
             if self.phase_hours is not None:
                 raise ConfigError("phase_hours only applies to the fixed process")
         else:
@@ -80,12 +93,13 @@ class SendProcess:
         try:
             return cls(
                 kind=d["kind"],
-                interval_hours=d.get("interval_hours"),
-                rate_per_hour=d.get("rate_per_hour"),
-                phase_hours=d.get("phase_hours"),
+                **{
+                    name: None if d.get(name) is None else json_number(d[name], name)
+                    for name in ("interval_hours", "rate_per_hour", "phase_hours")
+                },
             )
         except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed send_process {d!r}") from exc
+            raise ConfigError(f"malformed send_process {d!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -104,10 +118,14 @@ class SimConfig:
             raise ConfigError("n_users must be >= 1")
         if self.n_profile_features < 0:
             raise ConfigError("n_profile_features must be >= 0")
-        if not (math.isfinite(self.true_sigma) and self.true_sigma > 0):
+        if not _positive(self.true_sigma):
             raise ConfigError(f"true_sigma must be > 0, got {self.true_sigma}")
-        if self.window_hours <= 0:
-            raise ConfigError("window_hours must be > 0")
+        if not _positive(self.window_hours):
+            raise ConfigError(f"window_hours must be finite and > 0, got {self.window_hours}")
+        if not all(map(math.isfinite, self.true_coefficients)):
+            raise ConfigError(
+                f"true_coefficients must be finite, got {list(self.true_coefficients)}"
+            )
         expected = len(default_sim_schema(self))
         if len(self.true_coefficients) != expected:
             raise ConfigError(
@@ -131,15 +149,22 @@ class SimConfig:
     @classmethod
     def from_dict(cls, d: Mapping) -> "SimConfig":
         try:
+            include_interaction = d.get("include_interaction", True)
+            if type(include_interaction) is not bool:
+                raise TypeError(
+                    f"include_interaction must be true or false, got {include_interaction!r}"
+                )
             return cls(
-                n_users=int(d["n_users"]),
-                n_profile_features=int(d["n_profile_features"]),
-                true_coefficients=tuple(float(v) for v in d["true_coefficients"]),
-                true_sigma=float(d["true_sigma"]),
+                n_users=json_int(d["n_users"], "n_users"),
+                n_profile_features=json_int(d["n_profile_features"], "n_profile_features"),
+                true_coefficients=tuple(
+                    json_number(v, "true_coefficients") for v in d["true_coefficients"]
+                ),
+                true_sigma=json_number(d["true_sigma"], "true_sigma"),
                 send_process=SendProcess.from_dict(d["send_process"]),
-                window_hours=float(d["window_hours"]),
-                seed=int(d.get("seed", 0)),
-                include_interaction=bool(d.get("include_interaction", True)),
+                window_hours=json_number(d["window_hours"], "window_hours"),
+                seed=json_int(d.get("seed", 0), "seed"),
+                include_interaction=include_interaction,
             )
         except ConfigError:
             raise
@@ -158,6 +183,15 @@ def default_sim_schema(cfg: SimConfig) -> FeatureSchema:
     )
 
 
+def _extreme_value(u: np.ndarray | float) -> np.ndarray:
+    """Standard extreme-value draws from uniforms by the inverse CDF.
+
+    eps = log(-log(1-U)), with U nudged off exact 0 so exp(mu + sigma*eps)
+    is always strictly positive.
+    """
+    return np.log(-np.log1p(-np.clip(u, 1e-300, None)))
+
+
 def sample_time_to_visit(
     x: np.ndarray,
     coefficients: Sequence[float],
@@ -165,17 +199,9 @@ def sample_time_to_visit(
     rng: np.random.Generator,
     size: int | None = None,
 ) -> float | np.ndarray:
-    """Draw time-to-visit hours from exp(b.x + sigma*eps).
-
-    eps comes from the standard extreme-value law via the inverse CDF
-    eps = log(-log(1-U)).  Uniform draws are nudged off exact 0 so the
-    result is always strictly positive.
-    """
+    """Draw time-to-visit hours from exp(b.x + sigma*eps), eps extreme-value."""
     mu = float(np.asarray(x, dtype=float) @ np.asarray(coefficients, dtype=float))
-    u = rng.uniform(size=size)
-    u = np.clip(u, 1e-300, None)
-    eps = np.log(-np.log1p(-u))
-    t = np.exp(mu + sigma * eps)
+    t = np.exp(mu + sigma * _extreme_value(rng.uniform(size=size)))
     return float(t) if size is None else t
 
 
@@ -211,7 +237,7 @@ class UserEndState:
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    events: list[Event]
+    events: EventColumns
     contexts: list[UserEndState]
     truth: dict = field(default_factory=dict)
 
@@ -224,69 +250,99 @@ def generate_event_log(cfg: SimConfig) -> SimResult:
     visit time is drawn from the post-send law.  The visit is emitted only
     if it precedes both the next send and the window end; a visit resets
     the badge to zero.  Draw order per user is fixed (profile, schedule,
-    then visit draws in send order) so streams are reproducible.
+    then one visit draw per send, in send order) so streams are
+    reproducible.  All draws come first; then one feature matrix holds a
+    row for every badge 1..k of every user with k sends.  A badge's linear
+    predictor is its row's 1-d dot product, computed once per user; X @ b
+    would round some rows differently.
     """
     schema = default_sim_schema(cfg)
     b = np.asarray(cfg.true_coefficients, dtype=float)
+    sigma, shape, window = cfg.true_sigma, 1.0 / cfg.true_sigma, cfg.window_hours
+    names = [f"profile_{j}" for j in range(cfg.n_profile_features)]
     uid_width = max(6, len(str(cfg.n_users - 1)))
+    # zero-padded ids sort in generation order, so a user's code is its index
+    user_ids = [f"u{uid:0{uid_width}d}" for uid in range(cfg.n_users)]
 
-    events: list[Event] = []
-    contexts: list[UserEndState] = []
-    n_sends = n_visits = n_resolved = n_censored = 0
-    expected_censored = 0.0
-
+    profiles = np.empty((cfg.n_users, cfg.n_profile_features))
+    schedules: list[list[float]] = []
+    uniforms = []
     for uid in range(cfg.n_users):
         rng = np.random.default_rng([cfg.seed, uid])
-        user_id = f"u{uid:0{uid_width}d}"
-        profile = {
-            f"profile_{j}": float(v)
-            for j, v in enumerate(rng.normal(size=cfg.n_profile_features))
-        }
-        sends = _send_times(cfg.send_process, cfg.window_hours, rng)
+        profiles[uid] = rng.normal(size=cfg.n_profile_features)
+        schedules.append(_send_times(cfg.send_process, window, rng))
+        uniforms.append(rng.uniform(size=len(schedules[-1])))
+    sigma_eps = (sigma * _extreme_value(np.concatenate(uniforms))).tolist()
+    counts = np.fromiter(map(len, schedules), np.int64, cfg.n_users)
+    first_row = np.cumsum(counts) - counts  # of each user's send slots
+    owner = np.repeat(np.arange(cfg.n_users), counts)
+    X = schema.materialize_columns(  # slot j of a user has badge j + 1
+        {name: (profiles[owner, j], np.ones(owner.size, bool)) for j, name in enumerate(names)},
+        np.arange(owner.size) - first_row[owner] + 1, np.zeros(owner.size),
+    )
 
+    user, ts, badges = array("q"), array("d"), array("q")  # a visit's badge is 0
+    contexts: list[UserEndState] = []
+    n_visits = n_resolved = n_censored = 0
+    expected_censored = 0.0
+
+    for uid, row0 in enumerate(first_row.tolist()):
+        sends = schedules[uid]
+        k = len(sends)
+        mu_of: dict[int, float] = {}  # badge -> linear predictor
+        law_of: dict[int, WeibullParams] = {}  # badge -> post-send visit-time law
         badge = 0
         last_state_change = 0.0
-        for k, t_send in enumerate(sends):
+        for i, t_send in enumerate(sends):
             badge += 1
-            events.append(
-                Event(user_id, t_send, SEND, badge_count=badge, features=profile)
-            )
-            n_sends += 1
+            user.append(uid)
+            ts.append(t_send)
+            badges.append(badge)
             last_state_change = t_send
-            x = schema.materialize(profile, badge_count=badge)
-            t_visit_rel = sample_time_to_visit(x, b, cfg.true_sigma, rng)
-            visit_at = t_send + t_visit_rel
-            t_next = sends[k + 1] if k + 1 < len(sends) else None
+            mu = mu_of.get(badge)
+            if mu is None:
+                mu = mu_of[badge] = float(X[row0 + badge - 1] @ b)
+            visit_at = t_send + float(np.exp(mu + sigma_eps[row0 + i]))
 
-            if t_next is not None:
+            if i + 1 < k:
+                t_next = sends[i + 1]
                 n_resolved += 1
-                gap = t_next - t_send
-                params = WeibullParams(
-                    rate=math.exp(-float(x @ b) / cfg.true_sigma),
-                    shape=1.0 / cfg.true_sigma,
-                )
-                expected_censored += weibull_sf(gap, params)
+                law = law_of.get(badge)
+                if law is None:
+                    try:
+                        rate = math.exp(-mu / sigma)
+                    except OverflowError:  # refused below as a rate that is not finite
+                        rate = math.inf
+                    law = law_of[badge] = WeibullParams(rate, shape)
+                expected_censored += math.exp(-cum_hazard(t_next - t_send, law.rate, law.shape))
                 if visit_at >= t_next:
                     n_censored += 1
-
-            materializes = visit_at <= cfg.window_hours and (
-                t_next is None or visit_at < t_next
-            )
-            if materializes:
-                events.append(Event(user_id, visit_at, VISIT))
+                    continue
+            if visit_at <= window:
+                user.append(uid)
+                ts.append(visit_at)
+                badges.append(0)
                 n_visits += 1
                 badge = 0
                 last_state_change = visit_at
 
-        contexts.append(
-            UserEndState(
-                user_id=user_id,
-                features=profile,
-                badge_count=badge,
-                w0_hours=cfg.window_hours - last_state_change,
-            )
-        )
+        profile = dict(zip(names, profiles[uid].tolist()))
+        contexts.append(UserEndState(user_ids[uid], profile, badge, window - last_state_change))
 
+    codes, badge_count = np.frombuffer(user, np.int64), np.frombuffer(badges, np.int64)
+    send_rows = badge_count > 0
+    events = EventColumns(
+        user_ids=user_ids,
+        user=codes,
+        ts_hours=np.frombuffer(ts, float),
+        is_send=send_rows,
+        badge_count=badge_count,
+        has_badge=send_rows,
+        features={  # sends carry the profile, visits nothing
+            name: (np.where(send_rows, profiles[codes, j], np.nan), send_rows)
+            for j, name in enumerate(names)
+        },
+    )
     truth = {
         "true_coefficients": dict(zip(schema.names, (float(v) for v in b))),
         "true_sigma": cfg.true_sigma,
@@ -296,7 +352,7 @@ def generate_event_log(cfg: SimConfig) -> SimResult:
         "window_hours": cfg.window_hours,
         "send_process": cfg.send_process.to_dict(),
         "stats": {
-            "n_sends": n_sends,
+            "n_sends": owner.size,
             "n_visits": n_visits,
             "n_resolved": n_resolved,
             "n_censored": n_censored,

@@ -216,14 +216,26 @@ def _written_lines(write, rows, tmp):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.lists(events(), max_size=8))
 def test_event_lines_equal_json_dumps(tmp_path_factory, evs):
+    # Event rows are written through EventColumns, which holds timestamps as floats
     want = []
     for e in evs:
-        rec = {"user_id": e.user_id, "ts_hours": e.ts_hours, "kind": e.kind,
+        rec = {"user_id": e.user_id, "ts_hours": float(e.ts_hours), "kind": e.kind,
                "badge_count": e.badge_count}
         if e.features:
             rec["features"] = e.features
         want.append(_dumps(rec))
     assert _written_lines(write_events_jsonl, evs, tmp_path_factory) == want
+    columns = EventColumns.from_events(evs)
+    assert _written_lines(write_events_jsonl, columns, tmp_path_factory) == want
+
+
+def test_integer_event_timestamp_is_written_as_the_float_read_back(tmp_path):
+    path = tmp_path / "events.jsonl"
+    write_events_jsonl(path, [Event("u1", 5, "send", 1, {"p": 0.5})])
+    assert path.read_text(encoding="utf-8") == (
+        '{"badge_count":1,"features":{"p":0.5},"kind":"send","ts_hours":5.0,"user_id":"u1"}\n'
+    )
+    assert read_events(path).ts_hours.tolist() == [5.0]
 
 
 @st.composite

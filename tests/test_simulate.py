@@ -1,10 +1,16 @@
 """Tests for the synthetic ground-truth generator."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+import oracle_sim
+from sendwhen.cli import main
 from sendwhen.errors import ConfigError
-from sendwhen.pipeline import SEND, VISIT, PipelineConfig, build_observations
+from sendwhen.io import write_events_jsonl
+from sendwhen.pipeline import SEND, VISIT, EventColumns, PipelineConfig, build_observations
 from sendwhen.simulate import (
     SendProcess,
     SimConfig,
@@ -86,18 +92,24 @@ class TestSampleTimeToVisit:
         assert np.all(draws > 0)
 
 
+def event_bytes(events, tmp_path, name="events.jsonl") -> bytes:
+    path = tmp_path / name
+    write_events_jsonl(path, events)
+    return path.read_bytes()
+
+
 class TestEventLog:
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, tmp_path):
         cfg = small_config()
         a = generate_event_log(cfg)
         b = generate_event_log(cfg)
-        assert a.events == b.events
+        assert event_bytes(a.events, tmp_path, "a") == event_bytes(b.events, tmp_path, "b")
         assert a.truth == b.truth
 
-    def test_seed_changes_stream(self):
+    def test_seed_changes_stream(self, tmp_path):
         a = generate_event_log(small_config(seed=1))
         b = generate_event_log(small_config(seed=2))
-        assert a.events != b.events
+        assert event_bytes(a.events, tmp_path, "a") != event_bytes(b.events, tmp_path, "b")
 
     def test_events_within_window_and_sorted_per_user(self):
         cfg = small_config()
@@ -170,6 +182,52 @@ class TestEventLog:
         assert stats["censored_fraction"] == pytest.approx(
             stats["n_censored"] / stats["n_resolved"]
         )
+
+
+def oracle_config(n_profiles, process, window_hours, seed, include_interaction=True):
+    coefficients = [2.6] + [(0.4, -0.3, 0.2)[j % 3] for j in range(n_profiles)] + [-0.15]
+    if include_interaction and n_profiles:
+        coefficients.append(0.05)
+    return SimConfig(
+        n_users=40, n_profile_features=n_profiles, true_coefficients=tuple(coefficients),
+        true_sigma=1.5, send_process=process, window_hours=window_hours, seed=seed,
+        include_interaction=include_interaction,
+    )
+
+
+POISSON = SendProcess("poisson", rate_per_hour=1 / 12)
+ORACLE_CASES = {
+    "poisson": (2, POISSON, 168.0, 0),
+    "fixed-random-phase": (2, SendProcess("fixed", interval_hours=8.0), 168.0, 1),
+    "fixed-edge-phase": (2, SendProcess("fixed", interval_hours=8.0, phase_hours=8.0), 168.0, 2),
+    "no-profiles": (0, POISSON, 24.0, 3),
+    "twelve-profiles": (12, POISSON, 168.0, 4),
+    "twelve-profiles-edge": (
+        12, SendProcess("fixed", interval_hours=6.0, phase_hours=6.0), 24.0, 1),
+    "no-interaction": (2, SendProcess("fixed", interval_hours=6.0), 24.0, 0, False),
+    "dense-poisson": (1, SendProcess("poisson", rate_per_hour=0.5), 24.0, 2),
+    "no-profiles-edge": (0, SendProcess("fixed", interval_hours=8.0, phase_hours=8.0), 168.0, 4),
+    "one-profile-no-interaction": (1, POISSON, 168.0, 3, False),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_simulator_equals_per_send_oracle(tmp_path, case):
+    cfg = oracle_config(*case)
+    sim = generate_event_log(cfg)
+    events, contexts, truth = oracle_sim.generate_event_log(cfg)
+    assert isinstance(sim.events, EventColumns)
+    oracle_sim.write_events(tmp_path / "oracle.jsonl", events)
+    written = event_bytes(sim.events, tmp_path)
+    assert written == (tmp_path / "oracle.jsonl").read_bytes()
+    assert [(c.user_id, dict(c.features), c.badge_count, c.w0_hours)
+            for c in sim.contexts] == contexts
+    assert sim.truth == truth
+    first_send = written.split(b"\n", 1)[0]
+    if cfg.n_profile_features == 0:
+        assert b'"features"' not in written
+    elif cfg.n_profile_features == 12:  # names sort as strings
+        assert first_send.index(b'"profile_10"') < first_send.index(b'"profile_2"')
 
 
 class TestCensoring:
@@ -312,3 +370,64 @@ class TestConfigValidation:
             "profile_1",
             "badge_count",
         ]
+
+
+# -- configs refused through the CLI -------------------------------------------------
+
+REFUSED_CONFIGS = {
+    "infinite-window": (["--window-hours", "inf"], None,
+                        "window_hours must be finite and > 0, got inf"),
+    "nan-window": (["--window-hours", "nan"], None,
+                   "window_hours must be finite and > 0, got nan"),
+    "infinite-rate": ([], {"send_process": {"kind": "poisson", "rate_per_hour": math.inf}},
+                      "poisson send process needs a finite rate_per_hour > 0, got inf"),
+    "infinite-interval": ([], {"send_process": {"kind": "fixed", "interval_hours": math.inf}},
+                          "fixed send process needs a finite interval_hours > 0, got inf"),
+    "nan-coefficient": ([], {"true_coefficients": [3.2, math.nan, -0.3, -0.2, 0.05]},
+                        "true_coefficients must be finite, got [3.2, nan, -0.3, -0.2, 0.05]"),
+    "fractional-users": ([], {"n_users": 2.5},
+                         "malformed simulator config: n_users must be an integer, got 2.5"),
+    "bool-users": ([], {"n_users": True},
+                   "malformed simulator config: n_users must be an integer, got True"),
+    "bool-profiles": ([], {"n_profile_features": False, "true_coefficients": [1.0, 0.1]},
+                      "malformed simulator config: n_profile_features must be an integer, "
+                      "got False"),
+    "fractional-seed": ([], {"seed": 1.9},
+                        "malformed simulator config: seed must be an integer, got 1.9"),
+    "bool-interval": ([], {"send_process": {"kind": "fixed", "interval_hours": True}},
+                      "malformed send_process {'kind': 'fixed', 'interval_hours': True}: "
+                      "interval_hours must be a number, got True"),
+    "string-interaction": ([], {"include_interaction": "no"},
+                           "malformed simulator config: include_interaction must be true or "
+                           "false, got 'no'"),
+}
+
+
+@pytest.mark.parametrize("flags, config, message", REFUSED_CONFIGS.values(),
+                         ids=REFUSED_CONFIGS.keys())
+def test_simulate_refuses_config(tmp_path, capsys, flags, config, message):
+    argv = ["simulate", *flags, "--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"n_users": 3, **config}), encoding="utf-8")
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--n-users", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("intercept, rate", [(2000.0, "0.0"), (-2000.0, "inf")])
+def test_simulate_refuses_a_weibull_rate_out_of_range(tmp_path, capsys, intercept, rate):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"true_coefficients": [intercept, 0.4, -0.3, -0.2, 0.05]}),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):  # the huge intercept's visit times overflow to inf
+        code = main(["simulate", "--n-users", "3", "--config", str(path), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: rate must be finite and > 0, got {rate}"
+    ]
+    assert not out.exists()
