@@ -38,7 +38,6 @@ import numpy as np
 from . import __version__
 from .errors import (
     ConfigError,
-    DataError,
     NumericalError,
     SchemaError,
     SendwhenError,
@@ -51,18 +50,18 @@ from .evaluation import (
     fit_logistic_baselines,
 )
 from .io import (
-    ROW_ERRORS,
     dump_json,
     file_sha256,
-    json_badge,
-    json_number,
     line_of_record,
     load_json_config,
+    read_contexts,
     read_events,
     read_model_json,
-    read_jsonl,
     read_observations_jsonl,
     read_schema_json,
+    read_scores,
+    write_decisions_jsonl,
+    write_deltas_jsonl,
     write_events_jsonl,
     write_jsonl,
     write_model_json,
@@ -71,7 +70,14 @@ from .io import (
 )
 from .optimize import OptConfig
 from .pipeline import PipelineConfig, send_table
-from .policies import Candidate, MooConfig, moo_solve, ratio_rule, threshold_rule
+from .policies import (
+    CandidateColumns,
+    MooConfig,
+    PolicyResult,
+    moo_solve,
+    ratio_rule,
+    threshold_rule,
+)
 from .scoring import model_digest, score_columns
 from .simulate import SimConfig, default_sim_schema, generate_event_log
 from .training import LogisticModel, WeibullAftModel, fit_aft
@@ -399,28 +405,14 @@ def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:
     if model.schema is None:
         raise SchemaError(f"{args.model} carries no feature schema; scoring needs one")
 
-    linenos, user_ids, features, badges, w0s = [], [], [], [], []
-    for lineno, rec in read_jsonl(args.contexts):
-        try:
-            user_ids.append(str(rec["user_id"]))
-            features.append({k: json_number(v, k) for k, v in dict(rec["features"]).items()})
-            badges.append(json_badge(rec["badge_count"]))
-            w0s.append(json_number(rec["w0_hours"], "w0_hours"))
-        except ROW_ERRORS as exc:
-            raise DataError(f"{args.contexts}:{lineno}: malformed context: {exc}") from exc
-        linenos.append(lineno)
-    with _naming_lines(args.contexts, linenos):
-        X0 = model.schema.materialize_rows(features, badges, np.zeros(len(user_ids)))
-        scores = score_columns(model, X0, w0s, horizon)
+    user_ids, features, badges, w0 = read_contexts(args.contexts, model.schema)
+    with _naming_lines(args.contexts):
+        X0 = model.schema.materialize_columns(features, badges, np.zeros(len(user_ids)))
+        scores = score_columns(model, X0, w0, horizon)
 
     out = _prepare_out(args.out, ("deltas.jsonl",), args.force)
     version = model_digest(model)
-    shared = {"horizon_T": horizon, "alpha": scores.pop("alpha"), "model_version": version}
-    write_jsonl(
-        out / "deltas.jsonl",
-        ({"user_id": user_id, "w0_hours": w0, **dict(zip(scores, row)), **shared}
-         for user_id, w0, *row in zip(user_ids, w0s, *(c.tolist() for c in scores.values()))),
-    )
+    write_deltas_jsonl(out / "deltas.jsonl", user_ids, w0, scores, horizon, version)
     _write_manifest(
         out,
         "score",
@@ -463,18 +455,11 @@ def _decide_settings(merged: Mapping) -> tuple:
 
 def _candidates_from_scores(
     path: str, synth_seed: int | None, need_p_click: bool
-) -> list[Candidate]:
-    rows = []
-    for lineno, rec in read_jsonl(path):
-        try:
-            p = rec.get("p_click")
-            rows.append((lineno, str(rec["user_id"]), json_number(rec["delta"], "delta"),
-                         json_number(rec["p_wait"], "p_wait"),
-                         None if p is None else json_number(p, "p_click")))
-        except ROW_ERRORS as exc:
-            raise DataError(f"{path}:{lineno}: malformed score row: {exc}") from exc
-    n_missing = sum(1 for r in rows if r[4] is None)
-    draws = iter(())
+) -> CandidateColumns:
+    user_ids, delta, p_wait, p_click, has_p_click = read_scores(path)
+    missing = ~has_p_click
+    n_missing = int(np.count_nonzero(missing))
+    p_click = np.where(missing, 0.0, p_click)  # a missing p_click: a draw below, or 0.0
     if need_p_click and n_missing:
         if synth_seed is None:
             raise ConfigError(
@@ -484,14 +469,9 @@ def _candidates_from_scores(
         # placeholder click-through rates: uniform draws, keyed by seed and
         # user order, documented as synthetic stand-ins for a real CTR model
         rng = np.random.default_rng([synth_seed])
-        draws = iter(rng.uniform(0.0, 1.0, size=n_missing).tolist())
-    candidates = []
-    for lineno, uid, delta, p_wait, p in rows:  # a missing p_click: next draw, or 0.0
-        try:
-            candidates.append(Candidate(uid, delta, p_wait, next(draws, 0.0) if p is None else p))
-        except DataError as exc:  # Candidate's own checks
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    return candidates
+        p_click[missing] = rng.uniform(0.0, 1.0, size=n_missing)
+    with _naming_lines(path):  # Candidate's checks
+        return CandidateColumns(user_ids, delta, p_wait, p_click)
 
 
 def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
@@ -503,30 +483,22 @@ def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> in
         "evaluation_cadence_hours": cadence,
         "status": "ok",
     }
-    rows: list[dict] = []
-    if not candidates:
+    if not len(candidates):
         print("decide: warning: empty candidate input", file=sys.stderr)
+        empty = np.zeros(0, dtype=bool)
+        result = PolicyResult(rule, np.zeros(0), empty, empty)
+    elif rule == "moo":
+        result = moo_solve(candidates, MooConfig(c_click=c_click, c_send=c_send))
     else:
-        if rule == "moo":
-            result = moo_solve(candidates, MooConfig(c_click=c_click, c_send=c_send))
-        else:
-            result = (threshold_rule if rule == "threshold" else ratio_rule)(candidates, kappa)
-        # the rule's own parameters; an infeasible LP has none
-        params = {k: v for k in ("kappa", "kappa1", "kappa2")
-                  if (v := getattr(result, k)) is not None}
-        report.update(result.report, status=result.status, **params)
-        if result.objective is not None:
-            report["objective"] = result.objective
-        rows = [
-            {"user_id": c.user_id, "y": y, "send": send, "rule": rule, **params}
-            for c, y, send in zip(candidates, result.y.tolist(), result.send.tolist())
-        ]
-        for i in np.flatnonzero(result.flagged):
-            rows[i].update(flagged=True, note=result.note(i))
+        result = (threshold_rule if rule == "threshold" else ratio_rule)(candidates, kappa)
+    # the rule's own parameters; an infeasible LP and no candidates have none
+    report.update(result.report, status=result.status, **result.params)
+    if result.objective is not None:
+        report["objective"] = result.objective
     if report["status"] == "ok":
-        report["n_send"] = sum(r["send"] for r in rows)
+        report["n_send"] = int(np.count_nonzero(result.send))
     out = _prepare_out(args.out, ("decisions.jsonl", "report.json"), args.force)
-    write_jsonl(out / "decisions.jsonl", rows)
+    write_decisions_jsonl(out / "decisions.jsonl", candidates.user_ids, result)
     dump_json(out / "report.json", report)
     _write_manifest(out, "decide", merged, inputs={"scores": args.scores})
     if report["status"] == "infeasible":
@@ -537,7 +509,7 @@ def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> in
         )
         return EXIT_DATA
     print(
-        f"decide: {report['n_send']} of {len(rows)} candidates send "
+        f"decide: {report['n_send']} of {len(candidates)} candidates send "
         f"({rule}) -> {out / 'decisions.jsonl'}"
     )
     return EXIT_OK

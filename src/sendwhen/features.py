@@ -138,25 +138,10 @@ class FeatureSchema:
     ) -> np.ndarray:
         """Build a dense vector from raw named features plus state inputs.
 
-        The one-row case of materialize_rows, with the same errors.
+        The one-row case of materialize_columns, with the same errors.
         """
-        return self.materialize_rows([raw], [badge_count], [w0_hours])[0]
-
-    def materialize_rows(
-        self,
-        raws: Sequence[Mapping[str, float]],
-        badge_counts: Sequence[float] | np.ndarray,
-        w0_hours: Sequence[float] | np.ndarray,
-    ) -> np.ndarray:
-        """Build an (n, k) matrix, one row per raw feature mapping.
-
-        materialize_columns over the base slots' columns of the mappings.
-        """
-        columns = {
-            s.name: ([raw.get(s.name, np.nan) for raw in raws], [s.name in raw for raw in raws])
-            for s in self.slots if s.kind == "base"
-        }
-        return self.materialize_columns(columns, badge_counts, w0_hours)
+        columns = {name: ([value], [True]) for name, value in raw.items()}
+        return self.materialize_columns(columns, [badge_count], [w0_hours])[0]
 
     def materialize_columns(
         self,

@@ -1,14 +1,15 @@
 """File formats: JSONL event logs, CSV event logs, observations, configs.
 
-read_jsonl parses every JSONL input line by line.  Event logs and
-observations go from there (or from csv.reader) straight into columns
-(read_events, read_observations_jsonl): each line is converted and
-checked in order, so a DataError names the first bad line, and then
-appended to typed arrays, so no Python object per row outlives its line.
-Events and observations are written with one f-string template per
-format, and contexts, deltas and decisions by write_jsonl; either way a
-line's bytes equal json.dumps(record, sort_keys=True, separators=(",",
-":")), so identical in-memory data always produces identical files.
+read_jsonl parses every JSONL input line by line.  Event logs,
+observations, contexts and scores go from there (or from csv.reader)
+straight into columns (read_events, read_observations_jsonl,
+read_contexts, read_scores): each line is converted and checked in order,
+so a DataError names the first bad line, and then appended to typed
+arrays, so no Python object per row outlives its line.  Events,
+observations, deltas and decisions are written with one f-string template
+per format, and contexts by write_jsonl; either way a line's bytes equal
+json.dumps(record, sort_keys=True, separators=(",", ":")), so identical
+in-memory data always produces identical files.
 Every input file is opened by one helper, so a missing or unreadable
 input is a DataError naming the path.  See FORMATS.md at the
 repository root for the field-by-field reference.
@@ -32,11 +33,16 @@ import numpy as np
 from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
 from .pipeline import SEND, Event, EventColumnAppender, EventColumns, ObservationColumns
+from .policies import PolicyResult
 from .training import LogisticModel, WeibullAftModel
 
 __all__ = [
     "read_jsonl",
     "write_jsonl",
+    "read_contexts",
+    "write_deltas_jsonl",
+    "read_scores",
+    "write_decisions_jsonl",
     "write_events_jsonl",
     "read_events",
     "write_observations_jsonl",
@@ -63,6 +69,7 @@ ROW_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 # one encoder for every JSONL line; json.dumps with these arguments would
 # build the same encoder again on each call
 _encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def dump_json(path: str | Path, obj) -> None:
@@ -96,6 +103,22 @@ def _read_json(path: str | Path, what: str = "input"):
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _parse_line(line: str):
+    """json.loads(line) for a stripped line, through one raw_decode when it parses.
+
+    A stripped line starts and ends with no JSON whitespace, so raw_decode
+    reads it whole exactly when json.loads accepts it; any other line goes
+    to json.loads, for its error.
+    """
+    try:
+        value, end = _raw_decode(line)
+        if end == len(line):
+            return value
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of a JSONL file."""
     with _open_input(path) as f:
@@ -104,7 +127,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = _parse_line(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(rec, dict):
@@ -381,6 +404,106 @@ def read_observations_jsonl(
         uncensored=np.frombuffer(uncensored, bool),
         origin_ts_hours=np.frombuffer(origin, float),
     )
+
+
+# -- the decision cycle: contexts, deltas, scores, decisions -----------------------
+
+
+def read_contexts(
+    path: str | Path, schema: FeatureSchema
+) -> tuple[list[str], dict[str, tuple[array, bytearray]], np.ndarray, np.ndarray]:
+    """Read scoring contexts into columns: user ids, features, badge counts, w0_hours.
+
+    features maps each base slot of the schema to (values, present)
+    columns, as FeatureSchema.materialize_columns takes them.  A feature
+    the schema does not name is checked as a number, then dropped.
+    """
+    user_ids: list[str] = []
+    badges, w0 = array("d"), array("d")
+    features = {s.name: (array("d"), bytearray()) for s in schema.slots if s.kind == "base"}
+    for lineno, rec in read_jsonl(path):
+        try:
+            user_ids.append(str(rec["user_id"]))
+            row = {k: json_number(v, k) for k, v in dict(rec["features"]).items()}
+            badges.append(json_badge(rec["badge_count"]))
+            w0.append(json_number(rec["w0_hours"], "w0_hours"))
+        except ROW_ERRORS as exc:
+            raise DataError(f"{path}:{lineno}: malformed context: {exc}") from exc
+        for name, (values, present) in features.items():
+            values.append(row.get(name, math.nan))
+            present.append(name in row)
+    return user_ids, features, np.frombuffer(badges, float), np.frombuffer(w0, float)
+
+
+def read_scores(
+    path: str | Path,
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read score rows into columns: user ids, delta, p_wait, p_click, has_p_click.
+
+    A row whose p_click is missing or null reads nan in p_click and False
+    in has_p_click.  The values are not range-checked here (see
+    policies.CandidateColumns).
+    """
+    user_ids: list[str] = []
+    delta, p_wait, p_click = array("d"), array("d"), array("d")
+    has_p_click = bytearray()
+    for lineno, rec in read_jsonl(path):
+        try:
+            user_ids.append(str(rec["user_id"]))
+            delta.append(json_number(rec["delta"], "delta"))
+            p_wait.append(json_number(rec["p_wait"], "p_wait"))
+            p = rec.get("p_click")
+            p_click.append(math.nan if p is None else json_number(p, "p_click"))
+        except ROW_ERRORS as exc:
+            raise DataError(f"{path}:{lineno}: malformed score row: {exc}") from exc
+        has_p_click.append(p is not None)
+    return (user_ids, *(np.frombuffer(c, float) for c in (delta, p_wait, p_click)),
+            np.frombuffer(has_p_click, bool))
+
+
+def _float_rows(*columns: np.ndarray, chunk: int = 8192) -> Iterator[tuple[str, ...]]:
+    """Each row of float columns as json.dumps writes its values, a chunk at a time."""
+    for lo in range(0, len(columns[0]), chunk):
+        yield from zip(*(_json_floats(c[lo:lo + chunk]) for c in columns))
+
+
+def write_deltas_jsonl(
+    path: str | Path, user_ids: Sequence[str], w0_hours: np.ndarray, scores: Mapping,
+    horizon_T: float, model_version: str,
+) -> None:
+    """One line per user of score_columns's scores, the bytes write_jsonl would write."""
+    alpha, horizon = _json_scalar(float(scores["alpha"])), _json_scalar(float(horizon_T))
+    version = _json_scalar(model_version)
+    rows = _float_rows(*(scores[k] for k in ("delta", "lambda0", "lambda1", "p_send", "p_wait")),
+                       np.asarray(w0_hours, dtype=float))
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(
+            f'{{"alpha":{alpha},"delta":{delta},"horizon_T":{horizon},"lambda0":{lam0},'
+            f'"lambda1":{lam1},"model_version":{version},"p_send":{p_send},"p_wait":{p_wait},'
+            f'"user_id":{_json_scalar(user_id)},"w0_hours":{w0}}}\n'
+            for user_id, (delta, lam0, lam1, p_send, p_wait, w0) in zip(user_ids, rows)
+        )
+
+
+def write_decisions_jsonl(path: str | Path, user_ids: Sequence[str], result: PolicyResult) -> None:
+    """One line per row of a policy result, the bytes write_jsonl would write.
+
+    A row holds user_id, y, send, the rule and its parameters
+    (PolicyResult.params); a flagged row adds flagged and its note.
+    """
+    params = "".join(f"{_json_scalar(k)}:{_json_scalar(v)}," for k, v in
+                     sorted(result.params.items()))
+    members = [params] * len(result.y)
+    for i in np.flatnonzero(result.flagged).tolist():
+        members[i] = f'"flagged":true,{params}"note":{_json_scalar(result.note(i))},'
+    rule = _json_scalar(result.rule)
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(
+            f'{{{head}"rule":{rule},"send":{"true" if send else "false"},'
+            f'"user_id":{_json_scalar(user_id)},"y":{y}}}\n'
+            for head, user_id, send, (y,) in
+            zip(members, user_ids, result.send.tolist(), _float_rows(result.y))
+        )
 
 
 # -- models ---------------------------------------------------------------------

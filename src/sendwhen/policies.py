@@ -3,11 +3,15 @@
 Three rules: a global threshold on the delta effect, a personalized
 ratio that normalizes the delta by the no-send visit probability, and
 a linear program that maximizes total delta subject to a minimum
-expected click total and a maximum send volume.
+expected click total and a maximum send volume.  Each takes its
+candidates as a CandidateColumns record; a sequence of Candidate rows
+goes in through CandidateColumns.from_candidates.
 
 The LP is solved through its dual.  For a click price kappa1 the best
 volume-feasible choice is greedy: rank by delta + kappa1 * p_click, ties
-by user_id, and fill the positive scores up to the volume cap.  kappa1 = 0
+by user_id, and fill the positive scores up to the volume cap.  Only the
+ranks inside the cap matter, so a fill partitions the scores at the cap
+and orders only the candidates tied at its edge.  kappa1 = 0
 is tried first; otherwise kappa1 is bracketed and bisected down to two
 adjacent floats whose greedy fills miss and meet the click floor.  The
 two fills differ only in candidates tied at the crossing price; a
@@ -26,14 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, at_row
 
 __all__ = [
     "Candidate",
+    "CandidateColumns",
     "MooConfig",
     "PolicyResult",
     "threshold_rule",
@@ -55,13 +60,67 @@ class Candidate:
     p_click: float
 
     def __post_init__(self) -> None:
-        if not self.user_id:
-            raise DataError("candidate needs a user_id")
-        if not math.isfinite(self.delta):
-            raise DataError(f"delta must be finite, got {self.delta}")
-        for name, v in (("p_wait", self.p_wait), ("p_click", self.p_click)):
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise DataError(f"{name} must be in [0, 1], got {v}")
+        fault = _fault(self.user_id, self.delta, self.p_wait, self.p_click)
+        if fault is not None:
+            raise DataError(fault)
+
+
+def _fault(user_id: str, delta: float, p_wait: float, p_click: float) -> str | None:
+    """Why a candidate row is refused, or None."""
+    if not user_id:
+        return "candidate needs a user_id"
+    if not math.isfinite(delta):
+        return f"delta must be finite, got {delta}"
+    for name, v in (("p_wait", p_wait), ("p_click", p_click)):
+        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+            return f"{name} must be in [0, 1], got {v}"
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateColumns:
+    """Candidates as columns, in one order: user ids and delta, p_wait, p_click.
+
+    Every row is checked as Candidate checks it, with Candidate's messages;
+    the error's row is the first bad row.
+    """
+
+    user_ids: Sequence[str]
+    delta: np.ndarray
+    p_wait: np.ndarray
+    p_click: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.user_ids)
+        columns = ("delta", "p_wait", "p_click")
+        for name in columns:
+            col = np.ascontiguousarray(getattr(self, name), dtype=float)
+            if col.shape != (n,):
+                raise DataError(f"{name} has shape {col.shape}, {n} user ids")
+            object.__setattr__(self, name, col)
+        ok = np.fromiter(map(bool, self.user_ids), bool, n) & np.isfinite(self.delta)
+        for p in (self.p_wait, self.p_click):
+            ok &= (p >= 0.0) & (p <= 1.0)
+        if not ok.all():
+            row = int(np.argmin(ok))
+            values = (float(getattr(self, name)[row]) for name in columns)
+            raise at_row(DataError(_fault(self.user_ids[row], *values)), row)
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
+
+    @classmethod
+    def from_candidates(cls, candidates: Iterable[Candidate]) -> "CandidateColumns":
+        """The columns of Candidate rows, in their order."""
+        rows = list(candidates)
+        values = np.array([(c.delta, c.p_wait, c.p_click) for c in rows], dtype=float)
+        return cls([c.user_id for c in rows], *values.reshape(len(rows), 3).T)
+
+
+def _as_columns(candidates: CandidateColumns | Iterable[Candidate]) -> CandidateColumns:
+    if isinstance(candidates, CandidateColumns):
+        return candidates
+    return CandidateColumns.from_candidates(candidates)
 
 
 @dataclass(frozen=True)
@@ -93,6 +152,12 @@ class PolicyResult:
     objective: float | None = None
     report: Mapping[str, float] = field(default_factory=dict)
 
+    @property
+    def params(self) -> dict[str, float]:
+        """The rule's own parameters that are set: kappa, or kappa1 and kappa2."""
+        names = ("kappa", "kappa1", "kappa2")
+        return {k: v for k in names if (v := getattr(self, k)) is not None}
+
     def note(self, i: int) -> str:
         """Why row i is flagged."""
         if self.rule == "moo":
@@ -107,18 +172,16 @@ def _check_kappa(kappa: float) -> None:
         raise ConfigError("kappa must not be NaN")
 
 
-def _column(candidates: Sequence[Candidate], name: str) -> np.ndarray:
-    return np.array([getattr(c, name) for c in candidates], dtype=float)
-
-
-def threshold_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:
+def threshold_rule(
+    candidates: CandidateColumns | Sequence[Candidate], kappa: float
+) -> PolicyResult:
     """Send exactly when delta exceeds the global threshold (strictly)."""
     _check_kappa(kappa)
-    send = _column(candidates, "delta") > kappa
+    send = _as_columns(candidates).delta > kappa
     return PolicyResult("threshold", send.astype(float), send, np.zeros_like(send), kappa=kappa)
 
 
-def ratio_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:
+def ratio_rule(candidates: CandidateColumns | Sequence[Candidate], kappa: float) -> PolicyResult:
     """Send when delta / p_wait exceeds kappa.
 
     p_wait = 0 makes the ratio +inf for positive delta and meaningless
@@ -126,9 +189,10 @@ def ratio_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:
     flagged so downstream consumers can see the division never happened.
     """
     _check_kappa(kappa)
-    delta, p_wait = _column(candidates, "delta"), _column(candidates, "p_wait")
+    c = _as_columns(candidates)
+    delta, p_wait = c.delta, c.p_wait
     flagged = p_wait == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # a tiny p_wait overflows the ratio to inf
         send = np.where(flagged, delta > 0.0, delta / p_wait > kappa)
     return PolicyResult("ratio", send.astype(float), send, flagged, kappa=kappa)
 
@@ -136,7 +200,7 @@ def ratio_rule(candidates: Sequence[Candidate], kappa: float) -> PolicyResult:
 # -- MOO linear program ------------------------------------------------------
 
 
-def moo_solve(candidates: Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
+def moo_solve(candidates: CandidateColumns | Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
     """Maximize total delta under a click floor and a send-volume cap.
 
     Returns the fractional optimum y with its duals: kappa1 prices the
@@ -147,22 +211,29 @@ def moo_solve(candidates: Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
     Infeasible instances come back with status "infeasible", empty
     columns and a report.
     """
-    if len(candidates) == 0:
+    c = _as_columns(candidates)
+    n, ids, delta, p = len(c), c.user_ids, c.delta, c.p_click
+    if n == 0:
         raise DataError("moo_solve needs at least one candidate")
-    ids = [c.user_id for c in candidates]
-    if len(set(ids)) != len(ids):
+    if len(set(ids)) != n:
         raise DataError("duplicate user_id among candidates")
-    delta, p = _column(candidates, "delta"), _column(candidates, "p_click")
-    n = len(candidates)
-    id_pos = np.empty(n, dtype=np.intp)
-    id_pos[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
-    room = np.clip(cfg.c_send - np.arange(n), 0.0, 1.0)  # volume left by rank
+    k_cap = min(n, math.ceil(cfg.c_send))  # ranks with volume left
 
     def greedy(s: np.ndarray) -> np.ndarray:
-        # positive scores by descending s, ties by user_id, up to the cap
-        order = np.lexsort((id_pos, -s))
-        y = np.zeros(n)
-        y[order] = np.where(s[order] > 0.0, room, 0.0)
+        # Positive scores by descending s, ties by user_id, up to the cap.
+        # Every rank before the last one inside the cap has a whole volume
+        # unit, so only the candidates tied at the k_cap-th highest score
+        # (the edge) need an order, and none do if the edge is not positive.
+        if k_cap == 0:
+            return np.zeros(n)
+        edge = np.partition(s, n - k_cap)[n - k_cap]
+        if edge <= 0.0:
+            return (s > 0.0).astype(float)
+        above = s > edge
+        y = above.astype(float)
+        a = int(np.count_nonzero(above))
+        tied = sorted(np.flatnonzero(s == edge).tolist(), key=ids.__getitem__)
+        y[tied[:k_cap - a]] = np.clip(cfg.c_send - np.arange(a, k_cap), 0.0, 1.0)
         return y
 
     def meets_floor(clicks: float) -> bool:
@@ -222,7 +293,8 @@ def moo_solve(candidates: Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
         c_rem = max(cfg.c_click - float(p @ y), 0.0)
         x = np.arange(m + 1.0)
         clicks = np.concatenate(([0.0], np.cumsum(p[order])))  # of slots [0, x)
-        t_br = np.unique(np.clip(np.concatenate((x, x - (m - v))), 0.0, v))
+        t_br = np.sort(np.clip(np.concatenate((x, x - (m - v))), 0.0, v))
+        t_br = t_br[np.append(True, t_br[1:] != t_br[:-1])]  # np.unique loads numpy.ma
         c_br = np.interp(t_br, x, clicks)
         if priced:
             c_br += clicks[-1] - np.interp(t_br + (m - v), x, clicks)
@@ -252,7 +324,7 @@ def moo_solve(candidates: Sequence[Candidate], cfg: MooConfig) -> PolicyResult:
 
     def round_up(key: np.ndarray) -> tuple[np.ndarray, float]:
         send = whole.copy()
-        send[frac[np.lexsort((id_pos[frac], key[frac]))[:n_up]]] = True
+        send[sorted(frac.tolist(), key=lambda i: (key[i], ids[i]))[:n_up]] = True
         return send, math.fsum(p[send].tolist())
 
     send, sent_clicks = round_up(-delta)

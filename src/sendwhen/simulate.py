@@ -201,7 +201,8 @@ def sample_time_to_visit(
 ) -> float | np.ndarray:
     """Draw time-to-visit hours from exp(b.x + sigma*eps), eps extreme-value."""
     mu = float(np.asarray(x, dtype=float) @ np.asarray(coefficients, dtype=float))
-    t = np.exp(mu + sigma * _extreme_value(rng.uniform(size=size)))
+    with np.errstate(over="ignore"):  # a time past the float range is inf
+        t = np.exp(mu + sigma * _extreme_value(rng.uniform(size=size)))
     return float(t) if size is None else t
 
 
@@ -286,48 +287,49 @@ def generate_event_log(cfg: SimConfig) -> SimResult:
     n_visits = n_resolved = n_censored = 0
     expected_censored = 0.0
 
-    for uid, row0 in enumerate(first_row.tolist()):
-        sends = schedules[uid]
-        k = len(sends)
-        mu_of: dict[int, float] = {}  # badge -> linear predictor
-        law_of: dict[int, WeibullParams] = {}  # badge -> post-send visit-time law
-        badge = 0
-        last_state_change = 0.0
-        for i, t_send in enumerate(sends):
-            badge += 1
-            user.append(uid)
-            ts.append(t_send)
-            badges.append(badge)
-            last_state_change = t_send
-            mu = mu_of.get(badge)
-            if mu is None:
-                mu = mu_of[badge] = float(X[row0 + badge - 1] @ b)
-            visit_at = t_send + float(np.exp(mu + sigma_eps[row0 + i]))
-
-            if i + 1 < k:
-                t_next = sends[i + 1]
-                n_resolved += 1
-                law = law_of.get(badge)
-                if law is None:
-                    try:
-                        rate = math.exp(-mu / sigma)
-                    except OverflowError:  # refused below as a rate that is not finite
-                        rate = math.inf
-                    law = law_of[badge] = WeibullParams(rate, shape)
-                expected_censored += math.exp(-cum_hazard(t_next - t_send, law.rate, law.shape))
-                if visit_at >= t_next:
-                    n_censored += 1
-                    continue
-            if visit_at <= window:
+    with np.errstate(over="ignore"):  # a visit time past the float range is inf
+        for uid, row0 in enumerate(first_row.tolist()):
+            sends = schedules[uid]
+            k = len(sends)
+            mu_of: dict[int, float] = {}  # badge -> linear predictor
+            law_of: dict[int, WeibullParams] = {}  # badge -> post-send visit-time law
+            badge = 0
+            last_state_change = 0.0
+            for i, t_send in enumerate(sends):
+                badge += 1
                 user.append(uid)
-                ts.append(visit_at)
-                badges.append(0)
-                n_visits += 1
-                badge = 0
-                last_state_change = visit_at
+                ts.append(t_send)
+                badges.append(badge)
+                last_state_change = t_send
+                mu = mu_of.get(badge)
+                if mu is None:
+                    mu = mu_of[badge] = float(X[row0 + badge - 1] @ b)
+                visit_at = t_send + float(np.exp(mu + sigma_eps[row0 + i]))
 
-        profile = dict(zip(names, profiles[uid].tolist()))
-        contexts.append(UserEndState(user_ids[uid], profile, badge, window - last_state_change))
+                if i + 1 < k:
+                    t_next = sends[i + 1]
+                    n_resolved += 1
+                    law = law_of.get(badge)
+                    if law is None:
+                        try:
+                            rate = math.exp(-mu / sigma)
+                        except OverflowError:  # refused below as a rate that is not finite
+                            rate = math.inf
+                        law = law_of[badge] = WeibullParams(rate, shape)
+                    expected_censored += math.exp(-cum_hazard(t_next - t_send, law.rate, law.shape))
+                    if visit_at >= t_next:
+                        n_censored += 1
+                        continue
+                if visit_at <= window:
+                    user.append(uid)
+                    ts.append(visit_at)
+                    badges.append(0)
+                    n_visits += 1
+                    badge = 0
+                    last_state_change = visit_at
+
+            profile = dict(zip(names, profiles[uid].tolist()))
+            contexts.append(UserEndState(user_ids[uid], profile, badge, window - last_state_change))
 
     codes, badge_count = np.frombuffer(user, np.int64), np.frombuffer(badges, np.int64)
     send_rows = badge_count > 0

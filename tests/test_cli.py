@@ -818,6 +818,18 @@ def test_score_bad_context_names_its_line(tmp_path, capsys, aft_dir, key, value,
     assert not out.exists()
 
 
+def test_score_badge_past_the_float_range_names_its_line(tmp_path, capsys, aft_dir):
+    contexts = tmp_path / "c.jsonl"
+    contexts.write_text(json.dumps(CONTEXT) + "\n" + json.dumps({**CONTEXT, "badge_count": 10**400})
+                        + "\n")
+    out = tmp_path / "o"
+    assert run("score", "--model", aft_dir / "model.json", "--contexts", contexts,
+               "--out", out) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {contexts}:2: malformed context: int too large to convert to float"]
+    assert not out.exists()
+
+
 def _failing_run(case, tmp_path, sim_dir, aft_dir):
     """argv of a command that reads valid inputs and then fails, and its message."""
     if case == "decide-moo-duplicate-user":

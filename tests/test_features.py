@@ -118,9 +118,12 @@ class TestMaterialize:
         for bad in (missing, nan):
             with pytest.raises(SchemaError) as one:
                 s.materialize(bad, badge_count=1)
-            with pytest.raises(SchemaError) as rows:
-                s.materialize_rows([good, good, bad, missing], [0, 1, 1, 1], [0.0] * 4)
-            assert str(rows.value) == str(one.value)
+            rows = [good, good, bad, missing]
+            columns = {name: ([r.get(name, np.nan) for r in rows], [name in r for r in rows])
+                       for name in good}
+            with pytest.raises(SchemaError) as cols:
+                s.materialize_columns(columns, [0, 1, 1, 1], [0.0] * 4)
+            assert str(cols.value) == str(one.value) and cols.value.row == 2
 
     def test_w0_slot_materialization(self):
         s = FeatureSchema.build(

@@ -1,6 +1,7 @@
 """Tests for the send/hold decision rules and the two-constraint LP."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ def test_ratio_zero_p_wait_decided_by_sign():
     for i in range(3):
         assert res.flagged[i]
         assert "p_wait" in res.note(i)
+
+
+def test_ratio_overflowing_to_infinity_sends_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ratio_rule([cand("tiny", 0.5, p_wait=5e-324), cand("neg", -0.5, p_wait=5e-324)],
+                         kappa=1e300)
+    assert res.send.tolist() == [True, False]
+    assert not res.flagged.any()
 
 
 def test_ratio_send_sets_nest_as_kappa_rises():

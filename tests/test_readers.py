@@ -1,7 +1,8 @@
 """Reader messages, template writers and reader memory, through the public API.
 
 A malformed line in the middle of a file must give the same DataError text
-and exit code whichever way the file is read.  The template writers must
+and exit code whichever way the file is read, and read_jsonl the message a
+reader that parsed each line with json.loads gave.  The template writers must
 write exactly what json.dumps(sort_keys=True, separators=(",", ":")) would,
 the column readers must not build one Python object per row, and a log read
 as columns must iterate as the Event rows it was built from.
@@ -17,11 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sendwhen.cli import main
+from sendwhen.errors import DataError
 from sendwhen.features import FeatureSchema
 from sendwhen.io import (
     read_events,
+    read_jsonl,
     read_observations_jsonl,
+    write_decisions_jsonl,
+    write_deltas_jsonl,
     write_events_jsonl,
+    write_jsonl,
     write_model_json,
     write_observations_jsonl,
     write_schema_json,
@@ -34,6 +40,7 @@ from sendwhen.pipeline import (
     SendInstance,
     send_table,
 )
+from sendwhen.policies import Candidate, MooConfig, moo_solve, ratio_rule, threshold_rule
 from sendwhen.simulate import SendProcess, SimConfig, generate_event_log
 from sendwhen.training import LogisticModel, WeibullAftModel
 
@@ -187,6 +194,56 @@ def test_observation_against_schema_names_its_line(tmp_path, capsys, lines, mess
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}:{message}"
 
 
+def _json_loads_reader_error(path) -> str:
+    """The message of the reader that parsed each stripped line with json.loads."""
+    with open(path, encoding="utf-8", newline="") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return f"{path}:{lineno}: invalid JSON: {exc}"
+            if not isinstance(rec, dict):
+                return f"{path}:{lineno}: expected a JSON object"
+    raise AssertionError("every line parsed")
+
+
+@pytest.mark.parametrize("text", [
+    '{"a":1}\n\n{"user_id":\n',
+    '{"a":1}\n{"a":1} x\n',
+    '{"a":1}\r\n{}{}\r\n',
+    '{"a":1}\n{"a":1}  \t {"b":2}\n',
+    '\ufeff{"a":1}\n',
+    '{"a":1}\n\ufeff{"a":1}\n',
+    '{"a":1}\n[1,2]\n',
+    '{"a":1}\n3\n',
+    '{"a":1}\n"x"\n',
+    '{"a":1}\nnull\n',
+    '{"a":1}\n{"a":NaN,"b":[1,{}]}\n{"a":tru}\n',
+    '{"a":1}\n\u00a0 {"a":1}\u2003\n{"a":\x0c1}} \n',
+], ids=["invalid", "trailing-data", "two-objects", "object-after-space", "leading-bom",
+        "bom-on-line-2", "array", "number", "string", "null", "third-line",
+        "unicode-space"])
+def test_read_jsonl_errors_equal_the_json_loads_reader(tmp_path, text):
+    path = tmp_path / "in.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(DataError) as info:
+        list(read_jsonl(path))
+    assert str(info.value) == _json_loads_reader_error(path)
+
+
+def test_read_jsonl_reads_what_json_loads_reads(tmp_path):
+    lines = ['{"a":1}', ' \t{"b":[1,2.5,"x"],"c":null} ', '{"d":NaN,"e":-Infinity}',
+             '\u00a0{"\u00e9":"\\ud83d\\ude00\\ud800"}\u2003', '{}']
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got = list(read_jsonl(path))
+    assert [n for n, _ in got] == [1, 2, 3, 4, 5]
+    assert [json.dumps(r) for _, r in got] == [json.dumps(json.loads(l.strip())) for l in lines]
+
+
 # -- template writers ---------------------------------------------------------------
 
 SPECIAL_FLOATS = [1e-05, 2.5e-07, 1e16, 5e-324, -0.0, math.nan, math.inf, -math.inf]
@@ -263,6 +320,72 @@ def test_observation_lines_equal_json_dumps(tmp_path_factory, drawn):
     assert _written_lines(write_observations_jsonl, columns, tmp_path_factory) == want
 
 
+DELTA_COLUMNS = ("delta", "p_send", "p_wait", "lambda0", "lambda1")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(ids, *[floats] * 6), max_size=8), floats, floats, st.text(max_size=4))
+def test_delta_lines_equal_json_dumps(tmp_path_factory, rows, alpha, horizon, version):
+    scores = {name: np.array([r[1 + j] for r in rows], dtype=float)
+              for j, name in enumerate(DELTA_COLUMNS)}
+    scores["alpha"] = alpha
+    w0 = np.array([r[-1] for r in rows], dtype=float)
+    want = [_dumps({"user_id": u, "w0_hours": w, **dict(zip(DELTA_COLUMNS, values)),
+                    "horizon_T": horizon, "alpha": alpha, "model_version": version})
+            for u, *values, w in rows]
+    path = tmp_path_factory.getbasetemp() / "deltas.jsonl"
+    write_deltas_jsonl(path, [u for u, *_ in rows], w0, scores, horizon, version)
+    assert path.read_text(encoding="utf-8").splitlines() == want
+
+
+def _decision_records(user_ids, rule, result):
+    """The records decide wrote one dict at a time."""
+    params = {k: v for k in ("kappa", "kappa1", "kappa2")
+              if (v := getattr(result, k)) is not None}
+    rows = [{"user_id": u, "y": y, "send": send, "rule": rule, **params}
+            for u, y, send in zip(user_ids, result.y.tolist(), result.send.tolist())]
+    for i in np.flatnonzero(result.flagged):
+        rows[i].update(flagged=True, note=result.note(i))
+    return [_dumps(r) for r in rows]
+
+
+def _assert_decision_lines(tmp, cands, result):
+    user_ids = [c.user_id for c in cands]
+    path = tmp.getbasetemp() / "decisions.jsonl"
+    write_decisions_jsonl(path, user_ids, result)
+    assert path.read_text(encoding="utf-8").splitlines() == _decision_records(
+        user_ids, result.rule, result)
+
+
+unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+candidates = st.lists(ids.filter(bool), min_size=1, max_size=8, unique=True).flatmap(
+    lambda us: st.tuples(*[st.builds(Candidate, st.just(u), st.floats(-1.0, 1.0), unit, unit)
+                           for u in us]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(candidates, st.sampled_from([math.inf, -math.inf, 0.0]) | st.floats(-2.0, 2.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 9.0))
+def test_decision_lines_equal_json_dumps(tmp_path_factory, cands, kappa, floor, c_send):
+    for rule in (threshold_rule, ratio_rule):
+        _assert_decision_lines(tmp_path_factory, cands, rule(cands, kappa))
+    c_click = floor * sum(c.p_click for c in cands)
+    _assert_decision_lines(tmp_path_factory, cands,
+                           moo_solve(cands, MooConfig(c_click=c_click, c_send=c_send)))
+
+
+def test_decision_lines_with_flags_and_infinite_kappa(tmp_path_factory):
+    cands = [Candidate("a", 0.1, 0.0, 0.9), Candidate("é", 0.5, 0.0, 0.1),
+             Candidate("😀", 0.45, 0.3, 0.15)]
+    results = [threshold_rule(cands, math.inf), ratio_rule(cands, -math.inf),
+               moo_solve(cands, MooConfig(c_click=0.9, c_send=2.0))]
+    assert not results[0].send.any()
+    assert results[1].flagged.tolist() == [True, True, False]
+    assert results[2].flagged.tolist() == [True, False, True]  # both constraints tight
+    for result in results:
+        _assert_decision_lines(tmp_path_factory, cands, result)
+
+
 # -- reader memory ------------------------------------------------------------------
 
 
@@ -286,6 +409,9 @@ def simulated_files(tmp_path_factory):
     write_schema_json(d / "schema.json", schema)
     table = send_table(read_events(d / "events.jsonl"), PipelineConfig())
     write_observations_jsonl(d / "observations.jsonl", table.observations(schema, 1 / 3600))
+    write_jsonl(d / "contexts.jsonl", [
+        {"user_id": c.user_id, "features": dict(c.features), "badge_count": c.badge_count,
+         "w0_hours": c.w0_hours} for c in sim.contexts])
     return d
 
 
@@ -314,7 +440,7 @@ def test_commands_build_no_row_objects(simulated_files, tmp_path, monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"built a {type(self).__name__}")
 
-    for cls in (Event, SendInstance):
+    for cls in (Event, SendInstance, Candidate):
         monkeypatch.setattr(cls, "__init__", refuse)
     d, out = simulated_files, tmp_path
     schema = ["--schema", d / "schema.json"]
@@ -329,6 +455,12 @@ def test_commands_build_no_row_objects(simulated_files, tmp_path, monkeypatch):
            out / "logistic" / "model.json", "--events", d / "events.jsonl", *schema,
            "--horizons", "24", "--labeler", labeler, "--out", out / labeler]
           for labeler in ("naive", "censoring_clean")),
+        ["score", "--model", out / "aft" / "model.json", "--contexts", d / "contexts.jsonl",
+         "--out", out / "score"],
+        *(["decide", "--scores", out / "score" / "deltas.jsonl", *rule, "--out", out / name]
+          for name, rule in [("threshold", []), ("ratio", ["--rule", "ratio"]),
+                             ("moo", ["--rule", "moo", "--c-send", "40", "--c-click", "30",
+                                      "--synth-p-click-seed", "1"])]),
     ]:
         assert main([str(a) for a in argv]) == 0, argv
 

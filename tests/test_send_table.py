@@ -126,4 +126,4 @@ def test_no_sends_gives_empty_results(events, cfg):
     assert build_send_instances(events, SCHEMA, cfg) == []
     labels = label_naive(events, 4.0, cfg)
     assert labels.shape == (0,) and labels.dtype == bool
-    assert SCHEMA.materialize_rows([], [], []).shape == (0, len(SCHEMA))
+    assert SCHEMA.materialize_columns({}, [], []).shape == (0, len(SCHEMA))

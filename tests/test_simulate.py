@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle_sim
+import sendwhen
 from sendwhen.cli import main
 from sendwhen.errors import ConfigError
 from sendwhen.io import write_events_jsonl
@@ -431,3 +436,22 @@ def test_simulate_refuses_a_weibull_rate_out_of_range(tmp_path, capsys, intercep
         f"error: rate must be finite and > 0, got {rate}"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("intercept, rate", [(2000.0, "0.0"), (-2000.0, "inf")])
+def test_simulate_out_of_range_writes_only_its_error_line(tmp_path, intercept, rate):
+    # in a new interpreter, where a numpy warning would reach stderr
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"true_coefficients": [intercept, 0.4, -0.3, -0.2, 0.05]}),
+                    encoding="utf-8")
+    argv = ["simulate", "--n-users", "3", "--config", str(path), "--out", str(tmp_path / "o")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(sendwhen.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-c",
+         "import sys; from sendwhen.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"error: rate must be finite and > 0, got {rate}"]
