@@ -8,7 +8,10 @@ cmd_<name>) run by one function, _run, which in order:
   * merges the defaults, then --config FILE, then every flag whose dest is
     a config key; --print-config prints the result and exits;
   * refuses a missing input flag, then a missing --out DIR;
-  * builds the settings, where a wrongly typed value is a config error;
+  * builds the settings, typing each value by one rule (SimConfig.from_dict
+    for simulate): a number through io.json_number, an integer through
+    io.json_int, a name through io.json_str, and a key whose default is
+    None also takes null; a wrongly typed value is a config error;
   * calls the body.
 
 Outputs land in --out DIR and are never overwritten without --force; each
@@ -38,6 +41,7 @@ import numpy as np
 from . import __version__
 from .errors import (
     ConfigError,
+    DataError,
     NumericalError,
     SchemaError,
     SendwhenError,
@@ -52,6 +56,9 @@ from .evaluation import (
 from .io import (
     dump_json,
     file_sha256,
+    json_int,
+    json_number,
+    json_str,
     line_of_record,
     load_json_config,
     read_contexts,
@@ -116,15 +123,14 @@ def _prepare_out(out_dir: str, filenames: Sequence[str], force: bool) -> Path:
 
 
 @contextmanager
-def _naming_lines(path: str, lines: Sequence[int] | None = None):
-    """Prefix path:line to a row error raised inside: lines[row], or read from path."""
+def _naming_lines(path: str):
+    """Prefix path:line, read again from path, to a row error raised inside."""
     try:
         yield
     except SendwhenError as exc:
         if exc.row is None:
             raise
-        line = line_of_record(path, exc.row) if lines is None else lines[exc.row]
-        raise type(exc)(f"{path}:{line}: {exc}") from None
+        raise type(exc)(f"{path}:{line_of_record(path, exc.row)}: {exc}") from None
 
 
 def _write_manifest(
@@ -149,17 +155,21 @@ def _write_manifest(
     dump_json(out / _MANIFEST_NAME, manifest)
 
 
+def _or_null(typed: Callable[[object, str], object], merged: Mapping, key: str):
+    """typed(merged[key], key), or None for a null value."""
+    return None if merged[key] is None else typed(merged[key], key)
+
+
 def _pipeline_config(merged: Mapping) -> PipelineConfig:
-    start, end = merged["window_start"], merged["window_end"]
     try:
         return PipelineConfig(
-            duration_floor_hours=float(merged["duration_floor_hours"]),
-            window_start=None if start is None else float(start),
-            window_end=None if end is None else float(end),
+            duration_floor_hours=json_number(merged["duration_floor_hours"],
+                                             "duration_floor_hours"),
+            window_start=_or_null(json_number, merged, "window_start"),
+            window_end=_or_null(json_number, merged, "window_end"),
         )
-    except (TypeError, ValueError):  # DataError included
-        # invalid pipeline settings are a configuration problem at the CLI
-        raise ConfigError(f"invalid pipeline config: {merged}") from None
+    except DataError as exc:  # a configuration problem at the CLI
+        raise ConfigError(f"invalid pipeline config: {exc}") from None
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -209,11 +219,7 @@ def cmd_simulate(args: argparse.Namespace, merged: Mapping, sim_cfg: SimConfig) 
 
 # -- ingest -----------------------------------------------------------------------
 
-_INGEST_DEFAULTS: dict = {
-    "duration_floor_hours": 1.0 / 3600.0,
-    "window_start": None,
-    "window_end": None,
-}
+_INGEST_DEFAULTS: dict = asdict(PipelineConfig())
 
 
 def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConfig) -> int:
@@ -249,17 +255,7 @@ def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConf
 
 # -- train ------------------------------------------------------------------------
 
-_TRAIN_DEFAULTS: dict = {
-    "model": "aft",
-    "tol": 1e-7,
-    "max_iters": 500,
-    "ridge": 1e-6,
-    "method": "lbfgs",
-    "seed": 0,
-    "duration_floor_hours": 1.0 / 3600.0,
-    "window_start": None,
-    "window_end": None,
-}
+_TRAIN_DEFAULTS: dict = {"model": "aft", **asdict(OptConfig()), **asdict(PipelineConfig())}
 
 
 def _parse_model_kind(spec: str) -> tuple[str, float | None]:
@@ -277,20 +273,20 @@ def _parse_model_kind(spec: str) -> tuple[str, float | None]:
     raise ConfigError(f"unknown model kind {spec!r}; expected 'aft' or 'logistic:T'")
 
 
-def _train_settings(merged: Mapping) -> tuple[str, float | None, OptConfig]:
-    kind, horizon = _parse_model_kind(str(merged["model"]))
+def _train_settings(merged: Mapping) -> tuple[str, float | None, OptConfig, PipelineConfig]:
+    kind, horizon = _parse_model_kind(json_str(merged["model"], "model"))
     opt_cfg = OptConfig(
-        tol=float(merged["tol"]),
-        max_iters=int(merged["max_iters"]),
-        ridge=float(merged["ridge"]),
-        method=str(merged["method"]),
-        seed=int(merged["seed"]),
+        tol=json_number(merged["tol"], "tol"),
+        max_iters=json_int(merged["max_iters"], "max_iters"),
+        ridge=json_number(merged["ridge"], "ridge"),
+        method=json_str(merged["method"], "method"),
+        seed=json_int(merged["seed"], "seed"),
     )
-    return kind, horizon, opt_cfg
+    return kind, horizon, opt_cfg, _pipeline_config(merged)
 
 
 def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
-    kind, horizon, opt_cfg = settings
+    kind, horizon, opt_cfg, pipe_cfg = settings
     inputs: dict[str, str] = {}
     if kind == "aft":
         if args.observations is None:
@@ -308,7 +304,6 @@ def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int
             raise ConfigError("train --model logistic:T needs --events and --schema")
         schema = read_schema_json(args.schema)
         events = read_events(args.events)
-        pipe_cfg = _pipeline_config(merged)
         inputs["events"] = args.events
         inputs["schema"] = args.schema
         with _naming_lines(args.events):
@@ -331,24 +326,20 @@ def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int
 # -- evaluate ---------------------------------------------------------------------
 
 _EVALUATE_DEFAULTS: dict = {
-    "horizons": list(DEFAULT_HORIZONS),
-    "labeler": "naive",
-    "duration_floor_hours": 1.0 / 3600.0,
-    "window_start": None,
-    "window_end": None,
+    "horizons": list(DEFAULT_HORIZONS), "labeler": "naive", **asdict(PipelineConfig()),
 }
 
 
-def _evaluate_settings(merged: Mapping) -> tuple[list[float], PipelineConfig]:
-    if merged["labeler"] not in LABELERS:
-        raise ConfigError(
-            f"unknown labeler {merged['labeler']!r}; expected one of {sorted(LABELERS)}"
-        )
-    return [float(t) for t in merged["horizons"]], _pipeline_config(merged)
+def _evaluate_settings(merged: Mapping) -> tuple[list[float], str, PipelineConfig]:
+    labeler = json_str(merged["labeler"], "labeler")
+    if labeler not in LABELERS:
+        raise ConfigError(f"unknown labeler {labeler!r}; expected one of {sorted(LABELERS)}")
+    horizons = [json_number(t, "horizons") for t in merged["horizons"]]
+    return horizons, labeler, _pipeline_config(merged)
 
 
 def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
-    horizons, pipe_cfg = settings
+    horizons, labeler, pipe_cfg = settings
     aft = read_model_json(args.aft_model)
     if not isinstance(aft, WeibullAftModel):
         raise SchemaError(f"{args.aft_model} does not hold a survival model")
@@ -363,7 +354,7 @@ def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> 
     with _naming_lines(args.events):
         report = auc_vs_horizon(
             aft, logistic_models, events, schema,
-            horizons=horizons, labeler=str(merged["labeler"]), cfg=pipe_cfg,
+            horizons=horizons, labeler=labeler, cfg=pipe_cfg,
         )
 
     out = _prepare_out(args.out, ("auc_report.csv", "auc_report.json"), args.force)
@@ -392,7 +383,7 @@ _SCORE_DEFAULTS: dict = {
 
 
 def _score_settings(merged: Mapping) -> float:
-    horizon = float(merged["horizon_T"])
+    horizon = json_number(merged["horizon_T"], "horizon_T")
     if not horizon > 0:
         raise ConfigError(f"horizon_T must be > 0, got {horizon}")
     return horizon
@@ -439,17 +430,14 @@ _DECIDE_DEFAULTS: dict = {
 
 
 def _decide_settings(merged: Mapping) -> tuple:
-    rule = str(merged["rule"])
+    rule = json_str(merged["rule"], "rule")
     if rule not in ("threshold", "ratio", "moo"):
         raise ConfigError(f"unknown rule {rule!r}; expected threshold, ratio, or moo")
-    seed = merged["synth_p_click_seed"]
     return (
         rule,
-        float(merged["kappa"]),
-        float(merged["c_click"]),
-        float(merged["c_send"]),
-        float(merged["evaluation_cadence_hours"]),
-        None if seed is None else int(seed),
+        *(json_number(merged[key], key)
+          for key in ("kappa", "c_click", "c_send", "evaluation_cadence_hours")),
+        _or_null(json_int, merged, "synth_p_click_seed"),
     )
 
 

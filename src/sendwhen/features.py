@@ -112,9 +112,6 @@ class FeatureSchema:
         except KeyError:
             raise SchemaError(f"no slot named {name!r}") from None
 
-    def slot(self, name: str) -> SlotSpec:
-        return self.slots[self.index(name)]
-
     def indices_of_kind(self, kind: str) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.slots) if s.kind == kind)
 
@@ -177,8 +174,7 @@ class FeatureSchema:
             for s in self.slots:
                 if s.kind == "base" and not (s.name in features and features[s.name][1][row]):
                     raise at_row(SchemaError(f"missing base feature {s.name!r}"), row)
-            bad = self.slots[int(np.argmin(finite[row]))].name
-            raise at_row(SchemaError(f"non-finite value in slot {bad!r}"), row)
+            self.check_rows(X)  # the non-finite slot of that row
         return X
 
     def _interact(self, X: np.ndarray) -> None:

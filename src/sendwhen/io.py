@@ -160,9 +160,11 @@ def json_int(v, name: str) -> int:
     return v
 
 
-def json_badge(v) -> int:
-    """A badge_count as JSON holds it: an integer, never a bool or a float."""
-    return json_int(v, "badge_count")
+def json_str(v, name: str) -> str:
+    """A JSON string field: a str, never a number or null."""
+    if type(v) is not str:
+        raise TypeError(f"{name} must be a string, got {v!r}")
+    return v
 
 
 def json_number(v, name: str) -> float:
@@ -174,25 +176,25 @@ def json_number(v, name: str) -> float:
 
 def _event_columns(
     records: Iterable[tuple[int, Mapping]], where: str,
-    badge_of: Callable[[object], int], number_of: Callable[[object, str], float],
+    badge_of: Callable[[object, str], int], number_of: Callable[[object, str], float],
 ) -> EventColumns:
     """Convert and check each (line number, record), then append it to columns.
 
     The conversions run in a fixed order (user_id, ts_hours, kind,
     badge_count, features) and the event checks after them, so the first
-    bad line, and the first fault on it, names the error.  badge_of
-    converts a present badge_count and number_of(value, name) a number:
-    json_badge and json_number for JSON, int and float for CSV text.
+    bad line, and the first fault on it, names the error.  badge_of(value,
+    name) converts a present badge_count and number_of(value, name) a
+    number: json_int and json_number for JSON, int and float for CSV text.
     """
     columns = EventColumnAppender()
     for lineno, rec in records:
         try:
             badge = rec.get("badge_count")
             columns.append(
-                str(rec["user_id"]),
+                json_str(rec["user_id"], "user_id"),
                 number_of(rec["ts_hours"], "ts_hours"),
                 str(rec["kind"]),
-                None if badge is None else badge_of(badge),
+                None if badge is None else badge_of(badge, "badge_count"),
                 {k: number_of(v, k) for k, v in (rec.get("features") or {}).items()},
             )
         except DataError as exc:  # the event checks
@@ -246,8 +248,9 @@ def _csv_records(path: str | Path) -> Iterator[tuple[int, dict]]:
 def read_events(path: str | Path) -> EventColumns:
     """Read an event log into columns: .csv as CSV, anything else as JSONL."""
     if str(path).lower().endswith(".csv"):
-        return _event_columns(_csv_records(path), str(path), int, lambda cell, _: float(cell))
-    return _event_columns(read_jsonl(path), str(path), json_badge, json_number)
+        return _event_columns(_csv_records(path), str(path), lambda cell, _: int(cell),
+                              lambda cell, _: float(cell))
+    return _event_columns(read_jsonl(path), str(path), json_int, json_number)
 
 
 def line_of_record(path: str | Path, row: int) -> int:
@@ -276,6 +279,12 @@ def _json_floats(values: np.ndarray) -> list[str]:
     """Each float as json.dumps writes it."""
     fmt = float.__repr__ if np.isfinite(values).all() else _json_float
     return list(map(fmt, values.tolist()))
+
+
+def _float_rows(*columns: np.ndarray, chunk: int = 8192) -> Iterator[tuple[str, ...]]:
+    """Each row of float columns as json.dumps writes its values, a chunk at a time."""
+    for lo in range(0, len(columns[0]), chunk):
+        yield from zip(*(_json_floats(c[lo:lo + chunk]) for c in columns))
 
 
 def _feature_members(events: EventColumns, part: slice) -> list[str]:
@@ -336,27 +345,17 @@ def write_events_jsonl(path: str | Path, events: EventColumns | Iterable[Event])
 # -- observations -------------------------------------------------------------
 
 
-def _column_rows(obs: ObservationColumns, chunk: int = 8192) -> Iterator[tuple]:
-    """Each row of the columns as Python values, converting a chunk at a time."""
-    for lo in range(0, len(obs), chunk):
-        part = slice(lo, lo + chunk)
-        yield from zip(
-            [obs.user_ids[u] for u in obs.user[part].tolist()],
-            obs.t_hours[part].tolist(),
-            (~obs.uncensored[part]).tolist(),
-            obs.origin_ts_hours[part].tolist(),
-            obs.x[part].tolist(),
-        )
-
-
 def write_observations_jsonl(path: str | Path, observations: ObservationColumns) -> None:
     """One line per observation, the bytes write_jsonl would write for its record."""
+    obs = observations
+    ids = [_json_scalar(u) for u in obs.user_ids]  # encoded once per user
+    rows = _float_rows(obs.t_hours, obs.origin_ts_hours, *obs.x.T)
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(
-            f'{{"censored":{"true" if censored else "false"},'
-            f'"origin_ts_hours":{_json_scalar(origin)},"t_hours":{_json_scalar(t)},'
-            f'"user_id":{_json_scalar(user_id)},"x":[{",".join(map(_json_float, x))}]}}\n'
-            for user_id, t, censored, origin, x in _column_rows(observations)
+            f'{{"censored":{"false" if uncensored else "true"},"origin_ts_hours":{origin},'
+            f'"t_hours":{t},"user_id":{ids[u]},"x":[{",".join(x)}]}}\n'
+            for u, uncensored, (t, origin, *x) in
+            zip(obs.user.tolist(), obs.uncensored.tolist(), rows)
         )
 
 
@@ -378,7 +377,7 @@ def read_observations_jsonl(
             width = len(x) if width is None else width
             if len(x) != width:
                 raise ValueError(f"x has {len(x)} values, the first row {width}")
-            user_id = str(rec["user_id"])
+            user_id = json_str(rec["user_id"], "user_id")
             x_values.extend(x)
             t = json_number(rec["t_hours"], "t_hours")
             o = json_number(rec.get("origin_ts_hours", math.nan), "origin_ts_hours")
@@ -423,9 +422,12 @@ def read_contexts(
     features = {s.name: (array("d"), bytearray()) for s in schema.slots if s.kind == "base"}
     for lineno, rec in read_jsonl(path):
         try:
-            user_ids.append(str(rec["user_id"]))
-            row = {k: json_number(v, k) for k, v in dict(rec["features"]).items()}
-            badges.append(json_badge(rec["badge_count"]))
+            user_ids.append(json_str(rec["user_id"], "user_id"))
+            row = rec["features"]
+            if type(row) is not dict:
+                raise TypeError(f"features must be a JSON object, got {row!r}")
+            row = {k: json_number(v, k) for k, v in row.items()}
+            badges.append(json_int(rec["badge_count"], "badge_count"))
             w0.append(json_number(rec["w0_hours"], "w0_hours"))
         except ROW_ERRORS as exc:
             raise DataError(f"{path}:{lineno}: malformed context: {exc}") from exc
@@ -449,7 +451,7 @@ def read_scores(
     has_p_click = bytearray()
     for lineno, rec in read_jsonl(path):
         try:
-            user_ids.append(str(rec["user_id"]))
+            user_ids.append(json_str(rec["user_id"], "user_id"))
             delta.append(json_number(rec["delta"], "delta"))
             p_wait.append(json_number(rec["p_wait"], "p_wait"))
             p = rec.get("p_click")
@@ -459,12 +461,6 @@ def read_scores(
         has_p_click.append(p is not None)
     return (user_ids, *(np.frombuffer(c, float) for c in (delta, p_wait, p_click)),
             np.frombuffer(has_p_click, bool))
-
-
-def _float_rows(*columns: np.ndarray, chunk: int = 8192) -> Iterator[tuple[str, ...]]:
-    """Each row of float columns as json.dumps writes its values, a chunk at a time."""
-    for lo in range(0, len(columns[0]), chunk):
-        yield from zip(*(_json_floats(c[lo:lo + chunk]) for c in columns))
 
 
 def write_deltas_jsonl(

@@ -41,7 +41,6 @@ class OptConfig:
 @dataclass(frozen=True, eq=False)
 class OptResult:
     x: np.ndarray
-    fun: float
     grad_max_norm: float
     n_iters: int
     converged: bool
@@ -86,11 +85,10 @@ def _run_lbfgs(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptRes
             "ftol": 1e-15,  # push to the gradient criterion, not f-stalls
         },
     )
-    f, g = objective(np.asarray(res.x, dtype=float))  # unguarded: surface errors
+    _, g = objective(np.asarray(res.x, dtype=float))  # unguarded: surface errors
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     return OptResult(
         x=np.asarray(res.x, dtype=float),
-        fun=float(f),
         grad_max_norm=gnorm,
         n_iters=int(res.nit),
         converged=gnorm <= cfg.tol,
@@ -122,11 +120,10 @@ def _run_gd(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptResult
             step *= 0.5
         if not accepted:
             break  # step underflow: nothing more to gain at float precision
-    f_final, g_final = objective(x)  # unguarded
+    _, g_final = objective(x)  # unguarded
     gnorm = float(np.max(np.abs(g_final))) if g_final.size else 0.0
     return OptResult(
         x=x,
-        fun=float(f_final),
         grad_max_norm=gnorm,
         n_iters=it,
         converged=gnorm <= cfg.tol,

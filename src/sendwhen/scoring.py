@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, NumericalError, SchemaError, at_row
-from .survival import send_vs_wait
+from .survival import aft_rate, send_vs_wait
 from .training import WeibullAftModel
 
 __all__ = [
@@ -49,13 +49,6 @@ def model_digest(model: WeibullAftModel) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _rate(mu: float, sigma: float) -> float:
-    try:
-        return math.exp(-mu / sigma)
-    except OverflowError:
-        return math.inf
-
-
 def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T) -> dict:
     """Visit-probability gain of sending now versus waiting, one row per user.
 
@@ -84,7 +77,7 @@ def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T) -
 
     b, sigma, alpha = model.coefficients, model.sigma, model.alpha
     mu = [(float(x0 @ b), float(x1 @ b)) for x0, x1 in zip(X0, schema.transition(X0))]
-    lam = np.array([(_rate(m0, sigma), _rate(m1, sigma)) for m0, m1 in mu]).reshape(-1, 2)
+    lam = np.array([(aft_rate(m0, sigma), aft_rate(m1, sigma)) for m0, m1 in mu]).reshape(-1, 2)
     bad = ~(np.isfinite(lam) & (lam > 0.0)).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))

@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .features import FeatureSchema
 from .io import json_int, json_number
 from .pipeline import EventColumns
-from .survival import WeibullParams, cum_hazard
+from .survival import WeibullParams, aft_rate, cum_hazard
 
 __all__ = [
     "SendProcess",
@@ -310,12 +310,8 @@ def generate_event_log(cfg: SimConfig) -> SimResult:
                     t_next = sends[i + 1]
                     n_resolved += 1
                     law = law_of.get(badge)
-                    if law is None:
-                        try:
-                            rate = math.exp(-mu / sigma)
-                        except OverflowError:  # refused below as a rate that is not finite
-                            rate = math.inf
-                        law = law_of[badge] = WeibullParams(rate, shape)
+                    if law is None:  # WeibullParams refuses an infinite rate
+                        law = law_of[badge] = WeibullParams(aft_rate(mu, sigma), shape)
                     expected_censored += math.exp(-cum_hazard(t_next - t_send, law.rate, law.shape))
                     if visit_at >= t_next:
                         n_censored += 1

@@ -25,6 +25,7 @@ __all__ = [
     "prob_visit_if_not_send",
     "delta_effect",
     "cum_hazard",
+    "aft_rate",
     "send_vs_wait",
 ]
 
@@ -61,6 +62,14 @@ def _check_time(t: float, name: str = "t", positive: bool = False) -> float:
 def cum_hazard(t, rate, shape):
     """rate * t**shape, the Weibull cumulative hazard at t >= 0; floats or arrays."""
     return rate * t**shape
+
+
+def aft_rate(mu: float, sigma: float) -> float:
+    """exp(-mu / sigma), the Weibull rate of log T = mu + sigma*eps; inf past the float range."""
+    try:
+        return math.exp(-mu / sigma)
+    except OverflowError:
+        return math.inf
 
 
 def send_vs_wait(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, SchemaError
 from .features import FeatureSchema
-from .optimize import OptConfig, OptResult, minimize_smooth
+from .optimize import OptConfig, minimize_smooth
 from .pipeline import ObservationColumns
 
 __all__ = [
@@ -213,23 +213,56 @@ class LogisticModel:
         if not self.horizon_t_hours > 0:
             raise DataError(f"horizon must be > 0, got {self.horizon_t_hours}")
 
-    def predict_logit(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.weights
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         from scipy.special import expit
 
-        return expit(self.predict_logit(X))
+        return expit(np.asarray(X, dtype=float) @ self.weights)
 
 
 # -- fitting -------------------------------------------------------------------
 
 
-def _ridge_mask(k: int, intercept_index: int | None) -> np.ndarray:
-    mask = np.ones(k, dtype=float)
-    if intercept_index is not None:
-        mask[intercept_index] = 0.0
-    return mask
+def _penalized_fit(negloglik_and_gradient, X: np.ndarray, icpt: int | None,
+                   theta0: np.ndarray, opt_cfg: OptConfig, n_positive: int):
+    """Penalized maximum likelihood, the one fit that fit_aft and fit_logistic run.
+
+    negloglik_and_gradient(theta, X_std) is the data term on the
+    standardized design, theta[:k] its k coefficients (any further entry is
+    a scale, unpenalized).  The ridge applies to the standardized
+    non-intercept coefficients.  Returns the optimum theta, its
+    coefficients folded back to raw feature space, and the diagnostics,
+    whose negloglik is the data term at the optimum, without the ridge.
+    """
+    n, k = X.shape
+    X_std, means, scales = _standardize(X, icpt)
+    mask = np.ones(k)
+    if icpt is not None:
+        mask[icpt] = 0.0
+
+    # The optimizer sees the per-observation mean so the gradient tolerance
+    # is scale-invariant in n; the reported objective stays a sum.  The
+    # ridge joins the gradient before the division by n: the other order
+    # changes the last bits of every fitted model.
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        nll, grad = negloglik_and_gradient(theta, X_std)
+        b = theta[:k]
+        nll += 0.5 * opt_cfg.ridge * float(np.sum(mask * b**2))
+        grad = grad.copy()
+        grad[:k] += opt_cfg.ridge * mask * b
+        return nll / n, grad / n
+
+    result = minimize_smooth(objective, theta0, opt_cfg)
+    diagnostics = {
+        "negloglik": negloglik_and_gradient(result.x, X_std)[0],
+        "grad_max_norm": result.grad_max_norm,
+        "n_iters": result.n_iters,
+        "converged": result.converged,
+        "method": opt_cfg.method,
+        "ridge": opt_cfg.ridge,
+        "n_obs": n,
+        "n_events": n_positive,
+    }
+    return result.x, _fold_back(result.x[:k], means, scales, icpt), diagnostics
 
 
 def fit_aft(
@@ -256,35 +289,21 @@ def fit_aft(
             f"schema has {len(schema)} slots but observations have {dm.k} features"
         )
     icpt = _find_intercept(dm.X, schema)
-    X_std, means, scales = _standardize(dm.X, icpt)
-    dm_std = DesignMatrix(X=X_std, log_t=dm.log_t, delta=dm.delta)
-    mask = _ridge_mask(dm.k, icpt)
-
-    theta0 = np.zeros(dm.k + 1)
+    theta0 = np.zeros(dm.k + 1)  # the coefficients, then log(sigma)
     if icpt is not None:
         theta0[icpt] = float(np.mean(dm.log_t[dm.delta == 1.0]))
 
-    # The optimizer sees the per-observation mean so the gradient tolerance
-    # is scale-invariant in n; the public objective stays a sum.
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        b_std, log_sigma = theta[:-1], float(theta[-1])
-        nll, grad = aft_negloglik_and_gradient(b_std, log_sigma, dm_std)
-        nll += 0.5 * opt_cfg.ridge * float(np.sum(mask * b_std**2))
-        grad = grad.copy()
-        grad[:-1] += opt_cfg.ridge * mask * b_std
-        return nll / dm.n, grad / dm.n
+    def negloglik(theta: np.ndarray, X_std: np.ndarray) -> tuple[float, np.ndarray]:
+        return aft_negloglik_and_gradient(
+            theta[:-1], float(theta[-1]), DesignMatrix(X=X_std, log_t=dm.log_t, delta=dm.delta)
+        )
 
-    result = minimize_smooth(objective, theta0, opt_cfg)
-    b_std, log_sigma = result.x[:-1], float(result.x[-1])
-    b_raw = _fold_back(b_std, means, scales, icpt)
-    data_nll, _ = aft_negloglik_and_gradient(b_std, log_sigma, dm_std)
-
-    names = _names(feature_names, schema, dm.k)
+    theta, b_raw, diagnostics = _penalized_fit(negloglik, dm.X, icpt, theta0, opt_cfg, n_unc)
     return WeibullAftModel(
-        feature_names=names,
+        feature_names=_names(feature_names, schema, dm.k),
         coefficients=b_raw,
-        log_sigma=log_sigma,
-        diagnostics=_diagnostics(result, data_nll, opt_cfg, dm.n, n_unc),
+        log_sigma=float(theta[-1]),
+        diagnostics=diagnostics,
         schema=schema,
     )
 
@@ -324,31 +343,20 @@ def fit_logistic(
             f"schema has {len(schema)} slots but instances have {X.shape[1]} features"
         )
     icpt = _find_intercept(X, schema)
-    X_std, means, scales = _standardize(X, icpt)
-    mask = _ridge_mask(X.shape[1], icpt)
-
     w0 = np.zeros(X.shape[1])
     if icpt is not None:
         base = float(np.mean(y))
         w0[icpt] = math.log(base / (1.0 - base))
 
-    n = X.shape[0]
+    def negloglik(w: np.ndarray, X_std: np.ndarray) -> tuple[float, np.ndarray]:
+        return logistic_negloglik_and_gradient(w, X_std, y)
 
-    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        nll, grad = logistic_negloglik_and_gradient(w, X_std, y)
-        nll += 0.5 * opt_cfg.ridge * float(np.sum(mask * w**2))
-        return nll / n, (grad + opt_cfg.ridge * mask * w) / n
-
-    result = minimize_smooth(objective, w0, opt_cfg)
-    w_raw = _fold_back(result.x, means, scales, icpt)
-    data_nll, _ = logistic_negloglik_and_gradient(result.x, X_std, y)
-
-    names = _names(feature_names, schema, X.shape[1])
+    _, w_raw, diagnostics = _penalized_fit(negloglik, X, icpt, w0, opt_cfg, int(y.sum()))
     return LogisticModel(
-        feature_names=names,
+        feature_names=_names(feature_names, schema, X.shape[1]),
         weights=w_raw,
         horizon_t_hours=float(horizon_t_hours),
-        diagnostics=_diagnostics(result, data_nll, opt_cfg, X.shape[0], int(y.sum())),
+        diagnostics=diagnostics,
         schema=schema,
     )
 
@@ -364,19 +372,4 @@ def _names(
     if schema is not None:
         return schema.names
     return tuple(f"x{j}" for j in range(k))
-
-
-def _diagnostics(
-    result: OptResult, data_nll: float, cfg: OptConfig, n: int, n_positive: int
-) -> dict:
-    return {
-        "negloglik": data_nll,
-        "grad_max_norm": result.grad_max_norm,
-        "n_iters": result.n_iters,
-        "converged": result.converged,
-        "method": cfg.method,
-        "ridge": cfg.ridge,
-        "n_obs": n,
-        "n_events": n_positive,
-    }
 

@@ -684,6 +684,81 @@ def test_print_config_touches_no_files(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+# each command's defaults as --print-config prints them, keys sorted, compacted here
+PRINTED_DEFAULTS = {
+    "ingest": '{"duration_floor_hours":0.0002777777777777778,"window_end":null,'
+              '"window_start":null}',
+    "train": '{"duration_floor_hours":0.0002777777777777778,"max_iters":500,"method":"lbfgs",'
+             '"model":"aft","ridge":1e-06,"seed":0,"tol":1e-07,"window_end":null,'
+             '"window_start":null}',
+    "evaluate": '{"duration_floor_hours":0.0002777777777777778,'
+                '"horizons":[2.0,4.0,8.0,12.0,24.0,36.0,48.0],"labeler":"naive",'
+                '"window_end":null,"window_start":null}',
+    "score": '{"horizon_T":24.0}',
+    "decide": '{"c_click":0.0,"c_send":0.0,"evaluation_cadence_hours":4.0,"kappa":0.0,'
+              '"rule":"threshold","synth_p_click_seed":null}',
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRINTED_DEFAULTS))
+def test_print_config_prints_the_pinned_defaults(capsys, command):
+    assert run(command, "--print-config") == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) == (
+        PRINTED_DEFAULTS[command])
+
+
+# argv of each command with valid inputs and no --out; settings are typed before any input is read
+_TYPED_ARGV = {
+    "ingest": ("ingest", "--events", "{sim}/events.jsonl", "--schema", "{sim}/schema.json"),
+    "train": ("train", "--observations", "{ing}/observations.jsonl"),
+    "evaluate": ("evaluate", "--aft-model", "{aft}/model.json",
+                 "--logistic-model", "{aft}/model.json",
+                 "--events", "{sim}/events.jsonl", "--schema", "{sim}/schema.json"),
+    "score": ("score", "--model", "{aft}/model.json", "--contexts", "{sim}/contexts.jsonl"),
+    "decide": ("decide", "--scores", "{score}/deltas.jsonl"),
+}
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("ingest", {"window_start": True}, "window_start must be a number, got True"),
+    ("ingest", {"duration_floor_hours": None}, "duration_floor_hours must be a number, got None"),
+    ("train", {"max_iters": 500.9}, "max_iters must be an integer, got 500.9"),
+    ("train", {"seed": True}, "seed must be an integer, got True"),
+    ("train", {"tol": "1e-7"}, "tol must be a number, got '1e-7'"),
+    ("train", {"method": 1}, "method must be a string, got 1"),
+    ("train", {"model": ["aft"]}, "model must be a string, got ['aft']"),
+    ("train", {"window_end": True}, "window_end must be a number, got True"),
+    ("evaluate", {"horizons": [True, 24]}, "horizons must be a number, got True"),
+    ("evaluate", {"labeler": 5}, "labeler must be a string, got 5"),
+    ("score", {"horizon_T": "24"}, "horizon_T must be a number, got '24'"),
+    ("decide", {"synth_p_click_seed": 3.7}, "synth_p_click_seed must be an integer, got 3.7"),
+    ("decide", {"rule": 5}, "rule must be a string, got 5"),
+    ("decide", {"kappa": None}, "kappa must be a number, got None"),
+])
+def test_config_values_are_typed_by_one_rule(
+    tmp_path, capsys, sim_dir, ingest_dir, aft_dir, score_dir, command, config, message
+):
+    dirs = {"sim": sim_dir, "ing": ingest_dir, "aft": aft_dir, "score": score_dir}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [a.format(**dirs) for a in _TYPED_ARGV[command]]
+    assert run(*argv, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: invalid {command} config: {message}"
+    assert not (tmp_path / "o").exists()
+
+
+def test_null_config_values_keep_their_defaults(tmp_path, sim_dir, score_dir):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window_start": None, "window_end": None}))
+    assert run("ingest", "--events", sim_dir / "events.jsonl", "--schema", sim_dir / "schema.json",
+               "--config", cfg, "--out", tmp_path / "i") == 0
+    cfg.write_text(json.dumps({"synth_p_click_seed": None}))
+    assert run("decide", "--scores", score_dir / "deltas.jsonl", "--config", cfg,
+               "--out", tmp_path / "d") == 0
+
+
 @pytest.mark.parametrize("argv,config", [
     (("score", "--model", "{aft}/model.json", "--contexts", "{sim}/contexts.jsonl"),
      {"horizon_T": "abc"}),
@@ -781,6 +856,10 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, sim_dir, kin
      "malformed score row: p_wait must be a number, got '0.5'"),
     ({"user_id": "b", "delta": 0.1, "p_wait": 0.5, "p_click": False},
      "malformed score row: p_click must be a number, got False"),
+    ({"user_id": None, "delta": 0.2, "p_wait": 0.5},
+     "malformed score row: user_id must be a string, got None"),
+    ({"user_id": 5, "delta": 0.2, "p_wait": 0.5},
+     "malformed score row: user_id must be a string, got 5"),
 ])
 def test_decide_bad_candidate_names_its_line(tmp_path, capsys, row, message):
     scores = tmp_path / "s.jsonl"
@@ -806,8 +885,14 @@ CONTEXT = {"user_id": "a", "features": {"profile_0": 0.1, "profile_1": -0.2},
      "malformed context: profile_0 must be a number, got True"),
     ("features", {"profile_0": 1e400, "profile_1": 0.0}, "non-finite value in slot 'profile_0'"),
     ("features", {"profile_1": 0.0}, "missing base feature 'profile_0'"),
+    ("features", [["profile_0", 0.1], ["profile_1", 0.2]],
+     "malformed context: features must be a JSON object, got [['profile_0', 0.1], "
+     "['profile_1', 0.2]]"),
+    ("user_id", None, "malformed context: user_id must be a string, got None"),
+    ("user_id", 5, "malformed context: user_id must be a string, got 5"),
 ], ids=["float-badge", "bool-badge", "infinite-badge", "string-badge", "negative-w0",
-        "bool-w0", "bool-feature", "infinite-feature", "missing-feature"])
+        "bool-w0", "bool-feature", "infinite-feature", "missing-feature", "list-features",
+        "null-id", "numeric-id"])
 def test_score_bad_context_names_its_line(tmp_path, capsys, aft_dir, key, value, message):
     contexts = tmp_path / "c.jsonl"
     contexts.write_text(json.dumps(CONTEXT) + "\n\n" + json.dumps({**CONTEXT, key: value}) + "\n")

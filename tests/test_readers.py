@@ -118,6 +118,17 @@ CASES += [
      '"user_id":"u","x":[1.0,0.5,1.0]}',
      "malformed observation: origin_ts_hours must be a number, got False"),
 ]
+# a JSON user_id is a string, never null or a number; CSV cells are text already
+CASES += [
+    ("events.jsonl", '{"user_id":null,"ts_hours":2.0,"kind":"visit"}',
+     "malformed event record: user_id must be a string, got None"),
+    ("events.jsonl", '{"user_id":5,"ts_hours":2.0,"kind":"send","badge_count":1,'
+     '"features":{"p":0.5}}', "malformed event record: user_id must be a string, got 5"),
+    ("observations.jsonl", '{"censored":false,"t_hours":1.0,"user_id":null,"x":[1.0,0.5,1.0]}',
+     "malformed observation: user_id must be a string, got None"),
+    ("observations.jsonl", '{"censored":false,"t_hours":1.0,"user_id":7,"x":[1.0,0.5,1.0]}',
+     "malformed observation: user_id must be a string, got 7"),
+]
 
 
 def _write(path, lines, bad):
@@ -297,25 +308,27 @@ def test_integer_event_timestamp_is_written_as_the_float_read_back(tmp_path):
 
 @st.composite
 def observation_rows(draw):
+    """Rows under user codes that repeat, of user ids of which some have no rows."""
     k = draw(st.integers(0, 4))
-    row = st.tuples(ids, finite_ts | floats, st.booleans(), floats,
+    user_ids = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    row = st.tuples(st.integers(0, len(user_ids) - 1), finite_ts | floats, st.booleans(), floats,
                     st.lists(floats, min_size=k, max_size=k))
-    return k, draw(st.lists(row, max_size=8))
+    return k, user_ids, draw(st.lists(row, max_size=8))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(observation_rows())
 def test_observation_lines_equal_json_dumps(tmp_path_factory, drawn):
-    k, rows = drawn
+    k, user_ids, rows = drawn
     columns = ObservationColumns(
-        user_ids=[u for u, *_ in rows],
-        user=np.arange(len(rows)),
+        user_ids=user_ids,
+        user=np.array([u for u, *_ in rows], dtype=np.int64),
         x=np.array([x for *_, x in rows], dtype=float).reshape(len(rows), k),
         t_hours=np.array([t for _, t, *_ in rows], dtype=float),
         uncensored=np.array([not c for _, _, c, *_ in rows], dtype=bool),
         origin_ts_hours=np.array([o for *_, o, _ in rows], dtype=float),
     )
-    want = [_dumps({"user_id": u, "t_hours": float(t), "censored": c, "x": x,
+    want = [_dumps({"user_id": user_ids[u], "t_hours": float(t), "censored": c, "x": x,
                     "origin_ts_hours": o}) for u, t, c, o, x in rows]
     assert _written_lines(write_observations_jsonl, columns, tmp_path_factory) == want
 

@@ -25,6 +25,8 @@ from sendwhen.training import (
     logistic_negloglik_and_gradient,
 )
 
+import oracle_fit
+
 
 def make_obs(X, t, delta):
     """Observations of one user, all sent at time 0."""
@@ -283,6 +285,44 @@ class TestFitLogistic:
         X = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])
         with pytest.raises(DataError, match="horizon"):
             fit_logistic(X, np.array([0.0, 1.0, 0.0, 1.0]), 0.0)
+
+
+class TestOneFitDriver:
+    """Both fits equal their separate copies in oracle_fit, bit for bit."""
+
+    @pytest.mark.parametrize("with_schema", [False, True])
+    @pytest.mark.parametrize("ridge", [0.0, 1e-2])
+    def test_aft_equals_the_oracle(self, with_schema, ridge):
+        rng = np.random.default_rng(2017)
+        n = 600
+        badge = rng.integers(1, 6, size=n).astype(float)
+        X = np.column_stack([np.ones(n), 3.0 * rng.normal(size=n) + 2.0, rng.uniform(size=n),
+                             badge])
+        eps = np.log(-np.log(1.0 - rng.uniform(size=n)))
+        t = np.exp(X @ [2.0, 0.3, -0.5, -0.2] + 1.3 * eps)
+        obs = make_obs(X, np.minimum(t, 40.0), t <= 40.0)
+        schema = FeatureSchema.build(base=["a", "b"], badge="badge_count") if with_schema else None
+        cfg = OptConfig(ridge=ridge)
+        m = fit_aft(obs, cfg, schema=schema)
+        b, log_sigma, diagnostics = oracle_fit.fit_aft(DesignMatrix.from_observations(obs), cfg,
+                                                       schema)
+        assert m.coefficients.tobytes() == b.tobytes()
+        assert m.log_sigma == log_sigma
+        assert m.diagnostics == diagnostics
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("ridge", [1e-6, 1e-2])
+    def test_logistic_equals_the_oracle(self, intercept, ridge):
+        rng = np.random.default_rng(2018)
+        n = 800
+        Z = np.column_stack([rng.normal(size=n) - 0.4, 2.0 * rng.uniform(size=n)])
+        y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-(Z @ [0.8, -0.6])))).astype(float)
+        X = np.column_stack([np.ones(n), Z]) if intercept else Z
+        cfg = OptConfig(ridge=ridge)
+        m = fit_logistic(X, y, 24.0, cfg)
+        w, diagnostics = oracle_fit.fit_logistic(X, y, cfg)
+        assert m.weights.tobytes() == w.tobytes()
+        assert m.diagnostics == diagnostics
 
 
 class TestPersistence:
