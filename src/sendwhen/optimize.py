@@ -1,14 +1,23 @@
 """Generic smooth unconstrained minimization used by both trainers.
 
-The default driver is scipy's L-BFGS-B (quasi-Newton with line search);
-a plain gradient-descent fallback with Armijo backtracking is available
-through the config.  Objectives supply their own analytic gradients; this
-module never differentiates numerically.
+The default driver is L-BFGS-B (quasi-Newton with line search).  It runs
+scipy's compiled routine through the loop that
+scipy.optimize.minimize(method="L-BFGS-B") runs, so it takes the same
+steps, but it loads that routine on its own: importing scipy.optimize
+would add half a second or more to start-up, for a fit that takes a few
+hundredths.  A plain gradient-descent fallback with Armijo backtracking is
+available through the config.  Objectives supply their own analytic
+gradients; this module never differentiates numerically.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Callable
 
 import numpy as np
@@ -18,6 +27,16 @@ from .errors import ConfigError, ConvergenceError, NumericalError
 __all__ = ["OptConfig", "OptResult", "minimize_smooth"]
 
 ObjectiveFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
+
+# scipy's private L-BFGS-B extension, and the calling convention this module
+# drives it by, as of the scipy version it was checked against
+_LBFGSB = "scipy.optimize._lbfgsb"
+_SETULB = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+_SCIPY_CHECKED = "1.17.1"
+# scipy.optimize.minimize's L-BFGS-B settings: corrections kept, line-search
+# steps, function evaluations, and ftol (as factr, in units of eps)
+_M, _MAXLS, _MAXFUN = 10, 20, 15000
+_FACTR = 1e-15 / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -31,11 +50,16 @@ class OptConfig:
     def __post_init__(self) -> None:
         if self.method not in ("lbfgs", "gd"):
             raise ConfigError(f"unknown optimizer method {self.method!r}")
-        if self.tol <= 0 or self.max_iters < 1 or self.ridge < 0:
-            raise ConfigError(
-                f"invalid optimizer config: tol={self.tol}, "
-                f"max_iters={self.max_iters}, ridge={self.ridge}"
-            )
+        # written so that a NaN fails each check
+        for key, ok, rule in (
+            ("tol", math.isfinite(self.tol) and self.tol > 0, "finite and > 0"),
+            ("max_iters", self.max_iters >= 1, ">= 1"),
+            ("ridge", math.isfinite(self.ridge) and self.ridge >= 0, "finite and >= 0"),
+        ):
+            if not ok:
+                raise ConfigError(
+                    f"invalid optimizer config: {key} must be {rule}, got {getattr(self, key)}"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,28 +95,82 @@ def _guarded(objective: ObjectiveFn) -> ObjectiveFn:
     return wrapped
 
 
-def _run_lbfgs(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptResult:
-    from scipy.optimize import minimize
+def _setulb() -> Callable:
+    """scipy's compiled L-BFGS-B step, loaded without running scipy.optimize's __init__.
 
-    res = minimize(
-        _guarded(objective),
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": cfg.max_iters,
-            "gtol": cfg.tol,
-            "ftol": 1e-15,  # push to the gradient criterion, not f-stalls
-        },
-    )
-    _, g = objective(np.asarray(res.x, dtype=float))  # unguarded: surface errors
+    The extension module is taken from sys.modules when scipy.optimize has
+    loaded it already; otherwise it is loaded from its file in the
+    installed scipy and registered under its own name, where a later
+    import of scipy.optimize finds it (though not as an attribute of that
+    package).  Raises ImportError when its calling convention is not the
+    one this module drives.
+    """
+    module = sys.modules.get(_LBFGSB)
+    if module is None:
+        spec = importlib.util.find_spec("scipy")  # finds the package, runs none of it
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        folder = os.path.join(spec.submodule_search_locations[0], "optimize")
+        paths = [os.path.join(folder, "_lbfgsb" + s) for s in EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"no L-BFGS-B extension _lbfgsb in {folder}")
+        loader = ExtensionFileLoader(_LBFGSB, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_LBFGSB, loader))
+        loader.exec_module(module)
+        sys.modules[_LBFGSB] = module
+    setulb = module.setulb
+    if (setulb.__doc__ or "").split("\n", 1)[0] != _SETULB:
+        from importlib.metadata import version
+
+        raise ImportError(
+            f"scipy {version('scipy')} has a {_LBFGSB}.setulb other than the "
+            f"{_SETULB} of scipy {_SCIPY_CHECKED} that sendwhen drives"
+        )
+    return setulb
+
+
+def _run_lbfgs(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptResult:
+    """L-BFGS-B as scipy.optimize.minimize runs it with jac=True and no bounds.
+
+    setulb works by reverse communication: it returns with task[0] == 3
+    when it wants the objective at x (evaluated once per distinct x, as
+    minimize's cache does) and task[0] == 1 after each iteration, where
+    the loop stops it (task 5) at max_iters (504) or past _MAXFUN
+    evaluations (502).  Any other task is a finish.
+    """
+    setulb = _setulb()
+    guarded = _guarded(objective)
+    n = x0.size
+    x = x0.copy()  # setulb moves x in place
+    f, g = 0.0, np.zeros(n)
+    x_evaluated = None
+    no_bounds = np.zeros(n)
+    nbd = np.zeros(n, np.int32)
+    wa = np.zeros(2 * _M * n + 5 * n + 11 * _M * _M + 8 * _M)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    n_evals = n_iters = 0
+    while True:
+        setulb(_M, x, no_bounds, no_bounds, nbd, f, g, _FACTR, cfg.tol, wa, iwa,
+               task, lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == 3:
+            if x_evaluated is None or not np.array_equal(x, x_evaluated):
+                x_evaluated = x.copy()
+                f, g = guarded(x.copy())
+                n_evals += 1
+        elif task[0] == 1:
+            n_iters += 1
+            if n_iters >= cfg.max_iters:
+                task[:] = 5, 504
+            elif n_evals > _MAXFUN:
+                task[:] = 5, 502
+        else:
+            break
+    _, g = objective(x)  # unguarded: surface errors
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    return OptResult(
-        x=np.asarray(res.x, dtype=float),
-        grad_max_norm=gnorm,
-        n_iters=int(res.nit),
-        converged=gnorm <= cfg.tol,
-    )
+    return OptResult(x=x, grad_max_norm=gnorm, n_iters=n_iters, converged=gnorm <= cfg.tol)
 
 
 def _run_gd(objective: ObjectiveFn, x0: np.ndarray, cfg: OptConfig) -> OptResult:

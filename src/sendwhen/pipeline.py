@@ -212,8 +212,15 @@ class PipelineConfig:
     window_end: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_floor_hours <= 0:
-            raise DataError("duration_floor_hours must be > 0")
+        # written so that a NaN fails each check
+        if not (math.isfinite(self.duration_floor_hours) and self.duration_floor_hours > 0):
+            raise DataError(
+                f"duration_floor_hours must be finite and > 0, got {self.duration_floor_hours}"
+            )
+        for key in ("window_start", "window_end"):
+            bound = getattr(self, key)
+            if bound is not None and math.isnan(bound):
+                raise DataError(f"{key} must be a number or null, got {bound}")
         if self.window_start is not None and self.window_end is not None:
             if self.window_end <= self.window_start:
                 raise DataError("window_end must be greater than window_start")

@@ -786,6 +786,31 @@ def test_wrong_typed_config_value_is_a_config_error(
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: invalid ")
 
 
+# Python's JSON reader takes NaN and Infinity, and a NaN passes a plain `x <= 0` check
+@pytest.mark.parametrize("command,config,message", [
+    ("ingest", {"duration_floor_hours": math.nan},
+     "pipeline config: duration_floor_hours must be finite and > 0, got nan"),
+    ("ingest", {"duration_floor_hours": math.inf},
+     "pipeline config: duration_floor_hours must be finite and > 0, got inf"),
+    ("ingest", {"window_start": math.nan}, "pipeline config: window_start must be a number or null, got nan"),
+    ("evaluate", {"window_end": math.nan}, "pipeline config: window_end must be a number or null, got nan"),
+    ("train", {"tol": math.nan}, "optimizer config: tol must be finite and > 0, got nan"),
+    ("train", {"ridge": math.nan}, "optimizer config: ridge must be finite and >= 0, got nan"),
+    ("train", {"ridge": math.inf}, "optimizer config: ridge must be finite and >= 0, got inf"),
+    ("train", {"max_iters": 0}, "optimizer config: max_iters must be >= 1, got 0"),
+])
+def test_non_finite_config_number_is_a_config_error(
+    tmp_path, capsys, sim_dir, ingest_dir, aft_dir, score_dir, command, config, message
+):
+    dirs = {"sim": sim_dir, "ing": ingest_dir, "aft": aft_dir, "score": score_dir}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [a.format(**dirs) for a in _TYPED_ARGV[command]]
+    assert run(*argv, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: invalid {message}"
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_inputs_and_outputs_get_exit_codes(tmp_path, capsys, sim_dir):
     events, schema = sim_dir / "events.jsonl", sim_dir / "schema.json"
     bad_schema = tmp_path / "bad.json"

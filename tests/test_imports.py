@@ -1,4 +1,4 @@
-"""Start-up cost: scipy loads only in the commands that call it, numpy.ma in none.
+"""Start-up cost: only train loads scipy, and only its L-BFGS-B extension; numpy.ma loads in none.
 
 Each check runs in a fresh interpreter, because pytest and the other tests
 import scipy into this one.
@@ -68,6 +68,17 @@ run("train", "--model", "aft", "--observations", "ing/observations.jsonl",
     )
 
 
+@pytest.fixture(scope="module")
+def after_train_logistic(run_dir, after_ingest):
+    return modules_after(
+        """
+run("train", "--model", "logistic:24", "--events", "sim/events.jsonl",
+    "--schema", "sim/schema.json", "--out", "lg24")
+""",
+        run_dir,
+    )
+
+
 def test_package_import_loads_no_scipy(run_dir):
     assert modules_after("import sendwhen, sendwhen.cli\n", run_dir) == []
 
@@ -76,8 +87,23 @@ def test_simulate_and_ingest_load_no_scipy(after_ingest):
     assert after_ingest == []
 
 
-def test_train_aft_loads_scipy_optimize(after_train):
-    assert "scipy.optimize" in after_train
+def test_train_loads_only_the_lbfgsb_extension(after_train, after_train_logistic):
+    # not scipy itself, nor scipy.optimize, scipy.special or scipy.linalg
+    assert after_train == after_train_logistic == ["scipy.optimize._lbfgsb"]
+
+
+def test_evaluate_loads_no_scipy(run_dir, after_train, after_train_logistic):
+    loaded = modules_after(
+        """
+run("evaluate", "--aft-model", "aft/model.json", "--logistic-model", "lg24/model.json",
+    "--events", "sim/events.jsonl", "--schema", "sim/schema.json", "--horizons", 24,
+    "--out", "evaluate")
+row, = json.load(open("evaluate/auc_report.json"))["rows"]
+assert row["auc_logistic"] is not None, row  # the logistic model's probabilities were computed
+""",
+        run_dir,
+    )
+    assert loaded == []
 
 
 def test_score_and_decide_load_no_scipy(run_dir, after_train):
@@ -105,3 +131,21 @@ assert report["kappa1"] > 0 and report["n_fractional"] > 0, report
         run_dir, package="numpy.ma",
     )
     assert loaded == []
+
+
+def test_scipy_optimize_imported_after_a_fit_reuses_its_extension(run_dir):
+    loaded = modules_after(
+        """
+import numpy as np
+from sendwhen.optimize import OptConfig, minimize_smooth
+square = lambda w: (float(w @ w), 2.0 * w)
+ours = minimize_smooth(square, np.ones(2), OptConfig())
+from scipy.optimize import _lbfgsb_py, minimize
+assert _lbfgsb_py._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]
+theirs = minimize(square, np.ones(2), jac=True, method="L-BFGS-B",
+                  options={"gtol": 1e-7, "ftol": 1e-15})
+assert np.array_equal(ours.x, theirs.x), (ours.x, theirs.x)
+""",
+        run_dir, package="scipy.optimize._lbfgsb",
+    )
+    assert loaded == ["scipy.optimize._lbfgsb"]

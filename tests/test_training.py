@@ -20,6 +20,7 @@ from sendwhen.training import (
     LogisticModel,
     WeibullAftModel,
     aft_negloglik_and_gradient,
+    expit,
     fit_aft,
     fit_logistic,
     logistic_negloglik_and_gradient,
@@ -130,6 +131,41 @@ class TestLogisticObjective:
                     - logistic_negloglik_and_gradient(wm, X, y)[0]
                 ) / (2 * h)
                 assert abs(grad[j] - fd) <= 1e-6 * max(abs(fd), 1e-8)
+
+
+class TestExpit:
+    """expit against scipy.special.expit, compared bit for bit (sign and NaN included)."""
+
+    @staticmethod
+    def assert_bits_equal(m):
+        from scipy.special import expit as scipy_expit
+
+        got, want = expit(m), scipy_expit(m)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_normals_at_real_size(self):
+        rng = np.random.default_rng(16)
+        m = rng.normal(size=10**6) * rng.uniform(1.0, 300.0, size=10**6)
+        assert (np.abs(m) > 709.78).any()  # the overflow edge is inside the sample
+        self.assert_bits_equal(m)
+
+    def test_edges(self):
+        edge = 709.782712893384  # log of the largest float: e^-m overflows just past -edge
+        m = np.array([
+            np.inf, -np.inf, np.nan, -np.nan, 709.78, -709.78, edge, -edge,
+            np.nextafter(-edge, -np.inf), -745.0, -800.0, 0.0, -0.0, 5e-324, -5e-324, 36.8, 37.5,
+        ])
+        self.assert_bits_equal(m)
+        got = expit(m)
+        assert got[1] == got[8] == got[9] == got[10] == 0.0 and not np.signbit(got[1])
+        assert np.all(got[11:15] == 0.5) and not np.signbit(got[11:15]).any()
+        assert np.isnan(got[2:4]).all()
+
+    def test_shapes(self):
+        self.assert_bits_equal(np.linspace(-40.0, 40.0, 12).reshape(3, 4))
+        self.assert_bits_equal(np.array(3.0))
+        self.assert_bits_equal(np.array([]))
 
 
 class TestFitAft:
