@@ -1,155 +1,51 @@
-"""Censored Weibull time-to-visit modeling and notification send policies."""
+"""Censored Weibull time-to-visit modeling and notification send policies.
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DataError,
-    DomainError,
-    NumericalError,
-    SchemaError,
-    SendwhenError,
-)
-from .evaluation import (
-    DEFAULT_HORIZONS,
-    LABELERS,
-    AucReport,
-    AucRow,
-    auc,
-    auc_vs_horizon,
-    fit_logistic_baselines,
-    label_censoring_clean,
-    label_naive,
-)
-from .features import FeatureSchema, SlotSpec
-from .io import (
-    dump_json,
-    file_sha256,
-    load_json_config,
-    read_events,
-    read_model_json,
-    read_observations_jsonl,
-    read_schema_json,
-    write_events_jsonl,
-    write_model_json,
-    write_observations_jsonl,
-    write_schema_json,
-)
-from .optimize import OptConfig, OptResult, minimize_smooth
-from .pipeline import (
-    Event,
-    EventColumns,
-    ObservationColumns,
-    PipelineConfig,
-    SendInstance,
-    build_observations,
-    build_send_instances,
-)
-from .policies import (
-    Candidate,
-    CandidateColumns,
-    MooConfig,
-    PolicyResult,
-    moo_solve,
-    ratio_rule,
-    threshold_rule,
-)
-from .scoring import (
-    ScoringContext,
-    model_digest,
-    score_batch,
-    score_columns,
-)
-from .simulate import (
-    SendProcess,
-    SimConfig,
-    default_sim_schema,
-    generate_event_log,
-    sample_time_to_visit,
-)
-from .survival import (
-    WeibullParams,
-    delta_effect,
-    prob_visit_if_not_send,
-    prob_visit_if_send,
-    weibull_cdf,
-    weibull_pdf,
-    weibull_sf,
-)
-from .training import (
-    LogisticModel,
-    WeibullAftModel,
-    fit_aft,
-    fit_logistic,
-)
+Importing the package loads none of its modules.  Each name below is
+imported from its module on first use (PEP 562), so a command that needs
+only the event reader does not pay for the trainers or the policies.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AucReport",
-    "AucRow",
-    "Candidate",
-    "CandidateColumns",
-    "ConfigError",
-    "ConvergenceError",
-    "DEFAULT_HORIZONS",
-    "DataError",
-    "DomainError",
-    "Event",
-    "EventColumns",
-    "FeatureSchema",
-    "LABELERS",
-    "LogisticModel",
-    "MooConfig",
-    "NumericalError",
-    "ObservationColumns",
-    "OptConfig",
-    "OptResult",
-    "PipelineConfig",
-    "PolicyResult",
-    "SchemaError",
-    "ScoringContext",
-    "SendInstance",
-    "SendProcess",
-    "SendwhenError",
-    "SimConfig",
-    "SlotSpec",
-    "WeibullAftModel",
-    "WeibullParams",
-    "auc",
-    "auc_vs_horizon",
-    "build_observations",
-    "build_send_instances",
-    "default_sim_schema",
-    "delta_effect",
-    "dump_json",
-    "file_sha256",
-    "fit_aft",
-    "fit_logistic",
-    "fit_logistic_baselines",
-    "generate_event_log",
-    "label_censoring_clean",
-    "label_naive",
-    "load_json_config",
-    "minimize_smooth",
-    "model_digest",
-    "moo_solve",
-    "prob_visit_if_not_send",
-    "prob_visit_if_send",
-    "ratio_rule",
-    "read_events",
-    "read_model_json",
-    "read_observations_jsonl",
-    "read_schema_json",
-    "sample_time_to_visit",
-    "score_batch",
-    "score_columns",
-    "threshold_rule",
-    "weibull_cdf",
-    "weibull_pdf",
-    "weibull_sf",
-    "write_events_jsonl",
-    "write_model_json",
-    "write_observations_jsonl",
-    "write_schema_json",
-    "__version__",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "errors": ("ConfigError", "ConvergenceError", "DataError", "DomainError",
+               "NumericalError", "SchemaError", "SendwhenError"),
+    "evaluation": ("AucReport", "AucRow", "auc", "auc_vs_horizon", "fit_logistic_baselines",
+                   "label_censoring_clean", "label_naive"),
+    "features": ("FeatureSchema", "SlotSpec"),
+    "io": ("dump_json", "file_sha256", "load_json_config", "read_events", "read_model_json",
+           "read_observations_jsonl", "read_schema_json", "write_events_jsonl",
+           "write_model_json", "write_observations_jsonl", "write_schema_json"),
+    "optimize": ("OptConfig", "OptResult", "minimize_smooth"),
+    "pipeline": ("DEFAULT_HORIZONS", "LABELERS", "Event", "EventColumns", "ObservationColumns",
+                 "PipelineConfig", "SendInstance", "build_observations", "build_send_instances"),
+    "policies": ("Candidate", "CandidateColumns", "MooConfig", "PolicyResult", "moo_solve",
+                 "ratio_rule", "threshold_rule"),
+    "scoring": ("ScoringContext", "model_digest", "score_batch", "score_columns"),
+    "simulate": ("SendProcess", "SimConfig", "default_sim_schema", "generate_event_log",
+                 "sample_time_to_visit"),
+    "survival": ("WeibullParams", "delta_effect", "prob_visit_if_not_send",
+                 "prob_visit_if_send", "weibull_cdf", "weibull_pdf", "weibull_sf"),
+    "training": ("LogisticModel", "WeibullAftModel", "fit_aft", "fit_logistic"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name: str):
+    """An exported name, imported from its module and kept; or a submodule."""
+    if name in _MODULE_OF:
+        value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,6 +14,9 @@ cmd_<name>) run by one function, _run, which in order:
     None also takes null; a wrongly typed value is a config error;
   * calls the body.
 
+A command imports the modules it runs in its settings or body, so that
+start-up loads none of the others (decide, say, loads no trainer).
+
 Outputs land in --out DIR and are never overwritten without --force; each
 output directory gets exactly one manifest.json recording the command,
 config digest, input digests, package version, seed, and timestamps.
@@ -34,7 +37,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,13 +48,6 @@ from .errors import (
     NumericalError,
     SchemaError,
     SendwhenError,
-)
-from .evaluation import (
-    DEFAULT_HORIZONS,
-    LABELERS,
-    REFERENCE_AUC_POINTS,
-    auc_vs_horizon,
-    fit_logistic_baselines,
 )
 from .io import (
     dump_json,
@@ -76,18 +72,12 @@ from .io import (
     write_schema_json,
 )
 from .optimize import OptConfig
-from .pipeline import PipelineConfig, send_table
-from .policies import (
-    CandidateColumns,
-    MooConfig,
-    PolicyResult,
-    moo_solve,
-    ratio_rule,
-    threshold_rule,
-)
-from .scoring import model_digest, score_columns
-from .simulate import SimConfig, default_sim_schema, generate_event_log
-from .training import LogisticModel, WeibullAftModel, fit_aft
+from .pipeline import DEFAULT_HORIZONS, LABELERS, PipelineConfig, send_table
+
+if TYPE_CHECKING:
+    from .policies import CandidateColumns
+    from .simulate import SimConfig
+    from .training import LogisticModel, WeibullAftModel
 
 __all__ = ["main"]
 
@@ -186,7 +176,15 @@ _SIMULATE_DEFAULTS: dict = {
 }
 
 
+def _simulate_settings(merged: Mapping) -> SimConfig:
+    from .simulate import SimConfig
+
+    return SimConfig.from_dict(merged)
+
+
 def cmd_simulate(args: argparse.Namespace, merged: Mapping, sim_cfg: SimConfig) -> int:
+    from .simulate import default_sim_schema, generate_event_log
+
     result = generate_event_log(sim_cfg)  # first, so a run it refuses leaves no --out
     out = _prepare_out(
         args.out, ("events.jsonl", "contexts.jsonl", "truth.json", "schema.json"), args.force
@@ -286,6 +284,8 @@ def _train_settings(merged: Mapping) -> tuple[str, float | None, OptConfig, Pipe
 
 
 def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
+    from .training import WeibullAftModel, fit_aft
+
     kind, horizon, opt_cfg, pipe_cfg = settings
     inputs: dict[str, str] = {}
     if kind == "aft":
@@ -306,15 +306,19 @@ def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int
         events = read_events(args.events)
         inputs["events"] = args.events
         inputs["schema"] = args.schema
+        from .evaluation import fit_logistic_baselines
+
         with _naming_lines(args.events):
             model = fit_logistic_baselines(events, schema, [horizon], pipe_cfg, opt_cfg)[horizon]
 
     # the out directory is made only once the inputs have given a model
     out = _prepare_out(args.out, ("model.json",), args.force)
     write_model_json(out / "model.json", model)
-    version = (
-        model_digest(model) if isinstance(model, WeibullAftModel) else None
-    )
+    version = None
+    if isinstance(model, WeibullAftModel):
+        from .scoring import model_digest
+
+        version = model_digest(model)
     _write_manifest(
         out, "train", merged, inputs=inputs, seed=opt_cfg.seed, model_version=version
     )
@@ -339,6 +343,10 @@ def _evaluate_settings(merged: Mapping) -> tuple[list[float], str, PipelineConfi
 
 
 def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
+    from .evaluation import REFERENCE_AUC_POINTS, auc_vs_horizon
+    from .scoring import model_digest
+    from .training import LogisticModel, WeibullAftModel
+
     horizons, labeler, pipe_cfg = settings
     aft = read_model_json(args.aft_model)
     if not isinstance(aft, WeibullAftModel):
@@ -390,6 +398,9 @@ def _score_settings(merged: Mapping) -> float:
 
 
 def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:
+    from .scoring import model_digest, score_columns
+    from .training import WeibullAftModel
+
     model = read_model_json(args.model)
     if not isinstance(model, WeibullAftModel):
         raise SchemaError(f"{args.model} does not hold a survival model; scoring needs one")
@@ -444,6 +455,8 @@ def _decide_settings(merged: Mapping) -> tuple:
 def _candidates_from_scores(
     path: str, synth_seed: int | None, need_p_click: bool
 ) -> CandidateColumns:
+    from .policies import CandidateColumns
+
     user_ids, delta, p_wait, p_click, has_p_click = read_scores(path)
     missing = ~has_p_click
     n_missing = int(np.count_nonzero(missing))
@@ -463,6 +476,8 @@ def _candidates_from_scores(
 
 
 def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
+    from .policies import MooConfig, PolicyResult, moo_solve, ratio_rule, threshold_rule
+
     rule, kappa, c_click, c_send, cadence, synth_seed = settings
     candidates = _candidates_from_scores(args.scores, synth_seed, need_p_click=(rule == "moo"))
     report: dict = {
@@ -517,7 +532,7 @@ class _Command:
 
 
 _COMMANDS = {
-    "simulate": _Command(cmd_simulate, _SIMULATE_DEFAULTS, SimConfig.from_dict),
+    "simulate": _Command(cmd_simulate, _SIMULATE_DEFAULTS, _simulate_settings),
     "ingest": _Command(cmd_ingest, _INGEST_DEFAULTS, _pipeline_config, ("--events", "--schema")),
     "train": _Command(cmd_train, _TRAIN_DEFAULTS, _train_settings),
     "evaluate": _Command(

@@ -21,11 +21,17 @@ import numpy as np
 from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
 from .optimize import OptConfig
-from .pipeline import Event, EventColumns, ObservationColumns, PipelineConfig, send_table
+from .pipeline import (
+    DEFAULT_HORIZONS,
+    LABELERS,
+    Event,
+    EventColumns,
+    ObservationColumns,
+    PipelineConfig,
+    send_table,
+)
 from .survival import cum_hazard
 from .training import LogisticModel, WeibullAftModel, fit_logistic
-
-DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
 
 # External reference operating points carried as report metadata for
 # context.  They come from a proprietary corpus and are not reproducible
@@ -35,8 +41,6 @@ REFERENCE_AUC_POINTS: Mapping[float, Mapping[str, float | None]] = {
     24.0: {"auc_aft": 0.85, "auc_logistic": 0.73},
     48.0: {"auc_aft": 0.89, "auc_logistic": None},
 }
-
-LABELERS = ("naive", "censoring_clean")
 
 
 def _check_horizon(horizon_t_hours: float) -> float:

@@ -2,10 +2,12 @@
 
 read_jsonl parses every JSONL input line by line.  Event logs,
 observations, contexts and scores go from there (or from csv.reader)
-straight into columns (read_events, read_observations_jsonl,
-read_contexts, read_scores): each line is converted and checked in order,
-so a DataError names the first bad line, and then appended to typed
-arrays, so no Python object per row outlives its line.  Events,
+straight into typed arrays (read_events, read_observations_jsonl,
+read_contexts, read_scores), so no Python object per row outlives its
+line, or for event logs its chunk.  read_events converts and checks a
+chunk of rows at a time as columns, and a chunk that fails row by row;
+the other readers convert and check each line in order.  Either way a
+DataError names the first bad line.  Events,
 observations, deltas and decisions are written with one f-string template
 per format, and contexts by write_jsonl; either way a line's bytes equal
 json.dumps(record, sort_keys=True, separators=(",", ":")), so identical
@@ -26,15 +28,17 @@ from contextlib import contextmanager
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
 from .pipeline import SEND, Event, EventColumnAppender, EventColumns, ObservationColumns
-from .policies import PolicyResult
-from .training import LogisticModel, WeibullAftModel
+
+if TYPE_CHECKING:
+    from .policies import PolicyResult
+    from .training import LogisticModel, WeibullAftModel
 
 __all__ = [
     "read_jsonl",
@@ -60,7 +64,11 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 
 _EVENT_META_COLUMNS = ("user_id", "ts_hours", "kind", "badge_count")
-_NUMBER_TYPES = {int, float}  # what a JSON number parses to; bool is not one
+_NUMBER_TYPES = frozenset({int, float})  # what a JSON number parses to; bool is not one
+_STR, _DICT, _BADGE_TYPES = frozenset({str}), frozenset({dict}), frozenset({int, type(None)})
+# rows converted as columns in one step; each row's parsed fields stay alive
+# until its chunk is converted, so this bounds the reader's memory
+_CHUNK_ROWS = 128
 # what converting one record's fields can raise; the readers report each as
 # a malformed row on its line
 ROW_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
@@ -174,10 +182,10 @@ def json_number(v, name: str) -> float:
     return float(v)
 
 
-def _event_columns(
-    records: Iterable[tuple[int, Mapping]], where: str,
+def _append_records(
+    columns: EventColumnAppender, records: Iterable[tuple[int, Mapping]], where: str,
     badge_of: Callable[[object, str], int], number_of: Callable[[object, str], float],
-) -> EventColumns:
+) -> None:
     """Convert and check each (line number, record), then append it to columns.
 
     The conversions run in a fixed order (user_id, ts_hours, kind,
@@ -186,7 +194,6 @@ def _event_columns(
     name) converts a present badge_count and number_of(value, name) a
     number: json_int and json_number for JSON, int and float for CSV text.
     """
-    columns = EventColumnAppender()
     for lineno, rec in records:
         try:
             badge = rec.get("badge_count")
@@ -201,62 +208,180 @@ def _event_columns(
             raise DataError(f"{where}:{lineno}: {exc}") from None
         except ROW_ERRORS as exc:
             raise DataError(f"{where}:{lineno}: malformed event record: {exc}") from exc
-    return columns.build()
 
 
-def _csv_records(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, event record) per CSV row, as csv.DictReader reads them.
+def _chunks(items: Iterator) -> Iterator[list]:
+    """Lists of up to _CHUNK_ROWS consecutive items.
 
-    Meta columns first, every extra column is a feature, read on sends
-    only.  Like DictReader, a blank row is skipped and not counted, a short
-    row reads None in its missing cells, and a repeated column name reads
-    its last column.
+    When reading items raises (a line that is not JSON, a file that is not
+    UTF-8), the items read before the fault are yielded first, so a bad row
+    before it is still the error, as it is for a reader that takes one row
+    at a time.
     """
-    with _open_input(path) as f:
-        rows = csv.reader(f)
-        header = next(rows, None)
-        if header is None:
-            raise DataError(f"{path}: empty CSV (missing header row)")
-        missing = [c for c in _EVENT_META_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"{path}: header is missing columns {missing}")
-        column = {name: i for i, name in enumerate(header)}
-        iu, it, ik, ib = (column[c] for c in _EVENT_META_COLUMNS)
-        features = [(c, i) for c, i in column.items() if c not in _EVENT_META_COLUMNS]
-        pad = [None] * len(header)
-        lineno = 1
-        for row in rows:
-            if not row:
-                continue
-            lineno += 1
-            row += pad[len(row):]
-            feats = {}
-            if row[ik] == SEND:
-                for c, i in features:
-                    cell = (row[i] or "").strip()
-                    if cell:
-                        feats[c] = cell
-            yield lineno, {
-                "user_id": row[iu],
-                "ts_hours": row[it],
-                "kind": row[ik],
-                "badge_count": (row[ib] or "").strip() or None,
-                "features": feats,
-            }
+    chunk: list = []
+    try:
+        for item in items:
+            chunk.append(item)
+            if len(chunk) == _CHUNK_ROWS:
+                yield chunk
+                chunk = []
+    except (ValueError, OSError, csv.Error):  # DataError and UnicodeDecodeError are ValueErrors
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _all_of(types: frozenset, values: Iterable) -> bool:
+    return types.issuperset(map(type, values))
+
+
+def _json_chunk(recs: Sequence[dict]) -> tuple | None:
+    """A chunk of JSONL event records as the columns EventColumnAppender.extend takes.
+
+    None when a record lacks a field or holds one of a type that
+    _append_records refuses, or a number does not convert to a float.
+    """
+    try:
+        user_ids = [r["user_id"] for r in recs]
+        times = [r["ts_hours"] for r in recs]
+        kinds = [r["kind"] for r in recs]
+        badges = [r.get("badge_count") for r in recs]
+        carried = [(i, f) for i, f in enumerate([r.get("features") for r in recs]) if f]
+        if not (_all_of(_STR, user_ids) and _all_of(_NUMBER_TYPES, times)
+                and _all_of(_STR, kinds) and _all_of(_BADGE_TYPES, badges)
+                and _all_of(_DICT, (f for _, f in carried))):
+            return None
+        features: dict[str, tuple[list[int], list]] = {}
+        for i, f in carried:
+            for name, v in f.items():
+                column = features.get(name)
+                if column is None:
+                    column = features[name] = ([], [])
+                column[0].append(i)
+                column[1].append(v)
+        for _, values in features.values():
+            if not _all_of(_NUMBER_TYPES, values):
+                return None
+            values[:] = map(float, values)
+        return user_ids, list(map(float, times)), kinds, badges, features
+    except ROW_ERRORS:
+        return None
+
+
+class _CsvLayout(NamedTuple):
+    """Where a CSV event log's header puts each field."""
+
+    user_id: int
+    ts_hours: int
+    kind: int
+    badge_count: int
+    features: list[tuple[str, int]]  # (name, column), every column not a meta column
+    width: int
+
+
+def _csv_rows(f, path: str | Path) -> tuple[_CsvLayout, Iterator[tuple[int, list[str]]]]:
+    """The header's layout, and (line number, row) for each later non-blank row.
+
+    Lines are counted as csv.DictReader counts them: a blank row is skipped
+    and not counted.
+    """
+    rows = csv.reader(f)
+    header = next(rows, None)
+    if header is None:
+        raise DataError(f"{path}: empty CSV (missing header row)")
+    missing = [c for c in _EVENT_META_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"{path}: header is missing columns {missing}")
+    column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+    layout = _CsvLayout(
+        *(column[c] for c in _EVENT_META_COLUMNS),
+        features=[(c, i) for c, i in column.items() if c not in _EVENT_META_COLUMNS],
+        width=len(header),
+    )
+    return layout, enumerate(filter(None, rows), start=2)
+
+
+def _csv_record(layout: _CsvLayout, row: list[str]) -> dict:
+    """A CSV row as the event record csv.DictReader reads.
+
+    Every extra column is a feature, read on sends only.  A short row reads
+    None in its missing cells.
+    """
+    row = row + [None] * (layout.width - len(row))
+    features = {}
+    if row[layout.kind] == SEND:
+        for name, i in layout.features:
+            cell = (row[i] or "").strip()
+            if cell:
+                features[name] = cell
+    return {
+        "user_id": row[layout.user_id],
+        "ts_hours": row[layout.ts_hours],
+        "kind": row[layout.kind],
+        "badge_count": (row[layout.badge_count] or "").strip() or None,
+        "features": features,
+    }
+
+
+def _csv_chunk(layout: _CsvLayout, rows: Sequence[list[str]]) -> tuple | None:
+    """A chunk of CSV rows as the columns EventColumnAppender.extend takes.
+
+    None when a cell does not convert, and for a short row, which the
+    column step does not take.
+    """
+    if min(map(len, rows)) < layout.width:
+        return None
+    columns = list(zip(*rows))
+    kinds = columns[layout.kind]
+    sends = [i for i, kind in enumerate(kinds) if kind == SEND]
+    try:
+        times = list(map(float, columns[layout.ts_hours]))
+        badges = [int(c) if c else None for c in map(str.strip, columns[layout.badge_count])]
+        features = {}
+        for name, j in layout.features:
+            cells = [columns[j][i].strip() for i in sends]
+            carried = sends if all(cells) else [i for i, c in zip(sends, cells) if c]
+            if carried:
+                features[name] = (carried, list(map(float, filter(None, cells))))
+    except ROW_ERRORS:
+        return None
+    # in order of first appearance, as appending row by row adds them
+    features = dict(sorted(features.items(), key=lambda item: item[1][0][0]))
+    return columns[layout.user_id], times, kinds, badges, features
 
 
 def read_events(path: str | Path) -> EventColumns:
-    """Read an event log into columns: .csv as CSV, anything else as JSONL."""
-    if str(path).lower().endswith(".csv"):
-        return _event_columns(_csv_records(path), str(path), lambda cell, _: int(cell),
-                              lambda cell, _: float(cell))
-    return _event_columns(read_jsonl(path), str(path), json_int, json_number)
+    """Read an event log into columns: .csv as CSV, anything else as JSONL.
+
+    Each chunk of rows is converted and checked as columns in one step.  A
+    chunk that fails, or that the column step does not take, is converted
+    row by row instead, which raises the error for its first bad line.
+    """
+    where, columns = str(path), EventColumnAppender()
+    if where.lower().endswith(".csv"):
+        with _open_input(path) as f:
+            layout, rows = _csv_rows(f, path)
+            for chunk in _chunks(rows):
+                converted = _csv_chunk(layout, [row for _, row in chunk])
+                if converted is None or not columns.extend(*converted):
+                    _append_records(columns, ((n, _csv_record(layout, row)) for n, row in chunk),
+                                    where, lambda cell, _: int(cell), lambda cell, _: float(cell))
+    else:
+        for chunk in _chunks(read_jsonl(path)):
+            converted = _json_chunk([rec for _, rec in chunk])
+            if converted is None or not columns.extend(*converted):
+                _append_records(columns, chunk, where, json_int, json_number)
+    return columns.build()
 
 
 def line_of_record(path: str | Path, row: int) -> int:
     """Line of the row-th record of a JSONL or CSV file, read again, as its reader counts."""
-    records = _csv_records(path) if str(path).lower().endswith(".csv") else read_jsonl(path)
-    return next(islice(records, row, None))[0]
+    if not str(path).lower().endswith(".csv"):
+        return next(islice(read_jsonl(path), row, None))[0]
+    with _open_input(path) as f:
+        return next(islice(_csv_rows(f, path)[1], row, None))[0]
 
 
 def _json_float(v: float) -> str:
@@ -281,10 +406,42 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return list(map(fmt, values.tolist()))
 
 
+def _json_floats_once(values: np.ndarray) -> list[str]:
+    """_json_floats(values) for values that repeat, formatting each distinct one once.
+
+    Values are told apart by their bits, since -0.0 == 0.0 is written
+    differently; the bits are sorted here because np.unique would import
+    numpy.ma.
+    """
+    bits = np.ascontiguousarray(values, float).view(np.int64)
+    order = np.argsort(bits)
+    ordered = bits[order]
+    first = np.ones(bits.size, bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    slot = np.empty(bits.size, np.intp)
+    slot[order] = np.cumsum(first) - 1
+    return list(map(_json_floats(ordered[first].view(float)).__getitem__, slot.tolist()))
+
+
 def _float_rows(*columns: np.ndarray, chunk: int = 8192) -> Iterator[tuple[str, ...]]:
     """Each row of float columns as json.dumps writes its values, a chunk at a time."""
     for lo in range(0, len(columns[0]), chunk):
         yield from zip(*(_json_floats(c[lo:lo + chunk]) for c in columns))
+
+
+def _float_lists(x: np.ndarray, chunk: int = 8192) -> Iterator[str]:
+    """Each row of an (n, k) float matrix as json.dumps writes its list's items.
+
+    Rows such as feature vectors repeat values (an intercept, a profile per
+    user), so each distinct value of a chunk is formatted once.
+    """
+    n, k = x.shape
+    if k == 0:
+        yield from [""] * n
+        return
+    for lo in range(0, n, chunk):
+        texts = _json_floats_once(x[lo:lo + chunk].ravel())
+        yield from map(",".join, zip(*[iter(texts)] * k))
 
 
 def _feature_members(events: EventColumns, part: slice) -> list[str]:
@@ -349,13 +506,13 @@ def write_observations_jsonl(path: str | Path, observations: ObservationColumns)
     """One line per observation, the bytes write_jsonl would write for its record."""
     obs = observations
     ids = [_json_scalar(u) for u in obs.user_ids]  # encoded once per user
-    rows = _float_rows(obs.t_hours, obs.origin_ts_hours, *obs.x.T)
+    rows = _float_rows(obs.t_hours, obs.origin_ts_hours)
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(
             f'{{"censored":{"false" if uncensored else "true"},"origin_ts_hours":{origin},'
-            f'"t_hours":{t},"user_id":{ids[u]},"x":[{",".join(x)}]}}\n'
-            for u, uncensored, (t, origin, *x) in
-            zip(obs.user.tolist(), obs.uncensored.tolist(), rows)
+            f'"t_hours":{t},"user_id":{ids[u]},"x":[{x}]}}\n'
+            for u, uncensored, (t, origin), x in
+            zip(obs.user.tolist(), obs.uncensored.tolist(), rows, _float_lists(obs.x))
         )
 
 
@@ -520,6 +677,8 @@ def _json_safe_diagnostics(diag) -> dict:
 
 
 def write_model_json(path: str | Path, model: WeibullAftModel | LogisticModel) -> None:
+    from .training import LogisticModel, WeibullAftModel
+
     rec: dict = {
         "format_version": MODEL_FORMAT_VERSION,
         "feature_names": list(model.feature_names),
@@ -540,6 +699,8 @@ def write_model_json(path: str | Path, model: WeibullAftModel | LogisticModel) -
 
 
 def read_model_json(path: str | Path) -> WeibullAftModel | LogisticModel:
+    from .training import LogisticModel, WeibullAftModel
+
     rec = _read_json(path, "model")
     if not isinstance(rec, dict):
         raise DataError(f"{path}: model file must hold a JSON object")

@@ -31,6 +31,7 @@ ObjectiveFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 # scipy's private L-BFGS-B extension, and the calling convention this module
 # drives it by, as of the scipy version it was checked against
 _LBFGSB = "scipy.optimize._lbfgsb"
+_PARENT, _, _CHILD = _LBFGSB.rpartition(".")
 _SETULB = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 _SCIPY_CHECKED = "1.17.1"
 # scipy.optimize.minimize's L-BFGS-B settings: corrections kept, line-search
@@ -95,15 +96,47 @@ def _guarded(objective: ObjectiveFn) -> ObjectiveFn:
     return wrapped
 
 
+class _ParentFinder:
+    """Meta path finder that gives a later scipy.optimize the extension _setulb loaded.
+
+    The import system sets a submodule as an attribute of its package only
+    when it loads the submodule itself, so a scipy.optimize imported after
+    _setulb registered _lbfgsb would lack the attribute.  On that import
+    this finder takes itself off sys.meta_path, finds the package as the
+    other finders do, and loads it with the found loader after setting the
+    attribute.
+    """
+
+    def __init__(self, extension) -> None:
+        self.extension, self.loader = extension, None
+
+    def find_spec(self, name, path=None, target=None):
+        if name != _PARENT:
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.util.find_spec(name)
+        if spec is not None:
+            self.loader, spec.loader = spec.loader, self
+        return spec
+
+    def create_module(self, spec):
+        return self.loader.create_module(spec)
+
+    def exec_module(self, module) -> None:
+        module.__loader__ = module.__spec__.loader = self.loader
+        setattr(module, _CHILD, self.extension)
+        self.loader.exec_module(module)
+
+
 def _setulb() -> Callable:
     """scipy's compiled L-BFGS-B step, loaded without running scipy.optimize's __init__.
 
     The extension module is taken from sys.modules when scipy.optimize has
     loaded it already; otherwise it is loaded from its file in the
-    installed scipy and registered under its own name, where a later
-    import of scipy.optimize finds it (though not as an attribute of that
-    package).  Raises ImportError when its calling convention is not the
-    one this module drives.
+    installed scipy and registered under its own name, and a later import
+    of scipy.optimize takes that one module, in sys.modules and as its
+    attribute (see _ParentFinder).  Raises ImportError when its calling
+    convention is not the one this module drives.
     """
     module = sys.modules.get(_LBFGSB)
     if module is None:
@@ -119,6 +152,8 @@ def _setulb() -> Callable:
         module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_LBFGSB, loader))
         loader.exec_module(module)
         sys.modules[_LBFGSB] = module
+        if _PARENT not in sys.modules:
+            sys.meta_path.insert(0, _ParentFinder(module))
     setulb = module.setulb
     if (setulb.__doc__ or "").split("\n", 1)[0] != _SETULB:
         from importlib.metadata import version

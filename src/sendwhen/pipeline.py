@@ -25,6 +25,8 @@ from .errors import DataError, SchemaError, at_row
 from .features import FeatureSchema
 
 __all__ = [
+    "DEFAULT_HORIZONS",
+    "LABELERS",
     "Event",
     "EventColumns",
     "EventColumnAppender",
@@ -40,6 +42,13 @@ __all__ = [
 SEND = "send"
 VISIT = "visit"
 _KINDS = (SEND, VISIT)
+_KIND_SET = frozenset(_KINDS)
+
+# the horizons (hours) and per-send labelers of the evaluation layer, whose
+# labels are views of the send table; here so that the CLI can offer them
+# without importing the trainers
+DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
+LABELERS = ("naive", "censoring_clean")
 
 
 def _check_event(user_id: str, ts_hours: float, kind: str, badge_count: int | None) -> None:
@@ -118,7 +127,7 @@ class EventColumns:
 
 
 class EventColumnAppender:
-    """Checks events one at a time and appends them to growing columns."""
+    """Checks events, singly or a chunk at a time, and appends them to growing columns."""
 
     def __init__(self) -> None:
         self._codes: dict[str, int] = {}  # user id -> code in order of first sight
@@ -151,6 +160,50 @@ class EventColumnAppender:
                 column = self._features[name] = (array("q"), array("d"))
             column[0].append(row)
             column[1].append(v)
+
+    def extend(
+        self,
+        user_ids: Sequence[str],
+        ts_hours: Sequence[float],
+        kinds: Sequence[str],
+        badge_counts: Sequence[int | None],
+        features: Mapping[str, tuple[Sequence[int], Sequence[float]]],
+    ) -> bool:
+        """Append a chunk of events given as columns, or none of them.
+
+        The columns hold what append takes, one entry per event; features
+        maps a name to (rows, values), the rows counted from the chunk's
+        first event and new names in the order they first appear.  The
+        chunk is appended only if every event passes append's checks and
+        every badge count fits int64.  Otherwise nothing is appended and
+        the result is False; appending the chunk's events one at a time
+        then raises the error for the first bad one.
+        """
+        ts = array("d", ts_hours)
+        is_send = bytes([k == SEND for k in kinds])
+        has_badge = bytes([b is not None for b in badge_counts])
+        try:
+            badge = array("q", [0 if b is None else b for b in badge_counts])
+        except OverflowError:
+            return False
+        sends = np.frombuffer(is_send, bool)
+        if not (_KIND_SET.issuperset(kinds) and np.isfinite(np.frombuffer(ts)).all()
+                and np.frombuffer(has_badge, bool)[sends].all()
+                and (np.frombuffer(badge, np.int64)[sends] >= 0).all()):
+            return False
+        start, codes = len(self._ts), self._codes
+        self._user.extend([codes.setdefault(u, len(codes)) for u in user_ids])
+        self._ts.extend(ts)
+        self._send.extend(is_send)
+        self._badge.extend(badge)
+        self._has_badge.extend(has_badge)
+        for name, (rows, values) in features.items():
+            column = self._features.get(name)
+            if column is None:
+                column = self._features[name] = (array("q"), array("d"))
+            column[0].extend([start + r for r in rows])
+            column[1].extend(values)
+        return True
 
     def build(self) -> EventColumns:
         """The columns of every event appended; no event can be appended after."""

@@ -343,13 +343,13 @@ def fit_logistic(
         raise DataError("no instances to train on")
     if not np.all(np.isfinite(X)):
         raise DataError("non-finite feature values in the design matrix")
-    classes = np.unique(y)
-    if not np.all(np.isin(classes, (0.0, 1.0))):
-        raise DataError(f"labels must be 0/1, got values {classes}")
-    if classes.size < 2:
-        raise DataError(
-            f"single-class labels (all {int(classes[0])}); cannot fit logistic model"
-        )
+    # masks, not np.unique and np.isin: both import numpy.ma, start-up that
+    # every logistic fit would pay
+    ones = y == 1.0
+    if not (ones | (y == 0.0)).all():
+        raise DataError(f"labels must be 0/1, got values {np.unique(y)}")
+    if ones.all() or not ones.any():
+        raise DataError(f"single-class labels (all {int(y[0])}); cannot fit logistic model")
     if schema is not None and len(schema) != X.shape[1]:
         raise SchemaError(
             f"schema has {len(schema)} slots but instances have {X.shape[1]} features"

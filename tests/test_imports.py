@@ -1,4 +1,5 @@
-"""Start-up cost: only train loads scipy, and only its L-BFGS-B extension; numpy.ma loads in none.
+"""Start-up cost: each command loads only the package modules it runs; only train
+loads scipy, and only its L-BFGS-B extension; numpy.ma loads in none.
 
 Each check runs in a fresh interpreter, because pytest and the other tests
 import scipy into this one.
@@ -133,6 +134,55 @@ assert report["kappa1"] > 0 and report["n_fractional"] > 0, report
     assert loaded == []
 
 
+def test_train_logistic_loads_no_numpy_ma(run_dir, after_ingest):
+    # fit_logistic's label check once called np.unique and np.isin
+    loaded = modules_after(
+        """
+run("train", "--model", "logistic:24", "--events", "sim/events.jsonl",
+    "--schema", "sim/schema.json", "--out", "lg24_ma")
+""",
+        run_dir, package="numpy.ma",
+    )
+    assert loaded == []
+
+
+# what every command loads: the CLI and what its settings and defaults need
+BASE = ["cli", "errors", "features", "io", "optimize", "pipeline"]
+LOADS = {  # command -> (its run, in order, and the modules it loads beyond BASE)
+    "import": ("import sendwhen.cli", []),
+    "simulate": ('run("simulate", "--n-users", 30, "--seed", 5, "--out", "m_sim")',
+                 ["simulate", "survival"]),
+    "ingest": ('run("ingest", "--events", "m_sim/events.jsonl", "--schema", "m_sim/schema.json",'
+               ' "--out", "m_ing")', []),
+    "train aft": ('run("train", "--model", "aft", "--observations", "m_ing/observations.jsonl",'
+                  ' "--schema", "m_ing/schema.json", "--out", "m_aft")',
+                  ["scoring", "survival", "training"]),
+    "train logistic": ('run("train", "--model", "logistic:24", "--events", "m_sim/events.jsonl",'
+                       ' "--schema", "m_sim/schema.json", "--out", "m_lg24")',
+                       ["evaluation", "survival", "training"]),
+    "evaluate": ('run("evaluate", "--aft-model", "m_aft/model.json", "--logistic-model",'
+                 ' "m_lg24/model.json", "--events", "m_sim/events.jsonl", "--schema",'
+                 ' "m_sim/schema.json", "--horizons", 24, "--out", "m_eval")',
+                 ["evaluation", "scoring", "survival", "training"]),
+    "score": ('run("score", "--model", "m_aft/model.json", "--contexts", "m_sim/contexts.jsonl",'
+              ' "--out", "m_score")', ["scoring", "survival", "training"]),
+    "decide": ('run("decide", "--scores", "m_score/deltas.jsonl", "--rule", "moo", "--c-send", 10,'
+               ' "--c-click", 2, "--synth-p-click-seed", 1, "--out", "m_decide")', ["policies"]),
+}
+
+
+@pytest.fixture(scope="module")
+def package_modules(run_dir):
+    return {command: modules_after(body, run_dir, package="sendwhen")
+            for command, (body, _) in LOADS.items()}
+
+
+@pytest.mark.parametrize("command", list(LOADS))
+def test_each_command_loads_only_the_package_modules_it_runs(package_modules, command):
+    want = ["sendwhen", *(f"sendwhen.{m}" for m in sorted(BASE + LOADS[command][1]))]
+    assert package_modules[command] == want
+
+
 def test_scipy_optimize_imported_after_a_fit_reuses_its_extension(run_dir):
     loaded = modules_after(
         """
@@ -140,8 +190,12 @@ import numpy as np
 from sendwhen.optimize import OptConfig, minimize_smooth
 square = lambda w: (float(w @ w), 2.0 * w)
 ours = minimize_smooth(square, np.ones(2), OptConfig())
+import scipy.optimize
 from scipy.optimize import _lbfgsb_py, minimize
 assert _lbfgsb_py._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]
+assert scipy.optimize._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]
+from importlib.machinery import SourceFileLoader  # the package's own loader, not a wrapper
+assert isinstance(scipy.optimize.__loader__, SourceFileLoader), scipy.optimize.__loader__
 theirs = minimize(square, np.ones(2), jac=True, method="L-BFGS-B",
                   options={"gtol": 1e-7, "ftol": 1e-15})
 assert np.array_equal(ours.x, theirs.x), (ours.x, theirs.x)

@@ -10,6 +10,7 @@ as columns must iterate as the Event rows it was built from.
 
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_readers
 from sendwhen.cli import main
 from sendwhen.errors import DataError
 from sendwhen.features import FeatureSchema
 from sendwhen.io import (
+    _CHUNK_ROWS,
     read_events,
     read_jsonl,
     read_observations_jsonl,
@@ -491,3 +494,114 @@ def test_reading_and_rewriting_a_log_keeps_its_bytes(simulated_files, tmp_path):
     src = simulated_files / "events.jsonl"
     write_events_jsonl(tmp_path / "events.jsonl", read_events(src))
     assert (tmp_path / "events.jsonl").read_bytes() == src.read_bytes()
+
+
+# -- the chunked reader against the per-row one -----------------------------------
+
+USERS = ["u0", "u1", "u2", "é", "😀"]
+FEATURES = ["p", "q", "r"]
+TOO_LARGE = {  # integers that no float or int64 holds
+    "events.jsonl": [
+        '{"user_id":"u","ts_hours":1' + "0" * 400 + ',"kind":"visit"}',
+        '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":9223372036854775808,'
+        '"features":{"p":0.5}}',
+        '{"user_id":"u","ts_hours":2.0,"kind":"visit","badge_count":-9223372036854775809}',
+        '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":1,"features":{"p":1'
+        + "0" * 400 + "}}",
+    ],
+    "events.csv": ["u,2.0,send,9223372036854775808,0.5", "u,1" + "0" * 400 + ",visit,,"],
+}
+FAULTS = {name: [line for n, line, _ in CASES if n == name] + TOO_LARGE[name]
+          for name in TOO_LARGE}
+
+
+def _number(rng, text):
+    """A timestamp or feature value: a float, -0.0 or an integer."""
+    v = rng.choice([rng.uniform(0.0, 200.0), -0.0, rng.randrange(200), 5e-324])
+    return repr(v) if text else v
+
+
+def _json_event(rng, visit_features):
+    kind = rng.choice(["send", "visit"])
+    rec = {"user_id": rng.choice(USERS), "ts_hours": _number(rng, False), "kind": kind}
+    if kind == "send" or rng.random() < 0.1:  # a badge on a visit may be negative
+        rec["badge_count"] = rng.randrange(4) if kind == "send" else rng.randrange(-2, 3)
+    if (kind == "send" or visit_features) and rng.random() < 0.8:
+        names = rng.sample(FEATURES, rng.randrange(len(FEATURES) + 1))  # in any order
+        rec["features"] = {n: _number(rng, False) for n in names}
+    elif rng.random() < 0.1:
+        rec["features"] = rng.choice([None, {}, 0, []])  # no features
+    return json.dumps(rec)
+
+
+def _csv_event(rng, width, short_rows):
+    kind = rng.choice(["send", "visit"])
+    badge = str(rng.randrange(4)) if kind == "send" else rng.choice(["", "", " 2 "])
+    cells = [rng.choice(USERS), _number(rng, True), kind, badge]
+    cells += [rng.choice(["", _number(rng, True), f" {_number(rng, True)} "])
+              for _ in range(width - 4)]
+    if short_rows and kind == "visit" and rng.random() < 0.3:
+        cells = cells[:rng.randrange(3, width)]  # the missing cells read as None
+    return ",".join(cells)
+
+
+@st.composite
+def event_logs(draw):
+    """A few chunks of an event log, with at most one bad line, as (name, lines)."""
+    name = draw(st.sampled_from(sorted(FAULTS)))
+    n = draw(st.integers(1, 3 * _CHUNK_ROWS + 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # fills in the rows, fast
+    if name == "events.csv":
+        extra = draw(st.sampled_from([[], ["q"], ["q", "r"], ["q", "p"], ["q", "kind"]]))
+        header = ["user_id", "ts_hours", "kind", "badge_count", "p", *extra]  # may repeat a name
+        short_rows = draw(st.booleans())
+        lines = [",".join(header)] + [_csv_event(rng, len(header), short_rows) for _ in range(n)]
+    else:
+        visit_features = draw(st.booleans())
+        lines = [_json_event(rng, visit_features) for _ in range(n)]
+    first = int(name == "events.csv")  # the CSV header is not a record
+    edges = [first, first + _CHUNK_ROWS - 1, first + _CHUNK_ROWS, len(lines) - 1]
+    at = draw(st.sampled_from(edges) | st.integers(first, len(lines) - 1))
+    if draw(st.integers(0, 3)):  # a bad line in three logs of four
+        lines[min(at, len(lines) - 1)] = draw(st.sampled_from(FAULTS[name]))
+    for _ in range(draw(st.integers(0, 3))):  # blank lines count in JSONL, not in CSV
+        lines.insert(rng.randrange(first, len(lines) + 1), "")
+    return name, lines
+
+
+def _outcome(read, path):
+    try:
+        columns = read(path)
+    except DataError as exc:
+        return str(exc)
+    return (columns.user_ids, *(getattr(columns, c).tobytes() for c in
+                                ("user", "ts_hours", "is_send", "badge_count", "has_badge")),
+            [(n, v.tobytes(), p.tobytes()) for n, (v, p) in columns.features.items()])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(event_logs())
+def test_chunked_reader_equals_the_per_row_reader(tmp_path_factory, log):
+    name, lines = log
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _outcome(read_events, path) == _outcome(oracle_readers.read_events, path)
+
+
+@pytest.mark.parametrize("unparsable", ['{"user_id":', "[1,2]"])
+def test_a_bad_record_before_an_unparsable_line_in_its_chunk_is_the_error(tmp_path, unparsable):
+    lines = [EVENTS_JSONL[0], '{"user_id":"u","ts_hours":2.0,"kind":"push"}', EVENTS_JSONL[1],
+             unparsable]
+    path = tmp_path / "events.jsonl"
+    _write(path, lines, None)
+    assert _outcome(read_events, path) == f"{path}:2: unknown event kind 'push'"
+    assert _outcome(oracle_readers.read_events, path) == f"{path}:2: unknown event kind 'push'"
+
+
+@pytest.mark.parametrize("name", ["events.jsonl", "events.csv"])
+def test_a_clean_log_is_read_without_the_per_row_path(simulated_files, monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("a chunk went through the per-row path")
+
+    monkeypatch.setattr("sendwhen.io._append_records", refuse)
+    assert len(read_events(simulated_files / name)) > 2000

@@ -317,6 +317,20 @@ class TestFitLogistic:
         with pytest.raises(DataError, match="0/1"):
             fit_logistic(X, np.array([0.0, 0.5, 1.0]), 4.0)
 
+    @pytest.mark.parametrize("y", [[0.0, 0.5, 1.0], [1.0, np.nan, 1.0], [0.0, np.inf],
+                                   [2.0, 2.0], [1.0, 1.0], [-0.0, 0.0, -0.0]])
+    def test_label_errors_word_the_distinct_labels(self, y):
+        # the messages of the check np.unique and np.isin once made
+        y = np.array(y)
+        classes = np.unique(y)
+        if np.isin(classes, (0.0, 1.0)).all():
+            want = f"single-class labels (all {int(classes[0])}); cannot fit logistic model"
+        else:
+            want = f"labels must be 0/1, got values {classes}"
+        with pytest.raises(DataError) as info:
+            fit_logistic(np.ones((len(y), 1)), y, 4.0)
+        assert str(info.value) == want
+
     def test_bad_horizon_rejected(self):
         X = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])
         with pytest.raises(DataError, match="horizon"):
