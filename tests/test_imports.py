@@ -1,5 +1,6 @@
 """Start-up cost: each command loads only the package modules it runs; only train
-loads scipy, and only its L-BFGS-B extension; numpy.ma loads in none.
+loads scipy, and only its L-BFGS-B extension; numpy.ma loads in none; and a
+command starts no BLAS worker thread unless its caller asks for them.
 
 Each check runs in a fresh interpreter, because pytest and the other tests
 import scipy into this one.
@@ -203,3 +204,61 @@ assert np.array_equal(ours.x, theirs.x), (ours.x, theirs.x)
         run_dir, package="scipy.optimize._lbfgsb",
     )
     assert loaded == ["scipy.optimize._lbfgsb"]
+
+
+# -- threads --------------------------------------------------------------------
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+THREADS = """
+import json, os
+threads = lambda: len(os.listdir("/proc/self/task"))
+import sendwhen.cli
+after_import = threads()
+from sendwhen.optimize import _setulb
+_setulb()  # loads the L-BFGS-B extension, and with it scipy's own OpenBLAS
+print(json.dumps([after_import, threads()]))
+"""
+counts_threads = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                    reason="counts the threads listed in /proc/self/task")
+
+
+def run_fresh(code: str, **variables: str):
+    """The last line a fresh interpreter running code prints, read as JSON.
+
+    The thread variables are removed from its environment, then variables set.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, **variables},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@counts_threads
+def test_a_command_starts_no_blas_worker_thread():
+    # a BLAS pool adds a thread per further core: numpy's on import, scipy's in _setulb
+    assert run_fresh(THREADS) == [1, 1]
+
+
+def cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@counts_threads
+@pytest.mark.skipif(cores() < 2, reason="OpenBLAS starts no more threads than it has cores")
+@pytest.mark.parametrize("variable", THREAD_VARIABLES)
+def test_a_thread_count_the_caller_sets_is_kept(variable):
+    after_import, _ = run_fresh(THREADS, **{variable: "2"})
+    assert after_import == 2  # numpy's pool: the main thread and one worker
+
+
+def test_importing_the_package_sets_no_thread_count():
+    loaded, variables = run_fresh(f"""
+import json, os, sys, sendwhen
+sendwhen.fit_aft  # loads the trainer, and numpy
+print(json.dumps(["numpy" in sys.modules, sorted(set(os.environ) & set({THREAD_VARIABLES}))]))
+""")
+    assert loaded and variables == []

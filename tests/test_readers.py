@@ -24,6 +24,7 @@ from sendwhen.errors import DataError
 from sendwhen.features import FeatureSchema
 from sendwhen.io import (
     _CHUNK_ROWS,
+    _OBSERVATION_CHUNK_ROWS,
     read_events,
     read_jsonl,
     read_observations_jsonl,
@@ -605,3 +606,78 @@ def test_a_clean_log_is_read_without_the_per_row_path(simulated_files, monkeypat
 
     monkeypatch.setattr("sendwhen.io._append_records", refuse)
     assert len(read_events(simulated_files / name)) > 2000
+
+
+OBSERVATION_FAULTS = [line for n, line, _ in CASES if n == "observations.jsonl"] + [
+    '{"user_id":',
+    "[1,2]",
+    '{"censored":false,"user_id":"u","x":[1.0,0.5,1.0]}',
+    '{"censored":false,"t_hours":1.0,"user_id":"u","x":[1.0,true,1.0]}',
+    '{"censored":false,"t_hours":1.0,"user_id":"u","x":{"p":1.0}}',
+    '{"censored":false,"t_hours":NaN,"user_id":"u","x":[1.0,0.5,1.0]}',
+    '{"censored":false,"t_hours":Infinity,"user_id":"u","x":[1.0,0.5,1.0]}',
+    '{"censored":false,"t_hours":-2.5,"user_id":"u","x":[1.0,0.5,1.0]}',
+    # integers that no float holds
+    '{"censored":false,"t_hours":1' + "0" * 400 + ',"user_id":"u","x":[1.0,0.5,1.0]}',
+    '{"censored":false,"t_hours":1.0,"user_id":"u","x":[1.0,1' + "0" * 400 + ',1.0]}',
+    '{"censored":true,"origin_ts_hours":-1' + "0" * 400 + ',"t_hours":1.0,"user_id":"u",'
+    '"x":[1.0,0.5,1.0]}',
+]
+
+
+def _observation(rng, width):
+    rec = {
+        "censored": rng.random() < 0.3,
+        "t_hours": rng.choice([rng.uniform(1e-3, 200.0), rng.randrange(1, 200), 5e-324]),
+        "user_id": rng.choice(USERS),
+        "x": [rng.choice([rng.gauss(0.0, 2.0), -0.0, rng.randrange(-3, 4), math.nan])
+              for _ in range(width)],
+    }
+    if rng.random() < 0.8:
+        rec["origin_ts_hours"] = rng.choice([rng.uniform(0.0, 200.0), -0.0, rng.randrange(200)])
+    return json.dumps(dict(rng.sample(sorted(rec.items()), len(rec))))  # keys in any order
+
+
+@st.composite
+def observation_logs(draw):
+    """A few chunks of observations, with at most one bad line, as lines."""
+    n = draw(st.integers(1, 3 * _OBSERVATION_CHUNK_ROWS + 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    width = draw(st.sampled_from([3, 3, 0, 1]))  # the bad lines' x have 3 values or 2
+    wider = n  # x is one value wider from there on, in one file of four
+    if not draw(st.integers(0, 3)):
+        wider = draw(st.sampled_from([_OBSERVATION_CHUNK_ROWS]) | st.integers(1, n))
+    lines = [_observation(rng, width + (i >= wider)) for i in range(n)]
+    edges = [0, _OBSERVATION_CHUNK_ROWS - 1, _OBSERVATION_CHUNK_ROWS, n - 1]
+    at = draw(st.sampled_from(edges) | st.integers(0, n - 1))
+    if draw(st.integers(0, 3)):  # a bad line in three files of four
+        lines[min(at, n - 1)] = draw(st.sampled_from(OBSERVATION_FAULTS))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(rng.randrange(len(lines) + 1), "")
+    return lines
+
+
+def _observation_outcome(read, path):
+    try:
+        obs = read(path)
+    except DataError as exc:
+        return str(exc)
+    return (obs.user_ids, obs.x.shape, *(getattr(obs, c).tobytes() for c in
+                                         ("user", "x", "t_hours", "uncensored", "origin_ts_hours")))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(observation_logs())
+def test_chunked_observation_reader_equals_the_per_row_reader(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "observations.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert (_observation_outcome(read_observations_jsonl, path)
+            == _observation_outcome(oracle_readers.read_observations_jsonl, path))
+
+
+def test_clean_observations_are_read_without_the_per_row_path(simulated_files, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a chunk went through the per-row path")
+
+    monkeypatch.setattr("sendwhen.io.json_number", refuse)
+    assert len(read_observations_jsonl(simulated_files / "observations.jsonl")) > 2000
