@@ -18,11 +18,14 @@ A command imports the modules it runs in its settings or body, so that
 start-up loads none of the others (decide, say, loads no trainer).
 
 Every command runs on one thread.  Its only BLAS work is matrix-vector
-products on designs of a few schema slots, so before numpy loads this
-module sets OPENBLAS_NUM_THREADS=1, and neither numpy's OpenBLAS nor the
-one scipy's L-BFGS-B extension loads in train starts a worker pool.  A
-thread count the caller sets in OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is kept.  Importing the sendwhen package alone sets none.
+products on designs of a few schema slots, so numpy's OpenBLAS (loaded by
+this module's import of numpy) and the one scipy's L-BFGS-B extension
+brings (loaded by train) both load with OPENBLAS_NUM_THREADS=1, and
+neither starts a worker pool.  The variable is set around those two loads
+only, and the environment is as it was after each, so a process that
+imports this module and its children keep the caller's setting.  A thread
+count the caller sets in OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is kept.
 
 Outputs land in --out DIR and are never overwritten without --force; each
 output directory gets exactly one manifest.json recording the command,
@@ -46,11 +49,32 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-# before numpy loads: OpenBLAS reads its thread count once, when it loads
-if not any(map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-import numpy as np
+
+@contextmanager
+def _one_blas_thread():
+    """OPENBLAS_NUM_THREADS=1 inside, unless the caller set a thread count; as before after.
+
+    OpenBLAS reads its thread count once, when it loads, from the first of
+    _THREAD_VARIABLES that holds a value (an empty one counts as unset).
+    """
+    if any(map(os.environ.get, _THREAD_VARIABLES)):
+        yield
+        return
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+with _one_blas_thread():
+    import numpy as np
 
 from . import __version__
 from .errors import (
@@ -234,15 +258,19 @@ _INGEST_DEFAULTS: dict = asdict(PipelineConfig())
 def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConfig) -> int:
     schema = read_schema_json(args.schema)
     events = read_events(args.events)
+    n_events = len(events)
     table = send_table(events, pipe_cfg)
+    del events  # the table holds what it reads of them
     with _naming_lines(args.events):
         observations = table.observations(schema, pipe_cfg.duration_floor_hours)
+    n_sends = len(table)
+    del table
     n_uncensored = int(np.count_nonzero(observations.uncensored))
     report = {
-        "n_events": len(events),
-        "n_sends": len(table),
+        "n_events": n_events,
+        "n_sends": n_sends,
         "n_observations": len(observations),
-        "n_dropped_sends": len(table) - len(observations),
+        "n_dropped_sends": n_sends - len(observations),
         "n_censored": len(observations) - n_uncensored,
         "n_uncensored": n_uncensored,
     }
@@ -253,7 +281,7 @@ def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConf
     _write_manifest(
         out, "ingest", merged, inputs={"events": args.events, "schema": args.schema}
     )
-    if len(events) == 0:
+    if n_events == 0:
         print("ingest: warning: empty event input, wrote empty observations", file=sys.stderr)
     print(
         f"ingest: {report['n_events']} events -> {report['n_observations']} observations "
@@ -295,13 +323,21 @@ def _train_settings(merged: Mapping) -> tuple[str, float | None, OptConfig, Pipe
 
 
 def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
+    from .optimize import _setulb
     from .training import WeibullAftModel, fit_aft
 
     kind, horizon, opt_cfg, pipe_cfg = settings
+    if kind == "aft" and args.observations is None:
+        raise ConfigError("train --model aft needs --observations FILE")
+    # the logistic baseline trains on per-send labels, so it needs the
+    # raw event timeline rather than censored triplets
+    if kind == "logistic" and (args.events is None or args.schema is None):
+        raise ConfigError("train --model logistic:T needs --events and --schema")
+    if opt_cfg.method == "lbfgs":  # the fit's extension loads scipy's own OpenBLAS
+        with _one_blas_thread():
+            _setulb()
     inputs: dict[str, str] = {}
     if kind == "aft":
-        if args.observations is None:
-            raise ConfigError("train --model aft needs --observations FILE")
         schema = read_schema_json(args.schema) if args.schema else None
         obs = read_observations_jsonl(args.observations, schema)
         inputs["observations"] = args.observations
@@ -309,18 +345,15 @@ def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int
             inputs["schema"] = args.schema
         model: WeibullAftModel | LogisticModel = fit_aft(obs, opt_cfg, schema=schema)
     else:
-        # the logistic baseline trains on per-send labels, so it needs the
-        # raw event timeline rather than censored triplets
-        if args.events is None or args.schema is None:
-            raise ConfigError("train --model logistic:T needs --events and --schema")
-        schema = read_schema_json(args.schema)
-        events = read_events(args.events)
-        inputs["events"] = args.events
-        inputs["schema"] = args.schema
         from .evaluation import fit_logistic_baselines
 
+        schema = read_schema_json(args.schema)
+        inputs["events"] = args.events
+        inputs["schema"] = args.schema
         with _naming_lines(args.events):
-            model = fit_logistic_baselines(events, schema, [horizon], pipe_cfg, opt_cfg)[horizon]
+            model = fit_logistic_baselines(
+                read_events(args.events), schema, [horizon], pipe_cfg, opt_cfg
+            )[horizon]
 
     # the out directory is made only once the inputs have given a model
     out = _prepare_out(args.out, ("model.json",), args.force)
@@ -369,10 +402,9 @@ def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> 
             raise SchemaError(f"{path} does not hold a logistic model")
         logistic_models[m.horizon_t_hours] = m
     schema = read_schema_json(args.schema)
-    events = read_events(args.events)
     with _naming_lines(args.events):
         report = auc_vs_horizon(
-            aft, logistic_models, events, schema,
+            aft, logistic_models, read_events(args.events), schema,
             horizons=horizons, labeler=labeler, cfg=pipe_cfg,
         )
 

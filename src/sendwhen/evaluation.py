@@ -209,15 +209,21 @@ def fit_logistic_baselines(
 ) -> dict[float, LogisticModel]:
     """One logistic model per horizon, trained on naive per-send labels.
 
-    The events are walked once; every horizon labels the same sends.
+    The events are walked once; every horizon labels the same sends.  Every
+    horizon is checked and labelled before the first fit, and the fits hold
+    only the matrix and the labels: the events and the send table are
+    dropped first.
     """
     table = send_table(events, cfg)
+    del events
     if len(table) == 0:
         raise DataError("no send instances to train on")
     X = table.matrix(schema)
+    labels = {h: table.visited_within(h) for h in map(_check_horizon, horizons)}
+    del table
     return {
-        h: fit_logistic(X, table.visited_within(h).astype(float), h, opt_cfg, schema=schema)
-        for h in map(_check_horizon, horizons)
+        h: fit_logistic(X, y.astype(float), h, opt_cfg, schema=schema)
+        for h, y in labels.items()
     }
 
 
@@ -233,7 +239,9 @@ def auc_vs_horizon(
     """Compare the one survival model against per-horizon logistics.
 
     A single-class horizon (degenerate test set) produces a flagged row
-    instead of failing the whole report.
+    instead of failing the whole report.  Every horizon and its models are
+    checked, and its sends labelled, before the first AUC; the AUCs hold
+    only the matrix and the labels.
     """
     if labeler not in LABELERS:
         raise ConfigError(f"unknown labeler {labeler!r}; expected one of {LABELERS}")
@@ -241,13 +249,15 @@ def auc_vs_horizon(
         raise SchemaError("aft_model must be the survival model, not a baseline")
 
     table = send_table(events, cfg)
+    del events
     if labeler == "naive":
+        observations = None
         X_all = table.matrix(schema)
     else:
         observations = table.observations(schema, cfg.duration_floor_hours)
         X_all = observations.x
 
-    rows = []
+    labelled = []  # (horizon, logistic model, labels, ambiguous or None)
     for t in horizons:
         horizon = _check_horizon(t)
         if horizon not in logistic_models:
@@ -258,16 +268,19 @@ def auc_vs_horizon(
                 f"logistic model keyed at T={horizon}h was trained for "
                 f"T={logistic.horizon_t_hours}h"
             )
-        if labeler == "naive":
-            labels = table.visited_within(horizon)
-            keep = np.ones(labels.shape, dtype=bool)
-            n_ambiguous = 0
+        if observations is None:
+            labelled.append((horizon, logistic, table.visited_within(horizon), None))
         else:
-            labels, ambiguous = label_censoring_clean(observations, horizon)
+            labelled.append((horizon, logistic, *label_censoring_clean(observations, horizon)))
+    del table, observations
+
+    rows = []
+    for horizon, logistic, labels, ambiguous in labelled:
+        if ambiguous is None or not ambiguous.any():  # every row kept: no copy
+            X, y, n_ambiguous = X_all, labels, 0
+        else:
             keep = ~ambiguous
-            n_ambiguous = int(np.count_nonzero(ambiguous))
-        X = X_all[keep]
-        y = labels[keep]
+            X, y, n_ambiguous = X_all[keep], labels[keep], int(np.count_nonzero(ambiguous))
         try:
             auc_aft = auc(score_for_auc(aft_model, X, horizon), y)
             auc_log = auc(score_for_auc(logistic, X, horizon), y)

@@ -9,9 +9,10 @@ read_observations_jsonl convert and check a chunk of rows at a time as
 columns, and a chunk that fails row by row; the other readers convert and
 check each line in order.  Either way a DataError names the first bad
 line.  Events, observations, deltas and decisions are written with one
-f-string template per format, and contexts by write_jsonl; either way a
-line's bytes equal json.dumps(record, sort_keys=True, separators=(",",
-":")), so identical in-memory data always produces identical files.
+f-string template per format, _WRITE_ROWS rows turned to text at a time,
+and contexts by write_jsonl; either way a line's bytes equal
+json.dumps(record, sort_keys=True, separators=(",", ":")), so identical
+in-memory data always produces identical files.
 Every input file is opened by one helper, so a missing or unreadable
 input is a DataError naming the path.  See FORMATS.md at the
 repository root for the field-by-field reference.
@@ -72,6 +73,11 @@ _LIST, _BOOL = frozenset({list}), frozenset({bool})
 _CHUNK_ROWS = 128
 # a parsed observation line holds about 1.4 kB, twice an event line
 _OBSERVATION_CHUNK_ROWS = 64
+# rows a writer converts to text at a time, so its lists of Python objects
+# stay this long however many rows it writes.  Writing the 2k-user nightly
+# observations or events took the same time at 512 to 4,096 rows, and the
+# traced peak grows by about 600 bytes a row: 0.7 MB at 1,024, 4.9 at 8,192
+_WRITE_ROWS = 1024
 # what converting one record's fields can raise; the readers report each as
 # a malformed row on its line
 ROW_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
@@ -426,25 +432,21 @@ def _json_floats_once(values: np.ndarray) -> list[str]:
     return list(map(_json_floats(ordered[first].view(float)).__getitem__, slot.tolist()))
 
 
-def _float_rows(*columns: np.ndarray, chunk: int = 8192) -> Iterator[tuple[str, ...]]:
-    """Each row of float columns as json.dumps writes its values, a chunk at a time."""
-    for lo in range(0, len(columns[0]), chunk):
-        yield from zip(*(_json_floats(c[lo:lo + chunk]) for c in columns))
+def _parts(n: int) -> Iterator[slice]:
+    """Consecutive slices of _WRITE_ROWS rows that cover n rows."""
+    return (slice(lo, lo + _WRITE_ROWS) for lo in range(0, n, _WRITE_ROWS))
 
 
-def _float_lists(x: np.ndarray, chunk: int = 8192) -> Iterator[str]:
+def _float_lists(x: np.ndarray) -> list[str]:
     """Each row of an (n, k) float matrix as json.dumps writes its list's items.
 
     Rows such as feature vectors repeat values (an intercept, a profile per
-    user), so each distinct value of a chunk is formatted once.
+    user), so each distinct value is formatted once.
     """
     n, k = x.shape
     if k == 0:
-        yield from [""] * n
-        return
-    for lo in range(0, n, chunk):
-        texts = _json_floats_once(x[lo:lo + chunk].ravel())
-        yield from map(",".join, zip(*[iter(texts)] * k))
+        return [""] * n
+    return list(map(",".join, zip(*[iter(_json_floats_once(x.ravel()))] * k)))
 
 
 def _feature_members(events: EventColumns, part: slice) -> list[str]:
@@ -471,11 +473,10 @@ def _feature_members(events: EventColumns, part: slice) -> list[str]:
     return [members[j] for j in inverse.tolist()]
 
 
-def _event_rows(events: EventColumns, chunk: int = 8192) -> Iterator[tuple]:
-    """Each event's JSON field values as text, converting a chunk at a time."""
+def _event_rows(events: EventColumns) -> Iterator[tuple]:
+    """Each event's JSON field values as text, converting a part at a time."""
     ids = [_json_scalar(u) for u in events.user_ids]  # encoded once per user
-    for lo in range(0, len(events), chunk):
-        part = slice(lo, lo + chunk)
+    for part in _parts(len(events)):
         yield from zip(
             [ids[u] for u in events.user[part].tolist()],
             _json_floats(events.ts_hours[part]),
@@ -509,14 +510,17 @@ def write_observations_jsonl(path: str | Path, observations: ObservationColumns)
     """One line per observation, the bytes write_jsonl would write for its record."""
     obs = observations
     ids = [_json_scalar(u) for u in obs.user_ids]  # encoded once per user
-    rows = _float_rows(obs.t_hours, obs.origin_ts_hours)
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(
-            f'{{"censored":{"false" if uncensored else "true"},"origin_ts_hours":{origin},'
-            f'"t_hours":{t},"user_id":{ids[u]},"x":[{x}]}}\n'
-            for u, uncensored, (t, origin), x in
-            zip(obs.user.tolist(), obs.uncensored.tolist(), rows, _float_lists(obs.x))
-        )
+        for part in _parts(len(obs)):
+            f.writelines(
+                f'{{"censored":{"false" if uncensored else "true"},"origin_ts_hours":{origin},'
+                f'"t_hours":{t},"user_id":{ids[u]},"x":[{x}]}}\n'
+                for u, uncensored, t, origin, x in zip(
+                    obs.user[part].tolist(), obs.uncensored[part].tolist(),
+                    _json_floats(obs.t_hours[part]), _json_floats(obs.origin_ts_hours[part]),
+                    _float_lists(obs.x[part]),
+                )
+            )
 
 
 def _observation_chunk(recs: Sequence[dict], width: int | None) -> tuple | None:
@@ -676,15 +680,17 @@ def write_deltas_jsonl(
     """One line per user of score_columns's scores, the bytes write_jsonl would write."""
     alpha, horizon = _json_scalar(float(scores["alpha"])), _json_scalar(float(horizon_T))
     version = _json_scalar(model_version)
-    rows = _float_rows(*(scores[k] for k in ("delta", "lambda0", "lambda1", "p_send", "p_wait")),
-                       np.asarray(w0_hours, dtype=float))
+    columns = [scores[k] for k in ("delta", "lambda0", "lambda1", "p_send", "p_wait")]
+    columns.append(np.asarray(w0_hours, dtype=float))
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(
-            f'{{"alpha":{alpha},"delta":{delta},"horizon_T":{horizon},"lambda0":{lam0},'
-            f'"lambda1":{lam1},"model_version":{version},"p_send":{p_send},"p_wait":{p_wait},'
-            f'"user_id":{_json_scalar(user_id)},"w0_hours":{w0}}}\n'
-            for user_id, (delta, lam0, lam1, p_send, p_wait, w0) in zip(user_ids, rows)
-        )
+        for part in _parts(len(user_ids)):
+            f.writelines(
+                f'{{"alpha":{alpha},"delta":{delta},"horizon_T":{horizon},"lambda0":{lam0},'
+                f'"lambda1":{lam1},"model_version":{version},"p_send":{p_send},'
+                f'"p_wait":{p_wait},"user_id":{_json_scalar(user_id)},"w0_hours":{w0}}}\n'
+                for user_id, delta, lam0, lam1, p_send, p_wait, w0 in
+                zip(user_ids[part], *(_json_floats(c[part]) for c in columns))
+            )
 
 
 def write_decisions_jsonl(path: str | Path, user_ids: Sequence[str], result: PolicyResult) -> None:
@@ -695,17 +701,21 @@ def write_decisions_jsonl(path: str | Path, user_ids: Sequence[str], result: Pol
     """
     params = "".join(f"{_json_scalar(k)}:{_json_scalar(v)}," for k, v in
                      sorted(result.params.items()))
-    members = [params] * len(result.y)
-    for i in np.flatnonzero(result.flagged).tolist():
-        members[i] = f'"flagged":true,{params}"note":{_json_scalar(result.note(i))},'
     rule = _json_scalar(result.rule)
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(
-            f'{{{head}"rule":{rule},"send":{"true" if send else "false"},'
-            f'"user_id":{_json_scalar(user_id)},"y":{y}}}\n'
-            for head, user_id, send, (y,) in
-            zip(members, user_ids, result.send.tolist(), _float_rows(result.y))
-        )
+        for part in _parts(len(result.y)):
+            members = [params] * len(result.y[part])
+            for i in np.flatnonzero(result.flagged[part]).tolist():
+                note = _json_scalar(result.note(part.start + i))
+                members[i] = f'"flagged":true,{params}"note":{note},'
+            f.writelines(
+                f'{{{head}"rule":{rule},"send":{"true" if send else "false"},'
+                f'"user_id":{_json_scalar(user_id)},"y":{y}}}\n'
+                for head, user_id, send, y in zip(
+                    members, user_ids[part], result.send[part].tolist(),
+                    _json_floats(result.y[part]),
+                )
+            )
 
 
 # -- models ---------------------------------------------------------------------

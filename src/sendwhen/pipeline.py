@@ -3,9 +3,10 @@
 An event log is held as columns (EventColumns): one user code, timestamp,
 kind and badge per event, and one (values, present) pair per feature, in
 input order.  send_table walks every user's timeline once, with one sort
-over all events, and returns one row per notification send: the send, how
-long the user had already been in the pre-send state (w0), the successor
-event and the first later visit.  Observations (sends with a successor,
+over all events, and returns one row per notification send: the send's
+snapshot, how long the user had already been in the pre-send state (w0),
+the successor event and the first later visit; the table holds nothing
+else of the log, so the log can be dropped once walked.  Observations (sends with a successor,
 as ObservationColumns), send instances (every send) and the evaluation
 layer's naive labels are all views of that one table.  Event is one row of
 a log, what iterating EventColumns yields.  SendInstance is one send's
@@ -49,6 +50,13 @@ _KIND_SET = frozenset(_KINDS)
 # without importing the trainers
 DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 12.0, 24.0, 36.0, 48.0)
 LABELERS = ("naive", "censoring_clean")
+
+_NAN = array("d", [math.nan])
+# rows a whole-log step takes at a time, so that its temporaries stay this
+# many rows long however long the log is.  On the 2k-user nightly log,
+# send_table and observations took the same time at 4,096 and 65,536 rows
+# and their traced peak fell from 6.3 to 4.4 MB; 1,024 was slower
+_CHUNK_ROWS = 4096
 
 
 def _check_event(user_id: str, ts_hours: float, kind: str, badge_count: int | None) -> None:
@@ -127,7 +135,11 @@ class EventColumns:
 
 
 class EventColumnAppender:
-    """Checks events, singly or a chunk at a time, and appends them to growing columns."""
+    """Checks events, singly or a chunk at a time, and appends them to growing columns.
+
+    Every column, features too, grows one entry per event, so build only
+    wraps the columns as arrays and copies none of them.
+    """
 
     def __init__(self) -> None:
         self._codes: dict[str, int] = {}  # user id -> code in order of first sight
@@ -136,7 +148,13 @@ class EventColumnAppender:
         self._send = bytearray()
         self._badge = array("q")
         self._has_badge = bytearray()
-        self._features: dict[str, tuple[array, array]] = {}  # name -> (rows, values)
+        self._features: dict[str, tuple[array, bytearray]] = {}  # name -> (values, present)
+
+    def _add_feature(self, name: str) -> None:
+        """Give a new feature its columns, missing on every event so far."""
+        if name not in self._features:
+            n = len(self._ts)
+            self._features[name] = (_NAN * n, bytearray(n))
 
     def append(
         self,
@@ -148,18 +166,16 @@ class EventColumnAppender:
     ) -> None:
         """Append one event, or raise the DataError of its first failed check."""
         _check_event(user_id, ts_hours, kind, badge_count)
-        row = len(self._ts)
+        for name in features:
+            self._add_feature(name)
         self._user.append(self._codes.setdefault(user_id, len(self._codes)))
         self._ts.append(ts_hours)
         self._send.append(kind == SEND)
         self._has_badge.append(badge_count is not None)
         self._badge.append(0 if badge_count is None else badge_count)
-        for name, v in features.items():
-            column = self._features.get(name)
-            if column is None:
-                column = self._features[name] = (array("q"), array("d"))
-            column[0].append(row)
-            column[1].append(v)
+        for name, (values, present) in self._features.items():
+            values.append(features.get(name, math.nan))
+            present.append(name in features)
 
     def extend(
         self,
@@ -191,42 +207,44 @@ class EventColumnAppender:
                 and np.frombuffer(has_badge, bool)[sends].all()
                 and (np.frombuffer(badge, np.int64)[sends] >= 0).all()):
             return False
-        start, codes = len(self._ts), self._codes
+        n, codes = len(ts), self._codes
+        dense = {}  # the chunk's entries of each feature it carries, as bytes
+        for name, (rows, values) in features.items():
+            v, p = np.full(n, math.nan), np.zeros(n, bool)
+            v[rows] = values
+            p[rows] = True
+            dense[name] = v.tobytes(), p.tobytes()
+        for name in dense:
+            self._add_feature(name)
         self._user.extend([codes.setdefault(u, len(codes)) for u in user_ids])
         self._ts.extend(ts)
         self._send.extend(is_send)
         self._badge.extend(badge)
         self._has_badge.extend(has_badge)
-        for name, (rows, values) in features.items():
-            column = self._features.get(name)
-            if column is None:
-                column = self._features[name] = (array("q"), array("d"))
-            column[0].extend([start + r for r in rows])
-            column[1].extend(values)
+        missing = (_NAN * n).tobytes(), bytes(n)
+        for name, (values, present) in self._features.items():
+            v, p = dense.get(name, missing)
+            values.frombytes(v)
+            present.extend(p)
         return True
 
     def build(self) -> EventColumns:
-        """The columns of every event appended; no event can be appended after."""
-        n = len(self._ts)
-        features = {}
-        for name in list(self._features):  # each sparse pair is freed once spread
-            rows, sparse = self._features.pop(name)
-            rows = np.frombuffer(rows, np.int64)
-            values, present = np.full(n, np.nan), np.zeros(n, bool)
-            values[rows] = np.frombuffer(sparse, float)
-            present[rows] = True
-            features[name] = (values, present)
+        """The columns of every event appended, once; no event can be appended after."""
         ids = sorted(self._codes)
         rank = np.empty(len(ids), np.int64)
         rank[np.fromiter((self._codes[u] for u in ids), np.int64, len(ids))] = np.arange(len(ids))
+        user = np.frombuffer(self._user, np.int64)
+        for lo in range(0, user.size, _CHUNK_ROWS):  # codes become ranks in place
+            user[lo:lo + _CHUNK_ROWS] = rank[user[lo:lo + _CHUNK_ROWS]]
         return EventColumns(
             user_ids=ids,
-            user=rank[np.frombuffer(self._user, np.int64)],
+            user=user,
             ts_hours=np.frombuffer(self._ts, float),
             is_send=np.frombuffer(self._send, bool),
             badge_count=np.frombuffer(self._badge, np.int64),
             has_badge=np.frombuffer(self._has_badge, bool),
-            features=features,
+            features={name: (np.frombuffer(values, float), np.frombuffer(present, bool))
+                      for name, (values, present) in self._features.items()},
         )
 
 
@@ -278,8 +296,13 @@ class PipelineConfig:
             if self.window_end <= self.window_start:
                 raise DataError("window_end must be greater than window_start")
 
-    def window_rows(self, ts_hours: np.ndarray) -> np.ndarray:
-        """Indices of the timestamps inside the window; both bounds are inclusive."""
+    def window_rows(self, ts_hours: np.ndarray) -> np.ndarray | None:
+        """Indices of the timestamps inside the window, or None when there is no window.
+
+        Both bounds are inclusive.
+        """
+        if self.window_start is None and self.window_end is None:
+            return None
         keep = np.ones(ts_hours.shape, bool)
         if self.window_start is not None:
             keep &= ts_hours >= self.window_start
@@ -292,17 +315,23 @@ class PipelineConfig:
 class SendTable:
     """One row per send inside the window, ordered by (user_id, time).
 
-    rows holds each send's row in events.  w0_hours is the time the user
-    had already spent in the pre-send state: hours since the latest
-    preceding send or visit, zero when the send is the user's first event.
-    next_ts_hours is the time of the successor event (nan when nothing
-    follows inside the window) and uncensored says whether that successor
-    is a visit.  next_visit_hours is the first visit strictly after the
-    send (inf when there is none); later sends do not stop it.
+    rows holds each send's row in the event log, user its user's code in
+    user_ids, and badge_count and features (name -> (values, present))
+    its snapshot, so the table reads nothing more of the log.  w0_hours
+    is the time the user had already spent in the pre-send state: hours
+    since the latest preceding send or visit, zero when the send is the
+    user's first event.  next_ts_hours is the time of the successor event
+    (nan when nothing follows inside the window) and uncensored says
+    whether that successor is a visit.  next_visit_hours is the first
+    visit strictly after the send (inf when there is none); later sends
+    do not stop it.
     """
 
-    events: EventColumns
+    user_ids: Sequence[str]
     rows: np.ndarray
+    user: np.ndarray
+    badge_count: np.ndarray
+    features: Mapping[str, tuple[np.ndarray, np.ndarray]]
     ts_hours: np.ndarray
     w0_hours: np.ndarray
     next_ts_hours: np.ndarray
@@ -312,37 +341,46 @@ class SendTable:
     def __len__(self) -> int:
         return self.rows.size
 
-    @property
-    def user(self) -> np.ndarray:
-        return self.events.user[self.rows]
-
     def matrix(self, schema: FeatureSchema, sends: np.ndarray | None = None) -> np.ndarray:
-        """Feature snapshots of the given sends (all by default); an error's row is in events."""
-        sends = slice(None) if sends is None else sends
-        rows = self.rows[sends]
+        """Feature snapshots of the sends a boolean mask picks (all by default).
+
+        An error's row is in the log.  The matrix is built _CHUNK_ROWS sends
+        at a time, so the columns gathered for it stay that short; each row
+        is built on its own, so the first bad row is the same as in one step.
+        """
+        n = len(self) if sends is None else int(np.count_nonzero(sends))
         names = set(schema.names)
-        features = {
-            name: (values[rows], present[rows])
-            for name, (values, present) in self.events.features.items() if name in names
-        }
-        try:
-            return schema.materialize_columns(
-                features, self.events.badge_count[rows], self.w0_hours[sends]
-            )
-        except SchemaError as exc:
-            raise at_row(exc, rows[exc.row])
+        X = np.empty((n, len(schema)))
+        done = 0
+        for lo in range(0, len(self), _CHUNK_ROWS):
+            part = slice(lo, lo + _CHUNK_ROWS)
+            if sends is not None:
+                part = lo + np.flatnonzero(sends[part])
+            features = {name: (values[part], present[part])
+                        for name, (values, present) in self.features.items() if name in names}
+            try:
+                chunk = schema.materialize_columns(
+                    features, self.badge_count[part], self.w0_hours[part]
+                )
+            except SchemaError as exc:
+                raise at_row(exc, self.rows[part][exc.row])
+            X[done:done + len(chunk)] = chunk
+            done += len(chunk)
+        return X
 
     def observations(
         self, schema: FeatureSchema, duration_floor_hours: float
     ) -> ObservationColumns:
         """The censored triplets: one per send that has a successor."""
-        sends = np.flatnonzero(~np.isnan(self.next_ts_hours))
+        sends = ~np.isnan(self.next_ts_hours)
         ts = self.ts_hours[sends]
+        t = self.next_ts_hours[sends]
+        t -= ts
         return ObservationColumns(
-            user_ids=self.events.user_ids,
+            user_ids=self.user_ids,
             user=self.user[sends],
             x=self.matrix(schema, sends),
-            t_hours=np.maximum(self.next_ts_hours[sends] - ts, duration_floor_hours),
+            t_hours=np.maximum(t, duration_floor_hours, out=t),
             uncensored=self.uncensored[sends],
             origin_ts_hours=ts,
         )
@@ -350,6 +388,15 @@ class SendTable:
     def visited_within(self, horizon_t_hours: float) -> np.ndarray:
         """Per-send naive labels: did any visit land in (send, send + T]?"""
         return self.next_visit_hours <= self.ts_hours + horizon_t_hours
+
+
+def _sorted_with_sentinel(column: np.ndarray, order: np.ndarray, sentinel) -> np.ndarray:
+    """column[order] with sentinel appended, written into one new array."""
+    out = np.empty(order.size + 1, column.dtype)
+    # clip: order holds no index out of range, and mode "raise" would buffer a copy of out
+    np.take(column, order, out=out[:-1], mode="clip")
+    out[-1] = sentinel
+    return out
 
 
 def send_table(events: EventColumns | Iterable[Event], cfg: PipelineConfig) -> SendTable:
@@ -362,36 +409,59 @@ def send_table(events: EventColumns | Iterable[Event], cfg: PipelineConfig) -> S
     successor (a floor-duration uncensored observation) even though it
     sorts before the send; that visit also ends any earlier pending
     observation, so a simultaneous pair is never silently dropped.
+
+    Each temporary is freed once read, and the walk after the sort takes
+    _CHUNK_ROWS events at a time, so beside the log and the table it holds
+    about three sorted columns.
     """
     if not isinstance(events, EventColumns):
         events = EventColumns.from_events(events)
     kept = cfg.window_rows(events.ts_hours)
-    n = kept.size
-    user, ts, is_send = events.user[kept], events.ts_hours[kept], events.is_send[kept]
-    order = np.lexsort((is_send, ts, user))
-    # a sentinel at position n (reached as -1 too) belongs to no user
-    user = np.append(user[order], -1)
-    ts = np.append(ts[order], np.inf)
-    is_send = np.append(is_send[order], True)
-
-    s = np.flatnonzero(is_send[:n])
+    if kept is None:
+        order = np.lexsort((events.is_send, events.ts_hours, events.user))
+    else:
+        order = kept[np.lexsort((events.is_send[kept], events.ts_hours[kept], events.user[kept]))]
+        del kept
+    # the sorted columns; a sentinel at position n (reached as -1 too) belongs to no user
+    n = order.size
+    user = _sorted_with_sentinel(events.user, order, -1)
+    ts = _sorted_with_sentinel(events.ts_hours, order, np.inf)
+    is_send = _sorted_with_sentinel(events.is_send, order, True)
     visits = np.append(np.flatnonzero(~is_send), n)
-    k = np.searchsorted(visits, s)
-    after, before = visits[k], visits[k - 1]  # nearest visits on either side
+    rows = order[is_send[:n]]
+    del order
 
-    def same_user(pos: np.ndarray) -> np.ndarray:
-        return user[pos] == user[s]
-
-    tie = same_user(before) & (ts[before] == ts[s])
-    has_next = same_user(s + 1)
+    m = rows.size
+    send_ts, w0, next_ts, next_visit = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    uncensored = np.empty(m, bool)
+    done = 0
+    for lo in range(0, n, _CHUNK_ROWS):
+        s = lo + np.flatnonzero(is_send[lo:min(lo + _CHUNK_ROWS, n)])
+        out = slice(done, done + s.size)
+        done += s.size
+        k = np.searchsorted(visits, s)
+        after, before = visits[k], visits[k - 1]  # nearest visits on either side
+        u, t = user[s], ts[s]
+        tie = (user[before] == u) & (ts[before] == t)
+        has_next = user[s + 1] == u
+        send_ts[out] = t
+        w0[out] = np.where(user[s - 1] == u, t - ts[s - 1], 0.0)
+        next_ts[out] = np.where(tie, t, np.where(has_next, ts[s + 1], np.nan))
+        uncensored[out] = tie | (has_next & ~is_send[s + 1])
+        next_visit[out] = np.where(user[after] == u, ts[after], np.inf)
+    del user, ts, is_send, visits
     return SendTable(
-        events=events,
-        rows=kept[order[s]],
-        ts_hours=ts[s],
-        w0_hours=np.where(same_user(s - 1), ts[s] - ts[s - 1], 0.0),
-        next_ts_hours=np.where(tie, ts[s], np.where(has_next, ts[s + 1], np.nan)),
-        uncensored=tie | (has_next & ~is_send[s + 1]),
-        next_visit_hours=np.where(same_user(after), ts[after], np.inf),
+        user_ids=events.user_ids,
+        rows=rows,
+        user=events.user[rows],
+        badge_count=events.badge_count[rows],
+        features={name: (values[rows], present[rows])
+                  for name, (values, present) in events.features.items()},
+        ts_hours=send_ts,
+        w0_hours=w0,
+        next_ts_hours=next_ts,
+        uncensored=uncensored,
+        next_visit_hours=next_visit,
     )
 
 
@@ -418,7 +488,7 @@ def build_send_instances(
     same order as SendTable.visited_within.
     """
     table = send_table(events, cfg)
-    ids = table.events.user_ids
+    ids = table.user_ids
     return [
         SendInstance(ids[u], ts, x)
         for u, ts, x in zip(table.user.tolist(), table.ts_hours.tolist(), table.matrix(schema))

@@ -28,6 +28,9 @@ __all__ = [
     "model_digest",
 ]
 
+# rows converted to Python floats at a time, so the lists stay this long
+_CHUNK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class ScoringContext:
@@ -58,7 +61,9 @@ def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T) -
     post-send rates), and alpha.  Inputs, then rates, are checked as
     columns; a rate or hazard that overflows is a NumericalError, and an
     error's row is the first bad row.  The arithmetic runs per row on
-    Python floats, so a row's bits do not depend on the others.
+    Python floats, so a row's bits do not depend on the others; rows are
+    converted to floats a chunk at a time, the scores only once every rate
+    is checked.
     """
     schema = model.schema
     if schema is None:
@@ -76,22 +81,33 @@ def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T) -
             raise at_row(DomainError(f"{name} must be {bound} 0, got {float(col[i])}"), i)
 
     b, sigma, alpha = model.coefficients, model.sigma, model.alpha
-    mu = [(float(x0 @ b), float(x1 @ b)) for x0, x1 in zip(X0, schema.transition(X0))]
-    lam = np.array([(aft_rate(m0, sigma), aft_rate(m1, sigma)) for m0, m1 in mu]).reshape(-1, 2)
-    bad = ~(np.isfinite(lam) & (lam > 0.0)).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not np.isfinite(lam[i]).all():
-            raise at_row(NumericalError(f"non-finite rate from linear predictors {mu[i]}"), i)
-        raise at_row(DomainError(f"rate must be finite and > 0, got {float(lam[i].min())}"), i)
+    n = len(X0)
+    lam = np.empty((n, 2))
+    for lo in range(0, n, _CHUNK_ROWS):  # each row's rates, and every rate checked
+        x0 = X0[lo:lo + _CHUNK_ROWS]
+        mu = [(float(a @ b), float(c @ b)) for a, c in zip(x0, schema.transition(x0))]
+        part = lam[lo:lo + _CHUNK_ROWS]
+        part[:] = [(aft_rate(m0, sigma), aft_rate(m1, sigma)) for m0, m1 in mu]
+        bad = ~(np.isfinite(part) & (part > 0.0)).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not np.isfinite(part[i]).all():
+                raise at_row(NumericalError(f"non-finite rate from linear predictors {mu[i]}"),
+                             lo + i)
+            raise at_row(DomainError(f"rate must be finite and > 0, got {float(part[i].min())}"),
+                         lo + i)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"shape must be finite and > 0, got {alpha}")
-    terms = np.empty((len(lam), 3))
-    for i, (t, w, (lam0, lam1)) in enumerate(zip(T.tolist(), w0.tolist(), lam.tolist())):
-        try:
-            terms[i] = send_vs_wait(t, w, lam0, alpha, lam1, alpha)
-        except OverflowError:  # a hazard rate * t**shape beyond the largest float
-            raise at_row(NumericalError(f"hazard overflows at w0_hours {w}"), i) from None
+    terms = np.empty((n, 3))
+    for lo in range(0, n, _CHUNK_ROWS):
+        part = slice(lo, lo + _CHUNK_ROWS)
+        for i, (t, w, (lam0, lam1)) in enumerate(
+            zip(T[part].tolist(), w0[part].tolist(), lam[part].tolist()), lo
+        ):
+            try:
+                terms[i] = send_vs_wait(t, w, lam0, alpha, lam1, alpha)
+            except OverflowError:  # a hazard rate * t**shape beyond the largest float
+                raise at_row(NumericalError(f"hazard overflows at w0_hours {w}"), i) from None
     return {
         "delta": terms[:, 0], "p_send": terms[:, 1], "p_wait": terms[:, 2],
         "lambda0": lam[:, 0], "lambda1": lam[:, 1], "alpha": alpha,

@@ -99,9 +99,12 @@ def expit(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     neg = -m.ravel()
     slow = ~(neg <= _CEXP_EXACT)
-    e = np.exp(np.where(slow, 0.0, neg).astype(complex)).real
+    z = neg.astype(complex)
+    z[slow] = 0.0
+    e = np.exp(z, out=z).real  # in place, as are the steps below: one complex array in all
     e[slow] = [math.inf if v > _LOG_FLOAT_MAX else math.exp(v) for v in neg[slow].tolist()]
-    return 1.0 / (1.0 + e.reshape(m.shape))
+    e += 1.0
+    return 1.0 / e.reshape(m.shape)
 
 
 def aft_negloglik_and_gradient(
@@ -142,15 +145,17 @@ def logistic_negloglik_and_gradient(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     m = X @ w
-    per_obs = np.logaddexp(0.0, m) - y * m
+    per_obs = np.logaddexp(0.0, m)
+    per_obs -= y * m
     if not np.all(np.isfinite(per_obs)):
         raise NumericalError(
             f"non-finite likelihood term at instance index "
             f"{int(np.flatnonzero(~np.isfinite(per_obs))[0])}"
         )
     nll = float(np.sum(per_obs))
-    grad = X.T @ (expit(m) - y)
-    return nll, grad
+    residual = expit(m)
+    residual -= y
+    return nll, X.T @ residual
 
 
 # -- standardization -------------------------------------------------------------
@@ -170,7 +175,9 @@ def _standardize(X: np.ndarray, intercept_index: int | None):
         fixed[intercept_index] = True
     means = np.where(fixed, 0.0, means)
     scales = np.where(fixed, 1.0, scales)
-    return (X - means) / scales, means, scales
+    X_std = X - means
+    X_std /= scales  # in place: one matrix beside X, not two
+    return X_std, means, scales
 
 
 def _fold_back(b_std: np.ndarray, means, scales, intercept_index: int | None):

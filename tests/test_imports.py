@@ -210,12 +210,19 @@ assert np.array_equal(ours.x, theirs.x), (ours.x, theirs.x)
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 THREADS = """
-import json, os
+import json, os, tempfile
 threads = lambda: len(os.listdir("/proc/self/task"))
 import sendwhen.cli
 after_import = threads()
-from sendwhen.optimize import _setulb
-_setulb()  # loads the L-BFGS-B extension, and with it scipy's own OpenBLAS
+with tempfile.TemporaryDirectory() as tmp:
+    observations = os.path.join(tmp, "observations.jsonl")
+    with open(observations, "w") as f:
+        for i in range(24):
+            f.write(json.dumps({"censored": i % 4 == 0, "t_hours": 1.0 + 7 * i % 11,
+                                "user_id": "u", "x": [1.0, i % 5 / 4]}) + "\\n")
+    # train loads the L-BFGS-B extension, and with it scipy's own OpenBLAS
+    argv = ["train", "--observations", observations, "--out", os.path.join(tmp, "aft")]
+    assert sendwhen.cli.main(argv) == 0
 print(json.dumps([after_import, threads()]))
 """
 counts_threads = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -237,7 +244,7 @@ def run_fresh(code: str, **variables: str):
 
 @counts_threads
 def test_a_command_starts_no_blas_worker_thread():
-    # a BLAS pool adds a thread per further core: numpy's on import, scipy's in _setulb
+    # a BLAS pool adds a thread per further core: numpy's on import, scipy's in train
     assert run_fresh(THREADS) == [1, 1]
 
 
@@ -262,3 +269,15 @@ sendwhen.fit_aft  # loads the trainer, and numpy
 print(json.dumps(["numpy" in sys.modules, sorted(set(os.environ) & set({THREAD_VARIABLES}))]))
 """)
     assert loaded and variables == []
+
+
+# an empty variable counts as unset, so the window sets it and must put "" back
+@pytest.mark.parametrize("variables", [{}, {"OPENBLAS_NUM_THREADS": ""}], ids=["unset", "empty"])
+def test_importing_the_cli_leaves_the_environment_as_it_was(variables):
+    loaded, same = run_fresh("""
+import json, os, sys
+before = dict(os.environ)
+import sendwhen.cli
+print(json.dumps(["numpy" in sys.modules, dict(os.environ) == before]))
+""", **variables)
+    assert loaded and same

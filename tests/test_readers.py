@@ -1,17 +1,20 @@
-"""Reader messages, template writers and reader memory, through the public API.
+"""Reader messages, template writers and the memory of the log path, through the public API.
 
 A malformed line in the middle of a file must give the same DataError text
 and exit code whichever way the file is read, and read_jsonl the message a
 reader that parsed each line with json.loads gave.  The template writers must
 write exactly what json.dumps(sort_keys=True, separators=(",", ":")) would,
 the column readers must not build one Python object per row, and a log read
-as columns must iterate as the Event rows it was built from.
+as columns must iterate as the Event rows it was built from.  From reading
+the log to writing or scoring, each step must hold a bounded number of
+bytes per row, and the writers a bounded number whatever the row count.
 """
 
 import json
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_readers
+import sendwhen.io
 from sendwhen.cli import main
 from sendwhen.errors import DataError
+from sendwhen.evaluation import fit_logistic_baselines
 from sendwhen.features import FeatureSchema
 from sendwhen.io import (
     _CHUNK_ROWS,
@@ -45,7 +50,8 @@ from sendwhen.pipeline import (
     send_table,
 )
 from sendwhen.policies import Candidate, MooConfig, moo_solve, ratio_rule, threshold_rule
-from sendwhen.simulate import SendProcess, SimConfig, generate_event_log
+from sendwhen.scoring import score_columns
+from sendwhen.simulate import SendProcess, SimConfig, default_sim_schema, generate_event_log
 from sendwhen.training import LogisticModel, WeibullAftModel
 
 SCHEMA = FeatureSchema.build(base=["p"], badge="badge_count")
@@ -279,10 +285,18 @@ def _dumps(rec):
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
+def _written_text(write, path, *args) -> str:
+    """What write(path, *args) writes, the same when it converts 3 rows at a time."""
+    write(path, *args)
+    text = path.read_text(encoding="utf-8")
+    with mock.patch.object(sendwhen.io, "_WRITE_ROWS", 3):
+        write(path, *args)
+    assert path.read_text(encoding="utf-8") == text
+    return text
+
+
 def _written_lines(write, rows, tmp):
-    path = tmp.getbasetemp() / "writer.jsonl"
-    write(path, rows)
-    return path.read_text(encoding="utf-8").splitlines()
+    return _written_text(write, tmp.getbasetemp() / "writer.jsonl", rows).splitlines()
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -351,8 +365,9 @@ def test_delta_lines_equal_json_dumps(tmp_path_factory, rows, alpha, horizon, ve
                     "horizon_T": horizon, "alpha": alpha, "model_version": version})
             for u, *values, w in rows]
     path = tmp_path_factory.getbasetemp() / "deltas.jsonl"
-    write_deltas_jsonl(path, [u for u, *_ in rows], w0, scores, horizon, version)
-    assert path.read_text(encoding="utf-8").splitlines() == want
+    text = _written_text(write_deltas_jsonl, path, [u for u, *_ in rows], w0, scores, horizon,
+                         version)
+    assert text.splitlines() == want
 
 
 def _decision_records(user_ids, rule, result):
@@ -369,9 +384,8 @@ def _decision_records(user_ids, rule, result):
 def _assert_decision_lines(tmp, cands, result):
     user_ids = [c.user_id for c in cands]
     path = tmp.getbasetemp() / "decisions.jsonl"
-    write_decisions_jsonl(path, user_ids, result)
-    assert path.read_text(encoding="utf-8").splitlines() == _decision_records(
-        user_ids, result.rule, result)
+    assert _written_text(write_decisions_jsonl, path, user_ids, result).splitlines() == (
+        _decision_records(user_ids, result.rule, result))
 
 
 unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -453,6 +467,113 @@ def test_column_readers_keep_no_object_per_row(simulated_files, name):
     assert peak / n <= READER_BUDGET[name], f"{peak / n:.0f} traced bytes per row"
 
 
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+LONG_LOG = SimConfig(
+    n_users=3000, n_profile_features=2, true_coefficients=(3.2, 0.4, -0.3, -0.2, 0.05),
+    true_sigma=1.5, send_process=SendProcess("poisson", rate_per_hour=1 / 12),
+    window_hours=168.0, seed=3,
+)
+
+
+@pytest.fixture(scope="module")
+def long_log(tmp_path_factory):
+    """A 3,000-user week as JSONL: about 60,000 events, 42,000 sends, many chunks of each step."""
+    path = tmp_path_factory.mktemp("long") / "events.jsonl"
+    write_events_jsonl(path, generate_event_log(LONG_LOG).events)
+    read_events(path)  # imports and caches warmed up
+    return path
+
+
+def observations_of(path, schema):
+    """The observations of a log as ingest builds them: the log is dropped once walked."""
+    table = send_table(read_events(path), PipelineConfig())
+    return table.observations(schema, 1 / 3600), len(table)
+
+
+# Traced peak bytes per send of each step from the log to the observations or
+# to the logistic fit, about 5% above what this code needs on the long log:
+# reading 79, the walk 149 (the log, the table and the walk's temporaries),
+# the observations 155 (the table, the observations and the matrix's
+# temporaries) and the fit 148.  Growing sparse feature columns, holding the
+# log beside the table and every sorted copy and per-send temporary of the
+# walk at once needed 105, 205, 220 and 256.
+PATH_BUDGET = {"read": 84, "walk": 156, "observations": 163, "logistic fit": 156}
+
+
+def test_the_log_path_to_observations_holds_a_bounded_part(long_log):
+    schema = default_sim_schema(LONG_LOG)
+    tracemalloc.start()
+    try:
+        events = read_events(long_log)
+        peaks = {"read": tracemalloc.get_traced_memory()[1]}
+        tracemalloc.reset_peak()
+        table = send_table(events, PipelineConfig())
+        del events  # as ingest drops it
+        peaks["walk"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        obs = table.observations(schema, 1 / 3600)
+        peaks["observations"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sends = len(table)
+    assert sends > 40_000 and len(obs) > 0.9 * sends
+    per_send = {step: round(peak / sends) for step, peak in peaks.items()}
+    assert all(per_send[step] <= PATH_BUDGET[step] for step in per_send), per_send
+
+
+def test_the_logistic_fit_holds_its_matrix_and_labels_only(long_log):
+    schema = default_sim_schema(LONG_LOG)
+    _, sends = observations_of(long_log, schema)
+    models, peak = traced_peak(
+        lambda: fit_logistic_baselines(read_events(long_log), schema, [24.0])
+    )
+    assert list(models) == [24.0]
+    assert peak / sends <= PATH_BUDGET["logistic fit"], f"{peak / sends:.0f} bytes per send"
+
+
+# Traced peak bytes of writing observations: 0.73 MB for 2,500 rows and for
+# 20,000 rows, since rows are turned into text a part at a time.  Converting
+# whole columns needed 1.5 and 5.0 MB.
+WRITER_BUDGET = 1_000_000
+
+
+@pytest.mark.parametrize("copies", [1, 8])
+def test_the_observation_writer_holds_a_bounded_part(long_log, tmp_path, copies):
+    obs, _ = observations_of(long_log, default_sim_schema(LONG_LOG))
+    part = slice(0, 2500)
+    tiled = ObservationColumns(
+        obs.user_ids, np.tile(obs.user[part], copies), np.tile(obs.x[part], (copies, 1)),
+        *(np.tile(c[part], copies) for c in (obs.t_hours, obs.uncensored, obs.origin_ts_hours)),
+    )
+    _, peak = traced_peak(write_observations_jsonl, tmp_path / "observations.jsonl", tiled)
+    assert peak <= WRITER_BUDGET, f"{peak / 1e6:.2f} MB traced for {len(tiled)} rows"
+
+
+# Traced peak bytes per row of scoring 40,000 rows: 72, that is the rate and
+# score columns (40) and the part of rows converted to floats at a time.
+# Holding a Python list entry per row for every row at once needed 349.
+SCORE_BUDGET = 85
+
+
+def test_scoring_holds_columns_not_a_python_object_per_row(long_log):
+    schema = default_sim_schema(LONG_LOG)
+    obs, _ = observations_of(long_log, schema)
+    model = WeibullAftModel(feature_names=schema.names, coefficients=np.array(
+        LONG_LOG.true_coefficients), log_sigma=math.log(LONG_LOG.true_sigma), schema=schema)
+    X0, w0 = obs.x[:40_000], obs.t_hours[:40_000]
+    scores, peak = traced_peak(score_columns, model, X0, w0, 24.0)
+    assert np.isfinite(scores["delta"]).all()
+    assert peak / len(X0) <= SCORE_BUDGET, f"{peak / len(X0):.0f} traced bytes per row"
+
+
 def test_commands_build_no_row_objects(simulated_files, tmp_path, monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"built a {type(self).__name__}")
@@ -489,6 +610,16 @@ def test_commands_build_no_row_objects(simulated_files, tmp_path, monkeypatch):
 @given(st.lists(events(st.floats(allow_nan=False)), max_size=8))
 def test_event_columns_iterate_as_the_events_they_hold(evs):
     assert list(EventColumns.from_events(evs)) == evs
+
+
+def test_a_feature_first_carried_in_a_later_chunk_is_missing_before(tmp_path):
+    evs = [Event(f"u{i % 7}", float(i), "send", 1,
+                 {"p": 0.5} if i < 10 else {"q": i / 4} if i >= 2 * _CHUNK_ROWS else {})
+           for i in range(3 * _CHUNK_ROWS)]
+    write_events_jsonl(tmp_path / "events.jsonl", evs)
+    for columns in (read_events(tmp_path / "events.jsonl"), EventColumns.from_events(evs)):
+        assert list(columns.features) == ["p", "q"]
+        assert list(columns) == evs
 
 
 def test_reading_and_rewriting_a_log_keeps_its_bytes(simulated_files, tmp_path):

@@ -1,12 +1,14 @@
 """Tests for delta-effect scoring."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sendwhen.scoring
 from sendwhen.errors import DomainError, NumericalError, SchemaError
 from sendwhen.features import FeatureSchema, SlotSpec
 from sendwhen.scoring import ScoringContext, model_digest, score_batch, score_columns
@@ -175,6 +177,20 @@ class TestScoreDeltaEffect:
             score_columns(model, X0, [0.0] * 3, 1.0)
         assert info.value.row == 1
 
+    def test_every_rate_is_checked_before_any_score(self, monkeypatch):
+        monkeypatch.setattr(sendwhen.scoring, "_CHUNK_ROWS", 2)
+        schema = FeatureSchema.build(base=["p"], badge=None)
+        model = model_for(schema, [0.0, -3.0], -1.0)  # shape e, so w0 = 1e200 overflows
+        X0 = np.array([[1.0, 0.0]] * 5 + [[1.0, 1000.0]])
+        w0 = [0.0, 1e200, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(NumericalError, match="non-finite rate") as info:
+            score_columns(model, X0, w0, 1.0)
+        assert info.value.row == 5
+        X0[5, 1] = 0.0
+        with pytest.raises(NumericalError, match="hazard overflows") as info:
+            score_columns(model, X0, w0, 1.0)
+        assert info.value.row == 1
+
     def test_underflowing_rate_is_a_domain_error_on_its_row(self):
         schema = FeatureSchema.build(base=["p"], badge=None)
         model = model_for(schema, [0.0, 3.0], 0.0)
@@ -255,10 +271,13 @@ def scoring_cases(draw):
 def test_columns_equal_the_per_row_oracle(case):
     model, X0, w0, horizon = case
     res = score_columns(model, X0, w0, horizon)
+    with mock.patch.object(sendwhen.scoring, "_CHUNK_ROWS", 2):  # rows converted 2 at a time
+        in_parts = score_columns(model, X0, w0, horizon)
     horizons = horizon if isinstance(horizon, list) else [horizon] * len(w0)
     for i, (x0, w, t) in enumerate(zip(X0, w0, horizons)):
         row = score_row(model, x0, w, t)
         assert {k: v if k == "alpha" else v[i] for k, v in res.items()} == row
+        assert {k: v if k == "alpha" else v[i] for k, v in in_parts.items()} == row
 
 
 class TestModelDigest:

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_walk
+import sendwhen.pipeline
+from sendwhen.errors import SchemaError
 from sendwhen.evaluation import label_naive
 from sendwhen.features import FeatureSchema
 from sendwhen.pipeline import (
@@ -80,16 +82,15 @@ def test_send_table_matches_the_reference_walk(events, cfg):
     assert_same_walk(events, cfg)
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        PipelineConfig(),
-        PipelineConfig(window_start=24.0),
-        PipelineConfig(window_end=96.0),
-        PipelineConfig(window_start=24.0, window_end=120.0),
-    ],
-)
-def test_simulated_log_matches_the_reference_walk(cfg):
+WINDOWS = [
+    PipelineConfig(),
+    PipelineConfig(window_start=24.0),
+    PipelineConfig(window_end=96.0),
+    PipelineConfig(window_start=24.0, window_end=120.0),
+]
+
+
+def simulated_events():
     sim = generate_event_log(
         SimConfig(
             n_users=150,
@@ -102,11 +103,22 @@ def test_simulated_log_matches_the_reference_walk(cfg):
             include_interaction=False,
         )
     )
-    events = [
+    return [
         Event(e.user_id, e.ts_hours, e.kind, e.badge_count, {"p": e.features.get("profile_0", 0.0)})
         for e in sim.events
     ]
-    assert_same_walk(events, cfg)
+
+
+@pytest.mark.parametrize("cfg", WINDOWS)
+def test_simulated_log_matches_the_reference_walk(cfg):
+    assert_same_walk(simulated_events(), cfg)
+
+
+@pytest.mark.parametrize("cfg", WINDOWS)
+def test_a_walk_in_chunks_matches_the_reference_walk(cfg, monkeypatch):
+    # 5 rows at a time puts a chunk boundary between most of a user's events
+    monkeypatch.setattr(sendwhen.pipeline, "_CHUNK_ROWS", 5)
+    assert_same_walk(simulated_events(), cfg)
 
 
 @pytest.mark.parametrize(
@@ -127,3 +139,14 @@ def test_no_sends_gives_empty_results(events, cfg):
     labels = label_naive(events, 4.0, cfg)
     assert labels.shape == (0,) and labels.dtype == bool
     assert SCHEMA.materialize_columns({}, [], []).shape == (0, len(SCHEMA))
+
+
+@pytest.mark.parametrize("chunk_rows", [sendwhen.pipeline._CHUNK_ROWS, 2])
+def test_a_missing_feature_is_reported_on_its_event_row(chunk_rows, monkeypatch):
+    monkeypatch.setattr(sendwhen.pipeline, "_CHUNK_ROWS", chunk_rows)
+    events = [Event("u", float(t), "send", badge_count=1, features={"p": 0.5}) for t in range(6)]
+    events.insert(4, Event("u", 4.5, "send", badge_count=1))  # the sixth send in time, at row 4
+    events.append(Event("u", 3.5, "visit"))
+    with pytest.raises(SchemaError, match="missing base feature 'p'") as info:
+        build_observations(events, SCHEMA, PipelineConfig())
+    assert info.value.row == 4
