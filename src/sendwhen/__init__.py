@@ -25,10 +25,8 @@ _EXPORTS = {
     "policies": ("Candidate", "CandidateColumns", "MooConfig", "PolicyResult", "moo_solve",
                  "ratio_rule", "threshold_rule"),
     "scoring": ("ScoringContext", "model_digest", "score_batch", "score_columns"),
-    "simulate": ("SendProcess", "SimConfig", "default_sim_schema", "generate_event_log",
-                 "sample_time_to_visit"),
-    "survival": ("WeibullParams", "delta_effect", "prob_visit_if_not_send",
-                 "prob_visit_if_send", "weibull_cdf", "weibull_pdf", "weibull_sf"),
+    "simulate": ("SendProcess", "SimConfig", "default_sim_schema", "generate_event_log"),
+    "survival": ("WeibullParams",),
     "training": ("LogisticModel", "WeibullAftModel", "fit_aft", "fit_logistic"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

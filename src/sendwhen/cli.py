@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -435,8 +436,8 @@ _SCORE_DEFAULTS: dict = {
 
 def _score_settings(merged: Mapping) -> float:
     horizon = json_number(merged["horizon_T"], "horizon_T")
-    if not horizon > 0:
-        raise ConfigError(f"horizon_T must be > 0, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ConfigError(f"horizon_T must be finite and > 0, got {horizon}")
     return horizon
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .optimize import OptConfig
 from .pipeline import (
     DEFAULT_HORIZONS,
     LABELERS,
-    Event,
     EventColumns,
     ObservationColumns,
     PipelineConfig,
@@ -54,7 +53,7 @@ def _check_horizon(horizon_t_hours: float) -> float:
 
 
 def label_naive(
-    events: EventColumns | Iterable[Event],
+    events: EventColumns,
     horizon_t_hours: float,
     cfg: PipelineConfig = PipelineConfig(),
 ) -> np.ndarray:
@@ -201,7 +200,7 @@ class AucReport:
 
 
 def fit_logistic_baselines(
-    events: EventColumns | Iterable[Event],
+    events: EventColumns,
     schema: FeatureSchema,
     horizons: Sequence[float] = DEFAULT_HORIZONS,
     cfg: PipelineConfig = PipelineConfig(),
@@ -230,7 +229,7 @@ def fit_logistic_baselines(
 def auc_vs_horizon(
     aft_model: WeibullAftModel,
     logistic_models: Mapping[float, LogisticModel],
-    events: EventColumns | Iterable[Event],
+    events: EventColumns,
     schema: FeatureSchema,
     horizons: Sequence[float] = DEFAULT_HORIZONS,
     labeler: str = "naive",

@@ -106,12 +106,6 @@ class FeatureSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots)
 
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise SchemaError(f"no slot named {name!r}") from None
-
     def indices_of_kind(self, kind: str) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.slots) if s.kind == kind)
 

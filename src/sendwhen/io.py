@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
-from .pipeline import SEND, Event, EventColumnAppender, EventColumns, ObservationColumns
+from .pipeline import SEND, EventColumnAppender, EventColumns, ObservationColumns
 
 if TYPE_CHECKING:
     from .policies import PolicyResult
@@ -487,14 +487,8 @@ def _event_rows(events: EventColumns) -> Iterator[tuple]:
         )
 
 
-def write_events_jsonl(path: str | Path, events: EventColumns | Iterable[Event]) -> None:
-    """One line per event, the bytes write_jsonl would write for its record.
-
-    Event rows are written as EventColumns.from_events holds them, so a
-    timestamp is always written as a float.
-    """
-    if not isinstance(events, EventColumns):
-        events = EventColumns.from_events(events)
+def write_events_jsonl(path: str | Path, events: EventColumns) -> None:
+    """One line per event, the bytes write_jsonl would write for its record."""
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(
             f'{{"badge_count":{badge},{features}"kind":{kind},'
@@ -812,16 +806,9 @@ def read_schema_json(path: str | Path) -> FeatureSchema:
 
 def load_json_config(path: str | Path, *, allowed_keys: Sequence[str] | None = None) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except OSError as exc:  # a directory, say
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read config file {path}: not UTF-8 ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        cfg = _read_json(path, "config")
+    except DataError as exc:  # the reader's wording, as a refused config
+        raise ConfigError(str(exc)) from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if allowed_keys is not None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -114,13 +114,6 @@ class EventColumns:
 
     def __len__(self) -> int:
         return self.ts_hours.size
-
-    @classmethod
-    def from_events(cls, events: Iterable[Event]) -> "EventColumns":
-        b = EventColumnAppender()
-        for e in events:
-            b.append(e.user_id, e.ts_hours, e.kind, e.badge_count, e.features)
-        return b.build()
 
     def __iter__(self) -> Iterator[Event]:
         """Each event as a checked Event row, in input order."""
@@ -399,7 +392,7 @@ def _sorted_with_sentinel(column: np.ndarray, order: np.ndarray, sentinel) -> np
     return out
 
 
-def send_table(events: EventColumns | Iterable[Event], cfg: PipelineConfig) -> SendTable:
+def send_table(events: EventColumns, cfg: PipelineConfig) -> SendTable:
     """Walk every user's timeline once and return the send table.
 
     Events are sorted by (user_id, time), with a visit before a send at the
@@ -414,8 +407,6 @@ def send_table(events: EventColumns | Iterable[Event], cfg: PipelineConfig) -> S
     _CHUNK_ROWS events at a time, so beside the log and the table it holds
     about three sorted columns.
     """
-    if not isinstance(events, EventColumns):
-        events = EventColumns.from_events(events)
     kept = cfg.window_rows(events.ts_hours)
     if kept is None:
         order = np.lexsort((events.is_send, events.ts_hours, events.user))
@@ -466,7 +457,7 @@ def send_table(events: EventColumns | Iterable[Event], cfg: PipelineConfig) -> S
 
 
 def build_observations(
-    events: EventColumns | Iterable[Event], schema: FeatureSchema, cfg: PipelineConfig
+    events: EventColumns, schema: FeatureSchema, cfg: PipelineConfig
 ) -> ObservationColumns:
     """One observation per send that has a successor event.
 
@@ -480,7 +471,7 @@ def build_observations(
 
 
 def build_send_instances(
-    events: EventColumns | Iterable[Event], schema: FeatureSchema, cfg: PipelineConfig
+    events: EventColumns, schema: FeatureSchema, cfg: PipelineConfig
 ) -> list[SendInstance]:
     """Feature snapshot for every send, including trailing ones.
 

@@ -132,9 +132,9 @@ class MooConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.c_click) and self.c_click >= 0):
-            raise ConfigError(f"c_click must be >= 0, got {self.c_click}")
+            raise ConfigError(f"c_click must be finite and >= 0, got {self.c_click}")
         if not (math.isfinite(self.c_send) and self.c_send >= 0):
-            raise ConfigError(f"c_send must be >= 0, got {self.c_send}")
+            raise ConfigError(f"c_send must be finite and >= 0, got {self.c_send}")
 
 
 @dataclass(frozen=True, eq=False)

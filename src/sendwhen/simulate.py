@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "SendProcess",
     "SimConfig",
     "default_sim_schema",
-    "sample_time_to_visit",
     "generate_event_log",
 ]
 
@@ -190,20 +189,6 @@ def _extreme_value(u: np.ndarray | float) -> np.ndarray:
     is always strictly positive.
     """
     return np.log(-np.log1p(-np.clip(u, 1e-300, None)))
-
-
-def sample_time_to_visit(
-    x: np.ndarray,
-    coefficients: Sequence[float],
-    sigma: float,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> float | np.ndarray:
-    """Draw time-to-visit hours from exp(b.x + sigma*eps), eps extreme-value."""
-    mu = float(np.asarray(x, dtype=float) @ np.asarray(coefficients, dtype=float))
-    with np.errstate(over="ignore"):  # a time past the float range is inf
-        t = np.exp(mu + sigma * _extreme_value(rng.uniform(size=size)))
-    return float(t) if size is None else t
 
 
 def _send_times(

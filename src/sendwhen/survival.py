@@ -1,4 +1,4 @@
-"""Weibull distribution functions and the send-now-vs-wait math.
+"""The Weibull law and the send-now-vs-wait kernel that scoring runs.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.  Probabilities are assembled in log space (``expm1``-style
@@ -16,18 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = [
-    "WeibullParams",
-    "weibull_cdf",
-    "weibull_sf",
-    "weibull_pdf",
-    "prob_visit_if_send",
-    "prob_visit_if_not_send",
-    "delta_effect",
-    "cum_hazard",
-    "aft_rate",
-    "send_vs_wait",
-]
+__all__ = ["WeibullParams", "cum_hazard", "aft_rate", "send_vs_wait"]
 
 
 @dataclass(frozen=True)
@@ -45,18 +34,6 @@ class WeibullParams:
             raise DomainError(f"rate must be finite and > 0, got {self.rate}")
         if not (math.isfinite(self.shape) and self.shape > 0.0):
             raise DomainError(f"shape must be finite and > 0, got {self.shape}")
-
-
-def _check_time(t: float, name: str = "t", positive: bool = False) -> float:
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"{name} must be finite, got {t}")
-    if positive:
-        if t <= 0.0:
-            raise DomainError(f"{name} must be > 0, got {t}")
-    elif t < 0.0:
-        raise DomainError(f"{name} must be >= 0, got {t}")
-    return t + 0.0  # -0.0 becomes 0.0
 
 
 def cum_hazard(t, rate, shape):
@@ -98,65 +75,3 @@ def send_vs_wait(
     gap = cum_hazard(horizon_t + w0, rate0, shape0) - cum_hazard(w0, rate0, shape0)
     post = cum_hazard(horizon_t, rate1, shape1)
     return math.exp(-gap) - math.exp(-post), -math.expm1(-post), -math.expm1(-gap)
-
-
-def weibull_cdf(t: float, p: WeibullParams) -> float:
-    """P(visit time <= t) for t >= 0.
-
-    Computed as -expm1(-rate * t**shape) so values near 1 keep full
-    precision in the survival tail.
-    """
-    t = _check_time(t)
-    return -math.expm1(-cum_hazard(t, p.rate, p.shape))
-
-
-def weibull_sf(t: float, p: WeibullParams) -> float:
-    """Survival function P(visit time > t) = exp(-rate * t**shape)."""
-    t = _check_time(t)
-    return math.exp(-cum_hazard(t, p.rate, p.shape))
-
-
-def weibull_pdf(t: float, p: WeibullParams) -> float:
-    """Density shape*rate*t**(shape-1)*exp(-rate*t**shape) for t >= 0.
-
-    At t == 0 the density is rate for shape == 1, zero for shape > 1, and
-    +inf for shape < 1; the infinity is a genuine boundary value of the
-    distribution, returned as such rather than raised.
-    """
-    t = _check_time(t)
-    if t == 0.0:
-        if p.shape < 1.0:
-            return math.inf
-        if p.shape == 1.0:
-            return p.rate
-        return 0.0
-    log_pdf = (
-        math.log(p.shape)
-        + math.log(p.rate)
-        + (p.shape - 1.0) * math.log(t)
-        - cum_hazard(t, p.rate, p.shape)
-    )
-    return math.exp(log_pdf)
-
-
-def prob_visit_if_send(horizon_t: float, post: WeibullParams) -> float:
-    """Probability of a visit within horizon_t hours if we send now: post's CDF there."""
-    horizon_t = _check_time(horizon_t, "horizon_t", positive=True)
-    return send_vs_wait(horizon_t, 0.0, post.rate, post.shape, post.rate, post.shape)[1]
-
-
-def prob_visit_if_not_send(horizon_t: float, pre: WeibullParams, w0: float) -> float:
-    """Probability of a visit within horizon_t hours if we hold, w0 hours into pre."""
-    horizon_t = _check_time(horizon_t, "horizon_t", positive=True)
-    w0 = _check_time(w0, "w0")
-    return send_vs_wait(horizon_t, w0, pre.rate, pre.shape, pre.rate, pre.shape)[2]
-
-
-def delta_effect(horizon_t: float, pre: WeibullParams, post: WeibullParams, w0: float) -> float:
-    """Extra visit probability within horizon_t from sending now, w0 hours into pre.
-
-    pre and post are the time-to-visit laws before and after the send.
-    """
-    horizon_t = _check_time(horizon_t, "horizon_t", positive=True)
-    w0 = _check_time(w0, "w0")
-    return send_vs_wait(horizon_t, w0, pre.rate, pre.shape, post.rate, post.shape)[0]

@@ -64,10 +64,6 @@ class DesignMatrix:
         return cls.from_columns(observations.x, observations.t_hours, observations.uncensored)
 
     @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
     def k(self) -> int:
         return self.X.shape[1]
 
@@ -219,12 +215,6 @@ class WeibullAftModel:
     def alpha(self) -> float:
         """Weibull shape implied by the AFT scale: alpha = 1/sigma."""
         return 1.0 / self.sigma
-
-    def coefficient(self, name: str) -> float:
-        try:
-            return float(self.coefficients[self.feature_names.index(name)])
-        except ValueError:
-            raise SchemaError(f"model has no coefficient named {name!r}") from None
 
     def linear_predictor(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.coefficients

@@ -89,13 +89,13 @@ def fit_aft(dm, opt_cfg, schema=None):
         nll += 0.5 * opt_cfg.ridge * float(np.sum(mask * b_std**2))
         grad = grad.copy()
         grad[:-1] += opt_cfg.ridge * mask * b_std
-        return nll / dm.n, grad / dm.n
+        return nll / dm.X.shape[0], grad / dm.X.shape[0]
 
     result = minimize_smooth(objective, theta0, opt_cfg)
     b_std, log_sigma = result.x[:-1], float(result.x[-1])
     b_raw = _fold_back(b_std, means, scales, icpt)
     data_nll, _ = aft_negloglik_and_gradient(b_std, log_sigma, dm_std)
-    return b_raw, log_sigma, _diagnostics(result, data_nll, opt_cfg, dm.n, n_unc)
+    return b_raw, log_sigma, _diagnostics(result, data_nll, opt_cfg, dm.X.shape[0], n_unc)
 
 
 def fit_logistic(X, y, opt_cfg, schema=None):

@@ -1,18 +1,20 @@
-"""Per-row reference scorer: one context at a time, through the checked API.
+"""Per-row reference scorer: one context at a time, through the closed forms.
 
 Scores one row the way the package did before scoring ran on columns:
 the send transition applied to the one vector, the linear predictors as
 1-d dot products, the rates through math.exp, a WeibullParams for each
-state, then prob_visit_if_send, prob_visit_if_not_send and the
-closed-form delta written out here.  A column scorer must give the same
-floats, bit for bit.
+state, then oracle_survival's delta_effect, prob_visit_if_send and
+prob_visit_if_not_send.  A column scorer must give the same floats, bit
+for bit.
 """
 
 import math
 
 import numpy as np
 
-from sendwhen.survival import WeibullParams, prob_visit_if_not_send, prob_visit_if_send
+from sendwhen.survival import WeibullParams
+
+from oracle_survival import delta_effect, prob_visit_if_not_send, prob_visit_if_send
 
 
 def _transition(schema, x0):
@@ -24,13 +26,9 @@ def _transition(schema, x0):
             x1[i] = 0.0
     for i, s in enumerate(schema.slots):
         if s.kind == "interaction":
-            a, b = (schema.index(p) for p in s.parents)
+            a, b = (schema.names.index(p) for p in s.parents)
             x1[i] = x1[a] * x1[b]
     return x1
-
-
-def _hazard(t, law):
-    return 0.0 if t == 0.0 else law.rate * t**law.shape
 
 
 def score_row(model, x0, w0, horizon):
@@ -42,9 +40,8 @@ def score_row(model, x0, w0, horizon):
     lam1 = math.exp(-float(x1 @ model.coefficients) / sigma)
     alpha = model.alpha
     pre, post = WeibullParams(lam0, alpha), WeibullParams(lam1, alpha)
-    gap = _hazard(horizon + w0, pre) - _hazard(w0, pre)
     return {
-        "delta": math.exp(-gap) - math.exp(-_hazard(horizon, post)),
+        "delta": delta_effect(horizon, pre, post, w0),
         "p_send": prob_visit_if_send(horizon, post),
         "p_wait": prob_visit_if_not_send(horizon, pre, w0),
         "lambda0": lam0,

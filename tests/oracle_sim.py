@@ -17,7 +17,9 @@ import numpy as np
 
 from sendwhen.pipeline import SEND, VISIT, Event
 from sendwhen.simulate import default_sim_schema
-from sendwhen.survival import WeibullParams, weibull_sf
+from sendwhen.survival import WeibullParams
+
+from oracle_survival import weibull_sf
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 

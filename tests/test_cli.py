@@ -645,11 +645,13 @@ REFUSALS = [
     (_EVAL + ("--logistic-model", "l.json", "--config", "{t}/labeler.json", "--out", "{t}/o"),
      2, _LABEL_ERR),
     (("score", "--model", "m.json", "--contexts", "c.jsonl", "--horizon-T", "-1",
-      "--out", "{t}/o"), 2, "horizon_T must be > 0, got -1.0"),
+      "--out", "{t}/o"), 2, "horizon_T must be finite and > 0, got -1.0"),
     (("decide", "--scores", "{t}/scores.jsonl", "--out", "{t}/full"), 2,
      "refusing to overwrite ['manifest.json'] in {t}/full; pass --force to allow"),
     (("decide", "--scores", "{t}/scores.jsonl", "--rule", "moo", "--c-send", "1",
       "--out", "{t}/o"), 2, _P_CLICK_ERR),
+    (("score", "--model", "m.json", "--contexts", "c.jsonl", "--horizon-T", "inf",
+      "--out", "{t}/o"), 2, "horizon_T must be finite and > 0, got inf"),
 ]
 
 
@@ -857,16 +859,26 @@ def test_non_utf8_input_is_a_data_error(tmp_path, capsys, sim_dir, ingest_dir, w
     assert err.startswith("error: cannot read ") and f"{bad}: not UTF-8 (" in err
 
 
-@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+CONFIG_FILE_ERRORS = {
+    "directory": "cannot read config file {cfg}: ",
+    "not_utf8": "cannot read config file {cfg}: ",
+    "missing": "config file not found: {cfg}",
+    "invalid_json": "{cfg}: invalid JSON: ",
+}
+
+
+@pytest.mark.parametrize("kind", CONFIG_FILE_ERRORS)
 def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, sim_dir, kind):
     cfg = tmp_path / "cfg"
     if kind == "directory":
         cfg.mkdir()
-    else:
+    elif kind == "not_utf8":
         cfg.write_bytes(b'\xff\xfe{"seed": 1}')
+    elif kind == "invalid_json":
+        cfg.write_text('{"seed": 1,}')
     assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith(
-        f"error: cannot read config file {cfg}: "
+        "error: " + CONFIG_FILE_ERRORS[kind].format(cfg=cfg)
     )
 
 

@@ -33,7 +33,10 @@ from sendwhen.simulate import (
     generate_event_log,
 )
 from sendwhen.training import WeibullAftModel, fit_aft
-from sendwhen.survival import WeibullParams, weibull_cdf
+from sendwhen.survival import WeibullParams
+
+from event_rows import as_columns
+from oracle_survival import weibull_cdf
 
 B_TRUE = (2.6, 0.4, -0.3, -0.15, 0.05)
 
@@ -80,23 +83,23 @@ def corpus():
 
 class TestLabelNaive:
     def test_visit_within_horizon(self):
-        labels = label_naive([send("u", 0.0), visit("u", 3.0)], 4.0)
+        labels = label_naive(as_columns([send("u", 0.0), visit("u", 3.0)]), 4.0)
         assert labels.tolist() == [True]
 
     def test_attribution_spans_intervening_send(self):
         # the visit labels both sends positive, including the superseded one
         events = [send("u", 0.0), send("u", 2.0), visit("u", 3.0)]
-        labels = label_naive(events, 4.0)
+        labels = label_naive(as_columns(events), 4.0)
         assert labels.tolist() == [True, True]
 
     def test_visit_past_horizon(self):
-        labels = label_naive([send("u", 0.0), visit("u", 5.0)], 4.0)
+        labels = label_naive(as_columns([send("u", 0.0), visit("u", 5.0)]), 4.0)
         assert labels.tolist() == [False]
 
     def test_interval_open_left_closed_right(self):
         # visit exactly at the send does not count; exactly at send+T does
-        assert label_naive([send("u", 0.0), visit("u", 0.0)], 4.0).tolist() == [False]
-        assert label_naive([send("u", 0.0), visit("u", 4.0)], 4.0).tolist() == [True]
+        assert label_naive(as_columns([send("u", 0.0), visit("u", 0.0)]), 4.0).tolist() == [False]
+        assert label_naive(as_columns([send("u", 0.0), visit("u", 4.0)]), 4.0).tolist() == [True]
 
     def test_order_matches_send_instances(self, corpus):
         sim, schema, _, _ = corpus
@@ -110,13 +113,14 @@ class TestLabelNaive:
     def test_input_order_irrelevant(self):
         events = [send("u", 0.0), send("u", 2.0), visit("u", 3.0), send("v", 1.0)]
         scrambled = [events[2], events[3], events[0], events[1]]
-        assert np.array_equal(label_naive(events, 4.0), label_naive(scrambled, 4.0))
+        assert np.array_equal(label_naive(as_columns(events), 4.0),
+                              label_naive(as_columns(scrambled), 4.0))
 
     def test_bad_horizon(self):
         with pytest.raises(ConfigError):
-            label_naive([send("u", 0.0)], 0.0)
+            label_naive(as_columns([send("u", 0.0)]), 0.0)
         with pytest.raises(ConfigError):
-            label_naive([send("u", 0.0)], math.nan)
+            label_naive(as_columns([send("u", 0.0)]), math.nan)
 
 
 class TestLabelCensoringClean:
@@ -271,7 +275,7 @@ class TestBaselines:
     def test_empty_events_rejected(self, corpus):
         _, schema, _, _ = corpus
         with pytest.raises(DataError):
-            fit_logistic_baselines([], schema, horizons=(4.0,))
+            fit_logistic_baselines(as_columns([]), schema, horizons=(4.0,))
 
 
 class TestAucVsHorizon:
@@ -349,7 +353,7 @@ class TestAucVsHorizon:
             send("z", 0.0, badge=1, profile_0=0.1, profile_1=-0.2),
             visit("z", 1.0),
         ]
-        report = auc_vs_horizon(aft, logistics, events, schema, horizons=(4.0,))
+        report = auc_vs_horizon(aft, logistics, as_columns(events), schema, horizons=(4.0,))
         row = report.rows[0]
         assert row.flag == "insufficient-data"
         assert math.isnan(row.auc_aft)

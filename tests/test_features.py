@@ -130,7 +130,7 @@ class TestMaterialize:
             base=["p"], badge="badge_count", w0="hours_in_state"
         )
         x = s.materialize({"p": 7.0}, badge_count=2, w0_hours=13.5)
-        assert x[s.index("hours_in_state")] == 13.5
+        assert x[s.names.index("hours_in_state")] == 13.5
 
     def test_check_rows_shape_and_intercept(self):
         s = demo_schema()
@@ -162,13 +162,13 @@ class TestTransition:
             badge_count=5,
         )
         x1 = s.transition(x0)
-        assert x1[s.index("badge_count")] == 6.0
-        assert x1[s.index("badge_count*profile_0")] == 18.0
+        assert x1[s.names.index("badge_count")] == 6.0
+        assert x1[s.names.index("badge_count*profile_0")] == 18.0
         # untouched slots carried over
         for name in ("intercept", "profile_0", "profile_1", "recent_visits"):
-            assert x1[s.index(name)] == x0[s.index(name)]
+            assert x1[s.names.index(name)] == x0[s.names.index(name)]
         # input not mutated
-        assert x0[s.index("badge_count")] == 5.0
+        assert x0[s.names.index("badge_count")] == 5.0
 
     def test_w0_reset(self):
         s = FeatureSchema.build(
@@ -179,17 +179,17 @@ class TestTransition:
         )
         x0 = s.materialize({"p": 4.0}, badge_count=1, w0_hours=10.0)
         x1 = s.transition(x0)
-        assert x1[s.index("hours_in_state")] == 0.0
-        assert x1[s.index("hours_in_state*p")] == 0.0
-        assert x1[s.index("badge_count")] == 2.0
+        assert x1[s.names.index("hours_in_state")] == 0.0
+        assert x1[s.names.index("hours_in_state*p")] == 0.0
+        assert x1[s.names.index("badge_count")] == 2.0
 
     def test_no_interactions_only_state_changes(self):
         s = FeatureSchema.build(base=["a", "b"], badge="badge_count")
         x0 = s.materialize({"a": 1.0, "b": 2.0}, badge_count=0)
         x1 = s.transition(x0)
         changed = np.flatnonzero(x1 != x0)
-        assert list(changed) == [s.index("badge_count")]
-        assert x1[s.index("badge_count")] == 1.0
+        assert list(changed) == [s.names.index("badge_count")]
+        assert x1[s.names.index("badge_count")] == 1.0
 
 
 class TestPersistence:

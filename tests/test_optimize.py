@@ -45,7 +45,7 @@ def simulated_aft_objective():
 
     def objective(theta):
         nll, grad = aft_negloglik_and_gradient(theta[:-1], float(theta[-1]), dm)
-        return nll / dm.n, grad / dm.n
+        return nll / dm.X.shape[0], grad / dm.X.shape[0]
 
     return objective, dm.k + 1
 

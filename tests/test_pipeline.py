@@ -23,6 +23,8 @@ from sendwhen.pipeline import (
     build_send_instances,
 )
 
+from event_rows import as_columns
+
 SCHEMA = FeatureSchema.build(base=["p"], badge="badge_count")
 CFG = PipelineConfig()
 
@@ -59,24 +61,24 @@ class TestBuildObservations:
             send("u", 30.0),
             visit("u", 33.0),
         ]
-        obs = build_observations(events, SCHEMA, CFG)
+        obs = build_observations(as_columns(events), SCHEMA, CFG)
         assert outcomes(obs) == [(5.0, True), (12.0, False), (10.0, False), (3.0, True)]
         assert obs.origin_ts_hours.tolist() == [0.0, 8.0, 20.0, 30.0]
 
     def test_single_send_dropped(self):
-        assert len(build_observations([send("u", 0.0)], SCHEMA, CFG)) == 0
+        assert len(build_observations(as_columns([send("u", 0.0)]), SCHEMA, CFG)) == 0
 
     def test_simultaneous_send_visit_clamped(self):
         # A send and a visit at the same instant yield one floor-duration
         # uncensored observation.
-        obs = build_observations([send("u", 0.0), visit("u", 0.0)], SCHEMA, CFG)
+        obs = build_observations(as_columns([send("u", 0.0), visit("u", 0.0)]), SCHEMA, CFG)
         assert outcomes(obs) == [
             (CFG.duration_floor_hours, True)
         ]
 
     def test_zero_gap_clamps_to_floor(self):
         obs = build_observations(
-            [send("u", 3.0), visit("u", 3.0 + 1e-9)], SCHEMA, CFG
+            as_columns([send("u", 3.0), visit("u", 3.0 + 1e-9)]), SCHEMA, CFG
         )
         assert outcomes(obs) == [(CFG.duration_floor_hours, True)]
 
@@ -85,7 +87,7 @@ class TestBuildObservations:
         # first observation uncensored at 5 (not censored by the second
         # send), and also resolves the simultaneous send at the floor.
         events = [send("u", 0.0), send("u", 5.0), visit("u", 5.0)]
-        obs = build_observations(events, SCHEMA, CFG)
+        obs = build_observations(as_columns(events), SCHEMA, CFG)
         assert outcomes(obs) == [
             (5.0, True),
             (CFG.duration_floor_hours, True),
@@ -101,15 +103,15 @@ class TestBuildObservations:
             send("u", 30.0),
         ]
         rng = random.Random(7)
-        base = build_observations(events, SCHEMA, CFG)
+        base = build_observations(as_columns(events), SCHEMA, CFG)
         for _ in range(5):
             shuffled = events[:]
             rng.shuffle(shuffled)
-            assert rows(build_observations(shuffled, SCHEMA, CFG)) == rows(base)
+            assert rows(build_observations(as_columns(shuffled), SCHEMA, CFG)) == rows(base)
 
     def test_feature_snapshot(self):
         events = [send("u", 0.0, badge=3, p=2.0), visit("u", 4.0)]
-        obs = build_observations(events, SCHEMA, CFG)
+        obs = build_observations(as_columns(events), SCHEMA, CFG)
         assert_allclose(obs.x[0], [1.0, 2.0, 3.0])  # intercept, p, badge
 
     def test_w0_snapshot(self):
@@ -122,8 +124,8 @@ class TestBuildObservations:
             send("u", 30.0),
             visit("u", 33.0),
         ]
-        obs = build_observations(events, schema, CFG)
-        w0s = obs.x[:, schema.index("w0")].tolist()
+        obs = build_observations(as_columns(events), schema, CFG)
+        w0s = obs.x[:, schema.names.index("w0")].tolist()
         # first send: no prior event; then sends at 8 (state start 5),
         # 20 (state start 8), 30 (state start 20)
         assert w0s == [0.0, 3.0, 12.0, 10.0]
@@ -131,7 +133,7 @@ class TestBuildObservations:
     def test_window_excludes_outside_events(self):
         cfg = PipelineConfig(window_start=0.0, window_end=25.0)
         events = [send("u", 0.0), visit("u", 5.0), send("u", 8.0), send("u", 26.0)]
-        obs = build_observations(events, SCHEMA, cfg)
+        obs = build_observations(as_columns(events), SCHEMA, cfg)
         # send@8 has no successor inside the window -> dropped
         assert outcomes(obs) == [(5.0, True)]
 
@@ -142,7 +144,7 @@ class TestBuildObservations:
             send("a", 0.0),
             visit("a", 2.0),
         ]
-        obs = build_observations(events, SCHEMA, CFG)
+        obs = build_observations(as_columns(events), SCHEMA, CFG)
         assert [row[0] for row in rows(obs)] == ["a", "b"]
 
     def test_missing_badge_on_send_rejected(self):
@@ -157,9 +159,9 @@ class TestBuildObservations:
 class TestSendInstances:
     def test_includes_trailing_send(self):
         events = [send("u", 0.0), visit("u", 5.0), send("u", 8.0)]
-        inst = build_send_instances(events, SCHEMA, CFG)
+        inst = build_send_instances(as_columns(events), SCHEMA, CFG)
         assert [i.ts_hours for i in inst] == [0.0, 8.0]
-        obs = build_observations(events, SCHEMA, CFG)
+        obs = build_observations(as_columns(events), SCHEMA, CFG)
         assert len(obs) == 1  # trailing send has no observation
 
     def test_same_snapshots_as_observations(self):
@@ -169,8 +171,8 @@ class TestSendInstances:
             send("u", 8.0, badge=2, p=0.3),
             visit("u", 9.0),
         ]
-        obs = build_observations(events, SCHEMA, CFG)
-        inst = build_send_instances(events, SCHEMA, CFG)
+        obs = build_observations(as_columns(events), SCHEMA, CFG)
+        inst = build_send_instances(as_columns(events), SCHEMA, CFG)
         assert obs.origin_ts_hours.tolist() == [i.ts_hours for i in inst]
         assert_allclose(obs.x, [i.x for i in inst])
 
@@ -183,14 +185,14 @@ class TestIO:
             send("u2", 1.25, badge=0, p=1.5),
         ]
         path = tmp_path / "events.jsonl"
-        write_events_jsonl(path, events)
+        write_events_jsonl(path, as_columns(events))
         assert list(read_events(path)) == events
 
     def test_events_jsonl_deterministic_bytes(self, tmp_path):
         events = [send("u1", 0.1, badge=1, p=1 / 3), visit("u1", 0.7)]
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_events_jsonl(p1, events)
-        write_events_jsonl(p2, events)
+        write_events_jsonl(p1, as_columns(events))
+        write_events_jsonl(p2, as_columns(events))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_events_csv(self, tmp_path):
@@ -240,7 +242,7 @@ class TestIO:
 
     def test_observations_round_trip(self, tmp_path):
         events = [send("u", 0.0, badge=1, p=2.0), visit("u", 4.0), send("u", 6.0)]
-        obs = build_observations(events, SCHEMA, CFG)
+        obs = build_observations(as_columns(events), SCHEMA, CFG)
         path = tmp_path / "obs.jsonl"
         write_observations_jsonl(path, obs)
         back = read_observations_jsonl(path, SCHEMA)

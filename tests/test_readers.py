@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import oracle_readers
 import sendwhen.io
+from event_rows import as_columns
 from sendwhen.cli import main
 from sendwhen.errors import DataError
 from sendwhen.evaluation import fit_logistic_baselines
@@ -43,7 +44,6 @@ from sendwhen.io import (
 )
 from sendwhen.pipeline import (
     Event,
-    EventColumns,
     ObservationColumns,
     PipelineConfig,
     SendInstance,
@@ -302,7 +302,7 @@ def _written_lines(write, rows, tmp):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.lists(events(), max_size=8))
 def test_event_lines_equal_json_dumps(tmp_path_factory, evs):
-    # Event rows are written through EventColumns, which holds timestamps as floats
+    # EventColumns holds timestamps as floats
     want = []
     for e in evs:
         rec = {"user_id": e.user_id, "ts_hours": float(e.ts_hours), "kind": e.kind,
@@ -310,14 +310,12 @@ def test_event_lines_equal_json_dumps(tmp_path_factory, evs):
         if e.features:
             rec["features"] = e.features
         want.append(_dumps(rec))
-    assert _written_lines(write_events_jsonl, evs, tmp_path_factory) == want
-    columns = EventColumns.from_events(evs)
-    assert _written_lines(write_events_jsonl, columns, tmp_path_factory) == want
+    assert _written_lines(write_events_jsonl, as_columns(evs), tmp_path_factory) == want
 
 
 def test_integer_event_timestamp_is_written_as_the_float_read_back(tmp_path):
     path = tmp_path / "events.jsonl"
-    write_events_jsonl(path, [Event("u1", 5, "send", 1, {"p": 0.5})])
+    write_events_jsonl(path, as_columns([Event("u1", 5, "send", 1, {"p": 0.5})]))
     assert path.read_text(encoding="utf-8") == (
         '{"badge_count":1,"features":{"p":0.5},"kind":"send","ts_hours":5.0,"user_id":"u1"}\n'
     )
@@ -609,15 +607,15 @@ def test_commands_build_no_row_objects(simulated_files, tmp_path, monkeypatch):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.lists(events(st.floats(allow_nan=False)), max_size=8))
 def test_event_columns_iterate_as_the_events_they_hold(evs):
-    assert list(EventColumns.from_events(evs)) == evs
+    assert list(as_columns(evs)) == evs
 
 
 def test_a_feature_first_carried_in_a_later_chunk_is_missing_before(tmp_path):
     evs = [Event(f"u{i % 7}", float(i), "send", 1,
                  {"p": 0.5} if i < 10 else {"q": i / 4} if i >= 2 * _CHUNK_ROWS else {})
            for i in range(3 * _CHUNK_ROWS)]
-    write_events_jsonl(tmp_path / "events.jsonl", evs)
-    for columns in (read_events(tmp_path / "events.jsonl"), EventColumns.from_events(evs)):
+    write_events_jsonl(tmp_path / "events.jsonl", as_columns(evs))
+    for columns in (read_events(tmp_path / "events.jsonl"), as_columns(evs)):
         assert list(columns.features) == ["p", "q"]
         assert list(columns) == evs
 

@@ -259,7 +259,7 @@ def scoring_cases(draw):
         elif s.kind == "w0":
             X0[:, i] = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
         elif s.kind == "interaction":
-            a, b = (schema.index(p) for p in s.parents)
+            a, b = (schema.names.index(p) for p in s.parents)
             X0[:, i] = X0[:, a] * X0[:, b]
     w0 = draw(st.lists(st.just(0.0) | st.floats(0.0, 1e4), min_size=n, max_size=n))
     horizon = draw(st.floats(0.1, 200.0) | st.lists(st.floats(0.1, 200.0), min_size=n, max_size=n))

