@@ -305,8 +305,8 @@ def _parse_model_kind(spec: str) -> tuple[str, float | None]:
             horizon = float(raw)
         except ValueError:
             raise ConfigError(f"bad horizon in model kind {spec!r}") from None
-        if not horizon > 0:
-            raise ConfigError(f"model horizon must be > 0, got {horizon}")
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise ConfigError(f"model horizon must be finite and > 0, got {horizon}")
         return "logistic", horizon
     raise ConfigError(f"unknown model kind {spec!r}; expected 'aft' or 'logistic:T'")
 
@@ -485,15 +485,23 @@ _DECIDE_DEFAULTS: dict = {
 
 
 def _decide_settings(merged: Mapping) -> tuple:
+    """The typed settings, with the rule's own checked before any score is read.
+
+    kappa is checked for threshold and ratio, and MooConfig (None for the
+    other rules) for moo, so an empty scores file lets no bad value through.
+    """
+    from .policies import MooConfig, _check_kappa
+
     rule = json_str(merged["rule"], "rule")
     if rule not in ("threshold", "ratio", "moo"):
         raise ConfigError(f"unknown rule {rule!r}; expected threshold, ratio, or moo")
-    return (
-        rule,
-        *(json_number(merged[key], key)
-          for key in ("kappa", "c_click", "c_send", "evaluation_cadence_hours")),
-        _or_null(json_int, merged, "synth_p_click_seed"),
-    )
+    kappa, c_click, c_send, cadence = (
+        json_number(merged[key], key)
+        for key in ("kappa", "c_click", "c_send", "evaluation_cadence_hours"))
+    moo = MooConfig(c_click=c_click, c_send=c_send) if rule == "moo" else None
+    if moo is None:
+        _check_kappa(kappa)
+    return rule, kappa, moo, cadence, _or_null(json_int, merged, "synth_p_click_seed")
 
 
 def _candidates_from_scores(
@@ -520,9 +528,9 @@ def _candidates_from_scores(
 
 
 def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
-    from .policies import MooConfig, PolicyResult, moo_solve, ratio_rule, threshold_rule
+    from .policies import PolicyResult, moo_solve, ratio_rule, threshold_rule
 
-    rule, kappa, c_click, c_send, cadence, synth_seed = settings
+    rule, kappa, moo, cadence, synth_seed = settings
     candidates = _candidates_from_scores(args.scores, synth_seed, need_p_click=(rule == "moo"))
     report: dict = {
         "rule": rule,
@@ -535,7 +543,7 @@ def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> in
         empty = np.zeros(0, dtype=bool)
         result = PolicyResult(rule, np.zeros(0), empty, empty)
     elif rule == "moo":
-        result = moo_solve(candidates, MooConfig(c_click=c_click, c_send=c_send))
+        result = moo_solve(candidates, moo)
     else:
         result = (threshold_rule if rule == "threshold" else ratio_rule)(candidates, kappa)
     # the rule's own parameters; an infeasible LP and no candidates have none
@@ -550,7 +558,7 @@ def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> in
     _write_manifest(out, "decide", merged, inputs={"scores": args.scores})
     if report["status"] == "infeasible":
         print(
-            f"decide: infeasible: click floor {c_click} unreachable "
+            f"decide: infeasible: click floor {moo.c_click} unreachable "
             f"(max {report['max_click_reachable']:.6f})",
             file=sys.stderr,
         )

@@ -5,14 +5,16 @@ observations, contexts and scores go from there (or from csv.reader)
 straight into typed arrays (read_events, read_observations_jsonl,
 read_contexts, read_scores), so no Python object per row outlives its
 line, or for event logs and observations its chunk.  read_events and
-read_observations_jsonl convert and check a chunk of rows at a time as
-columns, and a chunk that fails row by row; the other readers convert and
-check each line in order.  Either way a DataError names the first bad
-line.  Events, observations, deltas and decisions are written with one
-f-string template per format, _WRITE_ROWS rows turned to text at a time,
-and contexts by write_jsonl; either way a line's bytes equal
-json.dumps(record, sort_keys=True, separators=(",", ":")), so identical
-in-memory data always produces identical files.
+read_observations_jsonl convert, check and append a chunk of rows at a
+time as columns, the only step that appends; a chunk that step refuses is
+converted again row by row, only to raise the error of its first bad line.
+The other readers convert and check each line in order.  Either way a
+DataError names the first bad line.  Events, observations, deltas and
+decisions are written with one f-string template per format, _WRITE_ROWS
+rows turned to text at a time, and contexts by write_jsonl; either way a
+line's bytes equal json.dumps(record, sort_keys=True,
+separators=(",", ":")), so identical in-memory data always produces
+identical files.
 Every input file is opened by one helper, so a missing or unreadable
 input is a DataError naming the path.  See FORMATS.md at the
 repository root for the field-by-field reference.
@@ -29,13 +31,15 @@ from contextlib import contextmanager
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence,
+)
 
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
 from .features import FeatureSchema
-from .pipeline import SEND, EventColumnAppender, EventColumns, ObservationColumns
+from .pipeline import SEND, Event, EventColumnAppender, EventColumns, ObservationColumns
 
 if TYPE_CHECKING:
     from .policies import PolicyResult
@@ -191,32 +195,36 @@ def json_number(v, name: str) -> float:
     return float(v)
 
 
-def _append_records(
-    columns: EventColumnAppender, records: Iterable[tuple[int, Mapping]], where: str,
+def _raise_first_bad_event(
+    records: Iterable[tuple[int, Mapping]], where: str,
     badge_of: Callable[[object, str], int], number_of: Callable[[object, str], float],
-) -> None:
-    """Convert and check each (line number, record), then append it to columns.
+) -> NoReturn:
+    """Raise the DataError of the first bad (line number, record) of a refused chunk.
 
-    The conversions run in a fixed order (user_id, ts_hours, kind,
-    badge_count, features) and the event checks after them, so the first
-    bad line, and the first fault on it, names the error.  badge_of(value,
-    name) converts a present badge_count and number_of(value, name) a
-    number: json_int and json_number for JSON, int and float for CSV text.
+    Each record's fields are converted in a fixed order (user_id, ts_hours,
+    kind, badge_count, features), then checked as an Event, then its badge
+    count as an int64, so the first bad line, and the first fault on it,
+    names the error.  badge_of(value, name) converts a present badge_count
+    and number_of(value, name) a number: json_int and json_number for JSON,
+    int and float for CSV text.  A chunk with no bad record raises
+    AssertionError, so that it is never dropped silently.
     """
     for lineno, rec in records:
         try:
             badge = rec.get("badge_count")
-            columns.append(
+            event = Event(
                 json_str(rec["user_id"], "user_id"),
                 number_of(rec["ts_hours"], "ts_hours"),
                 str(rec["kind"]),
                 None if badge is None else badge_of(badge, "badge_count"),
                 {k: number_of(v, k) for k, v in (rec.get("features") or {}).items()},
             )
+            array("q", [event.badge_count or 0])  # the badge column's int64
         except DataError as exc:  # the event checks
             raise DataError(f"{where}:{lineno}: {exc}") from None
         except ROW_ERRORS as exc:
             raise DataError(f"{where}:{lineno}: malformed event record: {exc}") from exc
+    raise AssertionError(f"{where}: the column step refused a chunk with no bad line")
 
 
 def _chunks(items: Iterator, rows: int = _CHUNK_ROWS) -> Iterator[list]:
@@ -250,7 +258,7 @@ def _json_chunk(recs: Sequence[dict]) -> tuple | None:
     """A chunk of JSONL event records as the columns EventColumnAppender.extend takes.
 
     None when a record lacks a field or holds one of a type that
-    _append_records refuses, or a number does not convert to a float.
+    _raise_first_bad_event refuses, or a number does not convert to a float.
     """
     try:
         user_ids = [r["user_id"] for r in recs]
@@ -337,11 +345,15 @@ def _csv_record(layout: _CsvLayout, row: list[str]) -> dict:
 def _csv_chunk(layout: _CsvLayout, rows: Sequence[list[str]]) -> tuple | None:
     """A chunk of CSV rows as the columns EventColumnAppender.extend takes.
 
-    None when a cell does not convert, and for a short row, which the
-    column step does not take.
+    A short row reads its missing cells as empty, as _csv_record reads
+    them.  None when a cell does not convert, and when a row lacks the
+    user_id, ts_hours or kind cell, which the row step names.
     """
-    if min(map(len, rows)) < layout.width:
-        return None
+    shortest = min(map(len, rows))
+    if shortest < layout.width:
+        if shortest <= max(layout.user_id, layout.ts_hours, layout.kind):
+            return None
+        rows = [row + [""] * (layout.width - len(row)) for row in rows]
     columns = list(zip(*rows))
     kinds = columns[layout.kind]
     sends = [i for i, kind in enumerate(kinds) if kind == SEND]
@@ -364,9 +376,9 @@ def _csv_chunk(layout: _CsvLayout, rows: Sequence[list[str]]) -> tuple | None:
 def read_events(path: str | Path) -> EventColumns:
     """Read an event log into columns: .csv as CSV, anything else as JSONL.
 
-    Each chunk of rows is converted and checked as columns in one step.  A
-    chunk that fails, or that the column step does not take, is converted
-    row by row instead, which raises the error for its first bad line.
+    Each chunk of rows is converted, checked and appended as columns in one
+    step, the only step that appends.  A chunk that step refuses is
+    converted row by row, only to raise the error for its first bad line.
     """
     where, columns = str(path), EventColumnAppender()
     if where.lower().endswith(".csv"):
@@ -375,13 +387,14 @@ def read_events(path: str | Path) -> EventColumns:
             for chunk in _chunks(rows):
                 converted = _csv_chunk(layout, [row for _, row in chunk])
                 if converted is None or not columns.extend(*converted):
-                    _append_records(columns, ((n, _csv_record(layout, row)) for n, row in chunk),
-                                    where, lambda cell, _: int(cell), lambda cell, _: float(cell))
+                    _raise_first_bad_event(((n, _csv_record(layout, row)) for n, row in chunk),
+                                           where, lambda cell, _: int(cell),
+                                           lambda cell, _: float(cell))
     else:
         for chunk in _chunks(read_jsonl(path)):
             converted = _json_chunk([rec for _, rec in chunk])
             if converted is None or not columns.extend(*converted):
-                _append_records(columns, chunk, where, json_int, json_number)
+                _raise_first_bad_event(chunk, where, json_int, json_number)
     return columns.build()
 
 
@@ -553,9 +566,9 @@ def read_observations_jsonl(
 ) -> ObservationColumns:
     """Read observations into columns; with a schema, every x must satisfy it.
 
-    Each chunk of lines is converted and checked as columns in one step.  A
-    chunk that fails is converted line by line instead, which raises the
-    error for its first bad line.
+    Each chunk of lines is converted, checked and appended as columns in
+    one step, the only step that appends.  A chunk that step refuses is
+    converted line by line, only to raise the error for its first bad line.
     """
     codes: dict[str, int] = {}  # user id -> code in order of first sight
     user, x_values, t_hours, origin = array("q"), array("d"), array("d"), array("d")
@@ -563,36 +576,32 @@ def read_observations_jsonl(
     width = None  # every x has the length of the first
     for chunk in _chunks(read_jsonl(path), _OBSERVATION_CHUNK_ROWS):
         converted = _observation_chunk([rec for _, rec in chunk], width)
-        if converted is not None:
-            width, user_ids, x, t, o, u = converted
-            user.extend([codes.setdefault(user_id, len(codes)) for user_id in user_ids])
-            x_values += x
-            t_hours += t
-            origin += o
-            uncensored.extend(u)
-            continue
-        for lineno, rec in chunk:
-            try:
-                x, censored = rec["x"], rec["censored"]
-                if type(censored) is not bool:
-                    raise ValueError(f"censored must be true or false, got {censored!r}")
-                if type(x) is not list or not _NUMBER_TYPES.issuperset(map(type, x)):
-                    raise ValueError("x must be a list of numbers")
-                width = len(x) if width is None else width
-                if len(x) != width:
-                    raise ValueError(f"x has {len(x)} values, the first row {width}")
-                user_id = json_str(rec["user_id"], "user_id")
-                x_values.extend(x)
-                t = json_number(rec["t_hours"], "t_hours")
-                o = json_number(rec.get("origin_ts_hours", math.nan), "origin_ts_hours")
-            except ROW_ERRORS as exc:
-                raise DataError(f"{path}:{lineno}: malformed observation: {exc}") from exc
-            if t <= 0 or not math.isfinite(t):
-                raise DataError(f"{path}:{lineno}: non-positive duration {t}")
-            user.append(codes.setdefault(user_id, len(codes)))
-            t_hours.append(t)
-            uncensored.append(not censored)
-            origin.append(o)
+        if converted is None:  # only to raise the error of the first bad line
+            for lineno, rec in chunk:
+                try:
+                    x, censored = rec["x"], rec["censored"]
+                    if type(censored) is not bool:
+                        raise ValueError(f"censored must be true or false, got {censored!r}")
+                    if type(x) is not list or not _NUMBER_TYPES.issuperset(map(type, x)):
+                        raise ValueError("x must be a list of numbers")
+                    width = len(x) if width is None else width
+                    if len(x) != width:
+                        raise ValueError(f"x has {len(x)} values, the first row {width}")
+                    json_str(rec["user_id"], "user_id")
+                    array("d", x)  # an integer that no float holds
+                    t = json_number(rec["t_hours"], "t_hours")
+                    json_number(rec.get("origin_ts_hours", math.nan), "origin_ts_hours")
+                except ROW_ERRORS as exc:
+                    raise DataError(f"{path}:{lineno}: malformed observation: {exc}") from exc
+                if t <= 0 or not math.isfinite(t):
+                    raise DataError(f"{path}:{lineno}: non-positive duration {t}")
+            raise AssertionError(f"{path}: the column step refused a chunk with no bad line")
+        width, user_ids, x, t, o, u = converted
+        user.extend([codes.setdefault(user_id, len(codes)) for user_id in user_ids])
+        x_values += x
+        t_hours += t
+        origin += o
+        uncensored.extend(u)
     X = np.frombuffer(x_values, float).reshape(len(t_hours), width or 0)
     if schema is not None:
         try:

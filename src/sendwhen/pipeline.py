@@ -9,8 +9,9 @@ the successor event and the first later visit; the table holds nothing
 else of the log, so the log can be dropped once walked.  Observations (sends with a successor,
 as ObservationColumns), send instances (every send) and the evaluation
 layer's naive labels are all views of that one table.  Event is one row of
-a log, what iterating EventColumns yields.  SendInstance is one send's
-snapshot; the commands build neither.
+a log, what iterating EventColumns yields, and holds the checks every event
+passes; a reader builds one only to name a bad line.  SendInstance is one
+send's snapshot, which the commands do not build.
 """
 
 from __future__ import annotations
@@ -59,21 +60,6 @@ _NAN = array("d", [math.nan])
 _CHUNK_ROWS = 4096
 
 
-def _check_event(user_id: str, ts_hours: float, kind: str, badge_count: int | None) -> None:
-    """The checks every event passes, in this order."""
-    if kind not in _KINDS:
-        raise DataError(f"unknown event kind {kind!r}")
-    if not (isinstance(ts_hours, (int, float)) and math.isfinite(ts_hours)):
-        raise DataError(f"non-finite timestamp {ts_hours!r} for user {user_id!r}")
-    if kind == SEND:
-        if badge_count is None:
-            raise DataError(
-                f"send event at t={ts_hours} for user {user_id!r} is missing badge_count"
-            )
-        if badge_count < 0:
-            raise DataError(f"negative badge_count {badge_count} for user {user_id!r}")
-
-
 @dataclass(frozen=True)
 class Event:
     """One row of the raw log.
@@ -90,7 +76,19 @@ class Event:
     features: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_event(self.user_id, self.ts_hours, self.kind, self.badge_count)
+        """The checks every event passes, in this order."""
+        user_id, ts_hours, badge_count = self.user_id, self.ts_hours, self.badge_count
+        if self.kind not in _KINDS:
+            raise DataError(f"unknown event kind {self.kind!r}")
+        if not (isinstance(ts_hours, (int, float)) and math.isfinite(ts_hours)):
+            raise DataError(f"non-finite timestamp {ts_hours!r} for user {user_id!r}")
+        if self.kind == SEND:
+            if badge_count is None:
+                raise DataError(
+                    f"send event at t={ts_hours} for user {user_id!r} is missing badge_count"
+                )
+            if badge_count < 0:
+                raise DataError(f"negative badge_count {badge_count} for user {user_id!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +126,7 @@ class EventColumns:
 
 
 class EventColumnAppender:
-    """Checks events, singly or a chunk at a time, and appends them to growing columns.
+    """Checks events a chunk at a time and appends them to growing columns.
 
     Every column, features too, grows one entry per event, so build only
     wraps the columns as arrays and copies none of them.
@@ -143,33 +141,6 @@ class EventColumnAppender:
         self._has_badge = bytearray()
         self._features: dict[str, tuple[array, bytearray]] = {}  # name -> (values, present)
 
-    def _add_feature(self, name: str) -> None:
-        """Give a new feature its columns, missing on every event so far."""
-        if name not in self._features:
-            n = len(self._ts)
-            self._features[name] = (_NAN * n, bytearray(n))
-
-    def append(
-        self,
-        user_id: str,
-        ts_hours: float,
-        kind: str,
-        badge_count: int | None,
-        features: Mapping[str, float],
-    ) -> None:
-        """Append one event, or raise the DataError of its first failed check."""
-        _check_event(user_id, ts_hours, kind, badge_count)
-        for name in features:
-            self._add_feature(name)
-        self._user.append(self._codes.setdefault(user_id, len(self._codes)))
-        self._ts.append(ts_hours)
-        self._send.append(kind == SEND)
-        self._has_badge.append(badge_count is not None)
-        self._badge.append(0 if badge_count is None else badge_count)
-        for name, (values, present) in self._features.items():
-            values.append(features.get(name, math.nan))
-            present.append(name in features)
-
     def extend(
         self,
         user_ids: Sequence[str],
@@ -180,13 +151,13 @@ class EventColumnAppender:
     ) -> bool:
         """Append a chunk of events given as columns, or none of them.
 
-        The columns hold what append takes, one entry per event; features
-        maps a name to (rows, values), the rows counted from the chunk's
-        first event and new names in the order they first appear.  The
-        chunk is appended only if every event passes append's checks and
-        every badge count fits int64.  Otherwise nothing is appended and
-        the result is False; appending the chunk's events one at a time
-        then raises the error for the first bad one.
+        The columns hold one entry per event, each field as Event takes it;
+        features maps a name to (rows, values), the rows counted from the
+        chunk's first event and new names in the order they first appear.
+        The chunk is appended only if every event passes Event's checks and
+        every badge count fits int64.  Otherwise nothing is appended and the
+        result is False, and the reader converts the chunk's records one at
+        a time to raise the error of the first bad one.
         """
         ts = array("d", ts_hours)
         is_send = bytes([k == SEND for k in kinds])
@@ -207,8 +178,8 @@ class EventColumnAppender:
             v[rows] = values
             p[rows] = True
             dense[name] = v.tobytes(), p.tobytes()
-        for name in dense:
-            self._add_feature(name)
+            if name not in self._features:  # missing on every event so far
+                self._features[name] = (_NAN * len(self._ts), bytearray(len(self._ts)))
         self._user.extend([codes.setdefault(u, len(codes)) for u in user_ids])
         self._ts.extend(ts)
         self._send.extend(is_send)

@@ -133,18 +133,6 @@ class SimConfig:
                 "(intercept, profiles, badge_count, interaction)"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "n_profile_features": self.n_profile_features,
-            "true_coefficients": list(self.true_coefficients),
-            "true_sigma": self.true_sigma,
-            "send_process": self.send_process.to_dict(),
-            "window_hours": self.window_hours,
-            "seed": self.seed,
-            "include_interaction": self.include_interaction,
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "SimConfig":
         try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -287,7 +287,6 @@ def fit_aft(
     opt_cfg: OptConfig = OptConfig(),
     *,
     schema: FeatureSchema | None = None,
-    feature_names: Sequence[str] | None = None,
 ) -> WeibullAftModel:
     """Fit the censored Weibull AFT model by penalized maximum likelihood.
 
@@ -317,7 +316,7 @@ def fit_aft(
 
     theta, b_raw, diagnostics = _penalized_fit(negloglik, dm.X, icpt, theta0, opt_cfg, n_unc)
     return WeibullAftModel(
-        feature_names=_names(feature_names, schema, dm.k),
+        feature_names=_names(schema, dm.k),
         coefficients=b_raw,
         log_sigma=float(theta[-1]),
         diagnostics=diagnostics,
@@ -332,7 +331,6 @@ def fit_logistic(
     opt_cfg: OptConfig = OptConfig(),
     *,
     schema: FeatureSchema | None = None,
-    feature_names: Sequence[str] | None = None,
 ) -> LogisticModel:
     """Fit the per-horizon logistic baseline on pre-computed binary labels.
 
@@ -370,7 +368,7 @@ def fit_logistic(
 
     _, w_raw, diagnostics = _penalized_fit(negloglik, X, icpt, w0, opt_cfg, int(y.sum()))
     return LogisticModel(
-        feature_names=_names(feature_names, schema, X.shape[1]),
+        feature_names=_names(schema, X.shape[1]),
         weights=w_raw,
         horizon_t_hours=float(horizon_t_hours),
         diagnostics=diagnostics,
@@ -378,14 +376,8 @@ def fit_logistic(
     )
 
 
-def _names(
-    feature_names: Sequence[str] | None, schema: FeatureSchema | None, k: int
-) -> tuple[str, ...]:
-    if feature_names is not None:
-        names = tuple(feature_names)
-        if len(names) != k:
-            raise SchemaError(f"{len(names)} names for {k} features")
-        return names
+def _names(schema: FeatureSchema | None, k: int) -> tuple[str, ...]:
+    """The schema's slot names, or x0, x1, ... without a schema."""
     if schema is not None:
         return schema.names
     return tuple(f"x{j}" for j in range(k))

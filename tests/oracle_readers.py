@@ -1,11 +1,11 @@
-"""Reference readers: one line at a time, converted and checked in order.
+"""Reference readers: one line at a time, converted, checked and appended in order.
 
 The read_events and read_observations_jsonl that converted each record
 and appended it before reading the next, kept as oracles for the readers
 that convert a chunk of rows at a time as columns.  A CSV row becomes the
-record csv.DictReader reads; every event record goes through
-EventColumnAppender.append, so the first bad line, and the first fault on
-it, names the DataError.
+record csv.DictReader reads; every event record goes through this
+module's own row appender and event checks, so the first bad line, and
+the first fault on it, names the DataError.
 """
 
 import csv
@@ -25,13 +25,69 @@ from sendwhen.io import (
     line_of_record,
     read_jsonl,
 )
-from sendwhen.pipeline import SEND, EventColumnAppender, EventColumns, ObservationColumns
+from sendwhen.pipeline import EventColumns, ObservationColumns
 
 _EVENT_META_COLUMNS = ("user_id", "ts_hours", "kind", "badge_count")
+SEND, VISIT = "send", "visit"
+
+
+def _check_event(user_id, ts_hours, kind, badge_count):
+    """The checks every event passes, in this order."""
+    if kind not in (SEND, VISIT):
+        raise DataError(f"unknown event kind {kind!r}")
+    if not (isinstance(ts_hours, (int, float)) and math.isfinite(ts_hours)):
+        raise DataError(f"non-finite timestamp {ts_hours!r} for user {user_id!r}")
+    if kind == SEND:
+        if badge_count is None:
+            raise DataError(
+                f"send event at t={ts_hours} for user {user_id!r} is missing badge_count"
+            )
+        if badge_count < 0:
+            raise DataError(f"negative badge_count {badge_count} for user {user_id!r}")
+
+
+class _RowAppender:
+    """Checks one event at a time and appends it to growing columns."""
+
+    def __init__(self):
+        self.codes = {}  # user id -> code in order of first sight
+        self.user, self.ts, self.badge = array("q"), array("d"), array("q")
+        self.send, self.has_badge = bytearray(), bytearray()
+        self.features = {}  # name -> (values, present), names in order of first sight
+
+    def append(self, user_id, ts_hours, kind, badge_count, features):
+        _check_event(user_id, ts_hours, kind, badge_count)
+        for name in features:
+            if name not in self.features:  # missing on every event so far
+                n = len(self.ts)
+                self.features[name] = (array("d", [math.nan] * n), bytearray(n))
+        self.user.append(self.codes.setdefault(user_id, len(self.codes)))
+        self.ts.append(ts_hours)
+        self.send.append(kind == SEND)
+        self.has_badge.append(badge_count is not None)
+        self.badge.append(0 if badge_count is None else badge_count)  # int64 or OverflowError
+        for name, (values, present) in self.features.items():
+            values.append(features.get(name, math.nan))
+            present.append(name in features)
+
+    def build(self):
+        """The columns, with user codes renumbered in the sorted order of the ids."""
+        ids = sorted(self.codes)
+        rank = {self.codes[u]: r for r, u in enumerate(ids)}
+        return EventColumns(
+            user_ids=ids,
+            user=np.array([rank[c] for c in self.user], np.int64),
+            ts_hours=np.frombuffer(self.ts, float),
+            is_send=np.frombuffer(self.send, bool),
+            badge_count=np.frombuffer(self.badge, np.int64),
+            has_badge=np.frombuffer(self.has_badge, bool),
+            features={name: (np.frombuffer(values, float), np.frombuffer(present, bool))
+                      for name, (values, present) in self.features.items()},
+        )
 
 
 def _event_columns(records, where, badge_of, number_of):
-    columns = EventColumnAppender()
+    columns = _RowAppender()
     for lineno, rec in records:
         try:
             badge = rec.get("badge_count")

@@ -556,6 +556,23 @@ def test_decide_empty_scores_empty_decisions(tmp_path):
     assert read_jsonl(out / "decisions.jsonl") == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--rule", "moo", "--c-click", "-1"), "c_click must be finite and >= 0, got -1.0"),
+    (("--rule", "moo", "--c-click", "inf"), "c_click must be finite and >= 0, got inf"),
+    (("--rule", "moo", "--c-send", "nan"), "c_send must be finite and >= 0, got nan"),
+    (("--kappa", "nan"), "kappa must not be NaN"),
+    (("--rule", "ratio", "--kappa", "nan"), "kappa must not be NaN"),
+])
+@pytest.mark.parametrize("rows", [0, 1])
+def test_decide_refuses_a_bad_rule_config_before_reading_scores(tmp_path, capsys, argv,
+                                                                message, rows):
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text('{"user_id": "u", "delta": 0.1, "p_wait": 0.5, "p_click": 0.1}\n' * rows)
+    assert run("decide", "--scores", scores, *argv, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: " + message
+    assert not (tmp_path / "o").exists()
+
+
 def test_decide_infeasible_exit_and_report(tmp_path):
     scores = tmp_path / "scores.jsonl"
     scores.write_text(json.dumps(
@@ -639,7 +656,7 @@ REFUSALS = [
     (("train", "--model", "cox", "--out", "{t}/o"), 2,
      "unknown model kind 'cox'; expected 'aft' or 'logistic:T'"),
     (("train", "--model", "logistic:-1", "--out", "{t}/o"), 2,
-     "model horizon must be > 0, got -1.0"),
+     "model horizon must be finite and > 0, got -1.0"),
     (("decide", "--scores", "s.jsonl", "--config", "{t}/rule.json", "--out", "{t}/o"), 2,
      "unknown rule 'x'; expected threshold, ratio, or moo"),
     (_EVAL + ("--logistic-model", "l.json", "--config", "{t}/labeler.json", "--out", "{t}/o"),
@@ -652,6 +669,10 @@ REFUSALS = [
       "--out", "{t}/o"), 2, _P_CLICK_ERR),
     (("score", "--model", "m.json", "--contexts", "c.jsonl", "--horizon-T", "inf",
       "--out", "{t}/o"), 2, "horizon_T must be finite and > 0, got inf"),
+    (("train", "--model", "logistic:inf", "--events", "e.jsonl", "--schema", "s.json",
+      "--out", "{t}/o"), 2, "model horizon must be finite and > 0, got inf"),
+    (("train", "--model", "logistic:nan", "--events", "e.jsonl", "--schema", "s.json",
+      "--out", "{t}/o"), 2, "model horizon must be finite and > 0, got nan"),
 ]
 
 

@@ -728,13 +728,45 @@ def test_a_bad_record_before_an_unparsable_line_in_its_chunk_is_the_error(tmp_pa
     assert _outcome(oracle_readers.read_events, path) == f"{path}:2: unknown event kind 'push'"
 
 
-@pytest.mark.parametrize("name", ["events.jsonl", "events.csv"])
-def test_a_clean_log_is_read_without_the_per_row_path(simulated_files, monkeypatch, name):
+@pytest.mark.parametrize("name", ["events.jsonl", "events.csv", "short-rows.csv"])
+def test_a_clean_log_is_read_without_the_per_row_path(simulated_files, tmp_path, monkeypatch,
+                                                      name):
     def refuse(*args):
         raise AssertionError("a chunk went through the per-row path")
 
-    monkeypatch.setattr("sendwhen.io._append_records", refuse)
-    assert len(read_events(simulated_files / name)) > 2000
+    path = simulated_files / name
+    if name == "short-rows.csv":  # each visit row ends at its kind, without empty cells
+        path = tmp_path / name
+        with open(simulated_files / "events.csv", encoding="utf-8") as f:
+            path.write_text("".join(line.rstrip(",\n") + "\n" for line in f), encoding="utf-8")
+    monkeypatch.setattr("sendwhen.io._raise_first_bad_event", refuse)
+    assert len(read_events(path)) > 2000
+    assert _outcome(read_events, path) == _outcome(read_events, simulated_files / "events.csv")
+
+
+@pytest.mark.parametrize("name,step", [("events.jsonl", "_json_chunk"),
+                                       ("events.csv", "_csv_chunk"),
+                                       ("observations.jsonl", "_observation_chunk")])
+def test_a_refused_chunk_with_no_bad_line_is_not_dropped(simulated_files, monkeypatch, name,
+                                                         step):
+    monkeypatch.setattr(f"sendwhen.io.{step}", lambda *args: None)  # refuses every chunk
+    read = read_observations_jsonl if name == "observations.jsonl" else read_events
+    with pytest.raises(AssertionError, match="refused a chunk with no bad line"):
+        read(simulated_files / name)
+
+
+@pytest.mark.parametrize("header,row,message", [
+    ("user_id,ts_hours,kind,badge_count,p", "u,2.0", "unknown event kind 'None'"),
+    ("user_id,ts_hours,kind,badge_count,p", "u", "malformed event record: float() argument "
+     "must be a string or a real number, not 'NoneType'"),
+    ("ts_hours,kind,badge_count,user_id", "2.0,visit",
+     "malformed event record: user_id must be a string, got None"),
+])
+def test_a_csv_row_without_a_meta_cell_keeps_its_message(tmp_path, header, row, message):
+    path = tmp_path / "events.csv"
+    path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+    assert _outcome(read_events, path) == f"{path}:2: {message}"
+    assert _outcome(oracle_readers.read_events, path) == f"{path}:2: {message}"
 
 
 OBSERVATION_FAULTS = [line for n, line, _ in CASES if n == "observations.jsonl"] + [

@@ -338,15 +338,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="phase"):
             SendProcess("fixed", interval_hours=8.0, phase_hours=-1.0)
 
+    # small_config() as the JSON object a simulator config file holds
+    SMALL_CONFIG = {
+        "n_users": 60, "n_profile_features": 2, "true_coefficients": list(B_TRUE),
+        "true_sigma": 1.5, "send_process": {"kind": "fixed", "interval_hours": 8.0},
+        "window_hours": 168.0, "seed": 4, "include_interaction": True,
+    }
+
     def test_config_dict_round_trip(self):
-        cfg = small_config()
-        assert SimConfig.from_dict(cfg.to_dict()) == cfg
+        assert SimConfig.from_dict(self.SMALL_CONFIG) == small_config()
 
     def test_config_dict_round_trip_with_phase(self):
-        cfg = small_config(
+        d = {**self.SMALL_CONFIG,
+             "send_process": {"kind": "fixed", "interval_hours": 6.0, "phase_hours": 6.0}}
+        assert SimConfig.from_dict(d) == small_config(
             send_process=SendProcess("fixed", interval_hours=6.0, phase_hours=6.0)
         )
-        assert SimConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_poisson_dict_round_trip(self):
         proc = SendProcess("poisson", rate_per_hour=1.0 / 12.0)
