@@ -129,9 +129,19 @@ _MANIFEST_NAME = "manifest.json"
 
 
 def _utc_stamp() -> str:
+    """SOURCE_DATE_EPOCH, or the time now when it is unset or empty, as UTC text.
+
+    Raises ConfigError for a value that is no integer or that datetime cannot
+    place; _run asks once before the command runs, so no output is written.
+    """
     raw = os.environ.get("SOURCE_DATE_EPOCH")
-    epoch = int(raw) if raw else int(time.time())
-    return datetime.fromtimestamp(epoch, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    try:
+        epoch = int(raw) if raw else int(time.time())
+        return datetime.fromtimestamp(epoch, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError(
+            f"SOURCE_DATE_EPOCH must be whole seconds since 1970-01-01 UTC, got {raw!r}"
+        ) from None
 
 
 def _prepare_out(out_dir: str, filenames: Sequence[str], force: bool) -> Path:
@@ -383,7 +393,10 @@ def _evaluate_settings(merged: Mapping) -> tuple[list[float], str, PipelineConfi
     labeler = json_str(merged["labeler"], "labeler")
     if labeler not in LABELERS:
         raise ConfigError(f"unknown labeler {labeler!r}; expected one of {sorted(LABELERS)}")
-    horizons = [json_number(t, "horizons") for t in merged["horizons"]]
+    raw = merged["horizons"]
+    if type(raw) is not list or not raw:
+        raise ValueError(f"horizons must be a non-empty list of numbers, got {raw!r}")
+    horizons = [json_number(t, "horizons") for t in raw]
     return horizons, labeler, _pipeline_config(merged)
 
 
@@ -624,6 +637,7 @@ def _run(args: argparse.Namespace) -> int:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {name} config: {exc}") from None
+    _utc_stamp()  # refuses a bad SOURCE_DATE_EPOCH before any output exists
     return spec.body(args, merged, settings)
 
 

@@ -13,7 +13,7 @@ horizons are labelled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -169,12 +169,9 @@ class AucRow:
 
 @dataclass(frozen=True)
 class AucReport:
-    """Per-horizon AUC table plus context metadata."""
+    """Per-horizon AUC table."""
 
     rows: tuple[AucRow, ...]
-    reference_points: Mapping[float, Mapping[str, float | None]] = field(
-        default_factory=lambda: REFERENCE_AUC_POINTS
-    )
 
     def to_csv(self) -> str:
         lines = ["t_hours,auc_aft,auc_logistic,n,n_ambiguous,labeler"]

@@ -3,11 +3,12 @@
 The default driver is L-BFGS-B (quasi-Newton with line search).  It runs
 scipy's compiled routine through the loop that
 scipy.optimize.minimize(method="L-BFGS-B") runs, so it takes the same
-steps, but it loads that routine on its own: importing scipy.optimize
-would add half a second or more to start-up, for a fit that takes a few
-hundredths.  A plain gradient-descent fallback with Armijo backtracking is
-available through the config.  Objectives supply their own analytic
-gradients; this module never differentiates numerically.
+steps, but it loads that routine on its own, as the package's module
+sendwhen._lbfgsb: importing scipy.optimize would add half a second or more
+to start-up, for a fit that takes a few hundredths.  A plain
+gradient-descent fallback with Armijo backtracking is available through
+the config.  Objectives supply their own analytic gradients; this module
+never differentiates numerically.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ __all__ = ["OptConfig", "OptResult", "minimize_smooth"]
 
 ObjectiveFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
-# scipy's private L-BFGS-B extension, and the calling convention this module
+# the name this package loads scipy's private L-BFGS-B extension under (the
+# last part finds its PyInit__lbfgsb), and the calling convention this module
 # drives it by, as of the scipy version it was checked against
-_LBFGSB = "scipy.optimize._lbfgsb"
-_PARENT, _, _CHILD = _LBFGSB.rpartition(".")
+_LBFGSB = f"{__package__}._lbfgsb"
 _SETULB = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 _SCIPY_CHECKED = "1.17.1"
 # scipy.optimize.minimize's L-BFGS-B settings: corrections kept, line-search
@@ -96,47 +97,14 @@ def _guarded(objective: ObjectiveFn) -> ObjectiveFn:
     return wrapped
 
 
-class _ParentFinder:
-    """Meta path finder that gives a later scipy.optimize the extension _setulb loaded.
-
-    The import system sets a submodule as an attribute of its package only
-    when it loads the submodule itself, so a scipy.optimize imported after
-    _setulb registered _lbfgsb would lack the attribute.  On that import
-    this finder takes itself off sys.meta_path, finds the package as the
-    other finders do, and loads it with the found loader after setting the
-    attribute.
-    """
-
-    def __init__(self, extension) -> None:
-        self.extension, self.loader = extension, None
-
-    def find_spec(self, name, path=None, target=None):
-        if name != _PARENT:
-            return None
-        sys.meta_path.remove(self)
-        spec = importlib.util.find_spec(name)
-        if spec is not None:
-            self.loader, spec.loader = spec.loader, self
-        return spec
-
-    def create_module(self, spec):
-        return self.loader.create_module(spec)
-
-    def exec_module(self, module) -> None:
-        module.__loader__ = module.__spec__.loader = self.loader
-        setattr(module, _CHILD, self.extension)
-        self.loader.exec_module(module)
-
-
 def _setulb() -> Callable:
     """scipy's compiled L-BFGS-B step, loaded without running scipy.optimize's __init__.
 
-    The extension module is taken from sys.modules when scipy.optimize has
-    loaded it already; otherwise it is loaded from its file in the
-    installed scipy and registered under its own name, and a later import
-    of scipy.optimize takes that one module, in sys.modules and as its
-    attribute (see _ParentFinder).  Raises ImportError when its calling
-    convention is not the one this module drives.
+    The extension file of the installed scipy is loaded once per process as
+    this package's own module, sendwhen._lbfgsb, so no scipy module is
+    loaded or replaced, and an import of scipy.optimize, before or after,
+    loads its own copy.  Raises ImportError when its calling convention is
+    not the one this module drives.
     """
     module = sys.modules.get(_LBFGSB)
     if module is None:
@@ -152,14 +120,12 @@ def _setulb() -> Callable:
         module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_LBFGSB, loader))
         loader.exec_module(module)
         sys.modules[_LBFGSB] = module
-        if _PARENT not in sys.modules:
-            sys.meta_path.insert(0, _ParentFinder(module))
     setulb = module.setulb
     if (setulb.__doc__ or "").split("\n", 1)[0] != _SETULB:
         from importlib.metadata import version
 
         raise ImportError(
-            f"scipy {version('scipy')} has a {_LBFGSB}.setulb other than the "
+            f"scipy {version('scipy')} has a scipy.optimize._lbfgsb.setulb other than the "
             f"{_SETULB} of scipy {_SCIPY_CHECKED} that sendwhen drives"
         )
     return setulb

@@ -12,6 +12,7 @@ import pytest
 
 import sendwhen
 from sendwhen.cli import main
+from sendwhen.evaluation import REFERENCE_AUC_POINTS
 from sendwhen.io import (
     file_sha256,
     read_events,
@@ -109,6 +110,16 @@ def test_simulate_same_seed_identical_digests(tmp_path):
                 os.environ[k] = v
     for name in ("events.jsonl", "contexts.jsonl", "truth.json", "schema.json", "manifest.json"):
         assert file_sha256(a / name) == file_sha256(b / name), name
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999"])
+def test_bad_source_date_epoch_is_refused_before_any_output(tmp_path, capsys, monkeypatch, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "d"
+    assert run("simulate", "--n-users", 3, "--out", out) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: SOURCE_DATE_EPOCH must be whole seconds since 1970-01-01 UTC, got {epoch!r}")
+    assert not out.exists()
 
 
 def test_simulate_malformed_config_no_partial_output(tmp_path):
@@ -335,6 +346,17 @@ def test_evaluate_single_horizon_one_row_csv(tmp_path, sim_dir, aft_dir):
     assert lines[0] == "t_hours,auc_aft,auc_logistic,n,n_ambiguous,labeler"
     assert len(lines) == 2
     assert lines[1].startswith("12.0,")
+
+
+def test_evaluate_report_carries_the_reference_points(tmp_path, sim_dir, aft_dir):
+    log_dir, out = tmp_path / "log", tmp_path / "eval"
+    assert run("train", "--model", "logistic:24", "--events", sim_dir / "events.jsonl",
+               "--schema", sim_dir / "schema.json", "--out", log_dir) == 0
+    assert run("evaluate", "--aft-model", aft_dir / "model.json",
+               "--logistic-model", log_dir / "model.json", "--events", sim_dir / "events.jsonl",
+               "--schema", sim_dir / "schema.json", "--horizons", 24, "--out", out) == 0
+    points = json.loads((out / "auc_report.json").read_text())["reference_points"]
+    assert points == {str(t): p for t, p in REFERENCE_AUC_POINTS.items()}
 
 
 def test_evaluate_missing_logistic_model_names_horizon(tmp_path, sim_dir, aft_dir, capsys):
@@ -759,6 +781,9 @@ _TYPED_ARGV = {
     ("decide", {"synth_p_click_seed": 3.7}, "synth_p_click_seed must be an integer, got 3.7"),
     ("decide", {"rule": 5}, "rule must be a string, got 5"),
     ("decide", {"kappa": None}, "kappa must be a number, got None"),
+    ("evaluate", {"horizons": []}, "horizons must be a non-empty list of numbers, got []"),
+    ("evaluate", {"horizons": "24"}, "horizons must be a non-empty list of numbers, got '24'"),
+    ("evaluate", {"horizons": 24}, "horizons must be a non-empty list of numbers, got 24"),
 ])
 def test_config_values_are_typed_by_one_rule(
     tmp_path, capsys, sim_dir, ingest_dir, aft_dir, score_dir, command, config, message

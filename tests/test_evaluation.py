@@ -9,7 +9,6 @@ from scipy.stats import rankdata
 from sendwhen.errors import ConfigError, DataError, SchemaError
 from sendwhen.evaluation import (
     DEFAULT_HORIZONS,
-    REFERENCE_AUC_POINTS,
     AucRow,
     _average_ranks,
     auc,
@@ -321,12 +320,6 @@ class TestAucVsHorizon:
         assert 0.0 <= float(cells[1]) <= 1.0
         assert cells[5] == "naive"
         assert report.to_text()  # renders without error
-
-    def test_reference_metadata_attached(self, corpus):
-        sim, schema, aft, logistics = corpus
-        report = auc_vs_horizon(aft, logistics, sim.events, schema, horizons=(4.0,))
-        assert report.reference_points is REFERENCE_AUC_POINTS
-        assert 24.0 in report.reference_points
 
     def test_missing_logistic_model_named(self, corpus):
         sim, schema, aft, logistics = corpus

@@ -1,6 +1,7 @@
-"""Start-up cost: each command loads only the package modules it runs; only train
-loads scipy, and only its L-BFGS-B extension; numpy.ma loads in none; and a
-command starts no BLAS worker thread unless its caller asks for them.
+"""Start-up cost: each command loads only the package modules it runs; none loads
+a scipy module, train taking scipy's L-BFGS-B extension as sendwhen._lbfgsb;
+numpy.ma loads in none; and a command starts no BLAS worker thread unless its
+caller asks for them.
 
 Each check runs in a fresh interpreter, because pytest and the other tests
 import scipy into this one.
@@ -89,9 +90,9 @@ def test_simulate_and_ingest_load_no_scipy(after_ingest):
     assert after_ingest == []
 
 
-def test_train_loads_only_the_lbfgsb_extension(after_train, after_train_logistic):
-    # not scipy itself, nor scipy.optimize, scipy.special or scipy.linalg
-    assert after_train == after_train_logistic == ["scipy.optimize._lbfgsb"]
+def test_train_loads_no_scipy_module(after_train, after_train_logistic):
+    # the L-BFGS-B extension is the package's own module (see LOADS)
+    assert after_train == after_train_logistic == []
 
 
 def test_evaluate_loads_no_scipy(run_dir, after_train, after_train_logistic):
@@ -157,10 +158,10 @@ LOADS = {  # command -> (its run, in order, and the modules it loads beyond BASE
                ' "--out", "m_ing")', []),
     "train aft": ('run("train", "--model", "aft", "--observations", "m_ing/observations.jsonl",'
                   ' "--schema", "m_ing/schema.json", "--out", "m_aft")',
-                  ["scoring", "survival", "training"]),
+                  ["_lbfgsb", "scoring", "survival", "training"]),
     "train logistic": ('run("train", "--model", "logistic:24", "--events", "m_sim/events.jsonl",'
                        ' "--schema", "m_sim/schema.json", "--out", "m_lg24")',
-                       ["evaluation", "survival", "training"]),
+                       ["_lbfgsb", "evaluation", "survival", "training"]),
     "evaluate": ('run("evaluate", "--aft-model", "m_aft/model.json", "--logistic-model",'
                  ' "m_lg24/model.json", "--events", "m_sim/events.jsonl", "--schema",'
                  ' "m_sim/schema.json", "--horizons", 24, "--out", "m_eval")',
@@ -184,26 +185,74 @@ def test_each_command_loads_only_the_package_modules_it_runs(package_modules, co
     assert package_modules[command] == want
 
 
-def test_scipy_optimize_imported_after_a_fit_reuses_its_extension(run_dir):
-    loaded = modules_after(
-        """
+SQUARE_FIT = """
 import numpy as np
 from sendwhen.optimize import OptConfig, minimize_smooth
 square = lambda w: (float(w @ w), 2.0 * w)
 ours = minimize_smooth(square, np.ones(2), OptConfig())
-import scipy.optimize
-from scipy.optimize import _lbfgsb_py, minimize
-assert _lbfgsb_py._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]
-assert scipy.optimize._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]
-from importlib.machinery import SourceFileLoader  # the package's own loader, not a wrapper
-assert isinstance(scipy.optimize.__loader__, SourceFileLoader), scipy.optimize.__loader__
+"""
+SQUARE_MINIMIZE = """
+from scipy.optimize import minimize
 theirs = minimize(square, np.ones(2), jac=True, method="L-BFGS-B",
                   options={"gtol": 1e-7, "ftol": 1e-15})
 assert np.array_equal(ours.x, theirs.x), (ours.x, theirs.x)
-""",
+"""
+
+
+def test_scipy_optimize_imported_after_a_fit_loads_its_own_extension(run_dir):
+    loaded = modules_after(
+        SQUARE_FIT + """
+import scipy.optimize
+from scipy.optimize import _lbfgsb_py
+assert _lbfgsb_py._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]
+assert scipy.optimize._lbfgsb is sys.modules["scipy.optimize._lbfgsb"]
+assert scipy.optimize._lbfgsb is not sys.modules["sendwhen._lbfgsb"]
+from importlib.machinery import SourceFileLoader  # the package's own loader, not a wrapper
+assert isinstance(scipy.optimize.__loader__, SourceFileLoader), scipy.optimize.__loader__
+""" + SQUARE_MINIMIZE,
         run_dir, package="scipy.optimize._lbfgsb",
     )
     assert loaded == ["scipy.optimize._lbfgsb"]
+
+
+def test_a_fit_after_scipy_optimize_leaves_its_extension_alone(run_dir):
+    loaded = modules_after(
+        """
+import scipy.optimize
+extension = scipy.optimize._lbfgsb
+""" + SQUARE_FIT + """
+assert scipy.optimize._lbfgsb is extension is sys.modules["scipy.optimize._lbfgsb"]
+assert sys.modules["sendwhen._lbfgsb"] is not extension
+""" + SQUARE_MINIMIZE,
+        run_dir, package="scipy.optimize._lbfgsb",
+    )
+    assert loaded == ["scipy.optimize._lbfgsb"]
+
+
+def test_a_fit_leaves_the_meta_path_as_it_was(run_dir):
+    loaded = modules_after(
+        "finders = list(sys.meta_path)\n" + SQUARE_FIT
+        + "assert sys.meta_path == finders, sys.meta_path\n",
+        run_dir, package="sendwhen._lbfgsb",
+    )
+    assert loaded == ["sendwhen._lbfgsb"]
+
+
+def test_a_second_setulb_loads_nothing(run_dir):
+    loaded = modules_after(
+        """
+from importlib.machinery import ExtensionFileLoader
+from sendwhen.optimize import _setulb
+setulb, modules = _setulb(), set(sys.modules)
+def refuse(*args):
+    raise AssertionError("loaded the extension again")
+ExtensionFileLoader.create_module = ExtensionFileLoader.exec_module = refuse
+assert _setulb() is setulb
+assert set(sys.modules) == modules
+""",
+        run_dir, package="sendwhen._lbfgsb",
+    )
+    assert loaded == ["sendwhen._lbfgsb"]
 
 
 # -- threads --------------------------------------------------------------------
