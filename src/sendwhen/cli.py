@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -84,6 +83,7 @@ from .errors import (
     NumericalError,
     SchemaError,
     SendwhenError,
+    check_positive,
 )
 from .io import (
     dump_json,
@@ -315,9 +315,7 @@ def _parse_model_kind(spec: str) -> tuple[str, float | None]:
             horizon = float(raw)
         except ValueError:
             raise ConfigError(f"bad horizon in model kind {spec!r}") from None
-        if not (math.isfinite(horizon) and horizon > 0):
-            raise ConfigError(f"model horizon must be finite and > 0, got {horizon}")
-        return "logistic", horizon
+        return "logistic", check_positive(horizon, "model horizon")
     raise ConfigError(f"unknown model kind {spec!r}; expected 'aft' or 'logistic:T'")
 
 
@@ -396,12 +394,12 @@ def _evaluate_settings(merged: Mapping) -> tuple[list[float], str, PipelineConfi
     raw = merged["horizons"]
     if type(raw) is not list or not raw:
         raise ValueError(f"horizons must be a non-empty list of numbers, got {raw!r}")
-    horizons = [json_number(t, "horizons") for t in raw]
+    horizons = [check_positive(json_number(t, "horizons"), "horizons") for t in raw]
     return horizons, labeler, _pipeline_config(merged)
 
 
 def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
-    from .evaluation import REFERENCE_AUC_POINTS, auc_vs_horizon
+    from .evaluation import REFERENCE_AUC_POINTS, auc_vs_horizon, match_horizons
     from .scoring import model_digest
     from .training import LogisticModel, WeibullAftModel
 
@@ -409,12 +407,16 @@ def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> 
     aft = read_model_json(args.aft_model)
     if not isinstance(aft, WeibullAftModel):
         raise SchemaError(f"{args.aft_model} does not hold a survival model")
-    logistic_models: dict[float, LogisticModel] = {}
+    logistic_models, path_of = {}, {}  # horizon -> model, and the file it came from
     for path in args.logistic_model:
         m = read_model_json(path)
         if not isinstance(m, LogisticModel):
             raise SchemaError(f"{path} does not hold a logistic model")
-        logistic_models[m.horizon_t_hours] = m
+        h = m.horizon_t_hours
+        if h in path_of:
+            raise ConfigError(f"{path_of[h]} and {path} both hold a logistic model for T={h}h")
+        logistic_models[h], path_of[h] = m, path
+    match_horizons(horizons, logistic_models)  # before the schema and the log are read
     schema = read_schema_json(args.schema)
     with _naming_lines(args.events):
         report = auc_vs_horizon(
@@ -448,10 +450,7 @@ _SCORE_DEFAULTS: dict = {
 
 
 def _score_settings(merged: Mapping) -> float:
-    horizon = json_number(merged["horizon_T"], "horizon_T")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ConfigError(f"horizon_T must be finite and > 0, got {horizon}")
-    return horizon
+    return check_positive(json_number(merged["horizon_T"], "horizon_T"), "horizon_T")
 
 
 def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:

@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes (see cli.py); library callers
-can catch the base class or the specific subtype.
+can catch the base class or the specific subtype.  check_positive is the
+one rule for a setting that must be a finite positive number.
 """
+
+import sys
 
 
 class SendwhenError(Exception):
@@ -43,3 +46,16 @@ def at_row(exc: SendwhenError, row: int) -> SendwhenError:
     """exc, marked as the fault of the given row of the columns checked."""
     exc.row = int(row)
     return exc
+
+
+def check_positive(value, name: str, error: type[SendwhenError] = ConfigError, *,
+                   or_zero: bool = False) -> float:
+    """float(value) for a finite int or float > 0 (>= 0 with or_zero), else error.
+
+    A bool, a string or None is refused, and the comparisons are written
+    so that a NaN fails them.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if (0 <= value if or_zero else 0 < value) and value <= sys.float_info.max:
+            return float(value)
+    raise error(f"{name} must be finite and {'>=' if or_zero else '>'} 0, got {value!r}")

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError, check_positive
 from .features import FeatureSchema
 from .optimize import OptConfig
 from .pipeline import (
@@ -42,16 +42,6 @@ REFERENCE_AUC_POINTS: Mapping[float, Mapping[str, float | None]] = {
 }
 
 
-def _check_horizon(horizon_t_hours: float) -> float:
-    if not (
-        isinstance(horizon_t_hours, (int, float))
-        and math.isfinite(horizon_t_hours)
-        and horizon_t_hours > 0
-    ):
-        raise ConfigError(f"horizon must be a positive number, got {horizon_t_hours!r}")
-    return float(horizon_t_hours)
-
-
 def label_naive(
     events: EventColumns,
     horizon_t_hours: float,
@@ -63,7 +53,7 @@ def label_naive(
     several earlier sends positive.  Output order matches
     build_send_instances (users sorted, sends in time order).
     """
-    horizon = _check_horizon(horizon_t_hours)
+    horizon = check_positive(horizon_t_hours, "horizon")
     return send_table(events, cfg).visited_within(horizon)
 
 
@@ -77,7 +67,7 @@ def label_censoring_clean(
     ambiguous (the outcome inside the window is unknown, the instance
     must be excluded rather than guessed).
     """
-    horizon = _check_horizon(horizon_t_hours)
+    horizon = check_positive(horizon_t_hours, "horizon")
     t, uncensored = observations.t_hours, observations.uncensored
     return uncensored & (t <= horizon), ~uncensored & (t < horizon)
 
@@ -132,7 +122,7 @@ def score_for_auc(
     The survival model turns into a probability via its own cdf at T; a
     logistic model is only valid at the horizon it was trained for.
     """
-    horizon = _check_horizon(horizon_t_hours)
+    horizon = check_positive(horizon_t_hours, "horizon")
     X = np.asarray(X, dtype=float)
     if isinstance(model, LogisticModel):
         if model.horizon_t_hours != horizon:
@@ -206,21 +196,41 @@ def fit_logistic_baselines(
     """One logistic model per horizon, trained on naive per-send labels.
 
     The events are walked once; every horizon labels the same sends.  Every
-    horizon is checked and labelled before the first fit, and the fits hold
-    only the matrix and the labels: the events and the send table are
-    dropped first.
+    horizon is checked before the walk and labelled before the first fit;
+    the fits hold only the matrix and the labels: the events and the send
+    table are dropped first.
     """
+    horizons = [check_positive(t, "horizon") for t in horizons]
     table = send_table(events, cfg)
     del events
     if len(table) == 0:
         raise DataError("no send instances to train on")
     X = table.matrix(schema)
-    labels = {h: table.visited_within(h) for h in map(_check_horizon, horizons)}
+    labels = {h: table.visited_within(h) for h in horizons}
     del table
     return {
         h: fit_logistic(X, y.astype(float), h, opt_cfg, schema=schema)
         for h, y in labels.items()
     }
+
+
+def match_horizons(
+    horizons: Sequence[float], logistic_models: Mapping[float, LogisticModel]
+) -> list[tuple[float, LogisticModel]]:
+    """Each horizon, checked, with the logistic model keyed at it and trained for it."""
+    matched = []
+    for t in horizons:
+        horizon = check_positive(t, "horizon")
+        if horizon not in logistic_models:
+            raise DataError(f"no logistic model provided for horizon T={horizon}h")
+        logistic = logistic_models[horizon]
+        if logistic.horizon_t_hours != horizon:
+            raise SchemaError(
+                f"logistic model keyed at T={horizon}h was trained for "
+                f"T={logistic.horizon_t_hours}h"
+            )
+        matched.append((horizon, logistic))
+    return matched
 
 
 def auc_vs_horizon(
@@ -235,14 +245,16 @@ def auc_vs_horizon(
     """Compare the one survival model against per-horizon logistics.
 
     A single-class horizon (degenerate test set) produces a flagged row
-    instead of failing the whole report.  Every horizon and its models are
-    checked, and its sends labelled, before the first AUC; the AUCs hold
-    only the matrix and the labels.
+    instead of failing the whole report.  Every horizon and its model are
+    checked (match_horizons) before the events are walked, and its sends
+    labelled before the first AUC; the AUCs hold only the matrix and the
+    labels.
     """
     if labeler not in LABELERS:
         raise ConfigError(f"unknown labeler {labeler!r}; expected one of {LABELERS}")
     if not isinstance(aft_model, WeibullAftModel):
         raise SchemaError("aft_model must be the survival model, not a baseline")
+    matched = match_horizons(horizons, logistic_models)
 
     table = send_table(events, cfg)
     del events
@@ -254,16 +266,7 @@ def auc_vs_horizon(
         X_all = observations.x
 
     labelled = []  # (horizon, logistic model, labels, ambiguous or None)
-    for t in horizons:
-        horizon = _check_horizon(t)
-        if horizon not in logistic_models:
-            raise DataError(f"no logistic model provided for horizon T={horizon}h")
-        logistic = logistic_models[horizon]
-        if logistic.horizon_t_hours != horizon:
-            raise SchemaError(
-                f"logistic model keyed at T={horizon}h was trained for "
-                f"T={logistic.horizon_t_hours}h"
-            )
+    for horizon, logistic in matched:
         if observations is None:
             labelled.append((horizon, logistic, table.visited_within(horizon), None))
         else:

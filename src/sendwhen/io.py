@@ -724,20 +724,6 @@ def write_decisions_jsonl(path: str | Path, user_ids: Sequence[str], result: Pol
 # -- models ---------------------------------------------------------------------
 
 
-def _json_safe_diagnostics(diag) -> dict:
-    out = {}
-    for k, v in dict(diag or {}).items():
-        if isinstance(v, bool):
-            out[str(k)] = v
-        elif isinstance(v, (int, np.integer)):
-            out[str(k)] = int(v)
-        elif isinstance(v, (float, np.floating)):
-            out[str(k)] = float(v)
-        elif isinstance(v, str):
-            out[str(k)] = v
-    return out
-
-
 def write_model_json(path: str | Path, model: WeibullAftModel | LogisticModel) -> None:
     from .training import LogisticModel, WeibullAftModel
 
@@ -745,7 +731,7 @@ def write_model_json(path: str | Path, model: WeibullAftModel | LogisticModel) -
         "format_version": MODEL_FORMAT_VERSION,
         "feature_names": list(model.feature_names),
         "schema": None if model.schema is None else model.schema.to_dict(),
-        "diagnostics": _json_safe_diagnostics(model.diagnostics),
+        "diagnostics": dict(model.diagnostics),
     }
     if isinstance(model, WeibullAftModel):
         rec["kind"] = "weibull_aft"

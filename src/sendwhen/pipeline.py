@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError, at_row
+from .errors import DataError, SchemaError, at_row, check_positive
 from .features import FeatureSchema
 
 __all__ = [
@@ -247,11 +247,7 @@ class PipelineConfig:
     window_end: float | None = None
 
     def __post_init__(self) -> None:
-        # written so that a NaN fails each check
-        if not (math.isfinite(self.duration_floor_hours) and self.duration_floor_hours > 0):
-            raise DataError(
-                f"duration_floor_hours must be finite and > 0, got {self.duration_floor_hours}"
-            )
+        check_positive(self.duration_floor_hours, "duration_floor_hours", DataError)
         for key in ("window_start", "window_end"):
             bound = getattr(self, key)
             if bound is not None and math.isnan(bound):

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, at_row
+from .errors import ConfigError, DataError, NumericalError, at_row, check_positive
 
 __all__ = [
     "Candidate",
@@ -131,10 +131,8 @@ class MooConfig:
     c_send: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c_click) and self.c_click >= 0):
-            raise ConfigError(f"c_click must be finite and >= 0, got {self.c_click}")
-        if not (math.isfinite(self.c_send) and self.c_send >= 0):
-            raise ConfigError(f"c_send must be finite and >= 0, got {self.c_send}")
+        check_positive(self.c_click, "c_click", or_zero=True)
+        check_positive(self.c_send, "c_send", or_zero=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SchemaError, at_row
+from .errors import DomainError, NumericalError, SchemaError, at_row, check_positive
 from .survival import aft_rate, send_vs_wait
 from .training import WeibullAftModel
 
@@ -78,7 +77,7 @@ def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T) -
         bad = ~(ok & np.isfinite(col))
         if bad.any():
             i = int(np.argmax(bad))
-            raise at_row(DomainError(f"{name} must be {bound} 0, got {float(col[i])}"), i)
+            raise at_row(DomainError(f"{name} must be finite and {bound} 0, got {col[i]}"), i)
 
     b, sigma, alpha = model.coefficients, model.sigma, model.alpha
     n = len(X0)
@@ -96,8 +95,7 @@ def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T) -
                              lo + i)
             raise at_row(DomainError(f"rate must be finite and > 0, got {float(part[i].min())}"),
                          lo + i)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"shape must be finite and > 0, got {alpha}")
+    check_positive(alpha, "shape", DomainError)
     terms = np.empty((n, 3))
     for lo in range(0, n, _CHUNK_ROWS):
         part = slice(lo, lo + _CHUNK_ROWS)

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_positive
 from .features import FeatureSchema
 from .io import json_int, json_number
 from .pipeline import EventColumns
@@ -29,11 +29,6 @@ __all__ = [
     "default_sim_schema",
     "generate_event_log",
 ]
-
-
-def _positive(v: float | None) -> bool:
-    """True for a finite number > 0."""
-    return v is not None and math.isfinite(v) and v > 0
 
 
 @dataclass(frozen=True)
@@ -55,23 +50,11 @@ class SendProcess:
 
     def __post_init__(self) -> None:
         if self.kind == "fixed":
-            if not _positive(self.interval_hours):
-                raise ConfigError(
-                    "fixed send process needs a finite interval_hours > 0, "
-                    f"got {self.interval_hours}"
-                )
-            if self.phase_hours is not None and not (
-                math.isfinite(self.phase_hours) and self.phase_hours >= 0
-            ):
-                raise ConfigError(
-                    f"phase_hours must be finite and >= 0, got {self.phase_hours}"
-                )
+            check_positive(self.interval_hours, "interval_hours")
+            if self.phase_hours is not None:
+                check_positive(self.phase_hours, "phase_hours", or_zero=True)
         elif self.kind == "poisson":
-            if not _positive(self.rate_per_hour):
-                raise ConfigError(
-                    "poisson send process needs a finite rate_per_hour > 0, "
-                    f"got {self.rate_per_hour}"
-                )
+            check_positive(self.rate_per_hour, "rate_per_hour")
             if self.phase_hours is not None:
                 raise ConfigError("phase_hours only applies to the fixed process")
         else:
@@ -117,10 +100,8 @@ class SimConfig:
             raise ConfigError("n_users must be >= 1")
         if self.n_profile_features < 0:
             raise ConfigError("n_profile_features must be >= 0")
-        if not _positive(self.true_sigma):
-            raise ConfigError(f"true_sigma must be > 0, got {self.true_sigma}")
-        if not _positive(self.window_hours):
-            raise ConfigError(f"window_hours must be finite and > 0, got {self.window_hours}")
+        check_positive(self.true_sigma, "true_sigma")
+        check_positive(self.window_hours, "window_hours")
         if not all(map(math.isfinite, self.true_coefficients)):
             raise ConfigError(
                 f"true_coefficients must be finite, got {list(self.true_coefficients)}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_positive
 
 __all__ = ["WeibullParams", "cum_hazard", "aft_rate", "send_vs_wait"]
 
@@ -30,10 +30,8 @@ class WeibullParams:
     shape: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise DomainError(f"rate must be finite and > 0, got {self.rate}")
-        if not (math.isfinite(self.shape) and self.shape > 0.0):
-            raise DomainError(f"shape must be finite and > 0, got {self.shape}")
+        check_positive(self.rate, "rate", DomainError)
+        check_positive(self.shape, "shape", DomainError)
 
 
 def cum_hazard(t, rate, shape):

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, NumericalError, SchemaError
+from .errors import DataError, NumericalError, SchemaError, check_positive
 from .features import FeatureSchema
 from .optimize import OptConfig, minimize_smooth
 from .pipeline import ObservationColumns
@@ -229,8 +229,7 @@ class LogisticModel:
     schema: FeatureSchema | None = None
 
     def __post_init__(self) -> None:
-        if not self.horizon_t_hours > 0:
-            raise DataError(f"horizon must be > 0, got {self.horizon_t_hours}")
+        check_positive(self.horizon_t_hours, "horizon", DataError)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return expit(np.asarray(X, dtype=float) @ self.weights)

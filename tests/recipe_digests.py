@@ -22,6 +22,15 @@ The recipe:
   * --print-config of all six commands.
 
 This file is not collected by pytest (its name does not start with test_).
+tests/test_recipe_digests.py runs the recipe and requires the lines in
+tests/recipe_digests.sha256, recorded under the environment() in
+tests/recipe_digests.env.json; it skips under another environment, since
+numpy's float64 kernels differ by CPU dispatch.  A change that moves
+digests records both again:
+
+    PYTHONPATH=src python3 tests/recipe_digests.py > tests/recipe_digests.sha256
+    PYTHONPATH=tests python3 -c 'import json, recipe_digests as r;
+    print(json.dumps(r.environment(), indent=2))' > tests/recipe_digests.env.json
 """
 
 from __future__ import annotations
@@ -30,10 +39,14 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import version
 from pathlib import Path
+
+import numpy as np
 
 COMMANDS = ("simulate", "ingest", "train", "evaluate", "score", "decide")
 HORIZONS = ("4", "24", "48")
@@ -105,6 +118,21 @@ def cycle(d: Path) -> None:
     _cli("simulate", "--n-users", 6000, "--seed", 1, "--window-hours", 24, "--out", s)
     _fit_and_score(s, d)
     _moo(d / "score" / "deltas.jsonl", 1200, 780, d / "decide")
+
+
+def environment() -> dict:
+    """What the digests depend on besides the code: the interpreter, numpy, scipy and the CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": version("scipy"),
+        "machine": platform.machine(),
+        "avx512": sorted(k for k, on in __cpu_features__.items() if on and k.startswith("AVX512")),
+    }
 
 
 def run(work: Path) -> list[str]:

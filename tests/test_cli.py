@@ -396,6 +396,43 @@ def test_evaluate_rejects_swapped_model_files(tmp_path, sim_dir, aft_dir):
     assert code == 3
 
 
+@pytest.fixture(scope="module")
+def logistic_24_dir(tmp_path_factory, sim_dir):
+    out = tmp_path_factory.mktemp("cli") / "logistic_24"
+    assert run("train", "--model", "logistic:24", "--events", sim_dir / "events.jsonl",
+               "--schema", sim_dir / "schema.json", "--out", out) == 0
+    return out
+
+
+def _evaluate_without_input(tmp_path, *argv):
+    """evaluate argv, with --events and --schema naming files that do not exist."""
+    return ["evaluate", *argv, "--events", tmp_path / "missing.jsonl",
+            "--schema", tmp_path / "missing.json", "--out", tmp_path / "o"]
+
+
+def test_evaluate_finds_a_missing_model_before_reading_the_log(tmp_path, capsys, aft_dir,
+                                                                logistic_24_dir):
+    argv = _evaluate_without_input(tmp_path, "--aft-model", aft_dir / "model.json",
+                                   "--logistic-model", logistic_24_dir / "model.json",
+                                   "--horizons", 5)
+    assert run(*argv) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: no logistic model provided for horizon T=5.0h")
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_refuses_two_models_for_one_horizon(tmp_path, capsys, aft_dir, logistic_24_dir):
+    first, second = logistic_24_dir / "model.json", tmp_path / "copy.json"
+    second.write_bytes(first.read_bytes())
+    argv = _evaluate_without_input(tmp_path, "--aft-model", aft_dir / "model.json",
+                                   "--logistic-model", first, "--logistic-model", second,
+                                   "--horizons", 24)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {first} and {second} both hold a logistic model for T=24.0h")
+    assert not (tmp_path / "o").exists()
+
+
 # -- score ------------------------------------------------------------------------
 
 
@@ -695,6 +732,15 @@ REFUSALS = [
       "--out", "{t}/o"), 2, "model horizon must be finite and > 0, got inf"),
     (("train", "--model", "logistic:nan", "--events", "e.jsonl", "--schema", "s.json",
       "--out", "{t}/o"), 2, "model horizon must be finite and > 0, got nan"),
+    # a bad horizon is refused before the (missing) models and log are opened
+    (_EVAL + ("--logistic-model", "l.json", "--horizons", "-1", "--out", "{t}/o"), 2,
+     "horizons must be finite and > 0, got -1.0"),
+    (_EVAL + ("--logistic-model", "l.json", "--horizons", "24", "0", "--out", "{t}/o"), 2,
+     "horizons must be finite and > 0, got 0.0"),
+    (_EVAL + ("--logistic-model", "l.json", "--horizons", "inf", "--out", "{t}/o"), 2,
+     "horizons must be finite and > 0, got inf"),
+    (_EVAL + ("--logistic-model", "l.json", "--config", "{t}/nan.json", "--out", "{t}/o"), 2,
+     "horizons must be finite and > 0, got nan"),
 ]
 
 
@@ -702,11 +748,13 @@ REFUSALS = [
 def test_refusal_message_and_exit_code(tmp_path, capsys, argv, code, message):
     (tmp_path / "rule.json").write_text('{"rule": "x"}')
     (tmp_path / "labeler.json").write_text('{"labeler": "x"}')
+    (tmp_path / "nan.json").write_text('{"horizons": [24, NaN]}')
     (tmp_path / "scores.jsonl").write_text('{"user_id": "u", "delta": 0.1, "p_wait": 0.5}\n')
     (tmp_path / "full").mkdir()
     (tmp_path / "full" / "manifest.json").write_text("{}")
     assert run(*(a.format(t=tmp_path) for a in argv)) == code
     assert capsys.readouterr().err.splitlines()[-1] == "error: " + message.format(t=tmp_path)
+    assert not (tmp_path / "o").exists()
 
 
 PRINT_CONFIG_KEYS = {
@@ -962,7 +1010,7 @@ CONTEXT = {"user_id": "a", "features": {"profile_0": 0.1, "profile_1": -0.2},
     ("badge_count", True, "malformed context: badge_count must be an integer, got True"),
     ("badge_count", math.inf, "malformed context: badge_count must be an integer, got inf"),
     ("badge_count", "2", "malformed context: badge_count must be an integer, got '2'"),
-    ("w0_hours", -1, "w0_hours must be >= 0, got -1.0"),
+    ("w0_hours", -1, "w0_hours must be finite and >= 0, got -1.0"),
     ("w0_hours", True, "malformed context: w0_hours must be a number, got True"),
     ("features", {"profile_0": True, "profile_1": 0.0},
      "malformed context: profile_0 must be a number, got True"),

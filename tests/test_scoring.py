@@ -207,10 +207,14 @@ class TestScoreDeltaEffect:
              SchemaError, "non-finite value in slot 'p'", 2),
             (np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]]), [0.0] * 3, 1.0,
              SchemaError, "intercept slot 'intercept' must be 1.0, got 2.0", 1),
-            (X0, [0.0, -1.0, math.nan], 1.0, DomainError, "w0_hours must be >= 0, got -1.0", 1),
-            (X0, [0.0, 0.0, math.nan], 1.0, DomainError, "w0_hours must be >= 0, got nan", 2),
-            (X0, [0.0] * 3, [1.0, 0.0, 1.0], DomainError, "horizon_T must be > 0, got 0.0", 1),
-            (X0, [0.0] * 3, math.inf, DomainError, "horizon_T must be > 0, got inf", 0),
+            (X0, [0.0, -1.0, math.nan], 1.0, DomainError,
+             "w0_hours must be finite and >= 0, got -1.0", 1),
+            (X0, [0.0, 0.0, math.nan], 1.0, DomainError,
+             "w0_hours must be finite and >= 0, got nan", 2),
+            (X0, [0.0] * 3, [1.0, 0.0, 1.0], DomainError,
+             "horizon_T must be finite and > 0, got 0.0", 1),
+            (X0, [0.0] * 3, math.inf, DomainError,
+             "horizon_T must be finite and > 0, got inf", 0),
         ]
         for X, w0, horizon, error, message, row in cases:
             with pytest.raises(error) as info:

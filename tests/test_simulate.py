@@ -384,9 +384,9 @@ REFUSED_CONFIGS = {
     "nan-window": (["--window-hours", "nan"], None,
                    "window_hours must be finite and > 0, got nan"),
     "infinite-rate": ([], {"send_process": {"kind": "poisson", "rate_per_hour": math.inf}},
-                      "poisson send process needs a finite rate_per_hour > 0, got inf"),
+                      "rate_per_hour must be finite and > 0, got inf"),
     "infinite-interval": ([], {"send_process": {"kind": "fixed", "interval_hours": math.inf}},
-                          "fixed send process needs a finite interval_hours > 0, got inf"),
+                          "interval_hours must be finite and > 0, got inf"),
     "nan-coefficient": ([], {"true_coefficients": [3.2, math.nan, -0.3, -0.2, 0.05]},
                         "true_coefficients must be finite, got [3.2, nan, -0.3, -0.2, 0.05]"),
     "fractional-users": ([], {"n_users": 2.5},
@@ -401,6 +401,10 @@ REFUSED_CONFIGS = {
     "bool-interval": ([], {"send_process": {"kind": "fixed", "interval_hours": True}},
                       "malformed send_process {'kind': 'fixed', 'interval_hours': True}: "
                       "interval_hours must be a number, got True"),
+    "zero-sigma": ([], {"true_sigma": 0}, "true_sigma must be finite and > 0, got 0.0"),
+    "negative-phase": ([], {"send_process": {"kind": "fixed", "interval_hours": 4,
+                                             "phase_hours": -1}},
+                       "phase_hours must be finite and >= 0, got -1.0"),
     "string-interaction": ([], {"include_interaction": "no"},
                            "malformed simulator config: include_interaction must be true or "
                            "false, got 'no'"),

@@ -338,6 +338,12 @@ class TestFitLogistic:
         with pytest.raises(DataError, match="horizon"):
             fit_logistic(X, np.array([0.0, 1.0, 0.0, 1.0]), 0.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_a_model_refuses_a_horizon_that_is_not_finite_and_positive(self, horizon):
+        with pytest.raises(DataError) as info:
+            LogisticModel(("x0",), np.zeros(1), horizon)
+        assert str(info.value) == f"horizon must be finite and > 0, got {horizon!r}"
+
 
 class TestOneFitDriver:
     """Both fits equal their separate copies in oracle_fit, bit for bit."""
@@ -387,6 +393,11 @@ class TestPersistence:
         logit = fit_logistic(X, y, 12.0, schema=schema)
         return aft, logit
 
+    @staticmethod
+    def typed(diagnostics):
+        """The diagnostics with each value's type, so that True and 1 differ."""
+        return sorted((k, type(v).__name__, v) for k, v in diagnostics.items())
+
     def round_trip(self, tmp_path, model, edit=None):
         path = tmp_path / "model.json"
         write_model_json(path, model)
@@ -403,6 +414,8 @@ class TestPersistence:
         assert np.array_equal(back.coefficients, aft.coefficients)
         assert back.log_sigma == aft.log_sigma
         assert back.schema == aft.schema
+        assert len(aft.diagnostics) == 8
+        assert self.typed(back.diagnostics) == self.typed(aft.diagnostics)
 
     def test_logistic_round_trip(self, tmp_path):
         _, logit = self.fit_pair()
@@ -412,6 +425,8 @@ class TestPersistence:
         assert np.array_equal(back.weights, logit.weights)
         assert back.horizon_t_hours == logit.horizon_t_hours
         assert back.schema == logit.schema
+        assert len(logit.diagnostics) == 8
+        assert self.typed(back.diagnostics) == self.typed(logit.diagnostics)
 
     def test_version_check(self, tmp_path):
         aft, _ = self.fit_pair()
