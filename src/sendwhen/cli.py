@@ -14,8 +14,11 @@ cmd_<name>) run by one function, _run, which in order:
     None also takes null; a wrongly typed value is a config error;
   * calls the body.
 
-A command imports the modules it runs in its settings or body, so that
-start-up loads none of the others (decide, say, loads no trainer).
+A command imports the modules it runs in its defaults, settings or body, so
+that start-up loads none of the others (decide loads only cli, errors, io
+and policies; score no pipeline and no optimize).  entry_point, the console
+script and python -m, freezes the garbage collector once main returns, so
+the process ends without the full collections that gc.disable() leaves on.
 
 Every command runs on one thread.  Its only BLAS work is matrix-vector
 products on designs of a few schema slots, so numpy's OpenBLAS (loaded by
@@ -38,6 +41,7 @@ SOURCE_DATE_EPOCH so archived runs can be compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -107,15 +111,15 @@ from .io import (
     write_observations_jsonl,
     write_schema_json,
 )
-from .optimize import OptConfig
-from .pipeline import DEFAULT_HORIZONS, LABELERS, PipelineConfig, send_table
 
 if TYPE_CHECKING:
+    from .optimize import OptConfig
+    from .pipeline import PipelineConfig
     from .policies import CandidateColumns
     from .simulate import SimConfig
     from .training import LogisticModel, WeibullAftModel
 
-__all__ = ["main"]
+__all__ = ["main", "entry_point"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -197,6 +201,8 @@ def _or_null(typed: Callable[[object, str], object], merged: Mapping, key: str):
 
 
 def _pipeline_config(merged: Mapping) -> PipelineConfig:
+    from .pipeline import PipelineConfig
+
     try:
         return PipelineConfig(
             duration_floor_hours=json_number(merged["duration_floor_hours"],
@@ -263,10 +269,16 @@ def cmd_simulate(args: argparse.Namespace, merged: Mapping, sim_cfg: SimConfig) 
 
 # -- ingest -----------------------------------------------------------------------
 
-_INGEST_DEFAULTS: dict = asdict(PipelineConfig())
+
+def _pipeline_defaults() -> dict:
+    from .pipeline import PipelineConfig
+
+    return asdict(PipelineConfig())
 
 
 def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConfig) -> int:
+    from .pipeline import send_table
+
     schema = read_schema_json(args.schema)
     events = read_events(args.events)
     n_events = len(events)
@@ -303,7 +315,11 @@ def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConf
 
 # -- train ------------------------------------------------------------------------
 
-_TRAIN_DEFAULTS: dict = {"model": "aft", **asdict(OptConfig()), **asdict(PipelineConfig())}
+
+def _train_defaults() -> dict:
+    from .optimize import OptConfig
+
+    return {"model": "aft", **asdict(OptConfig()), **_pipeline_defaults()}
 
 
 def _parse_model_kind(spec: str) -> tuple[str, float | None]:
@@ -320,6 +336,8 @@ def _parse_model_kind(spec: str) -> tuple[str, float | None]:
 
 
 def _train_settings(merged: Mapping) -> tuple[str, float | None, OptConfig, PipelineConfig]:
+    from .optimize import OptConfig
+
     kind, horizon = _parse_model_kind(json_str(merged["model"], "model"))
     opt_cfg = OptConfig(
         tol=json_number(merged["tol"], "tol"),
@@ -382,12 +400,16 @@ def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int
 
 # -- evaluate ---------------------------------------------------------------------
 
-_EVALUATE_DEFAULTS: dict = {
-    "horizons": list(DEFAULT_HORIZONS), "labeler": "naive", **asdict(PipelineConfig()),
-}
+
+def _evaluate_defaults() -> dict:
+    from .pipeline import DEFAULT_HORIZONS
+
+    return {"horizons": list(DEFAULT_HORIZONS), "labeler": "naive", **_pipeline_defaults()}
 
 
 def _evaluate_settings(merged: Mapping) -> tuple[list[float], str, PipelineConfig]:
+    from .pipeline import LABELERS
+
     labeler = json_str(merged["labeler"], "labeler")
     if labeler not in LABELERS:
         raise ConfigError(f"unknown labeler {labeler!r}; expected one of {sorted(LABELERS)}")
@@ -466,7 +488,7 @@ def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:
     user_ids, features, badges, w0 = read_contexts(args.contexts, model.schema)
     with _naming_lines(args.contexts):
         X0 = model.schema.materialize_columns(features, badges, np.zeros(len(user_ids)))
-        scores = score_columns(model, X0, w0, horizon)
+        scores = score_columns(model, X0, w0, horizon, model_name=f"the model in {args.model}")
 
     out = _prepare_out(args.out, ("deltas.jsonl",), args.force)
     version = model_digest(model)
@@ -590,30 +612,30 @@ class _Command:
     """What _run needs to know of one subcommand."""
 
     body: Callable[[argparse.Namespace, Mapping, object], int]
-    defaults: Mapping
+    defaults: Callable[[], dict]  # a new dict, made only for the command that runs
     settings: Callable[[Mapping], object]
     needs: tuple[str, ...] = ()  # input flags in check order, as refusals name them
 
 
 _COMMANDS = {
-    "simulate": _Command(cmd_simulate, _SIMULATE_DEFAULTS, _simulate_settings),
-    "ingest": _Command(cmd_ingest, _INGEST_DEFAULTS, _pipeline_config, ("--events", "--schema")),
-    "train": _Command(cmd_train, _TRAIN_DEFAULTS, _train_settings),
+    "simulate": _Command(cmd_simulate, _SIMULATE_DEFAULTS.copy, _simulate_settings),
+    "ingest": _Command(cmd_ingest, _pipeline_defaults, _pipeline_config, ("--events", "--schema")),
+    "train": _Command(cmd_train, _train_defaults, _train_settings),
     "evaluate": _Command(
-        cmd_evaluate, _EVALUATE_DEFAULTS, _evaluate_settings,
+        cmd_evaluate, _evaluate_defaults, _evaluate_settings,
         ("--aft-model", "--events", "--schema", "--logistic-model FILE"),
     ),
-    "score": _Command(cmd_score, _SCORE_DEFAULTS, _score_settings, ("--model", "--contexts")),
-    "decide": _Command(cmd_decide, _DECIDE_DEFAULTS, _decide_settings, ("--scores FILE",)),
+    "score": _Command(cmd_score, _SCORE_DEFAULTS.copy, _score_settings, ("--model", "--contexts")),
+    "decide": _Command(cmd_decide, _DECIDE_DEFAULTS.copy, _decide_settings, ("--scores FILE",)),
 }
 
 
 def _run(args: argparse.Namespace) -> int:
     name, spec = args.command, _COMMANDS[args.command]
-    merged = dict(spec.defaults)
+    merged = spec.defaults()
     if args.config is not None:
-        merged.update(load_json_config(args.config, allowed_keys=list(spec.defaults)))
-    for key in spec.defaults:
+        merged.update(load_json_config(args.config, allowed_keys=list(merged)))
+    for key in merged:
         if getattr(args, key, None) is not None:
             merged[key] = getattr(args, key)
     if args.print_config:
@@ -697,7 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", help="test event log")
     p.add_argument("--schema", help="feature schema JSON")
     p.add_argument("--horizons", type=float, nargs="+")
-    p.add_argument("--labeler", choices=tuple(sorted(LABELERS)))
+    # pipeline.LABELERS, sorted: the parser is built for every command, and
+    # importing pipeline here would load it for the ones that do not run it
+    p.add_argument("--labeler", choices=("censoring_clean", "naive"))
 
     p = sub.add_parser("score", help="per-user delta effect of sending now versus waiting")
     _add_common(p)
@@ -733,5 +757,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NUMERIC if isinstance(exc, NumericalError) else EXIT_DATA
 
 
+def entry_point() -> int:
+    """main() for a process that ends when it returns: the console script and
+    python -m sendwhen.cli.
+
+    Afterwards it freezes the garbage collector, so the interpreter's
+    shutdown does not run full collections over every object that numpy and
+    the package made; gc.disable() does not stop those.  A caller that runs
+    main(argv) in its own process keeps its collector as it was.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

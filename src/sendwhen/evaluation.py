@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError, check_positive
 from .features import FeatureSchema
-from .optimize import OptConfig
 from .pipeline import (
     DEFAULT_HORIZONS,
     LABELERS,
@@ -31,6 +30,9 @@ from .pipeline import (
 )
 from .survival import cum_hazard
 from .training import LogisticModel, WeibullAftModel, fit_logistic
+
+if TYPE_CHECKING:
+    from .optimize import OptConfig
 
 # External reference operating points carried as report metadata for
 # context.  They come from a proprietary corpus and are not reproducible
@@ -191,7 +193,7 @@ def fit_logistic_baselines(
     schema: FeatureSchema,
     horizons: Sequence[float] = DEFAULT_HORIZONS,
     cfg: PipelineConfig = PipelineConfig(),
-    opt_cfg: OptConfig = OptConfig(),
+    opt_cfg: OptConfig | None = None,
 ) -> dict[float, LogisticModel]:
     """One logistic model per horizon, trained on naive per-send labels.
 

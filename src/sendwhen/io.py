@@ -26,6 +26,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from array import array
 from contextlib import contextmanager
 from itertools import chain, islice
@@ -38,10 +39,10 @@ from typing import (
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
-from .features import FeatureSchema
-from .pipeline import SEND, Event, EventColumnAppender, EventColumns, ObservationColumns
 
 if TYPE_CHECKING:
+    from .features import FeatureSchema
+    from .pipeline import EventColumns, ObservationColumns
     from .policies import PolicyResult
     from .training import LogisticModel, WeibullAftModel
 
@@ -116,12 +117,24 @@ def _open_input(path: str | Path, what: str = "input"):
             raise DataError(f"cannot read {what} file {path}: not UTF-8 ({exc.reason})") from None
 
 
+def _invalid_json(where: str, exc: ValueError) -> DataError:
+    """The DataError for a document that json refused with exc.
+
+    Besides a JSONDecodeError, json raises a plain ValueError for an integer
+    of more digits than int() converts (sys.get_int_max_str_digits()).
+    """
+    if not isinstance(exc, json.JSONDecodeError):
+        exc = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+    return DataError(f"{where}: invalid JSON: {exc}")
+
+
 def _read_json(path: str | Path, what: str = "input"):
+    with _open_input(path, what) as f:
+        text = f.read()
     try:
-        with _open_input(path, what) as f:
-            return json.load(f)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+        return json.loads(text)
+    except ValueError as exc:
+        raise _invalid_json(str(path), exc) from exc
 
 
 def _parse_line(line: str):
@@ -149,8 +162,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 rec = _parse_line(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except ValueError as exc:
+                raise _invalid_json(f"{path}:{lineno}", exc) from exc
             if not isinstance(rec, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, rec
@@ -189,10 +202,17 @@ def json_str(v, name: str) -> str:
 
 
 def json_number(v, name: str) -> float:
-    """A JSON number field as a float: an int or a float, never a bool or a string."""
+    """A JSON number field as a float: an int or a float, never a bool or a string.
+
+    An integer beyond the float range is a ValueError naming the field.
+    """
     if type(v) not in _NUMBER_TYPES:
         raise TypeError(f"{name} must be a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number within the float range, "
+                         f"got an integer of {v.bit_length()} bits") from None
 
 
 def _raise_first_bad_event(
@@ -209,6 +229,8 @@ def _raise_first_bad_event(
     int and float for CSV text.  A chunk with no bad record raises
     AssertionError, so that it is never dropped silently.
     """
+    from .pipeline import Event
+
     for lineno, rec in records:
         try:
             badge = rec.get("badge_count")
@@ -326,6 +348,8 @@ def _csv_record(layout: _CsvLayout, row: list[str]) -> dict:
     Every extra column is a feature, read on sends only.  A short row reads
     None in its missing cells.
     """
+    from .pipeline import SEND
+
     row = row + [None] * (layout.width - len(row))
     features = {}
     if row[layout.kind] == SEND:
@@ -349,6 +373,8 @@ def _csv_chunk(layout: _CsvLayout, rows: Sequence[list[str]]) -> tuple | None:
     them.  None when a cell does not convert, and when a row lacks the
     user_id, ts_hours or kind cell, which the row step names.
     """
+    from .pipeline import SEND
+
     shortest = min(map(len, rows))
     if shortest < layout.width:
         if shortest <= max(layout.user_id, layout.ts_hours, layout.kind):
@@ -380,6 +406,8 @@ def read_events(path: str | Path) -> EventColumns:
     step, the only step that appends.  A chunk that step refuses is
     converted row by row, only to raise the error for its first bad line.
     """
+    from .pipeline import EventColumnAppender
+
     where, columns = str(path), EventColumnAppender()
     if where.lower().endswith(".csv"):
         with _open_input(path) as f:
@@ -570,6 +598,8 @@ def read_observations_jsonl(
     one step, the only step that appends.  A chunk that step refuses is
     converted line by line, only to raise the error for its first bad line.
     """
+    from .pipeline import ObservationColumns
+
     codes: dict[str, int] = {}  # user id -> code in order of first sight
     user, x_values, t_hours, origin = array("q"), array("d"), array("d"), array("d")
     uncensored = bytearray()
@@ -747,6 +777,7 @@ def write_model_json(path: str | Path, model: WeibullAftModel | LogisticModel) -
 
 
 def read_model_json(path: str | Path) -> WeibullAftModel | LogisticModel:
+    from .features import FeatureSchema
     from .training import LogisticModel, WeibullAftModel
 
     rec = _read_json(path, "model")
@@ -796,6 +827,8 @@ def write_schema_json(path: str | Path, schema: FeatureSchema) -> None:
 
 
 def read_schema_json(path: str | Path) -> FeatureSchema:
+    from .features import FeatureSchema
+
     return FeatureSchema.from_dict(_read_json(path))
 
 

@@ -51,18 +51,20 @@ def model_digest(model: WeibullAftModel) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T) -> dict:
+def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T, *,
+                  model_name: str = "the model") -> dict:
     """Visit-probability gain of sending now versus waiting, one row per user.
 
     X0 holds the users' feature vectors, w0_hours their hours in the
     current state and horizon_T one horizon or a column of them.  Returns
     the columns delta, p_send, p_wait, lambda0 and lambda1 (the pre- and
     post-send rates), and alpha.  Inputs, then rates, are checked as
-    columns; a rate or hazard that overflows is a NumericalError, and an
-    error's row is the first bad row.  The arithmetic runs per row on
-    Python floats, so a row's bits do not depend on the others; rows are
-    converted to floats a chunk at a time, the scores only once every rate
-    is checked.
+    columns; a rate or hazard that overflows is a NumericalError, a rate
+    exp(-mu/sigma) that underflows to 0 (a tiny sigma) a DomainError naming
+    model_name, and an error's row is the first bad row.  The arithmetic
+    runs per row on Python floats, so a row's bits do not depend on the
+    others; rows are converted to floats a chunk at a time, the scores only
+    once every rate is checked.
     """
     schema = model.schema
     if schema is None:
@@ -93,8 +95,9 @@ def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T) -
             if not np.isfinite(part[i]).all():
                 raise at_row(NumericalError(f"non-finite rate from linear predictors {mu[i]}"),
                              lo + i)
-            raise at_row(DomainError(f"rate must be finite and > 0, got {float(part[i].min())}"),
-                         lo + i)
+            m = mu[i][int(part[i, 0] > 0.0)]  # exp(-m/sigma) is 0.0
+            raise at_row(DomainError(f"mu/sigma = {m / sigma!r} is outside the float range of "
+                                     f"the rate exp(-mu/sigma) for {model_name}"), lo + i)
     check_positive(alpha, "shape", DomainError)
     terms = np.empty((n, 3))
     for lo in range(0, n, _CHUNK_ROWS):

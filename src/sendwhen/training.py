@@ -12,14 +12,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .errors import DataError, NumericalError, SchemaError, check_positive
 from .features import FeatureSchema
-from .optimize import OptConfig, minimize_smooth
-from .pipeline import ObservationColumns
+
+if TYPE_CHECKING:
+    from .optimize import OptConfig
+    from .pipeline import ObservationColumns
 
 __all__ = [
     "DesignMatrix",
@@ -239,7 +241,7 @@ class LogisticModel:
 
 
 def _penalized_fit(negloglik_and_gradient, X: np.ndarray, icpt: int | None,
-                   theta0: np.ndarray, opt_cfg: OptConfig, n_positive: int):
+                   theta0: np.ndarray, opt_cfg: OptConfig | None, n_positive: int):
     """Penalized maximum likelihood, the one fit that fit_aft and fit_logistic run.
 
     negloglik_and_gradient(theta, X_std) is the data term on the
@@ -248,7 +250,12 @@ def _penalized_fit(negloglik_and_gradient, X: np.ndarray, icpt: int | None,
     non-intercept coefficients.  Returns the optimum theta, its
     coefficients folded back to raw feature space, and the diagnostics,
     whose negloglik is the data term at the optimum, without the ridge.
+    opt_cfg None is OptConfig().
     """
+    from .optimize import OptConfig, minimize_smooth
+
+    if opt_cfg is None:
+        opt_cfg = OptConfig()
     n, k = X.shape
     X_std, means, scales = _standardize(X, icpt)
     mask = np.ones(k)
@@ -283,7 +290,7 @@ def _penalized_fit(negloglik_and_gradient, X: np.ndarray, icpt: int | None,
 
 def fit_aft(
     data: DesignMatrix | ObservationColumns,
-    opt_cfg: OptConfig = OptConfig(),
+    opt_cfg: OptConfig | None = None,
     *,
     schema: FeatureSchema | None = None,
 ) -> WeibullAftModel:
@@ -327,7 +334,7 @@ def fit_logistic(
     X: np.ndarray,
     y: np.ndarray,
     horizon_t_hours: float,
-    opt_cfg: OptConfig = OptConfig(),
+    opt_cfg: OptConfig | None = None,
     *,
     schema: FeatureSchema | None = None,
 ) -> LogisticModel:

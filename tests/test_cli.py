@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sendwhen
-from sendwhen.cli import main
+from sendwhen.cli import build_parser, main
 from sendwhen.evaluation import REFERENCE_AUC_POINTS
 from sendwhen.io import (
     file_sha256,
@@ -20,6 +20,7 @@ from sendwhen.io import (
     read_observations_jsonl,
     read_schema_json,
 )
+from sendwhen.pipeline import LABELERS
 from sendwhen.training import WeibullAftModel
 
 from oracle_lp import lp_oracle
@@ -476,7 +477,7 @@ def test_score_zero_coefficients_zero_delta_at_w0_zero(tmp_path, sim_dir, aft_di
 
 @pytest.mark.parametrize("context,model,code,message", [
     ({"features": {"profile_0": 1e4, "profile_1": 1e4}}, {"coefficients": 0.5}, 3,
-     "rate must be finite and > 0, got 0.0"),
+     "mu/sigma = "),
     ({"features": {"profile_0": -1e4, "profile_1": -1e4}}, {"coefficients": 0.5}, 4,
      "non-finite rate from linear predictors ("),
     ({"w0_hours": 1e300}, {"log_sigma": -0.5}, 4, "hazard overflows at w0_hours 1e+300"),
@@ -495,6 +496,22 @@ def test_score_extremes_name_their_line(tmp_path, capsys, aft_dir, context, mode
     assert run("score", "--model", model_path, "--contexts", contexts, "--out", out) == code
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith(f"error: {contexts}:3: {message}")
+    assert not out.exists()
+
+
+def test_score_refuses_a_tiny_sigma_naming_the_line_and_the_model(tmp_path, capsys, aft_dir):
+    model_rec = json.loads((aft_dir / "model.json").read_text())
+    model_rec["coefficients"] = [3.0] + [0.0] * (len(model_rec["coefficients"]) - 1)  # mu = 3
+    model_rec["log_sigma"] = -6.0  # exp(-3/sigma) is below the smallest float
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_rec))
+    contexts = tmp_path / "c.jsonl"
+    contexts.write_text("\n" + json.dumps(CONTEXT) + "\n")
+    out = tmp_path / "o"
+    assert run("score", "--model", model_path, "--contexts", contexts, "--out", out) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {contexts}:2: mu/sigma = {3.0 / math.exp(-6.0)!r} is outside the float range "
+        f"of the rate exp(-mu/sigma) for the model in {model_path}"]
     assert not out.exists()
 
 
@@ -845,6 +862,46 @@ def test_config_values_are_typed_by_one_rule(
     assert not (tmp_path / "o").exists()
 
 
+# a number key of each command, and the start of its refusal
+_FLOAT_KEYS = [("ingest", "window_start", "invalid ingest config: "),
+               ("train", "tol", "invalid train config: "),
+               ("evaluate", "horizons", "invalid evaluate config: "),
+               ("score", "horizon_T", "invalid score config: "),
+               ("decide", "c_send", "invalid decide config: "),
+               ("simulate", "window_hours", "malformed simulator config: ")]
+
+
+@pytest.mark.parametrize("digits", [401, 4301])
+@pytest.mark.parametrize("command,key,refusal", _FLOAT_KEYS)
+def test_an_integer_beyond_the_float_range_is_a_config_refusal(
+    tmp_path, capsys, sim_dir, ingest_dir, aft_dir, score_dir, command, key, refusal, digits
+):
+    # json reads no integer of more than 4,300 digits, so that file is refused whole
+    literal = "1" + "0" * (digits - 1)
+    cfg = tmp_path / "cfg.json"
+    value = f"[{literal}]" if key == "horizons" else literal
+    cfg.write_text(f'{{"{key}": {value}}}')
+    dirs = {"sim": sim_dir, "ing": ingest_dir, "aft": aft_dir, "score": score_dir}
+    argv = [a.format(**dirs) for a in _TYPED_ARGV.get(command, (command,))]
+    assert run(*argv, "--config", cfg, "--out", tmp_path / "o") == 2
+    if digits == 401:
+        message = (f"{refusal}{key} must be a number within the float range, "
+                   "got an integer of 1329 bits")
+    else:
+        message = f"{cfg}: invalid JSON: an integer of more than 4300 digits"
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_labeler_flag_offers_the_pipeline_labelers(capsys):
+    for name in LABELERS:
+        assert build_parser().parse_args(["evaluate", "--labeler", name]).labeler == name
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["evaluate", "--labeler", "x"])
+    choices = ", ".join(map(repr, sorted(LABELERS)))
+    assert f"invalid choice: 'x' (choose from {choices})" in capsys.readouterr().err
+
+
 def test_null_config_values_keep_their_defaults(tmp_path, sim_dir, score_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"window_start": None, "window_end": None}))
@@ -980,7 +1037,8 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, sim_dir, kin
     ({"user_id": "b", "delta": 0.1, "p_wait": 1.5}, "p_wait must be in [0, 1], got 1.5"),
     ({"user_id": "", "delta": 0.1, "p_wait": 0.5}, "candidate needs a user_id"),
     ({"user_id": "b", "delta": 10**400, "p_wait": 0.5},
-     "malformed score row: int too large to convert to float"),
+     "malformed score row: delta must be a number within the float range, "
+     "got an integer of 1329 bits"),
     ({"user_id": "b", "delta": True, "p_wait": 0.5},
      "malformed score row: delta must be a number, got True"),
     ({"user_id": "b", "delta": 0.1, "p_wait": "0.5"},

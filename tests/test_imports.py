@@ -1,21 +1,26 @@
-"""Start-up cost: each command loads only the package modules it runs; none loads
-a scipy module, train taking scipy's L-BFGS-B extension as sendwhen._lbfgsb;
-numpy.ma loads in none; and a command starts no BLAS worker thread unless its
-caller asks for them.
+"""Start-up and exit cost: each command loads only the package modules it runs;
+none loads a scipy module, train taking scipy's L-BFGS-B extension as
+sendwhen._lbfgsb; numpy.ma loads in none; a command starts no BLAS worker
+thread unless its caller asks for them; and a process that runs a command
+freezes the garbage collector before it exits, while main(argv) called in a
+caller's process leaves it as it was.
 
-Each check runs in a fresh interpreter, because pytest and the other tests
-import scipy into this one.
+Each check but the last runs in a fresh interpreter, because pytest and the
+other tests import scipy into this one.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 import sendwhen
+from sendwhen.cli import main
 
 SRC = str(Path(sendwhen.__file__).resolve().parent.parent)
 
@@ -148,26 +153,28 @@ run("train", "--model", "logistic:24", "--events", "sim/events.jsonl",
     assert loaded == []
 
 
-# what every command loads: the CLI and what its settings and defaults need
-BASE = ["cli", "errors", "features", "io", "optimize", "pipeline"]
+# what every command loads: the CLI, the error classes and the file formats
+BASE = ["cli", "errors", "io"]
 LOADS = {  # command -> (its run, in order, and the modules it loads beyond BASE)
     "import": ("import sendwhen.cli", []),
     "simulate": ('run("simulate", "--n-users", 30, "--seed", 5, "--out", "m_sim")',
-                 ["simulate", "survival"]),
+                 ["features", "pipeline", "simulate", "survival"]),
     "ingest": ('run("ingest", "--events", "m_sim/events.jsonl", "--schema", "m_sim/schema.json",'
-               ' "--out", "m_ing")', []),
+               ' "--out", "m_ing")', ["features", "pipeline"]),
     "train aft": ('run("train", "--model", "aft", "--observations", "m_ing/observations.jsonl",'
                   ' "--schema", "m_ing/schema.json", "--out", "m_aft")',
-                  ["_lbfgsb", "scoring", "survival", "training"]),
+                  ["_lbfgsb", "features", "optimize", "pipeline", "scoring", "survival",
+                   "training"]),
     "train logistic": ('run("train", "--model", "logistic:24", "--events", "m_sim/events.jsonl",'
                        ' "--schema", "m_sim/schema.json", "--out", "m_lg24")',
-                       ["_lbfgsb", "evaluation", "survival", "training"]),
+                       ["_lbfgsb", "evaluation", "features", "optimize", "pipeline", "survival",
+                        "training"]),
     "evaluate": ('run("evaluate", "--aft-model", "m_aft/model.json", "--logistic-model",'
                  ' "m_lg24/model.json", "--events", "m_sim/events.jsonl", "--schema",'
                  ' "m_sim/schema.json", "--horizons", 24, "--out", "m_eval")',
-                 ["evaluation", "scoring", "survival", "training"]),
+                 ["evaluation", "features", "pipeline", "scoring", "survival", "training"]),
     "score": ('run("score", "--model", "m_aft/model.json", "--contexts", "m_sim/contexts.jsonl",'
-              ' "--out", "m_score")', ["scoring", "survival", "training"]),
+              ' "--out", "m_score")', ["features", "scoring", "survival", "training"]),
     "decide": ('run("decide", "--scores", "m_score/deltas.jsonl", "--rule", "moo", "--c-send", 10,'
                ' "--c-click", 2, "--synth-p-click-seed", 1, "--out", "m_decide")', ["policies"]),
 }
@@ -330,3 +337,37 @@ import sendwhen.cli
 print(json.dumps(["numpy" in sys.modules, dict(os.environ) == before]))
 """, **variables)
     assert loaded and same
+
+
+# -- exit -----------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+FREEZE_COUNT_AT_EXIT = """
+import atexit, gc, json, sys
+atexit.register(lambda: print(json.dumps(gc.get_freeze_count())))
+sys.argv = ["sendwhen", "decide", "--print-config"]
+"""
+
+
+def console_script() -> str:
+    """What the installed sendwhen script runs: sys.exit(<pyproject's function>())."""
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["sendwhen"]
+    module, function = target.split(":")
+    return f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
+
+
+@pytest.mark.parametrize("entry", ["python -m", "console script"])
+def test_a_process_that_runs_a_command_exits_with_the_collector_frozen(entry):
+    # the interpreter's shutdown runs full collections that skip frozen objects
+    run = ("import runpy\nrunpy.run_module('sendwhen.cli', run_name='__main__')\n"
+           if entry == "python -m" else console_script())
+    assert run_fresh(FREEZE_COUNT_AT_EXIT + run) > 0
+
+
+def test_main_in_the_callers_process_leaves_the_collector_as_it_was(tmp_path):
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text('{"delta":0.2,"p_wait":0.5,"user_id":"a"}\n')
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    assert main(["decide", "--scores", str(scores), "--out", str(tmp_path / "o")]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)

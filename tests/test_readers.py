@@ -139,6 +139,15 @@ CASES += [
     ("observations.jsonl", '{"censored":false,"t_hours":1.0,"user_id":7,"x":[1.0,0.5,1.0]}',
      "malformed observation: user_id must be a string, got 7"),
 ]
+# an integer beyond the float range is refused naming its field, and one of more
+# digits than int() converts (4,300 by default) as JSON the reader cannot take
+CASES += [
+    ("events.jsonl", '{"user_id":"u","ts_hours":1' + "0" * 400 + ',"kind":"visit"}',
+     "malformed event record: ts_hours must be a number within the float range, "
+     "got an integer of 1329 bits"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":1' + "0" * 4300 + ',"kind":"visit"}',
+     "invalid JSON: an integer of more than 4300 digits"),
+]
 
 
 def _write(path, lines, bad):

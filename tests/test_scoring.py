@@ -195,9 +195,31 @@ class TestScoreDeltaEffect:
         schema = FeatureSchema.build(base=["p"], badge=None)
         model = model_for(schema, [0.0, 3.0], 0.0)
         X0 = np.array([[1.0, 1.0], [1.0, 1000.0]])
-        with pytest.raises(DomainError, match=r"^rate must be finite and > 0, got 0\.0$") as info:
+        with pytest.raises(DomainError) as info:
             score_columns(model, X0, [0.0, 0.0], 1.0)
+        assert str(info.value) == ("mu/sigma = 3000.0 is outside the float range of the rate "
+                                   "exp(-mu/sigma) for the model")
         assert info.value.row == 1
+
+    def test_tiny_sigma_is_refused_where_a_float_runs_out(self):
+        # mu = 3 on the row.  At T = 1 h the first refusal is the rate exp(-3/sigma)
+        # underflowing to 0, from log_sigma = log(3/745.133...) = -5.51495...; at T = 24 h
+        # it is the hazard's power 24**(1/sigma) overflowing, from
+        # log_sigma = log(log(24)/709.78...) = -5.40869..., while the rate is still a float
+        schema = FeatureSchema.build(base=["p"], badge=None)
+
+        def score(log_sigma, horizon):
+            model = model_for(schema, [3.0, 0.0], log_sigma)
+            return score_columns(model, np.array([[1.0, 0.0]]), [0.0], horizon)
+
+        assert score(-5.5149, 1.0)["lambda0"][0] > 0.0
+        with pytest.raises(DomainError) as info:
+            score(-5.5150, 1.0)
+        assert str(info.value) == (f"mu/sigma = {3.0 / math.exp(-5.5150)!r} is outside the float "
+                                   "range of the rate exp(-mu/sigma) for the model")
+        assert math.isfinite(score(-5.4086, 24.0)["delta"][0])
+        with pytest.raises(NumericalError, match=r"^hazard overflows at w0_hours 0\.0$"):
+            score(-5.4087, 24.0)
 
     def test_context_validation(self):
         model = model_for(FeatureSchema.build(base=["p"], badge=None), [1.0, 0.5], 0.0)
