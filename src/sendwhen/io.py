@@ -117,13 +117,20 @@ def _open_input(path: str | Path, what: str = "input"):
             raise DataError(f"cannot read {what} file {path}: not UTF-8 ({exc.reason})") from None
 
 
-def _invalid_json(where: str, exc: ValueError) -> DataError:
+# what json raises for a document it refuses
+_JSON_ERRORS = (ValueError, RecursionError)
+
+
+def _invalid_json(where: str, exc: ValueError | RecursionError) -> DataError:
     """The DataError for a document that json refused with exc.
 
     Besides a JSONDecodeError, json raises a plain ValueError for an integer
-    of more digits than int() converts (sys.get_int_max_str_digits()).
+    of more digits than int() converts (sys.get_int_max_str_digits()), and a
+    RecursionError for arrays or objects nested deeper than it recurses.
     """
-    if not isinstance(exc, json.JSONDecodeError):
+    if isinstance(exc, RecursionError):
+        exc = "nested too deeply"
+    elif not isinstance(exc, json.JSONDecodeError):
         exc = f"an integer of more than {sys.get_int_max_str_digits()} digits"
     return DataError(f"{where}: invalid JSON: {exc}")
 
@@ -133,7 +140,7 @@ def _read_json(path: str | Path, what: str = "input"):
         text = f.read()
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except _JSON_ERRORS as exc:
         raise _invalid_json(str(path), exc) from exc
 
 
@@ -162,7 +169,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 rec = _parse_line(line)
-            except ValueError as exc:
+            except _JSON_ERRORS as exc:
                 raise _invalid_json(f"{path}:{lineno}", exc) from exc
             if not isinstance(rec, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
@@ -177,11 +184,9 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
 
 
 def file_sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
+    """The SHA-256 hex digest of a file, read through one reused 256 KiB buffer."""
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 # -- events -----------------------------------------------------------------

@@ -60,7 +60,8 @@ def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T, *
     the columns delta, p_send, p_wait, lambda0 and lambda1 (the pre- and
     post-send rates), and alpha.  Inputs, then rates, are checked as
     columns; a rate or hazard that overflows is a NumericalError, a rate
-    exp(-mu/sigma) that underflows to 0 (a tiny sigma) a DomainError naming
+    exp(-mu/sigma) that underflows to 0 (a tiny sigma) a DomainError, the
+    hazard's and the underflow's refusals naming alpha or mu/sigma and
     model_name, and an error's row is the first bad row.  The arithmetic
     runs per row on Python floats, so a row's bits do not depend on the
     others; rows are converted to floats a chunk at a time, the scores only
@@ -107,8 +108,11 @@ def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T, *
         ):
             try:
                 terms[i] = send_vs_wait(t, w, lam0, alpha, lam1, alpha)
-            except OverflowError:  # a hazard rate * t**shape beyond the largest float
-                raise at_row(NumericalError(f"hazard overflows at w0_hours {w}"), i) from None
+            except OverflowError:  # (t + w)**alpha, the largest power, beyond the largest float
+                raise at_row(NumericalError(
+                    f"hazard overflows at w0_hours {w}: (horizon_T + w0_hours)**alpha is outside "
+                    f"the float range at horizon_T {t} and shape alpha = 1/sigma = {alpha!r} "
+                    f"for {model_name}"), i) from None
     return {
         "delta": terms[:, 0], "p_send": terms[:, 1], "p_wait": terms[:, 2],
         "lambda0": lam[:, 0], "lambda1": lam[:, 1], "alpha": alpha,

@@ -120,18 +120,31 @@ def aft_negloglik_and_gradient(
     if b.shape != (dm.k,):
         raise DataError(f"coefficient vector has shape {b.shape}, expected ({dm.k},)")
     sigma = math.exp(float(log_sigma))
-    z = (dm.log_t - dm.X @ b) / sigma
+    # three n-vectors in all: z, e^z and one work vector that holds the
+    # per-observation terms, then each gradient's terms.  Every element goes
+    # through the ufuncs of the expressions in the comments, in their order
+    z = dm.X @ b
+    np.subtract(dm.log_t, z, out=z)
+    z /= sigma  # (log_t - X b) / sigma
     with np.errstate(over="ignore"):
         ez = np.exp(z)
-    per_obs = ez - dm.delta * (z - math.log(sigma) - dm.log_t)
-    bad = ~np.isfinite(per_obs)
+    work = np.subtract(z, math.log(sigma))
+    work -= dm.log_t
+    work *= dm.delta
+    np.subtract(ez, work, out=work)  # e^z - delta * (z - log sigma - log_t)
+    bad = ~np.isfinite(work)
     if bad.any():
         raise NumericalError(
             f"non-finite likelihood term at observation index {int(np.flatnonzero(bad)[0])}"
         )
-    nll = float(np.sum(per_obs))
-    grad_b = dm.X.T @ (dm.delta - ez) / sigma
-    grad_ls = float(np.sum(dm.delta * (1.0 + z) - z * ez))
+    nll = float(np.sum(work))
+    np.subtract(dm.delta, ez, out=work)
+    grad_b = dm.X.T @ work / sigma
+    np.add(1.0, z, out=work)
+    work *= dm.delta
+    ez *= z
+    work -= ez  # delta * (1 + z) - z * e^z
+    grad_ls = float(np.sum(work))
     return nll, np.concatenate([grad_b, [grad_ls]])
 
 

@@ -1,4 +1,4 @@
-"""Per-command wall and CPU time of two source trees, run in alternation.
+"""Per-command wall time, CPU time and peak RSS of two source trees, run in alternation.
 
 Usage, from the repository root:
 
@@ -29,9 +29,13 @@ nothing is written into either tree.
 For each command the script prints the median wall and CPU time of each
 tree, the median of the paired differences B - A and the number of rounds
 in which B was faster; then, per sequence, the same for the sum over its
-commands.  A whole benchmark run on a small machine drifts too much to
-resolve a change of a few percent (bench/README.md, "Sizes and noise");
-pairs run seconds apart do not.  WORK_DIR (default: a temporary directory,
+commands.  A second table gives the same for each command's peak RSS, the
+rss_mb that bench/spawn.py reports, with the rounds in which B's was
+lower; then, per sequence, for the largest peak of its commands in a
+round, which is the peak that a whole benchmark pass reports.  A whole
+benchmark run on a small machine drifts too much to resolve a change of a
+few percent (bench/README.md, "Sizes and noise"); pairs run seconds apart
+do not.  WORK_DIR (default: a temporary directory,
 removed afterwards) keeps the inputs and outputs.
 
 This file is not collected by pytest (its name does not start with test_).
@@ -104,7 +108,7 @@ def sequences(work: Path) -> dict[str, list[tuple[str, list]]]:
 
 
 def spawn(src: Path, work: Path, argv: list) -> dict:
-    """Run python -m sendwhen.cli argv from src under bench/spawn.py; its wall and CPU time."""
+    """Run python -m sendwhen.cli argv from src under bench/spawn.py; its times and peak RSS."""
     env = dict(os.environ, PYTHONPATH=str(src), SOURCE_DATE_EPOCH="0",
                PYTHONDONTWRITEBYTECODE="1")
     result = work / "spawn.json"
@@ -118,7 +122,7 @@ def spawn(src: Path, work: Path, argv: list) -> dict:
 
 
 def measure(a: Path, b: Path, work: Path, rounds: int) -> dict[tuple[str, str], dict]:
-    """(sequence, command) -> {"a": [(wall, cpu), ...], "b": [...]}, one entry per round."""
+    """(sequence, command) -> {"a": [(wall, cpu, rss), ...], "b": [...]}, one entry per round."""
     times: dict[tuple[str, str], dict] = {}
     for r in range(rounds):
         k = r
@@ -131,20 +135,33 @@ def measure(a: Path, b: Path, work: Path, rounds: int) -> dict[tuple[str, str], 
                     src = a if side == "a" else b
                     out = work / "out" / side / seq / name.replace(" ", "_").replace(":", "_")
                     done = spawn(src, work, [*argv, "--out", out, "--force"])
-                    runs[side].append((done["wall_s"], done["cpu_s"]))
+                    runs[side].append((done["wall_s"], done["cpu_s"], done["rss_mb"]))
     return times
 
 
-def summary(name: str, runs: dict) -> str:
+def summary(name: str, runs: dict, fields: tuple[int, ...], scale: float, digits: int) -> str:
+    """A row: per field, each tree's median and the median paired B - A; then B's wins.
+
+    B wins a round when the first field is lower than A's.
+    """
     cells = [f"{name:<24}"]
-    for i in (0, 1):  # wall, then CPU
-        a = [t[i] * 1e3 for t in runs["a"]]
-        b = [t[i] * 1e3 for t in runs["b"]]
+    for i in fields:
+        a = [t[i] * scale for t in runs["a"]]
+        b = [t[i] * scale for t in runs["b"]]
         diff = statistics.median(y - x for x, y in zip(a, b))
-        cells.append(f"{statistics.median(a):>8.1f} {statistics.median(b):>8.1f} {diff:>+8.1f}")
-    wins = sum(y[0] < x[0] for x, y in zip(runs["a"], runs["b"]))
+        cells.append(f"{statistics.median(a):>8.{digits}f} {statistics.median(b):>8.{digits}f} "
+                     f"{diff:>+8.{digits}f}")
+    wins = sum(y[fields[0]] < x[fields[0]] for x, y in zip(runs["a"], runs["b"]))
     cells.append(f"{wins:>3}/{len(runs['a'])}")
     return "  ".join(cells)
+
+
+def times(name: str, runs: dict) -> str:
+    return summary(name, runs, (0, 1), 1e3, 1)  # wall, then CPU, in ms
+
+
+def peaks(name: str, runs: dict) -> str:
+    return summary(name, runs, (2,), 1.0, 2)  # peak RSS in MB
 
 
 def main(argv: list[str]) -> int:
@@ -159,17 +176,26 @@ def main(argv: list[str]) -> int:
 
     def run(work: Path) -> None:
         set_up(lambda *argv: spawn(a, work, list(argv)), work, args.seed)
-        times = measure(a, b, work, args.rounds)
+        runs = measure(a, b, work, args.rounds)
+        seqs = {seq: [k for k in runs if k[0] == seq] for seq in ("nightly", "cycle")}
+
+        def per_round(keys: list, side: str, combine) -> list[tuple]:
+            return [tuple(map(combine, zip(*(runs[k][side][r] for k in keys))))
+                    for r in range(args.rounds)]
+
         print(f"{'ms':<24}  {'A wall':>8} {'B wall':>8} {'B-A':>8}  "
               f"{'A cpu':>8} {'B cpu':>8} {'B-A':>8}  B faster")
-        for seq in ("nightly", "cycle"):
+        for seq, keys in seqs.items():
             print(f"-- {seq}")
-            keys = [k for k in times if k[0] == seq]
             for key in keys:
-                print(summary(key[1], times[key]))
-            total = {side: [tuple(map(sum, zip(*(times[k][side][r] for k in keys))))
-                            for r in range(args.rounds)] for side in ("a", "b")}
-            print(summary("sum", total))
+                print(times(key[1], runs[key]))
+            print(times("sum", {side: per_round(keys, side, sum) for side in ("a", "b")}))
+        print(f"\n{'peak RSS, MB':<24}  {'A':>8} {'B':>8} {'B-A':>8}  B lower")
+        for seq, keys in seqs.items():
+            print(f"-- {seq}")
+            for key in keys:
+                print(peaks(key[1], runs[key]))
+            print(peaks("max", {side: per_round(keys, side, max) for side in ("a", "b")}))
 
     if args.work_dir:
         work = Path(args.work_dir).resolve()

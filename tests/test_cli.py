@@ -893,6 +893,32 @@ def test_an_integer_beyond_the_float_range_is_a_config_refusal(
     assert not (tmp_path / "o").exists()
 
 
+# JSON nested deeper than json recurses: a config file, a line of an input
+# file, a model file and a schema file
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv,bad,line,code", [
+    (("score", "--model", "{aft}/model.json", "--contexts", "{sim}/contexts.jsonl",
+      "--config", "{bad}"), '{"horizon_T": ' + _DEEP + "}", "", 2),
+    (("decide", "--scores", "{bad}"), '{"user_id": "a", "delta": 0.2, "p_wait": 0.5}\n\n'
+     '{"user_id": "b", "delta": ' + _DEEP + ', "p_wait": 0.5}\n', ":3", 3),
+    (("score", "--model", "{bad}", "--contexts", "{sim}/contexts.jsonl"),
+     '{"coefficients": ' + _DEEP + "}", "", 3),
+    (("ingest", "--events", "{sim}/events.jsonl", "--schema", "{bad}"), _DEEP, "", 3),
+], ids=["config", "scores-line", "model", "schema"])
+def test_json_nested_too_deeply_is_refused_as_invalid(
+    tmp_path, capsys, sim_dir, aft_dir, argv, bad, line, code
+):
+    path = tmp_path / "bad.json"
+    path.write_text(bad)
+    dirs = {"sim": sim_dir, "aft": aft_dir, "bad": path}
+    assert run(*(a.format(**dirs) for a in argv), "--out", tmp_path / "o") == code
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}{line}: invalid JSON: nested too deeply"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_the_labeler_flag_offers_the_pipeline_labelers(capsys):
     for name in LABELERS:
         assert build_parser().parse_args(["evaluate", "--labeler", name]).labeler == name

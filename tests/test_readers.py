@@ -7,9 +7,11 @@ write exactly what json.dumps(sort_keys=True, separators=(",", ":")) would,
 the column readers must not build one Python object per row, and a log read
 as columns must iterate as the Event rows it was built from.  From reading
 the log to writing or scoring, each step must hold a bounded number of
-bytes per row, and the writers a bounded number whatever the row count.
+bytes per row, and the writers and the file hash a bounded number whatever
+the row count or the file's length.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -31,6 +33,7 @@ from sendwhen.features import FeatureSchema
 from sendwhen.io import (
     _CHUNK_ROWS,
     _OBSERVATION_CHUNK_ROWS,
+    file_sha256,
     read_events,
     read_jsonl,
     read_observations_jsonl,
@@ -52,7 +55,7 @@ from sendwhen.pipeline import (
 from sendwhen.policies import Candidate, MooConfig, moo_solve, ratio_rule, threshold_rule
 from sendwhen.scoring import score_columns
 from sendwhen.simulate import SendProcess, SimConfig, default_sim_schema, generate_event_log
-from sendwhen.training import LogisticModel, WeibullAftModel
+from sendwhen.training import LogisticModel, WeibullAftModel, fit_aft
 
 SCHEMA = FeatureSchema.build(base=["p"], badge="badge_count")
 
@@ -511,8 +514,11 @@ def observations_of(path, schema):
 # the observations 155 (the table, the observations and the matrix's
 # temporaries) and the fit 148.  Growing sparse feature columns, holding the
 # log beside the table and every sorted copy and per-send temporary of the
-# walk at once needed 105, 205, 220 and 256.
-PATH_BUDGET = {"read": 84, "walk": 156, "observations": 163, "logistic fit": 156}
+# walk at once needed 105, 205, 220 and 256.  The AFT fit's is per
+# observation: 84, that is the standardized matrix, log T and the AFT
+# objective's three vectors; the objective's six temporaries needed 99.
+PATH_BUDGET = {"read": 84, "walk": 156, "observations": 163, "logistic fit": 156,
+               "aft fit": 88}
 
 
 def test_the_log_path_to_observations_holds_a_bounded_part(long_log):
@@ -544,6 +550,28 @@ def test_the_logistic_fit_holds_its_matrix_and_labels_only(long_log):
     )
     assert list(models) == [24.0]
     assert peak / sends <= PATH_BUDGET["logistic fit"], f"{peak / sends:.0f} bytes per send"
+
+
+def test_the_aft_fit_holds_its_matrix_and_three_vectors(long_log):
+    schema = default_sim_schema(LONG_LOG)
+    obs, _ = observations_of(long_log, schema)
+    model, peak = traced_peak(lambda: fit_aft(obs, schema=schema))
+    assert model.diagnostics["n_obs"] == len(obs) > 40_000
+    per_obs = peak / len(obs)
+    assert per_obs <= PATH_BUDGET["aft fit"], f"{per_obs:.0f} bytes per observation"
+
+
+# Traced peak bytes of hashing a file: 0.27 MB, one 256 KiB buffer however
+# long the file.  Reading it a fresh 1 MiB bytes object at a time needed 2.1.
+HASH_BUDGET = 300_000
+
+
+def test_file_sha256_reads_through_one_buffer(tmp_path):
+    path = tmp_path / "blob"
+    path.write_bytes(random.Random(4).randbytes(4_500_000))
+    digest, peak = traced_peak(file_sha256, path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak <= HASH_BUDGET, f"{peak / 1e6:.2f} MB traced"
 
 
 # Traced peak bytes of writing observations: 0.73 MB for 2,500 rows and for
