@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ConfigError", "ConvergenceError", "DataError", "DomainError",
                "NumericalError", "SchemaError", "SendwhenError"),
-    "evaluation": ("AucReport", "AucRow", "auc", "auc_vs_horizon", "fit_logistic_baselines",
-                   "label_censoring_clean", "label_naive"),
+    "evaluation": ("AucReport", "AucRow", "auc", "auc_vs_horizon", "label_censoring_clean",
+                   "label_naive"),
     "features": ("FeatureSchema", "SlotSpec"),
     "io": ("dump_json", "file_sha256", "load_json_config", "read_events", "read_model_json",
            "read_observations_jsonl", "read_schema_json", "write_events_jsonl",
@@ -24,10 +24,11 @@ _EXPORTS = {
                  "PipelineConfig", "SendInstance", "build_observations", "build_send_instances"),
     "policies": ("Candidate", "CandidateColumns", "MooConfig", "PolicyResult", "moo_solve",
                  "ratio_rule", "threshold_rule"),
-    "scoring": ("ScoringContext", "model_digest", "score_batch", "score_columns"),
+    "scoring": ("ScoringContext", "score_batch", "score_columns"),
     "simulate": ("SendProcess", "SimConfig", "default_sim_schema", "generate_event_log"),
     "survival": ("WeibullParams",),
-    "training": ("LogisticModel", "WeibullAftModel", "fit_aft", "fit_logistic"),
+    "training": ("LogisticModel", "WeibullAftModel", "fit_aft", "fit_logistic",
+                 "fit_logistic_baseline", "model_digest"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -351,7 +351,7 @@ def _train_settings(merged: Mapping) -> tuple[str, float | None, OptConfig, Pipe
 
 def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
     from .optimize import _setulb
-    from .training import WeibullAftModel, fit_aft
+    from .training import WeibullAftModel, fit_aft, fit_logistic_baseline, model_digest
 
     kind, horizon, opt_cfg, pipe_cfg = settings
     if kind == "aft" and args.observations is None:
@@ -372,24 +372,17 @@ def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int
             inputs["schema"] = args.schema
         model: WeibullAftModel | LogisticModel = fit_aft(obs, opt_cfg, schema=schema)
     else:
-        from .evaluation import fit_logistic_baselines
-
         schema = read_schema_json(args.schema)
         inputs["events"] = args.events
         inputs["schema"] = args.schema
         with _naming_lines(args.events):
-            model = fit_logistic_baselines(
-                read_events(args.events), schema, [horizon], pipe_cfg, opt_cfg
-            )[horizon]
+            model = fit_logistic_baseline(read_events(args.events), schema, horizon, pipe_cfg,
+                                          opt_cfg)
 
     # the out directory is made only once the inputs have given a model
     out = _prepare_out(args.out, ("model.json",), args.force)
     write_model_json(out / "model.json", model)
-    version = None
-    if isinstance(model, WeibullAftModel):
-        from .scoring import model_digest
-
-        version = model_digest(model)
+    version = model_digest(model) if isinstance(model, WeibullAftModel) else None
     _write_manifest(
         out, "train", merged, inputs=inputs, seed=opt_cfg.seed, model_version=version
     )
@@ -422,8 +415,7 @@ def _evaluate_settings(merged: Mapping) -> tuple[list[float], str, PipelineConfi
 
 def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
     from .evaluation import REFERENCE_AUC_POINTS, auc_vs_horizon, match_horizons
-    from .scoring import model_digest
-    from .training import LogisticModel, WeibullAftModel
+    from .training import LogisticModel, WeibullAftModel, model_digest
 
     horizons, labeler, pipe_cfg = settings
     aft = read_model_json(args.aft_model)
@@ -476,8 +468,8 @@ def _score_settings(merged: Mapping) -> float:
 
 
 def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:
-    from .scoring import model_digest, score_columns
-    from .training import WeibullAftModel
+    from .scoring import score_columns
+    from .training import WeibullAftModel, model_digest
 
     model = read_model_json(args.model)
     if not isinstance(model, WeibullAftModel):
@@ -522,7 +514,8 @@ def _decide_settings(merged: Mapping) -> tuple:
     """The typed settings, with the rule's own checked before any score is read.
 
     kappa is checked for threshold and ratio, and MooConfig (None for the
-    other rules) for moo, so an empty scores file lets no bad value through.
+    other rules) for moo, so an empty scores file lets no bad value through;
+    synth_p_click_seed, a numpy seed, must be >= 0 under every rule.
     """
     from .policies import MooConfig, _check_kappa
 
@@ -535,7 +528,10 @@ def _decide_settings(merged: Mapping) -> tuple:
     moo = MooConfig(c_click=c_click, c_send=c_send) if rule == "moo" else None
     if moo is None:
         _check_kappa(kappa)
-    return rule, kappa, moo, cadence, _or_null(json_int, merged, "synth_p_click_seed")
+    seed = _or_null(json_int, merged, "synth_p_click_seed")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"synth_p_click_seed must be >= 0, got {seed}")
+    return rule, kappa, moo, cadence, seed
 
 
 def _candidates_from_scores(

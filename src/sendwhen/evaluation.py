@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,10 +29,7 @@ from .pipeline import (
     send_table,
 )
 from .survival import cum_hazard
-from .training import LogisticModel, WeibullAftModel, fit_logistic
-
-if TYPE_CHECKING:
-    from .optimize import OptConfig
+from .training import LogisticModel, WeibullAftModel
 
 # External reference operating points carried as report metadata for
 # context.  They come from a proprietary corpus and are not reproducible
@@ -114,24 +111,15 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def score_for_auc(
-    model: WeibullAftModel | LogisticModel,
-    X: np.ndarray,
-    horizon_t_hours: float,
+def _score_for_auc(
+    model: WeibullAftModel | LogisticModel, X: np.ndarray, horizon: float
 ) -> np.ndarray:
-    """Ranking scores at one horizon: visit probability by T.
+    """Ranking scores at a horizon that match_horizons checked: visit probability by T.
 
     The survival model turns into a probability via its own cdf at T; a
-    logistic model is only valid at the horizon it was trained for.
+    logistic model gives its own, at the horizon it was trained for.
     """
-    horizon = check_positive(horizon_t_hours, "horizon")
-    X = np.asarray(X, dtype=float)
     if isinstance(model, LogisticModel):
-        if model.horizon_t_hours != horizon:
-            raise SchemaError(
-                f"logistic model was trained for T={model.horizon_t_hours}h, "
-                f"cannot score at T={horizon}h"
-            )
         return model.predict_proba(X)
     mu = model.linear_predictor(X)
     lam = np.exp(-mu / model.sigma)
@@ -149,14 +137,6 @@ class AucRow:
     n_ambiguous: int
     labeler: str
     flag: str = ""
-
-    def __post_init__(self) -> None:
-        if self.labeler not in LABELERS:
-            raise ConfigError(f"unknown labeler {self.labeler!r}")
-        if not self.flag:
-            for name, v in (("auc_aft", self.auc_aft), ("auc_logistic", self.auc_logistic)):
-                if not (0.0 <= v <= 1.0):
-                    raise DataError(f"{name} out of [0, 1]: {v}")
 
 
 @dataclass(frozen=True)
@@ -186,34 +166,6 @@ class AucReport:
                 f"{r.t_hours:>7g}  {a_aft:>9}  {a_log:>13}  {r.n:>8}  {r.n_ambiguous:>9}{tail}"
             )
         return "\n".join(lines)
-
-
-def fit_logistic_baselines(
-    events: EventColumns,
-    schema: FeatureSchema,
-    horizons: Sequence[float] = DEFAULT_HORIZONS,
-    cfg: PipelineConfig = PipelineConfig(),
-    opt_cfg: OptConfig | None = None,
-) -> dict[float, LogisticModel]:
-    """One logistic model per horizon, trained on naive per-send labels.
-
-    The events are walked once; every horizon labels the same sends.  Every
-    horizon is checked before the walk and labelled before the first fit;
-    the fits hold only the matrix and the labels: the events and the send
-    table are dropped first.
-    """
-    horizons = [check_positive(t, "horizon") for t in horizons]
-    table = send_table(events, cfg)
-    del events
-    if len(table) == 0:
-        raise DataError("no send instances to train on")
-    X = table.matrix(schema)
-    labels = {h: table.visited_within(h) for h in horizons}
-    del table
-    return {
-        h: fit_logistic(X, y.astype(float), h, opt_cfg, schema=schema)
-        for h, y in labels.items()
-    }
 
 
 def match_horizons(
@@ -283,8 +235,8 @@ def auc_vs_horizon(
             keep = ~ambiguous
             X, y, n_ambiguous = X_all[keep], labels[keep], int(np.count_nonzero(ambiguous))
         try:
-            auc_aft = auc(score_for_auc(aft_model, X, horizon), y)
-            auc_log = auc(score_for_auc(logistic, X, horizon), y)
+            auc_aft = auc(_score_for_auc(aft_model, X, horizon), y)
+            auc_log = auc(_score_for_auc(logistic, X, horizon), y)
             flag = ""
         except DataError:
             auc_aft = math.nan

@@ -781,6 +781,15 @@ def write_model_json(path: str | Path, model: WeibullAftModel | LogisticModel) -
     dump_json(path, rec)
 
 
+def _json_array(rec: Mapping, key: str, item: Callable, k: int | None = None) -> list:
+    """rec[key], a JSON array of item(v, key) values, k of them where k is given."""
+    if type(rec[key]) is not list:
+        raise TypeError(f"{key} must be a list, got {rec[key]!r}")
+    if k is not None and len(rec[key]) != k:
+        raise ValueError(f"{key} has {len(rec[key])} entries for {k} feature_names")
+    return [item(v, key) for v in rec[key]]
+
+
 def read_model_json(path: str | Path) -> WeibullAftModel | LogisticModel:
     from .features import FeatureSchema
     from .training import LogisticModel, WeibullAftModel
@@ -796,7 +805,7 @@ def read_model_json(path: str | Path) -> WeibullAftModel | LogisticModel:
         )
     kind = rec.get("kind")
     try:
-        names = tuple(str(n) for n in rec["feature_names"])
+        names = tuple(_json_array(rec, "feature_names", json_str))
         schema = (
             None if rec.get("schema") is None else FeatureSchema.from_dict(rec["schema"])
         )
@@ -804,16 +813,16 @@ def read_model_json(path: str | Path) -> WeibullAftModel | LogisticModel:
         if kind == "weibull_aft":
             return WeibullAftModel(
                 feature_names=names,
-                coefficients=np.asarray(rec["coefficients"], dtype=float),
-                log_sigma=float(rec["log_sigma"]),
+                coefficients=np.array(_json_array(rec, "coefficients", json_number, len(names))),
+                log_sigma=json_number(rec["log_sigma"], "log_sigma"),
                 diagnostics=diagnostics,
                 schema=schema,
             )
         if kind == "logistic":
             return LogisticModel(
                 feature_names=names,
-                weights=np.asarray(rec["weights"], dtype=float),
-                horizon_t_hours=float(rec["horizon_t_hours"]),
+                weights=np.array(_json_array(rec, "weights", json_number, len(names))),
+                horizon_t_hours=json_number(rec["horizon_t_hours"], "horizon_t_hours"),
                 diagnostics=diagnostics,
                 schema=schema,
             )

@@ -9,8 +9,6 @@ model, all combined through the survival layer's send_vs_wait.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,7 +22,6 @@ __all__ = [
     "ScoringContext",
     "score_columns",
     "score_batch",
-    "model_digest",
 ]
 
 # rows converted to Python floats at a time, so the lists stay this long
@@ -38,17 +35,6 @@ class ScoringContext:
     features_now: tuple[float, ...]
     w0_hours: float
     horizon_T: float
-
-
-def model_digest(model: WeibullAftModel) -> str:
-    """Short stable digest of what the model predicts with."""
-    payload = {
-        "feature_names": list(model.feature_names),
-        "coefficients": [repr(float(v)) for v in model.coefficients],
-        "log_sigma": repr(float(model.log_sigma)),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T, *,
@@ -109,10 +95,19 @@ def score_columns(model: WeibullAftModel, X0: np.ndarray, w0_hours, horizon_T, *
             try:
                 terms[i] = send_vs_wait(t, w, lam0, alpha, lam1, alpha)
             except OverflowError:  # (t + w)**alpha, the largest power, beyond the largest float
-                raise at_row(NumericalError(
-                    f"hazard overflows at w0_hours {w}: (horizon_T + w0_hours)**alpha is outside "
-                    f"the float range at horizon_T {t} and shape alpha = 1/sigma = {alpha!r} "
-                    f"for {model_name}"), i) from None
+                terms[i] = np.nan  # refused below, in row order
+        bad = np.isnan(terms[part, 0])
+        if bad.any():
+            i = lo + int(np.argmax(bad))
+            t, w, lam0 = float(T[i]), float(w0[i]), float(lam[i, 0])
+            try:
+                (t + w) ** alpha  # a float, but the rate times it is not: the gap is inf - inf
+                what, at = "lambda0 * (horizon_T + w0_hours)**alpha", f", lambda0 = {lam0!r}"
+            except OverflowError:
+                what, at = "(horizon_T + w0_hours)**alpha", ""
+            raise at_row(NumericalError(
+                f"hazard overflows at w0_hours {w}: {what} is outside the float range at "
+                f"horizon_T {t}{at} and shape alpha = 1/sigma = {alpha!r} for {model_name}"), i)
     return {
         "delta": terms[:, 0], "p_send": terms[:, 1], "p_wait": terms[:, 2],
         "lambda0": lam[:, 0], "lambda1": lam[:, 1], "alpha": alpha,

@@ -100,6 +100,8 @@ class SimConfig:
             raise ConfigError("n_users must be >= 1")
         if self.n_profile_features < 0:
             raise ConfigError("n_profile_features must be >= 0")
+        if self.seed < 0:  # numpy seeds only with non-negative integers
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_positive(self.true_sigma, "true_sigma")
         check_positive(self.window_hours, "window_hours")
         if not all(map(math.isfinite, self.true_coefficients)):
@@ -109,9 +111,9 @@ class SimConfig:
         expected = len(default_sim_schema(self))
         if len(self.true_coefficients) != expected:
             raise ConfigError(
-                f"true_coefficients has {len(self.true_coefficients)} entries; "
-                f"the schema needs {expected} "
-                "(intercept, profiles, badge_count, interaction)"
+                f"true_coefficients has {len(self.true_coefficients)} entries; the schema "
+                f"needs {expected} (intercept, n_profile_features {self.n_profile_features} "
+                "profiles, badge_count, interaction)"
             )
 
     @classmethod

@@ -9,6 +9,8 @@ coefficients folded back, so persisted models are in raw feature space.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -21,7 +23,7 @@ from .features import FeatureSchema
 
 if TYPE_CHECKING:
     from .optimize import OptConfig
-    from .pipeline import ObservationColumns
+    from .pipeline import EventColumns, ObservationColumns, PipelineConfig
 
 __all__ = [
     "DesignMatrix",
@@ -29,8 +31,10 @@ __all__ = [
     "LogisticModel",
     "aft_negloglik_and_gradient",
     "logistic_negloglik_and_gradient",
+    "model_digest",
     "fit_aft",
     "fit_logistic",
+    "fit_logistic_baseline",
 ]
 
 
@@ -235,6 +239,17 @@ class WeibullAftModel:
         return np.asarray(X, dtype=float) @ self.coefficients
 
 
+def model_digest(model: WeibullAftModel) -> str:
+    """Short stable digest of what the model predicts with."""
+    payload = {
+        "feature_names": list(model.feature_names),
+        "coefficients": [repr(float(v)) for v in model.coefficients],
+        "log_sigma": repr(float(model.log_sigma)),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 @dataclass(frozen=True, eq=False)
 class LogisticModel:
     feature_names: tuple[str, ...]
@@ -353,7 +368,7 @@ def fit_logistic(
 ) -> LogisticModel:
     """Fit the per-horizon logistic baseline on pre-computed binary labels.
 
-    Training labels come from the evaluation layer's per-send labeler (a
+    Training labels come from fit_logistic_baseline's per-send labeler (a
     visit within the horizon of the send); this function only sees the
     materialized 0/1 vector.
     """
@@ -393,6 +408,31 @@ def fit_logistic(
         diagnostics=diagnostics,
         schema=schema,
     )
+
+
+def fit_logistic_baseline(
+    events: EventColumns,
+    schema: FeatureSchema,
+    horizon_t_hours: float,
+    cfg: PipelineConfig,
+    opt_cfg: OptConfig | None = None,
+) -> LogisticModel:
+    """The logistic baseline at one horizon, trained on naive per-send labels.
+
+    The label of a send is a visit within the horizon of it.  The fit holds
+    only the matrix and the labels: the events and the send table are
+    dropped first.
+    """
+    from .pipeline import send_table  # here, so that score, which loads this module, does not
+
+    table = send_table(events, cfg)
+    del events
+    if len(table) == 0:
+        raise DataError("no send instances to train on")
+    X = table.matrix(schema)
+    y = table.visited_within(horizon_t_hours).astype(float)
+    del table
+    return fit_logistic(X, y, horizon_t_hours, opt_cfg, schema=schema)
 
 
 def _names(schema: FeatureSchema | None, k: int) -> tuple[str, ...]:

@@ -17,10 +17,10 @@ their event log, then runs these commands one at a time as child processes:
   * decide --rule moo on those scores, with a send cap of 20% of the
     contexts and a click floor of 13%.
 
-Each command is started by a small launcher interpreter (python -S) that
-forks and execs it and reads its peak RSS with os.wait4, as bench/spawn.py
-does: a command started straight from this process would also report this
-process's own peak.  One line per command gives its wall time and peak
+Each command is started by bench/spawn.py, run by a small interpreter
+(python -S), which forks and execs it and reads its peak RSS with
+os.wait4: a command started straight from this process would also report
+this process's own peak.  One line per command gives its wall time and peak
 RSS in MB.  WORK_DIR (default: a temporary directory, removed afterwards)
 keeps the inputs and outputs.
 
@@ -38,28 +38,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-# the launcher: fork and exec argv[2:], then write its wall time and peak
-# RSS to argv[1]; it imports no more than os, sys, time and json
-LAUNCH = """
-import json, os, sys, time
-t0 = time.perf_counter()
-pid = os.fork()
-if pid == 0:
-    try:
-        os.execvp(sys.argv[2], sys.argv[2:])
-    finally:
-        os._exit(127)
-_, status, usage = os.wait4(pid, 0)
-with open(sys.argv[1], "w") as f:
-    json.dump({"wall_s": time.perf_counter() - t0, "rss_mb": usage.ru_maxrss / 1024.0,
-               "returncode": os.waitstatus_to_exitcode(status)}, f)
-"""
+# the launcher: forks and execs a command, then writes its wall time, CPU
+# time and peak RSS as JSON
+SPAWN = Path(__file__).resolve().parent.parent / "bench" / "spawn.py"
 
 
 def measure(*argv) -> dict:
-    """Run the sendwhen command argv under the launcher; its wall time and peak RSS."""
+    """Run the sendwhen command argv under bench/spawn.py; its wall time and peak RSS."""
     with tempfile.NamedTemporaryFile(suffix=".json") as result:
-        subprocess.run([sys.executable, "-S", "-c", LAUNCH, result.name,
+        subprocess.run([sys.executable, "-S", str(SPAWN), result.name,
                         sys.executable, "-m", "sendwhen.cli", *map(str, argv)],
                        check=True, stdout=subprocess.DEVNULL)
         done = json.loads(Path(result.name).read_text())

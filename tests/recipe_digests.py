@@ -35,9 +35,7 @@ digests records both again:
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import os
 import platform
 import subprocess
@@ -48,6 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
+from peak_rss import write_csv
+
 COMMANDS = ("simulate", "ingest", "train", "evaluate", "score", "decide")
 HORIZONS = ("4", "24", "48")
 
@@ -57,21 +57,6 @@ def _cli(*argv, capture: bool = False) -> str:
     done = subprocess.run([sys.executable, "-m", "sendwhen.cli", *map(str, argv)], env=env,
                           check=True, stdout=subprocess.PIPE if capture else subprocess.DEVNULL)
     return done.stdout.decode("utf-8") if capture else ""
-
-
-def _jsonl_to_csv(src: Path, dst: Path) -> None:
-    """The event log as CSV, one column per feature, floats by repr (exact)."""
-    with open(src, encoding="utf-8") as f:
-        records = [json.loads(line) for line in f if line.strip()]
-    names = sorted({k for rec in records for k in rec.get("features") or {}})
-    with open(dst, "w", encoding="utf-8", newline="") as f:
-        out = csv.writer(f, lineterminator="\n")
-        out.writerow(["user_id", "ts_hours", "kind", "badge_count", *names])
-        for rec in records:
-            feats, badge = rec.get("features") or {}, rec["badge_count"]
-            out.writerow([rec["user_id"], repr(rec["ts_hours"]), rec["kind"],
-                          "" if badge is None else badge]
-                         + [repr(feats[n]) if n in feats else "" for n in names])
 
 
 def _fit_and_score(s: Path, p: Path) -> None:
@@ -92,7 +77,7 @@ def _moo(scores: Path, c_send, c_click, out: Path) -> None:
 def nightly(d: Path) -> None:
     s = d / "sim"
     _cli("simulate", "--n-users", 2000, "--seed", 7, "--out", s)
-    _jsonl_to_csv(s / "events.jsonl", s / "events.csv")
+    write_csv(s / "events.jsonl", s / "events.csv")
     _fit_and_score(s, d)
     models = []
     for t in HORIZONS:

@@ -52,9 +52,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from peak_rss import write_csv
-
-SPAWN = Path(__file__).resolve().parent.parent / "bench" / "spawn.py"
+from peak_rss import SPAWN, write_csv
 HORIZONS = (4, 24, 48)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sendwhen.cli import main
-from sendwhen.evaluation import auc_vs_horizon, fit_logistic_baselines
+from sendwhen.evaluation import auc_vs_horizon
 from sendwhen.io import file_sha256
 from sendwhen.pipeline import PipelineConfig, build_observations
 from sendwhen.policies import Candidate, MooConfig, moo_solve
@@ -31,6 +31,7 @@ from sendwhen.training import (
     DesignMatrix,
     aft_negloglik_and_gradient,
     fit_aft,
+    fit_logistic_baseline,
     logistic_negloglik_and_gradient,
 )
 
@@ -219,7 +220,8 @@ def test_criterion_05_auc_gap_shape():
     for seed in (21, 31, 41):
         train_sim = generate_event_log(corpus(seed, 200, 120.0))
         aft = fit_aft(build_observations(train_sim.events, schema, PIPE_CFG), schema=schema)
-        logistic = fit_logistic_baselines(train_sim.events, schema, horizons=horizons)
+        logistic = {t: fit_logistic_baseline(train_sim.events, schema, t, PIPE_CFG)
+                    for t in horizons}
         report = auc_vs_horizon(
             aft, logistic, test_sim.events, schema,
             horizons=horizons, labeler="censoring_clean",

@@ -515,6 +515,26 @@ def test_score_refuses_a_tiny_sigma_naming_the_line_and_the_model(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("w0", [1e200, 1e300])
+def test_score_refuses_a_hazard_gap_of_inf_minus_inf(tmp_path, capsys, aft_dir, w0):
+    # rate exp(300) = 1.94e130 and alpha 1: (T + w0)**alpha is a float, the rate
+    # times it is not, and without the refusal delta and p_wait would be NaN
+    model_rec = json.loads((aft_dir / "model.json").read_text())
+    model_rec["coefficients"] = [-300.0] + [0.0] * (len(model_rec["coefficients"]) - 1)
+    model_rec["log_sigma"] = 0.0
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_rec))
+    contexts = tmp_path / "c.jsonl"
+    contexts.write_text(json.dumps(CONTEXT) + "\n" + json.dumps({**CONTEXT, "w0_hours": w0}) + "\n")
+    out = tmp_path / "o"
+    assert run("score", "--model", model_path, "--contexts", contexts, "--out", out) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {contexts}:2: hazard overflows at w0_hours {w0}: lambda0 * (horizon_T + "
+        f"w0_hours)**alpha is outside the float range at horizon_T 24.0, lambda0 = "
+        f"{math.exp(300.0)!r} and shape alpha = 1/sigma = 1.0 for the model in {model_path}"]
+    assert not out.exists()
+
+
 def test_score_empty_contexts_warns_and_writes_empty_deltas(tmp_path, capsys, aft_dir):
     contexts = tmp_path / "c.jsonl"
     contexts.write_text("")
@@ -758,6 +778,24 @@ REFUSALS = [
      "horizons must be finite and > 0, got inf"),
     (_EVAL + ("--logistic-model", "l.json", "--config", "{t}/nan.json", "--out", "{t}/o"), 2,
      "horizons must be finite and > 0, got nan"),
+    (("train", "--model", "logistic:abc", "--out", "{t}/o"), 2,
+     "bad horizon in model kind 'logistic:abc'"),
+    (("ingest", "--events", "e.jsonl", "--schema", "s.json", "--config", "{t}/array.json",
+      "--out", "{t}/o"), 2, "{t}/array.json: config must be a JSON object"),
+    (("ingest", "--events", "e.jsonl", "--schema", "s.json", "--window-start", "10",
+      "--window-end", "5", "--out", "{t}/o"), 2,
+     "invalid pipeline config: window_end must be greater than window_start"),
+    (("simulate", "--config", "{t}/profiles.json", "--out", "{t}/o"), 2,
+     "n_profile_features must be >= 0"),
+    (("train", "--observations", "o.jsonl", "--config", "{t}/method.json", "--out", "{t}/o"), 2,
+     "unknown optimizer method 'bfgs'"),
+    # a negative seed is refused before any input is read, under every rule
+    (("simulate", "--seed", "-1", "--out", "{t}/o"), 2, "seed must be >= 0, got -1"),
+    (("decide", "--scores", "s.jsonl", "--rule", "moo", "--c-send", "1",
+      "--synth-p-click-seed", "-1", "--out", "{t}/o"), 2,
+     "synth_p_click_seed must be >= 0, got -1"),
+    (("decide", "--scores", "s.jsonl", "--synth-p-click-seed", "-1", "--out", "{t}/o"), 2,
+     "synth_p_click_seed must be >= 0, got -1"),
 ]
 
 
@@ -766,12 +804,111 @@ def test_refusal_message_and_exit_code(tmp_path, capsys, argv, code, message):
     (tmp_path / "rule.json").write_text('{"rule": "x"}')
     (tmp_path / "labeler.json").write_text('{"labeler": "x"}')
     (tmp_path / "nan.json").write_text('{"horizons": [24, NaN]}')
+    (tmp_path / "array.json").write_text('[{"window_start": 0}]')
+    (tmp_path / "profiles.json").write_text('{"n_profile_features": -1}')
+    (tmp_path / "method.json").write_text('{"method": "bfgs"}')
     (tmp_path / "scores.jsonl").write_text('{"user_id": "u", "delta": 0.1, "p_wait": 0.5}\n')
     (tmp_path / "full").mkdir()
     (tmp_path / "full" / "manifest.json").write_text("{}")
     assert run(*(a.format(t=tmp_path) for a in argv)) == code
     assert capsys.readouterr().err.splitlines()[-1] == "error: " + message.format(t=tmp_path)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def bare_aft_dir(tmp_path_factory, ingest_dir):
+    """An AFT model trained without --schema."""
+    out = tmp_path_factory.mktemp("cli") / "bare_aft"
+    assert run("train", "--observations", ingest_dir / "observations.jsonl", "--out", out) == 0
+    return out
+
+
+def _model_file(path, rec, **changes):
+    """path, holding the model record rec with changes; returns path."""
+    path.write_text(json.dumps({**rec, **changes}))
+    return path
+
+
+# refusals of inputs that the commands read: argv ({t} is a scratch directory,
+# {aft}, {bare} and {logistic} the trained models' files), exit code, and the
+# last stderr line without "error: "
+_SCORE = ("score", "--contexts", "{sim}/contexts.jsonl", "--model")
+INPUT_REFUSALS = [
+    (_SCORE + ("{logistic}",), 3, "{logistic} does not hold a survival model; scoring needs one"),
+    (_SCORE + ("{bare}",), 3, "{bare} carries no feature schema; scoring needs one"),
+    (_SCORE + ("{t}/short_schema.json",), 3, "model schema and coefficient vector disagree"),
+    (("evaluate", "--aft-model", "{aft}", "--logistic-model", "{aft}", "--events",
+      "{sim}/events.jsonl", "--schema", "{sim}/schema.json"), 3,
+     "{aft} does not hold a logistic model"),
+    (("ingest", "--events", "{t}/empty.csv", "--schema", "{sim}/schema.json"), 3,
+     "{t}/empty.csv: empty CSV (missing header row)"),
+]
+
+
+@pytest.mark.parametrize("argv,code,message", INPUT_REFUSALS)
+def test_input_refusal_message_and_exit_code(
+    tmp_path, capsys, sim_dir, aft_dir, bare_aft_dir, logistic_24_dir, argv, code, message
+):
+    rec = json.loads((aft_dir / "model.json").read_text())
+    # feature_names and coefficients of one slot fewer than the schema
+    _model_file(tmp_path / "short_schema.json", rec, feature_names=rec["feature_names"][:-1],
+                coefficients=rec["coefficients"][:-1])
+    (tmp_path / "empty.csv").write_text("")
+    paths = {"t": tmp_path, "sim": sim_dir, "aft": aft_dir / "model.json",
+             "bare": bare_aft_dir / "model.json", "logistic": logistic_24_dir / "model.json"}
+    assert run(*(a.format(**paths) for a in argv), "--out", tmp_path / "o") == code
+    assert capsys.readouterr().err.splitlines()[-1] == "error: " + message.format(**paths)
+    assert not (tmp_path / "o").exists()
+
+
+# model files whose values json_number or json_str refuses, or whose vector
+# is not one entry per feature name: (kind, changes from the trained record,
+# the refusal after "malformed model file: ")
+_BAD_MODELS = [
+    ("aft", lambda rec: {"coefficients": rec["coefficients"][:-1]},
+     "coefficients has 4 entries for 5 feature_names"),
+    ("aft", lambda rec: {"coefficients": rec["coefficients"] + [0.0]},
+     "coefficients has 6 entries for 5 feature_names"),
+    ("aft", lambda rec: {"coefficients": [str(v) for v in rec["coefficients"]]},
+     "coefficients must be a number, got '{first}'"),
+    ("aft", lambda rec: {"coefficients": 1.0}, "coefficients must be a list, got 1.0"),
+    ("aft", lambda rec: {"log_sigma": True}, "log_sigma must be a number, got True"),
+    ("aft", lambda rec: {"log_sigma": "0.1"}, "log_sigma must be a number, got '0.1'"),
+    ("aft", lambda rec: {"feature_names": [1] + rec["feature_names"][1:]},
+     "feature_names must be a string, got 1"),
+    ("logistic", lambda rec: {"weights": rec["weights"][1:]},
+     "weights has 4 entries for 5 feature_names"),
+    ("logistic", lambda rec: {"weights": [True] * len(rec["weights"])},
+     "weights must be a number, got True"),
+    ("logistic", lambda rec: {"horizon_t_hours": "24"},
+     "horizon_t_hours must be a number, got '24'"),
+]
+
+
+@pytest.mark.parametrize(  # score reads no logistic model
+    "command,kind,change,message",
+    [(c, *bad) for bad in _BAD_MODELS for c in ("score", "evaluate")[bad[0] == "logistic":]],
+)
+def test_a_malformed_model_file_is_refused(
+    tmp_path, capsys, sim_dir, aft_dir, logistic_24_dir, command, kind, change, message
+):
+    trained = (aft_dir if kind == "aft" else logistic_24_dir) / "model.json"
+    rec = json.loads(trained.read_text())
+    bad = _model_file(tmp_path / "bad.json", rec, **change(rec))
+    models = {"aft": aft_dir / "model.json", "logistic": logistic_24_dir / "model.json",
+              kind: bad}
+    if command == "score":
+        argv = ["score", "--model", bad, "--contexts", sim_dir / "contexts.jsonl"]
+    else:
+        argv = ["evaluate", "--aft-model", models["aft"], "--logistic-model", models["logistic"],
+                "--events", sim_dir / "events.jsonl", "--schema", sim_dir / "schema.json",
+                "--horizons", 24]
+    out = tmp_path / "o"
+    assert run(*argv, "--out", out) == 3
+    first = (rec.get("coefficients") or rec["weights"])[0]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: malformed model file: {message.format(first=first)}"]
+    assert not out.exists()
 
 
 PRINT_CONFIG_KEYS = {

@@ -163,16 +163,14 @@ LOADS = {  # command -> (its run, in order, and the modules it loads beyond BASE
                ' "--out", "m_ing")', ["features", "pipeline"]),
     "train aft": ('run("train", "--model", "aft", "--observations", "m_ing/observations.jsonl",'
                   ' "--schema", "m_ing/schema.json", "--out", "m_aft")',
-                  ["_lbfgsb", "features", "optimize", "pipeline", "scoring", "survival",
-                   "training"]),
+                  ["_lbfgsb", "features", "optimize", "pipeline", "training"]),
     "train logistic": ('run("train", "--model", "logistic:24", "--events", "m_sim/events.jsonl",'
                        ' "--schema", "m_sim/schema.json", "--out", "m_lg24")',
-                       ["_lbfgsb", "evaluation", "features", "optimize", "pipeline", "survival",
-                        "training"]),
+                       ["_lbfgsb", "features", "optimize", "pipeline", "training"]),
     "evaluate": ('run("evaluate", "--aft-model", "m_aft/model.json", "--logistic-model",'
                  ' "m_lg24/model.json", "--events", "m_sim/events.jsonl", "--schema",'
                  ' "m_sim/schema.json", "--horizons", 24, "--out", "m_eval")',
-                 ["evaluation", "features", "pipeline", "scoring", "survival", "training"]),
+                 ["evaluation", "features", "pipeline", "survival", "training"]),
     "score": ('run("score", "--model", "m_aft/model.json", "--contexts", "m_sim/contexts.jsonl",'
               ' "--out", "m_score")', ["features", "scoring", "survival", "training"]),
     "decide": ('run("decide", "--scores", "m_score/deltas.jsonl", "--rule", "moo", "--c-send", 10,'

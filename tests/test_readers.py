@@ -28,7 +28,6 @@ import sendwhen.io
 from event_rows import as_columns
 from sendwhen.cli import main
 from sendwhen.errors import DataError
-from sendwhen.evaluation import fit_logistic_baselines
 from sendwhen.features import FeatureSchema
 from sendwhen.io import (
     _CHUNK_ROWS,
@@ -55,7 +54,7 @@ from sendwhen.pipeline import (
 from sendwhen.policies import Candidate, MooConfig, moo_solve, ratio_rule, threshold_rule
 from sendwhen.scoring import score_columns
 from sendwhen.simulate import SendProcess, SimConfig, default_sim_schema, generate_event_log
-from sendwhen.training import LogisticModel, WeibullAftModel, fit_aft
+from sendwhen.training import LogisticModel, WeibullAftModel, fit_aft, fit_logistic_baseline
 
 SCHEMA = FeatureSchema.build(base=["p"], badge="badge_count")
 
@@ -545,10 +544,10 @@ def test_the_log_path_to_observations_holds_a_bounded_part(long_log):
 def test_the_logistic_fit_holds_its_matrix_and_labels_only(long_log):
     schema = default_sim_schema(LONG_LOG)
     _, sends = observations_of(long_log, schema)
-    models, peak = traced_peak(
-        lambda: fit_logistic_baselines(read_events(long_log), schema, [24.0])
+    model, peak = traced_peak(
+        lambda: fit_logistic_baseline(read_events(long_log), schema, 24.0, PipelineConfig())
     )
-    assert list(models) == [24.0]
+    assert model.horizon_t_hours == 24.0
     assert peak / sends <= PATH_BUDGET["logistic fit"], f"{peak / sends:.0f} bytes per send"
 
 

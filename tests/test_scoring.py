@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import sendwhen.scoring
 from sendwhen.errors import DomainError, NumericalError, SchemaError
 from sendwhen.features import FeatureSchema, SlotSpec
-from sendwhen.scoring import ScoringContext, model_digest, score_batch, score_columns
-from sendwhen.training import WeibullAftModel
+from sendwhen.scoring import ScoringContext, score_batch, score_columns
+from sendwhen.training import WeibullAftModel, model_digest
 
 from oracle_score import score_row
 
@@ -225,6 +225,23 @@ class TestScoreDeltaEffect:
             "hazard overflows at w0_hours 0.0: (horizon_T + w0_hours)**alpha is outside the "
             f"float range at horizon_T 24.0 and shape alpha = 1/sigma = {1 / math.exp(-5.4087)!r} "
             "for the model")
+
+    def test_a_gap_of_inf_minus_inf_is_refused_on_its_row(self):
+        # rate exp(300) = 1.94e130 and alpha 1: (T + w0)**alpha is a float, and from
+        # w0 = 1e200 on the rate times it is not, so the gap would be inf - inf
+        schema = FeatureSchema.build(base=["p"], badge=None)
+        model = model_for(schema, [-300.0, 0.0], 0.0)
+        X0 = np.array([[1.0, 0.0]] * 2)
+        res = score_columns(model, X0[:1], [1e100], 24.0)
+        assert (res["delta"][0], res["p_wait"][0]) == (1.0, 0.0)  # the gap's cancellation
+        for w0 in (1e200, 1e300):
+            with pytest.raises(NumericalError) as info:
+                score_columns(model, X0, [0.0, w0], 24.0)
+            assert info.value.row == 1
+            assert str(info.value) == (
+                f"hazard overflows at w0_hours {w0}: lambda0 * (horizon_T + w0_hours)**alpha is "
+                f"outside the float range at horizon_T 24.0, lambda0 = {math.exp(300.0)!r} and "
+                "shape alpha = 1/sigma = 1.0 for the model")
 
     def test_context_validation(self):
         model = model_for(FeatureSchema.build(base=["p"], badge=None), [1.0, 0.5], 0.0)
