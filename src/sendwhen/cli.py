@@ -515,7 +515,8 @@ def _decide_settings(merged: Mapping) -> tuple:
 
     kappa is checked for threshold and ratio, and MooConfig (None for the
     other rules) for moo, so an empty scores file lets no bad value through;
-    synth_p_click_seed, a numpy seed, must be >= 0 under every rule.
+    synth_p_click_seed, a numpy seed, must be >= 0 under every rule, and
+    evaluation_cadence_hours, written to report.json, finite and > 0.
     """
     from .policies import MooConfig, _check_kappa
 
@@ -525,6 +526,7 @@ def _decide_settings(merged: Mapping) -> tuple:
     kappa, c_click, c_send, cadence = (
         json_number(merged[key], key)
         for key in ("kappa", "c_click", "c_send", "evaluation_cadence_hours"))
+    cadence = check_positive(cadence, "evaluation_cadence_hours")
     moo = MooConfig(c_click=c_click, c_send=c_send) if rule == "moo" else None
     if moo is None:
         _check_kappa(kappa)

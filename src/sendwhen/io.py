@@ -6,15 +6,15 @@ straight into typed arrays (read_events, read_observations_jsonl,
 read_contexts, read_scores), so no Python object per row outlives its
 line, or for event logs and observations its chunk.  read_events and
 read_observations_jsonl convert, check and append a chunk of rows at a
-time as columns, the only step that appends; a chunk that step refuses is
-converted again row by row, only to raise the error of its first bad line.
-The other readers convert and check each line in order.  Either way a
-DataError names the first bad line.  Events, observations, deltas and
-decisions are written with one f-string template per format, _WRITE_ROWS
-rows turned to text at a time, and contexts by write_jsonl; either way a
-line's bytes equal json.dumps(record, sort_keys=True,
-separators=(",", ":")), so identical in-memory data always produces
-identical files.
+time as columns, through one step per format; a chunk that step refuses
+goes back through the same step one row at a time, and the first row it
+refuses names the error.  The other readers convert and check each line in
+order.  Either way a DataError names the first bad line.  Events,
+observations, deltas and decisions are written with one f-string template
+per format, _WRITE_ROWS rows turned to text at a time, and contexts by
+write_jsonl; either way a line's bytes equal json.dumps(record,
+sort_keys=True, separators=(",", ":")), so identical in-memory data always
+produces identical files.
 Every input file is opened by one helper, so a missing or unreadable
 input is a DataError naming the path.  See FORMATS.md at the
 repository root for the field-by-field reference.
@@ -71,8 +71,11 @@ MODEL_FORMAT_VERSION = 1
 
 _EVENT_META_COLUMNS = ("user_id", "ts_hours", "kind", "badge_count")
 _NUMBER_TYPES = frozenset({int, float})  # what a JSON number parses to; bool is not one
-_STR, _DICT, _BADGE_TYPES = frozenset({str}), frozenset({dict}), frozenset({int, type(None)})
-_LIST, _BOOL = frozenset({list}), frozenset({bool})
+_STR, _INT, _LIST, _BOOL = (frozenset({t}) for t in (str, int, list, bool))
+_BADGE_TYPES = frozenset({int, type(None)})  # null: no badge
+# what a refusal calls each set of field types
+_TYPE_NAMES = {_NUMBER_TYPES: "a number", _STR: "a string", _INT: "an integer",
+               _BADGE_TYPES: "an integer", _BOOL: "true or false"}
 # rows converted as columns in one step; each row's parsed fields stay alive
 # until its chunk is converted, so this bounds the reader's memory
 _CHUNK_ROWS = 128
@@ -192,17 +195,25 @@ def file_sha256(path: str | Path) -> str:
 # -- events -----------------------------------------------------------------
 
 
+def _typed(values: Sequence, types: frozenset, name: str) -> Sequence:
+    """values, when each one's type is in types; else a TypeError naming the first that is not."""
+    if not types.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in types)
+        raise TypeError(f"{name} must be {_TYPE_NAMES[types]}, got {bad!r}")
+    return values
+
+
 def json_int(v, name: str) -> int:
     """A JSON integer field: an int, never a bool or a float."""
     if type(v) is not int:
-        raise TypeError(f"{name} must be an integer, got {v!r}")
+        _typed([v], _INT, name)  # raises
     return v
 
 
 def json_str(v, name: str) -> str:
     """A JSON string field: a str, never a number or null."""
     if type(v) is not str:
-        raise TypeError(f"{name} must be a string, got {v!r}")
+        _typed([v], _STR, name)  # raises
     return v
 
 
@@ -212,7 +223,7 @@ def json_number(v, name: str) -> float:
     An integer beyond the float range is a ValueError naming the field.
     """
     if type(v) not in _NUMBER_TYPES:
-        raise TypeError(f"{name} must be a number, got {v!r}")
+        _typed([v], _NUMBER_TYPES, name)  # raises
     try:
         return float(v)
     except OverflowError:
@@ -220,38 +231,12 @@ def json_number(v, name: str) -> float:
                          f"got an integer of {v.bit_length()} bits") from None
 
 
-def _raise_first_bad_event(
-    records: Iterable[tuple[int, Mapping]], where: str,
-    badge_of: Callable[[object, str], int], number_of: Callable[[object, str], float],
-) -> NoReturn:
-    """Raise the DataError of the first bad (line number, record) of a refused chunk.
-
-    Each record's fields are converted in a fixed order (user_id, ts_hours,
-    kind, badge_count, features), then checked as an Event, then its badge
-    count as an int64, so the first bad line, and the first fault on it,
-    names the error.  badge_of(value, name) converts a present badge_count
-    and number_of(value, name) a number: json_int and json_number for JSON,
-    int and float for CSV text.  A chunk with no bad record raises
-    AssertionError, so that it is never dropped silently.
-    """
-    from .pipeline import Event
-
-    for lineno, rec in records:
-        try:
-            badge = rec.get("badge_count")
-            event = Event(
-                json_str(rec["user_id"], "user_id"),
-                number_of(rec["ts_hours"], "ts_hours"),
-                str(rec["kind"]),
-                None if badge is None else badge_of(badge, "badge_count"),
-                {k: number_of(v, k) for k, v in (rec.get("features") or {}).items()},
-            )
-            array("q", [event.badge_count or 0])  # the badge column's int64
-        except DataError as exc:  # the event checks
-            raise DataError(f"{where}:{lineno}: {exc}") from None
-        except ROW_ERRORS as exc:
-            raise DataError(f"{where}:{lineno}: malformed event record: {exc}") from exc
-    raise AssertionError(f"{where}: the column step refused a chunk with no bad line")
+def _json_numbers(values: list, name: str) -> array:
+    """json_number of each value, as floats."""
+    try:
+        return array("d", _typed(values, _NUMBER_TYPES, name))
+    except OverflowError:  # an integer beyond the float range, with json_number's message
+        return array("d", [json_number(v, name) for v in values])
 
 
 def _chunks(items: Iterator, rows: int = _CHUNK_ROWS) -> Iterator[list]:
@@ -277,41 +262,69 @@ def _chunks(items: Iterator, rows: int = _CHUNK_ROWS) -> Iterator[list]:
         yield chunk
 
 
+def _append_chunks(rows: Iterator[tuple[int, object]], append: Callable[[list], object],
+                   where: str, what: str, size: int = _CHUNK_ROWS) -> None:
+    """append(rows) for the rows of each chunk of up to size (line number, row) items.
+
+    append is a reader's step: it converts, checks and appends a list of
+    rows, all of them or none, and refuses them by raising a ROW_ERRORS
+    type or a DataError.  A refused chunk goes back through append one row
+    at a time (_raise_first_refused).
+    """
+    for chunk in _chunks(rows, size):
+        try:
+            append([row for _, row in chunk])
+        except ROW_ERRORS:  # a DataError is a ValueError
+            _raise_first_refused(chunk, append, where, what)
+
+
+def _raise_first_refused(chunk: list[tuple[int, object]], append: Callable[[list], object],
+                         where: str, what: str) -> NoReturn:
+    """Pass a refused chunk's rows to append one at a time; the first it refuses raises.
+
+    The DataError names where and the row's line, and reads "malformed
+    {what}: ..." for a row error.  A chunk whose every row append takes
+    raises AssertionError, so that it is never dropped silently.
+    """
+    for lineno, row in chunk:
+        try:
+            append([row])
+        except DataError as exc:  # the event or duration checks
+            raise DataError(f"{where}:{lineno}: {exc}") from None
+        except ROW_ERRORS as exc:
+            raise DataError(f"{where}:{lineno}: malformed {what}: {exc}") from exc
+    raise AssertionError(f"{where}: the column step refused a chunk with no bad line")
+
+
 def _all_of(types: frozenset, values: Iterable) -> bool:
     return types.issuperset(map(type, values))
 
 
-def _json_chunk(recs: Sequence[dict]) -> tuple | None:
+def _json_chunk(recs: Sequence[dict]) -> tuple:
     """A chunk of JSONL event records as the columns EventColumnAppender.extend takes.
 
-    None when a record lacks a field or holds one of a type that
-    _raise_first_bad_event refuses, or a number does not convert to a float.
+    Each field is gathered and typed for every record before the next, in
+    the order a record's fields are read one at a time, so a chunk of one
+    record raises that record's first fault: a KeyError for a missing
+    field, the TypeError or ValueError of json_str, json_int or json_number,
+    or an AttributeError for features that are not an object.
     """
-    try:
-        user_ids = [r["user_id"] for r in recs]
-        times = [r["ts_hours"] for r in recs]
-        kinds = [r["kind"] for r in recs]
-        badges = [r.get("badge_count") for r in recs]
-        carried = [(i, f) for i, f in enumerate([r.get("features") for r in recs]) if f]
-        if not (_all_of(_STR, user_ids) and _all_of(_NUMBER_TYPES, times)
-                and _all_of(_STR, kinds) and _all_of(_BADGE_TYPES, badges)
-                and _all_of(_DICT, (f for _, f in carried))):
-            return None
-        features: dict[str, tuple[list[int], list]] = {}
-        for i, f in carried:
-            for name, v in f.items():
-                column = features.get(name)
-                if column is None:
-                    column = features[name] = ([], [])
-                column[0].append(i)
-                column[1].append(v)
-        for _, values in features.values():
-            if not _all_of(_NUMBER_TYPES, values):
-                return None
-            values[:] = map(float, values)
-        return user_ids, list(map(float, times)), kinds, badges, features
-    except ROW_ERRORS:
-        return None
+    user_ids = _typed([r["user_id"] for r in recs], _STR, "user_id")
+    times = _json_numbers([r["ts_hours"] for r in recs], "ts_hours")
+    kinds = [r["kind"] for r in recs]
+    if not _all_of(_STR, kinds):
+        kinds = list(map(str, kinds))
+    badges = _typed([r.get("badge_count") for r in recs], _BADGE_TYPES, "badge_count")
+    features: dict[str, tuple[list[int], list]] = {}
+    for i, f in enumerate([r.get("features") for r in recs]):
+        for name, v in f.items() if f else ():
+            column = features.get(name)
+            if column is None:
+                column = features[name] = ([], [])
+            column[0].append(i)
+            column[1].append(v)
+    return user_ids, times, kinds, badges, {
+        name: (rows, _json_numbers(values, name)) for name, (rows, values) in features.items()}
 
 
 class _CsvLayout(NamedTuple):
@@ -347,69 +360,46 @@ def _csv_rows(f, path: str | Path) -> tuple[_CsvLayout, Iterator[tuple[int, list
     return layout, enumerate(filter(None, rows), start=2)
 
 
-def _csv_record(layout: _CsvLayout, row: list[str]) -> dict:
-    """A CSV row as the event record csv.DictReader reads.
-
-    Every extra column is a feature, read on sends only.  A short row reads
-    None in its missing cells.
-    """
-    from .pipeline import SEND
-
-    row = row + [None] * (layout.width - len(row))
-    features = {}
-    if row[layout.kind] == SEND:
-        for name, i in layout.features:
-            cell = (row[i] or "").strip()
-            if cell:
-                features[name] = cell
-    return {
-        "user_id": row[layout.user_id],
-        "ts_hours": row[layout.ts_hours],
-        "kind": row[layout.kind],
-        "badge_count": (row[layout.badge_count] or "").strip() or None,
-        "features": features,
-    }
-
-
-def _csv_chunk(layout: _CsvLayout, rows: Sequence[list[str]]) -> tuple | None:
+def _csv_chunk(layout: _CsvLayout, rows: Sequence[list[str]]) -> tuple:
     """A chunk of CSV rows as the columns EventColumnAppender.extend takes.
 
-    A short row reads its missing cells as empty, as _csv_record reads
-    them.  None when a cell does not convert, and when a row lacks the
-    user_id, ts_hours or kind cell, which the row step names.
+    A row reads as csv.DictReader reads it: a short row reads None in its
+    missing cells, and every extra column is a feature, read on sends only.
+    Each field is converted for every row before the next, in the order a
+    row's fields are read one at a time, so a chunk of one row raises that
+    row's first fault.
     """
     from .pipeline import SEND
 
-    shortest = min(map(len, rows))
-    if shortest < layout.width:
-        if shortest <= max(layout.user_id, layout.ts_hours, layout.kind):
-            return None
-        rows = [row + [""] * (layout.width - len(row)) for row in rows]
+    if min(map(len, rows)) < layout.width:
+        rows = [row + [None] * (layout.width - len(row)) for row in rows]
     columns = list(zip(*rows))
+    user_ids = _typed(columns[layout.user_id], _STR, "user_id")
+    times = list(map(float, columns[layout.ts_hours]))
     kinds = columns[layout.kind]
     sends = [i for i, kind in enumerate(kinds) if kind == SEND]
-    try:
-        times = list(map(float, columns[layout.ts_hours]))
-        badges = [int(c) if c else None for c in map(str.strip, columns[layout.badge_count])]
-        features = {}
-        for name, j in layout.features:
-            cells = [columns[j][i].strip() for i in sends]
-            carried = sends if all(cells) else [i for i, c in zip(sends, cells) if c]
-            if carried:
-                features[name] = (carried, list(map(float, filter(None, cells))))
-    except ROW_ERRORS:
-        return None
+    if not _all_of(_STR, kinds):
+        kinds = list(map(str, kinds))
+    badges = [int(cell) if c and (cell := c.strip()) else None
+              for c in columns[layout.badge_count]]
+    features = {}
+    for name, j in layout.features:
+        cells = [(columns[j][i] or "").strip() for i in sends]
+        carried = sends if all(cells) else [i for i, c in zip(sends, cells) if c]
+        if carried:
+            features[name] = (carried, list(map(float, filter(None, cells))))
     # in order of first appearance, as appending row by row adds them
     features = dict(sorted(features.items(), key=lambda item: item[1][0][0]))
-    return columns[layout.user_id], times, kinds, badges, features
+    return user_ids, times, kinds, badges, features
 
 
 def read_events(path: str | Path) -> EventColumns:
     """Read an event log into columns: .csv as CSV, anything else as JSONL.
 
-    Each chunk of rows is converted, checked and appended as columns in one
-    step, the only step that appends.  A chunk that step refuses is
-    converted row by row, only to raise the error for its first bad line.
+    Each chunk of rows goes through one step, _csv_chunk or _json_chunk and
+    then EventColumnAppender.extend, which converts, checks and appends
+    it; a chunk that step refuses goes back through it one row at a time,
+    to raise the error of its first bad line.
     """
     from .pipeline import EventColumnAppender
 
@@ -417,17 +407,11 @@ def read_events(path: str | Path) -> EventColumns:
     if where.lower().endswith(".csv"):
         with _open_input(path) as f:
             layout, rows = _csv_rows(f, path)
-            for chunk in _chunks(rows):
-                converted = _csv_chunk(layout, [row for _, row in chunk])
-                if converted is None or not columns.extend(*converted):
-                    _raise_first_bad_event(((n, _csv_record(layout, row)) for n, row in chunk),
-                                           where, lambda cell, _: int(cell),
-                                           lambda cell, _: float(cell))
+            _append_chunks(rows, lambda chunk: columns.extend(*_csv_chunk(layout, chunk)),
+                           where, "event record")
     else:
-        for chunk in _chunks(read_jsonl(path)):
-            converted = _json_chunk([rec for _, rec in chunk])
-            if converted is None or not columns.extend(*converted):
-                _raise_first_bad_event(chunk, where, json_int, json_number)
+        _append_chunks(read_jsonl(path), lambda recs: columns.extend(*_json_chunk(recs)),
+                       where, "event record")
     return columns.build()
 
 
@@ -563,35 +547,32 @@ def write_observations_jsonl(path: str | Path, observations: ObservationColumns)
             )
 
 
-def _observation_chunk(recs: Sequence[dict], width: int | None) -> tuple | None:
+def _observation_chunk(recs: Sequence[dict], width: int | None) -> tuple:
     """A chunk of observation records as columns, and the width of x.
 
     Returns (width, user ids, x, t_hours, origin_ts_hours, uncensored), x
-    flat.  None when a record lacks a field or holds one of a type that the
-    row-by-row conversion refuses, an x has another length than the first
-    row's, a number does not convert to a float or a duration is not
-    positive and finite.
+    flat and width the first record's where width is None.  Each field is
+    gathered and checked for every record before the next, in the order a
+    record's fields are read one at a time, so a chunk of one record raises
+    that record's first fault: a ROW_ERRORS type, or a DataError for a
+    duration that is not positive and finite.
     """
-    try:
-        xs = [r["x"] for r in recs]
-        censored = [r["censored"] for r in recs]
-        user_ids = [r["user_id"] for r in recs]
-        times = [r["t_hours"] for r in recs]
-        origins = [r.get("origin_ts_hours", math.nan) for r in recs]
-        if not (_all_of(_LIST, xs) and _all_of(_BOOL, censored) and _all_of(_STR, user_ids)
-                and _all_of(_NUMBER_TYPES, times) and _all_of(_NUMBER_TYPES, origins)):
-            return None
-        width = len(xs[0]) if width is None else width
-        x = list(chain.from_iterable(xs))
-        if set(map(len, xs)) != {width} or not _all_of(_NUMBER_TYPES, x):
-            return None
-        times = array("d", times)
-        if not all(0.0 < t < math.inf for t in times):
-            return None
-        return (width, user_ids, array("d", x), times, array("d", origins),
-                [not c for c in censored])
-    except ROW_ERRORS:
-        return None
+    xs = [r["x"] for r in recs]
+    censored = _typed([r["censored"] for r in recs], _BOOL, "censored")
+    if not _all_of(_LIST, xs) or not _all_of(_NUMBER_TYPES, x := list(chain.from_iterable(xs))):
+        raise ValueError("x must be a list of numbers")
+    width = len(xs[0]) if width is None else width
+    other = next((len(row) for row in xs if len(row) != width), None)
+    if other is not None:
+        raise ValueError(f"x has {other} values, the first row {width}")
+    user_ids = _typed([r["user_id"] for r in recs], _STR, "user_id")
+    x = array("d", x)  # an OverflowError for an integer that no float holds
+    times = _json_numbers([r["t_hours"] for r in recs], "t_hours")
+    origins = _json_numbers([r.get("origin_ts_hours", math.nan) for r in recs], "origin_ts_hours")
+    bad = next((t for t in times if not 0.0 < t < math.inf), None)
+    if bad is not None:
+        raise DataError(f"non-positive duration {bad}")
+    return width, user_ids, x, times, origins, [not c for c in censored]
 
 
 def read_observations_jsonl(
@@ -599,9 +580,10 @@ def read_observations_jsonl(
 ) -> ObservationColumns:
     """Read observations into columns; with a schema, every x must satisfy it.
 
-    Each chunk of lines is converted, checked and appended as columns in
-    one step, the only step that appends.  A chunk that step refuses is
-    converted line by line, only to raise the error for its first bad line.
+    Each chunk of lines goes through one step, _observation_chunk and the
+    appends, which converts, checks and appends it; a chunk that step
+    refuses goes back through it one line at a time, to raise the error of
+    its first bad line.
     """
     from .pipeline import ObservationColumns
 
@@ -609,34 +591,17 @@ def read_observations_jsonl(
     user, x_values, t_hours, origin = array("q"), array("d"), array("d"), array("d")
     uncensored = bytearray()
     width = None  # every x has the length of the first
-    for chunk in _chunks(read_jsonl(path), _OBSERVATION_CHUNK_ROWS):
-        converted = _observation_chunk([rec for _, rec in chunk], width)
-        if converted is None:  # only to raise the error of the first bad line
-            for lineno, rec in chunk:
-                try:
-                    x, censored = rec["x"], rec["censored"]
-                    if type(censored) is not bool:
-                        raise ValueError(f"censored must be true or false, got {censored!r}")
-                    if type(x) is not list or not _NUMBER_TYPES.issuperset(map(type, x)):
-                        raise ValueError("x must be a list of numbers")
-                    width = len(x) if width is None else width
-                    if len(x) != width:
-                        raise ValueError(f"x has {len(x)} values, the first row {width}")
-                    json_str(rec["user_id"], "user_id")
-                    array("d", x)  # an integer that no float holds
-                    t = json_number(rec["t_hours"], "t_hours")
-                    json_number(rec.get("origin_ts_hours", math.nan), "origin_ts_hours")
-                except ROW_ERRORS as exc:
-                    raise DataError(f"{path}:{lineno}: malformed observation: {exc}") from exc
-                if t <= 0 or not math.isfinite(t):
-                    raise DataError(f"{path}:{lineno}: non-positive duration {t}")
-            raise AssertionError(f"{path}: the column step refused a chunk with no bad line")
-        width, user_ids, x, t, o, u = converted
+
+    def append(recs: list[dict]) -> None:
+        nonlocal width
+        width, user_ids, x, t, o, u = _observation_chunk(recs, width)
         user.extend([codes.setdefault(user_id, len(codes)) for user_id in user_ids])
-        x_values += x
-        t_hours += t
-        origin += o
+        x_values.extend(x)
+        t_hours.extend(t)
+        origin.extend(o)
         uncensored.extend(u)
+
+    _append_chunks(read_jsonl(path), append, str(path), "observation", _OBSERVATION_CHUNK_ROWS)
     X = np.frombuffer(x_values, float).reshape(len(t_hours), width or 0)
     if schema is not None:
         try:
@@ -781,6 +746,14 @@ def write_model_json(path: str | Path, model: WeibullAftModel | LogisticModel) -
     dump_json(path, rec)
 
 
+def _finite(v, name: str) -> float:
+    """json_number(v, name), refused unless finite."""
+    x = json_number(v, name)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 def _json_array(rec: Mapping, key: str, item: Callable, k: int | None = None) -> list:
     """rec[key], a JSON array of item(v, key) values, k of them where k is given."""
     if type(rec[key]) is not list:
@@ -813,15 +786,15 @@ def read_model_json(path: str | Path) -> WeibullAftModel | LogisticModel:
         if kind == "weibull_aft":
             return WeibullAftModel(
                 feature_names=names,
-                coefficients=np.array(_json_array(rec, "coefficients", json_number, len(names))),
-                log_sigma=json_number(rec["log_sigma"], "log_sigma"),
+                coefficients=np.array(_json_array(rec, "coefficients", _finite, len(names))),
+                log_sigma=_finite(rec["log_sigma"], "log_sigma"),
                 diagnostics=diagnostics,
                 schema=schema,
             )
         if kind == "logistic":
             return LogisticModel(
                 feature_names=names,
-                weights=np.array(_json_array(rec, "weights", json_number, len(names))),
+                weights=np.array(_json_array(rec, "weights", _finite, len(names))),
                 horizon_t_hours=json_number(rec["horizon_t_hours"], "horizon_t_hours"),
                 diagnostics=diagnostics,
                 schema=schema,

@@ -10,8 +10,8 @@ else of the log, so the log can be dropped once walked.  Observations (sends wit
 as ObservationColumns), send instances (every send) and the evaluation
 layer's naive labels are all views of that one table.  Event is one row of
 a log, what iterating EventColumns yields, and holds the checks every event
-passes; a reader builds one only to name a bad line.  SendInstance is one
-send's snapshot, which the commands do not build.
+passes; EventColumnAppender builds one only to raise a bad event's error.
+SendInstance is one send's snapshot, which the commands do not build.
 """
 
 from __future__ import annotations
@@ -148,29 +148,33 @@ class EventColumnAppender:
         kinds: Sequence[str],
         badge_counts: Sequence[int | None],
         features: Mapping[str, tuple[Sequence[int], Sequence[float]]],
-    ) -> bool:
+    ) -> None:
         """Append a chunk of events given as columns, or none of them.
 
         The columns hold one entry per event, each field as Event takes it;
         features maps a name to (rows, values), the rows counted from the
         chunk's first event and new names in the order they first appear.
         The chunk is appended only if every event passes Event's checks and
-        every badge count fits int64.  Otherwise nothing is appended and the
-        result is False, and the reader converts the chunk's records one at
-        a time to raise the error of the first bad one.
+        every badge count fits int64.  Otherwise nothing is appended, and
+        the first event that Event refuses raises its DataError, or failing
+        that the first badge count beyond int64 its OverflowError.
         """
         ts = array("d", ts_hours)
         is_send = bytes([k == SEND for k in kinds])
         has_badge = bytes([b is not None for b in badge_counts])
+        badges = [0 if b is None else b for b in badge_counts]
         try:
-            badge = array("q", [0 if b is None else b for b in badge_counts])
+            badge = array("q", badges)
         except OverflowError:
-            return False
+            badge = None
         sends = np.frombuffer(is_send, bool)
-        if not (_KIND_SET.issuperset(kinds) and np.isfinite(np.frombuffer(ts)).all()
+        if not (badge is not None and _KIND_SET.issuperset(kinds)
+                and np.isfinite(np.frombuffer(ts)).all()
                 and np.frombuffer(has_badge, bool)[sends].all()
                 and (np.frombuffer(badge, np.int64)[sends] >= 0).all()):
-            return False
+            for event in zip(user_ids, ts_hours, kinds, badge_counts):
+                Event(*event)  # raises for the first event it refuses
+            badge = array("q", badges)  # else raises for a badge count beyond int64
         n, codes = len(ts), self._codes
         dense = {}  # the chunk's entries of each feature it carries, as bytes
         for name, (rows, values) in features.items():
@@ -190,7 +194,6 @@ class EventColumnAppender:
             v, p = dense.get(name, missing)
             values.frombytes(v)
             present.extend(p)
-        return True
 
     def build(self) -> EventColumns:
         """The columns of every event appended, once; no event can be appended after."""

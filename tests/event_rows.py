@@ -17,7 +17,6 @@ def as_columns(events):
             rows.append(i)
             values.append(value)
     appender = EventColumnAppender()
-    if not appender.extend([e.user_id for e in events], [e.ts_hours for e in events],
-                           [e.kind for e in events], [e.badge_count for e in events], features):
-        raise ValueError("EventColumnAppender.extend refused the events")
+    appender.extend([e.user_id for e in events], [e.ts_hours for e in events],
+                    [e.kind for e in events], [e.badge_count for e in events], features)
     return appender.build()

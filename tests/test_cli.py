@@ -796,6 +796,11 @@ REFUSALS = [
      "synth_p_click_seed must be >= 0, got -1"),
     (("decide", "--scores", "s.jsonl", "--synth-p-click-seed", "-1", "--out", "{t}/o"), 2,
      "synth_p_click_seed must be >= 0, got -1"),
+    # report.json holds only finite numbers
+    (("decide", "--scores", "s.jsonl", "--config", "{t}/cadence_nan.json", "--out", "{t}/o"), 2,
+     "evaluation_cadence_hours must be finite and > 0, got nan"),
+    (("decide", "--scores", "s.jsonl", "--config", "{t}/cadence_neg.json", "--out", "{t}/o"), 2,
+     "evaluation_cadence_hours must be finite and > 0, got -1.0"),
 ]
 
 
@@ -807,6 +812,8 @@ def test_refusal_message_and_exit_code(tmp_path, capsys, argv, code, message):
     (tmp_path / "array.json").write_text('[{"window_start": 0}]')
     (tmp_path / "profiles.json").write_text('{"n_profile_features": -1}')
     (tmp_path / "method.json").write_text('{"method": "bfgs"}')
+    (tmp_path / "cadence_nan.json").write_text('{"evaluation_cadence_hours": NaN}')
+    (tmp_path / "cadence_neg.json").write_text('{"evaluation_cadence_hours": -1}')
     (tmp_path / "scores.jsonl").write_text('{"user_id": "u", "delta": 0.1, "p_wait": 0.5}\n')
     (tmp_path / "full").mkdir()
     (tmp_path / "full" / "manifest.json").write_text("{}")
@@ -861,8 +868,9 @@ def test_input_refusal_message_and_exit_code(
     assert not (tmp_path / "o").exists()
 
 
-# model files whose values json_number or json_str refuses, or whose vector
-# is not one entry per feature name: (kind, changes from the trained record,
+# model files whose values json_number or json_str refuses, whose coefficients,
+# weights or log_sigma are not finite, or whose vector is not one entry per
+# feature name: (kind, changes from the trained record,
 # the refusal after "malformed model file: ")
 _BAD_MODELS = [
     ("aft", lambda rec: {"coefficients": rec["coefficients"][:-1]},
@@ -882,6 +890,13 @@ _BAD_MODELS = [
      "weights must be a number, got True"),
     ("logistic", lambda rec: {"horizon_t_hours": "24"},
      "horizon_t_hours must be a number, got '24'"),
+    ("aft", lambda rec: {"coefficients": [math.nan] + rec["coefficients"][1:]},
+     "coefficients must be finite, got nan"),
+    ("aft", lambda rec: {"coefficients": rec["coefficients"][:-1] + [-math.inf]},
+     "coefficients must be finite, got -inf"),
+    ("aft", lambda rec: {"log_sigma": math.inf}, "log_sigma must be finite, got inf"),
+    ("logistic", lambda rec: {"weights": rec["weights"][:-1] + [math.nan]},
+     "weights must be finite, got nan"),
 ]
 
 

@@ -149,6 +149,55 @@ CASES += [
      "got an integer of 1329 bits"),
     ("events.jsonl", '{"user_id":"u","ts_hours":1' + "0" * 4300 + ',"kind":"visit"}',
      "invalid JSON: an integer of more than 4300 digits"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":1,'
+     '"features":{"p":1' + "0" * 400 + "}}",
+     "malformed event record: p must be a number within the float range, "
+     "got an integer of 1329 bits"),
+    # CSV text goes through float(), which reads such an integer as inf
+    ("events.csv", "u,1" + "0" * 400 + ",visit,,", "non-finite timestamp inf for user 'u'"),
+]
+# a badge count is checked as an event before it is checked to fit int64
+CASES += [
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":'
+     '9223372036854775808,"features":{"p":0.5}}',
+     "malformed event record: int too big to convert"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"visit",'
+     '"badge_count":-9223372036854775809}', "malformed event record: int too big to convert"),
+    ("events.csv", "u,2.0,send,9223372036854775808,0.5",
+     "malformed event record: int too big to convert"),
+]
+# a line with more than one fault names the first, in the order its fields are read:
+# each field is converted before the next, then the event checks, then int64
+_HUGE = "1" + "0" * 400
+CASES += [
+    ("events.jsonl", '{"user_id":null,"ts_hours":true,"kind":"visit"}',
+     "malformed event record: user_id must be a string, got None"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"badge_count":2.7}',
+     "malformed event record: 'kind'"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":true,'
+     '"features":{"p":true}}', "malformed event record: badge_count must be an integer, got True"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"push","features":{"p":true}}',
+     "malformed event record: p must be a number, got True"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"send",'
+     '"badge_count":-9223372036854775809,"features":{"p":0.5}}',
+     "negative badge_count -9223372036854775809 for user 'u'"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":1,'
+     '"features":{"p":' + _HUGE + ',"q":true}}',
+     "malformed event record: p must be a number within the float range, "
+     "got an integer of 1329 bits"),
+    ("events.csv", "u,abc,push,2.7,x",
+     "malformed event record: could not convert string to float: 'abc'"),
+    ("events.csv", "u,2.0,push,2.7,x",
+     "malformed event record: invalid literal for int() with base 10: '2.7'"),
+    ("observations.jsonl", '{"censored":false,"t_hours":1.0,"user_id":5,"x":[1.0,' + _HUGE
+     + ',1.0]}', "malformed observation: user_id must be a string, got 5"),
+    ("observations.jsonl", '{"censored":"no","t_hours":true,"user_id":"u","x":[1.0,0.5,1.0]}',
+     "malformed observation: censored must be true or false, got 'no'"),
+    ("observations.jsonl", '{"censored":false,"t_hours":1.0,"user_id":null,"x":[1.0]}',
+     "malformed observation: x has 1 values, the first row 3"),
+    ("observations.jsonl", '{"censored":false,"t_hours":-1.0,"origin_ts_hours":"0",'
+     '"user_id":"u","x":[1.0,0.5,1.0]}',
+     "malformed observation: origin_ts_hours must be a number, got '0'"),
 ]
 
 
@@ -666,19 +715,8 @@ def test_reading_and_rewriting_a_log_keeps_its_bytes(simulated_files, tmp_path):
 
 USERS = ["u0", "u1", "u2", "é", "😀"]
 FEATURES = ["p", "q", "r"]
-TOO_LARGE = {  # integers that no float or int64 holds
-    "events.jsonl": [
-        '{"user_id":"u","ts_hours":1' + "0" * 400 + ',"kind":"visit"}',
-        '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":9223372036854775808,'
-        '"features":{"p":0.5}}',
-        '{"user_id":"u","ts_hours":2.0,"kind":"visit","badge_count":-9223372036854775809}',
-        '{"user_id":"u","ts_hours":2.0,"kind":"send","badge_count":1,"features":{"p":1'
-        + "0" * 400 + "}}",
-    ],
-    "events.csv": ["u,2.0,send,9223372036854775808,0.5", "u,1" + "0" * 400 + ",visit,,"],
-}
-FAULTS = {name: [line for n, line, _ in CASES if n == name] + TOO_LARGE[name]
-          for name in TOO_LARGE}
+FAULTS = {name: [line for n, line, _ in CASES if n == name]
+          for name in ("events.jsonl", "events.csv")}
 
 
 def _number(rng, text):
@@ -713,7 +751,7 @@ def _csv_event(rng, width, short_rows):
 
 @st.composite
 def event_logs(draw):
-    """A few chunks of an event log, with at most one bad line, as (name, lines)."""
+    """A few chunks of an event log, with at most two bad lines, as (name, lines)."""
     name = draw(st.sampled_from(sorted(FAULTS)))
     n = draw(st.integers(1, 3 * _CHUNK_ROWS + 2))
     rng = random.Random(draw(st.integers(0, 2**32)))  # fills in the rows, fast
@@ -728,11 +766,20 @@ def event_logs(draw):
     first = int(name == "events.csv")  # the CSV header is not a record
     edges = [first, first + _CHUNK_ROWS - 1, first + _CHUNK_ROWS, len(lines) - 1]
     at = draw(st.sampled_from(edges) | st.integers(first, len(lines) - 1))
-    if draw(st.integers(0, 3)):  # a bad line in three logs of four
-        lines[min(at, len(lines) - 1)] = draw(st.sampled_from(FAULTS[name]))
+    for i in _bad_lines(draw, min(at, len(lines) - 1), len(lines) - 1):
+        lines[i] = draw(st.sampled_from(FAULTS[name]))
     for _ in range(draw(st.integers(0, 3))):  # blank lines count in JSONL, not in CSV
         lines.insert(rng.randrange(first, len(lines) + 1), "")
     return name, lines
+
+
+def _bad_lines(draw, at, last):
+    """No line, the line at, or it and a later one up to last, often in its chunk."""
+    if not draw(st.integers(0, 3)):  # a bad line in three logs of four
+        return []
+    if at == last or draw(st.booleans()):
+        return [at]
+    return [at, draw(st.integers(at + 1, min(at + 8, last)) | st.integers(at + 1, last))]
 
 
 def _outcome(read, path):
@@ -775,7 +822,7 @@ def test_a_clean_log_is_read_without_the_per_row_path(simulated_files, tmp_path,
         path = tmp_path / name
         with open(simulated_files / "events.csv", encoding="utf-8") as f:
             path.write_text("".join(line.rstrip(",\n") + "\n" for line in f), encoding="utf-8")
-    monkeypatch.setattr("sendwhen.io._raise_first_bad_event", refuse)
+    monkeypatch.setattr("sendwhen.io._raise_first_refused", refuse)
     assert len(read_events(path)) > 2000
     assert _outcome(read_events, path) == _outcome(read_events, simulated_files / "events.csv")
 
@@ -785,7 +832,14 @@ def test_a_clean_log_is_read_without_the_per_row_path(simulated_files, tmp_path,
                                        ("observations.jsonl", "_observation_chunk")])
 def test_a_refused_chunk_with_no_bad_line_is_not_dropped(simulated_files, monkeypatch, name,
                                                          step):
-    monkeypatch.setattr(f"sendwhen.io.{step}", lambda *args: None)  # refuses every chunk
+    convert = getattr(sendwhen.io, step)
+
+    def refuse_many(*args):  # refuses every chunk of more than one row, none of one
+        if len(next(a for a in args if type(a) is list)) > 1:
+            raise ValueError("refused")
+        return convert(*args)
+
+    monkeypatch.setattr(f"sendwhen.io.{step}", refuse_many)
     read = read_observations_jsonl if name == "observations.jsonl" else read_events
     with pytest.raises(AssertionError, match="refused a chunk with no bad line"):
         read(simulated_files / name)
@@ -837,7 +891,7 @@ def _observation(rng, width):
 
 @st.composite
 def observation_logs(draw):
-    """A few chunks of observations, with at most one bad line, as lines."""
+    """A few chunks of observations, with at most two bad lines, as lines."""
     n = draw(st.integers(1, 3 * _OBSERVATION_CHUNK_ROWS + 2))
     rng = random.Random(draw(st.integers(0, 2**32)))
     width = draw(st.sampled_from([3, 3, 0, 1]))  # the bad lines' x have 3 values or 2
@@ -847,8 +901,8 @@ def observation_logs(draw):
     lines = [_observation(rng, width + (i >= wider)) for i in range(n)]
     edges = [0, _OBSERVATION_CHUNK_ROWS - 1, _OBSERVATION_CHUNK_ROWS, n - 1]
     at = draw(st.sampled_from(edges) | st.integers(0, n - 1))
-    if draw(st.integers(0, 3)):  # a bad line in three files of four
-        lines[min(at, n - 1)] = draw(st.sampled_from(OBSERVATION_FAULTS))
+    for i in _bad_lines(draw, min(at, n - 1), n - 1):
+        lines[i] = draw(st.sampled_from(OBSERVATION_FAULTS))
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(rng.randrange(len(lines) + 1), "")
     return lines
@@ -876,5 +930,5 @@ def test_clean_observations_are_read_without_the_per_row_path(simulated_files, m
     def refuse(*args):
         raise AssertionError("a chunk went through the per-row path")
 
-    monkeypatch.setattr("sendwhen.io.json_number", refuse)
+    monkeypatch.setattr("sendwhen.io._raise_first_refused", refuse)
     assert len(read_observations_jsonl(simulated_files / "observations.jsonl")) > 2000
