@@ -103,16 +103,17 @@ from .io import (
     read_observations_jsonl,
     read_schema_json,
     read_scores,
+    write_contexts_jsonl,
     write_decisions_jsonl,
     write_deltas_jsonl,
     write_events_jsonl,
-    write_jsonl,
     write_model_json,
     write_observations_jsonl,
     write_schema_json,
 )
 
 if TYPE_CHECKING:
+    from .features import FeatureSchema
     from .optimize import OptConfig
     from .pipeline import PipelineConfig
     from .policies import CandidateColumns
@@ -244,18 +245,7 @@ def cmd_simulate(args: argparse.Namespace, merged: Mapping, sim_cfg: SimConfig) 
     schema = default_sim_schema(sim_cfg)
 
     write_events_jsonl(out / "events.jsonl", result.events)
-    write_jsonl(
-        out / "contexts.jsonl",
-        [
-            {
-                "user_id": c.user_id,
-                "features": dict(sorted(c.features.items())),
-                "badge_count": c.badge_count,
-                "w0_hours": c.w0_hours,
-            }
-            for c in result.contexts
-        ],
-    )
+    write_contexts_jsonl(out / "contexts.jsonl", *result.contexts)
     dump_json(out / "truth.json", result.truth)
     write_schema_json(out / "schema.json", schema)
     _write_manifest(out, "simulate", merged, inputs={}, seed=sim_cfg.seed)
@@ -413,6 +403,17 @@ def _evaluate_settings(merged: Mapping) -> tuple[list[float], str, PipelineConfi
     return horizons, labeler, _pipeline_config(merged)
 
 
+def _check_model_schema(model: WeibullAftModel | LogisticModel, model_path: str,
+                        schema: FeatureSchema, schema_path: str) -> None:
+    """Refuse a model made for another layout than schema: another schema_id or width."""
+    if model.schema is not None and model.schema.schema_id != schema.schema_id:
+        raise SchemaError(f"{model_path} has schema_id {model.schema.schema_id} and "
+                          f"{schema_path} {schema.schema_id}; they do not mix")
+    if len(model.feature_names) != len(schema):
+        raise SchemaError(f"{model_path} has {len(model.feature_names)} features and "
+                          f"{schema_path} {len(schema)} slots; they do not mix")
+
+
 def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int:
     from .evaluation import REFERENCE_AUC_POINTS, auc_vs_horizon, match_horizons
     from .training import LogisticModel, WeibullAftModel, model_digest
@@ -432,6 +433,10 @@ def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> 
         logistic_models[h], path_of[h] = m, path
     match_horizons(horizons, logistic_models)  # before the schema and the log are read
     schema = read_schema_json(args.schema)
+    # logistic_models holds one model per --logistic-model, in their order
+    for path, model in zip([args.aft_model, *args.logistic_model],
+                           [aft, *logistic_models.values()]):
+        _check_model_schema(model, path, schema, args.schema)
     with _naming_lines(args.events):
         report = auc_vs_horizon(
             aft, logistic_models, read_events(args.events), schema,

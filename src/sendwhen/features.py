@@ -57,6 +57,18 @@ class SlotSpec:
             )
 
 
+def _slot_fields(entry) -> tuple[str, str, tuple[str, ...], bool] | None:
+    """A slot entry's (name, kind, parents, online), or None if one is not of its JSON type."""
+    if type(entry) is not dict:
+        return None
+    name, kind = entry.get("name"), entry.get("kind", "base")
+    parents, online = entry.get("parents", []), entry.get("online", False)
+    if not (type(name) is str and type(kind) is str and type(parents) is list
+            and all(type(p) is str for p in parents) and type(online) is bool):
+        return None
+    return name, kind, tuple(parents), online
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
     """Ordered, validated collection of slots with derived-slot semantics."""
@@ -240,23 +252,16 @@ class FeatureSchema:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FeatureSchema":
-        try:
-            raw_slots = d["slots"]
-        except (KeyError, TypeError):
-            raise SchemaError("schema document must have a 'slots' list") from None
+        """The schema a JSON document holds; a slot field of another JSON type is refused."""
+        raw_slots = d.get("slots") if isinstance(d, dict) else None
+        if type(raw_slots) is not list:
+            raise SchemaError("schema document must have a 'slots' list")
         slots = []
         for entry in raw_slots:
-            try:
-                slots.append(
-                    SlotSpec(
-                        name=entry["name"],
-                        kind=entry.get("kind", "base"),
-                        parents=tuple(entry.get("parents", ())),
-                        online=bool(entry.get("online", False)),
-                    )
-                )
-            except (KeyError, TypeError) as exc:
-                raise SchemaError(f"malformed slot entry {entry!r}") from exc
+            fields = _slot_fields(entry)
+            if fields is None:
+                raise SchemaError(f"malformed slot entry {entry!r}")
+            slots.append(SlotSpec(*fields))
         schema = cls(tuple(slots))
         declared = d.get("schema_id")
         if declared is not None and declared != schema.schema_id:

@@ -9,12 +9,12 @@ read_observations_jsonl convert, check and append a chunk of rows at a
 time as columns, through one step per format; a chunk that step refuses
 goes back through the same step one row at a time, and the first row it
 refuses names the error.  The other readers convert and check each line in
-order.  Either way a DataError names the first bad line.  Events,
-observations, deltas and decisions are written with one f-string template
-per format, _WRITE_ROWS rows turned to text at a time, and contexts by
-write_jsonl; either way a line's bytes equal json.dumps(record,
-sort_keys=True, separators=(",", ":")), so identical in-memory data always
-produces identical files.
+order.  Either way a DataError names the first bad line.  Every JSONL
+file (events, observations, contexts, deltas, decisions) is written from
+columns with one f-string template per format, _WRITE_ROWS rows turned to
+text at a time; each line is its record's canonical line, the bytes of
+json.dumps(record, sort_keys=True, separators=(",", ":")), so identical
+in-memory data always produces identical files.
 Every input file is opened by one helper, so a missing or unreadable
 input is a DataError naming the path.  See FORMATS.md at the
 repository root for the field-by-field reference.
@@ -29,7 +29,7 @@ import math
 import sys
 from array import array
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import (
@@ -48,8 +48,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "read_jsonl",
-    "write_jsonl",
     "read_contexts",
+    "write_contexts_jsonl",
     "write_deltas_jsonl",
     "read_scores",
     "write_decisions_jsonl",
@@ -91,8 +91,8 @@ _WRITE_ROWS = 1024
 ROW_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-# one encoder for every JSONL line; json.dumps with these arguments would
-# build the same encoder again on each call
+# one encoder for what the templates do not format themselves; json.dumps
+# with these arguments would build the same encoder again on each call
 _encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -177,13 +177,6 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(rec, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, rec
-
-
-def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
-    """Write one canonical (sorted keys, compact) JSON object per line."""
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(_encode_line(rec) + "\n")
 
 
 def file_sha256(path: str | Path) -> str:
@@ -518,7 +511,7 @@ def _event_rows(events: EventColumns) -> Iterator[tuple]:
 
 
 def write_events_jsonl(path: str | Path, events: EventColumns) -> None:
-    """One line per event, the bytes write_jsonl would write for its record."""
+    """One line per event, its record's canonical line."""
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(
             f'{{"badge_count":{badge},{features}"kind":{kind},'
@@ -531,7 +524,7 @@ def write_events_jsonl(path: str | Path, events: EventColumns) -> None:
 
 
 def write_observations_jsonl(path: str | Path, observations: ObservationColumns) -> None:
-    """One line per observation, the bytes write_jsonl would write for its record."""
+    """One line per observation, its record's canonical line."""
     obs = observations
     ids = [_json_scalar(u) for u in obs.user_ids]  # encoded once per user
     with open(path, "w", encoding="utf-8") as f:
@@ -650,6 +643,30 @@ def read_contexts(
     return user_ids, features, np.frombuffer(badges, float), np.frombuffer(w0, float)
 
 
+def write_contexts_jsonl(
+    path: str | Path, user_ids: Sequence[str], features: Mapping[str, np.ndarray],
+    badge_count: np.ndarray, w0_hours: np.ndarray,
+) -> None:
+    """One line per user of scoring contexts, its record's canonical line.
+
+    features maps each profile feature's name to a float column that every
+    row carries; badge_count is an integer column.
+    """
+    keys = {name: _json_scalar(name) + ":" for name in sorted(features)}  # sorted as strings
+    with open(path, "w", encoding="utf-8") as f:
+        for part in _parts(len(user_ids)):
+            shown = [map(key.__add__, _json_floats(features[name][part]))
+                     for name, key in keys.items()]
+            f.writelines(
+                f'{{"badge_count":{badge},"features":{{{member}}},'
+                f'"user_id":{_json_scalar(user_id)},"w0_hours":{w0}}}\n'
+                for user_id, member, badge, w0 in zip(
+                    user_ids[part], map(",".join, zip(*shown)) if shown else repeat(""),
+                    map(int.__repr__, badge_count[part].tolist()), _json_floats(w0_hours[part]),
+                )
+            )
+
+
 def read_scores(
     path: str | Path,
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -680,7 +697,7 @@ def write_deltas_jsonl(
     path: str | Path, user_ids: Sequence[str], w0_hours: np.ndarray, scores: Mapping,
     horizon_T: float, model_version: str,
 ) -> None:
-    """One line per user of score_columns's scores, the bytes write_jsonl would write."""
+    """One line per user of score_columns's scores, its record's canonical line."""
     alpha, horizon = _json_scalar(float(scores["alpha"])), _json_scalar(float(horizon_T))
     version = _json_scalar(model_version)
     columns = [scores[k] for k in ("delta", "lambda0", "lambda1", "p_send", "p_wait")]
@@ -697,7 +714,7 @@ def write_deltas_jsonl(
 
 
 def write_decisions_jsonl(path: str | Path, user_ids: Sequence[str], result: PolicyResult) -> None:
-    """One line per row of a policy result, the bytes write_jsonl would write.
+    """One line per row of a policy result, its record's canonical line.
 
     A row holds user_id, y, send, the rule and its parameters
     (PolicyResult.params); a flagged row adds flagged and its note.

@@ -84,6 +84,14 @@ class SendProcess:
             raise ConfigError(f"malformed send_process {d!r}: {exc}") from exc
 
 
+# The largest run SimConfig takes, refused before any draw.  Simulating in
+# process, peak memory grew by about 240 bytes a send from 5k to 20k users
+# (70k to 280k sends) and by about 360 bytes a user without sends, so a run
+# stays below about 5 GB; the 100k-user week draws about 1.4 million sends.
+_MAX_USERS = 10_000_000
+_MAX_SENDS = 20_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     n_users: int
@@ -104,6 +112,18 @@ class SimConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_positive(self.true_sigma, "true_sigma")
         check_positive(self.window_hours, "window_hours")
+        if self.n_users > _MAX_USERS:
+            raise ConfigError(f"n_users must be at most {_MAX_USERS:,}")
+        proc = self.send_process
+        if proc.kind == "fixed":
+            keys = "n_users * (window_hours / interval_hours + 1)"
+            sends = self.n_users * (self.window_hours / proc.interval_hours + 1)
+        else:
+            keys = "n_users * window_hours * rate_per_hour"
+            sends = self.n_users * self.window_hours * proc.rate_per_hour
+        if not sends <= _MAX_SENDS:
+            raise ConfigError(f"{keys} expects {sends:.3g} sends, more than the "
+                              f"{_MAX_SENDS:,} a run may draw")
         if not all(map(math.isfinite, self.true_coefficients)):
             raise ConfigError(
                 f"true_coefficients must be finite, got {list(self.true_coefficients)}"
@@ -183,19 +203,9 @@ def _send_times(
 
 
 @dataclass(frozen=True, eq=False)
-class UserEndState:
-    """A user's state at the end of the window, input for decision-time scoring."""
-
-    user_id: str
-    features: Mapping[str, float]
-    badge_count: int
-    w0_hours: float
-
-
-@dataclass(frozen=True, eq=False)
 class SimResult:
     events: EventColumns
-    contexts: list[UserEndState]
+    contexts: tuple  # user ids, profile columns, badge counts, w0_hours at the window's end
     truth: dict = field(default_factory=dict)
 
 
@@ -239,7 +249,7 @@ def generate_event_log(cfg: SimConfig) -> SimResult:
     )
 
     user, ts, badges = array("q"), array("d"), array("q")  # a visit's badge is 0
-    contexts: list[UserEndState] = []
+    end_badge, w0 = array("q"), array("d")  # each user's state at the window's end
     n_visits = n_resolved = n_censored = 0
     expected_censored = 0.0
 
@@ -280,8 +290,8 @@ def generate_event_log(cfg: SimConfig) -> SimResult:
                     badge = 0
                     last_state_change = visit_at
 
-            profile = dict(zip(names, profiles[uid].tolist()))
-            contexts.append(UserEndState(user_ids[uid], profile, badge, window - last_state_change))
+            end_badge.append(badge)
+            w0.append(window - last_state_change)
 
     codes, badge_count = np.frombuffer(user, np.int64), np.frombuffer(badges, np.int64)
     send_rows = badge_count > 0
@@ -316,4 +326,6 @@ def generate_event_log(cfg: SimConfig) -> SimResult:
             ),
         },
     }
+    contexts = (user_ids, dict(zip(names, profiles.T)), np.frombuffer(end_badge, np.int64),
+                np.frombuffer(w0, float))
     return SimResult(events=events, contexts=contexts, truth=truth)

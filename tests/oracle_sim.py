@@ -6,8 +6,9 @@ builds the feature vector with the one-row schema.materialize, draws one
 visit time with a scalar inverse-CDF draw, adds the Weibull survival at
 the gap to the next send through a WeibullParams, and emits an Event for
 the send and for each visit that lands.  write_events writes each Event
-as its own line, the bytes json.dumps gives its record.  An array
-simulator must give the same lines, contexts and truth, bit for bit.
+as its own line, and write_contexts each context, the bytes json.dumps
+gives its record.  An array simulator must give the same lines and truth,
+bit for bit.
 """
 
 import json
@@ -131,3 +132,12 @@ def _event_line(ev):
 def write_events(path, events):
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(map(_event_line, events))
+
+
+def write_contexts(path, contexts):
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(
+            _dumps({"user_id": user_id, "features": features, "badge_count": badge,
+                    "w0_hours": w0}) + "\n"
+            for user_id, features, badge, w0 in contexts
+        )

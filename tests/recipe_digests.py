@@ -106,7 +106,11 @@ def cycle(d: Path) -> None:
 
 
 def environment() -> dict:
-    """What the digests depend on besides the code: the interpreter, numpy, scipy and the CPU."""
+    """What the digests depend on besides the code.
+
+    That is the interpreter, numpy, scipy, the C library, whose libm computes
+    what numpy does not dispatch to its own kernels, and the CPU.
+    """
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
@@ -115,6 +119,7 @@ def environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": version("scipy"),
+        "libc": list(platform.libc_ver()),
         "machine": platform.machine(),
         "avx512": sorted(k for k, on in __cpu_features__.items() if on and k.startswith("AVX512")),
     }

@@ -422,6 +422,80 @@ def test_evaluate_finds_a_missing_model_before_reading_the_log(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def _altered_schema(tmp_path, sim_dir, alter):
+    """simulate's schema.json with alter applied to its slot list, written to tmp_path."""
+    d = json.loads((sim_dir / "schema.json").read_text())
+    del d["schema_id"]
+    alter(d["slots"])
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+def _swap_profiles(slots):
+    slots[1], slots[2] = slots[2], slots[1]
+
+
+@pytest.mark.parametrize("alter", [_swap_profiles, list.pop], ids=["swapped", "one-short"])
+def test_evaluate_refuses_a_schema_its_models_were_not_trained_on(
+    tmp_path, capsys, sim_dir, aft_dir, logistic_24_dir, alter
+):
+    schema = _altered_schema(tmp_path, sim_dir, alter)
+    argv = ["evaluate", "--aft-model", aft_dir / "model.json", "--logistic-model",
+            logistic_24_dir / "model.json", "--events", tmp_path / "missing.jsonl",
+            "--schema", schema, "--horizons", 24, "--out", tmp_path / "o"]
+    assert run(*argv) == 3  # before the log is read: it does not exist
+    ids = (read_model_json(aft_dir / "model.json").schema.schema_id,
+           read_schema_json(schema).schema_id)
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {aft_dir / 'model.json'} has schema_id {ids[0]} and {schema} {ids[1]}; "
+        "they do not mix")
+    assert not (tmp_path / "o").exists()
+
+
+def _without_schema(model, tmp_path):
+    """A copy in tmp_path of the model file, its schema null."""
+    rec = json.loads(model.read_text())
+    rec["schema"] = None
+    path = tmp_path / f"{model.parent.name}.json"
+    path.write_text(json.dumps(rec))
+    return path
+
+
+def test_evaluate_compares_widths_for_models_without_a_schema(
+    tmp_path, capsys, sim_dir, aft_dir, logistic_24_dir
+):
+    aft, logistic = (_without_schema(d / "model.json", tmp_path)
+                     for d in (aft_dir, logistic_24_dir))
+    models = ["--aft-model", aft, "--logistic-model", logistic, "--horizons", 24]
+    assert run("evaluate", *models, "--events", sim_dir / "events.jsonl",
+               "--schema", sim_dir / "schema.json", "--out", tmp_path / "same") == 0
+    capsys.readouterr()
+    schema = _altered_schema(tmp_path, sim_dir, list.pop)
+    assert run("evaluate", *models, "--events", tmp_path / "missing.jsonl", "--schema", schema,
+               "--out", tmp_path / "short") == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {aft} has 5 features and {schema} 4 slots; they do not mix")
+    assert not (tmp_path / "short").exists()
+
+
+def test_evaluate_refuses_a_model_with_fewer_coefficients_than_its_schema(
+    tmp_path, capsys, sim_dir, aft_dir, logistic_24_dir
+):
+    rec = json.loads((aft_dir / "model.json").read_text())
+    rec["feature_names"].pop()
+    rec["coefficients"].pop()
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(rec))
+    schema = sim_dir / "schema.json"
+    assert run("evaluate", "--aft-model", model, "--logistic-model",
+               logistic_24_dir / "model.json", "--horizons", 24, "--events",
+               sim_dir / "events.jsonl", "--schema", schema, "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {model} has 4 features and {schema} 5 slots; they do not mix")
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_refuses_two_models_for_one_horizon(tmp_path, capsys, aft_dir, logistic_24_dir):
     first, second = logistic_24_dir / "model.json", tmp_path / "copy.json"
     second.write_bytes(first.read_bytes())

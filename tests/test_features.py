@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sendwhen import SchemaError
+from sendwhen.cli import main
 from sendwhen.features import FeatureSchema, SlotSpec
 
 
@@ -216,3 +219,42 @@ class TestPersistence:
             FeatureSchema.from_dict({"nope": []})
         with pytest.raises(SchemaError):
             FeatureSchema.from_dict({"slots": [{"kind": "base"}]})
+
+    @pytest.mark.parametrize("slots", [5, "slots", {"name": "intercept"}, None])
+    def test_slots_that_are_not_a_list_are_refused(self, slots):
+        with pytest.raises(SchemaError, match="schema document must have a 'slots' list"):
+            FeatureSchema.from_dict({"slots": slots})
+
+    @pytest.mark.parametrize("slot,field,value", [
+        (0, "name", 1), (0, "kind", ["intercept"]), (1, "online", "false"), (1, "online", 0),
+        (1, "online", None), (5, "parents", "ab"), (5, "parents", ["profile_0", 2]),
+        (5, "parents", {"badge_count": 1, "profile_0": 2}), (2, "parents", None),
+    ])
+    def test_a_slot_field_of_another_json_type_is_refused(self, slot, field, value):
+        d = demo_schema().to_dict()
+        del d["schema_id"]  # the refusal is the field's, not the digest's
+        d["slots"][slot][field] = value
+        with pytest.raises(SchemaError, match="^malformed slot entry"):
+            FeatureSchema.from_dict(d)
+
+    def test_ingest_refuses_a_mistyped_online_flag(self, tmp_path, capsys):
+        d = demo_schema().to_dict()
+        del d["schema_id"]
+        d["slots"][1]["online"] = "false"
+        (tmp_path / "schema.json").write_text(json.dumps(d))
+        argv = ["ingest", "--events", tmp_path / "events.jsonl", "--schema",
+                tmp_path / "schema.json", "--out", tmp_path / "out"]
+        assert main([str(a) for a in argv]) == 3
+        assert capsys.readouterr().err.startswith("error: malformed slot entry")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_slot_entry_that_is_not_an_object_is_refused(self):
+        d = demo_schema().to_dict()
+        d["slots"][1] = ["profile_0", "base"]
+        with pytest.raises(SchemaError, match="^malformed slot entry"):
+            FeatureSchema.from_dict(d)
+
+    def test_omitted_slot_fields_take_their_defaults(self):
+        slots = [{"name": "intercept", "kind": "intercept"}, {"name": "p"}]
+        assert FeatureSchema.from_dict({"slots": slots}) == FeatureSchema.build(
+            base=["p"], badge=None)

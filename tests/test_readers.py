@@ -36,10 +36,10 @@ from sendwhen.io import (
     read_events,
     read_jsonl,
     read_observations_jsonl,
+    write_contexts_jsonl,
     write_decisions_jsonl,
     write_deltas_jsonl,
     write_events_jsonl,
-    write_jsonl,
     write_model_json,
     write_observations_jsonl,
     write_schema_json,
@@ -428,6 +428,30 @@ def test_delta_lines_equal_json_dumps(tmp_path_factory, rows, alpha, horizon, ve
     assert text.splitlines() == want
 
 
+@st.composite
+def context_rows(draw):
+    """Feature names, and rows of (user id, a value per name, badge count, w0_hours)."""
+    names = draw(st.lists(ids, max_size=4, unique=True))
+    values = st.lists(floats, min_size=len(names), max_size=len(names))
+    return names, draw(st.lists(st.tuples(ids, values, st.integers(0, 2**62), floats),
+                                max_size=8))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(context_rows())
+def test_context_lines_equal_json_dumps(tmp_path_factory, drawn):
+    names, rows = drawn
+    features = {name: np.array([values[j] for _, values, *_ in rows], dtype=float)
+                for j, name in enumerate(names)}
+    want = [_dumps({"user_id": u, "features": dict(zip(names, values)), "badge_count": b,
+                    "w0_hours": w}) for u, values, b, w in rows]
+    path = tmp_path_factory.getbasetemp() / "contexts.jsonl"
+    text = _written_text(write_contexts_jsonl, path, [u for u, *_ in rows], features,
+                         np.array([b for *_, b, _ in rows], dtype=np.int64),
+                         np.array([w for *_, w in rows], dtype=float))
+    assert text.splitlines() == want
+
+
 def _decision_records(user_ids, rule, result):
     """The records decide wrote one dict at a time."""
     params = {k: v for k in ("kappa", "kappa1", "kappa2")
@@ -498,9 +522,7 @@ def simulated_files(tmp_path_factory):
     write_schema_json(d / "schema.json", schema)
     table = send_table(read_events(d / "events.jsonl"), PipelineConfig())
     write_observations_jsonl(d / "observations.jsonl", table.observations(schema, 1 / 3600))
-    write_jsonl(d / "contexts.jsonl", [
-        {"user_id": c.user_id, "features": dict(c.features), "badge_count": c.badge_count,
-         "w0_hours": c.w0_hours} for c in sim.contexts])
+    write_contexts_jsonl(d / "contexts.jsonl", *sim.contexts)
     return d
 
 

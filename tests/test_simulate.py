@@ -14,9 +14,11 @@ import oracle_sim
 import sendwhen
 from sendwhen.cli import main
 from sendwhen.errors import ConfigError
-from sendwhen.io import write_events_jsonl
+from sendwhen.io import write_contexts_jsonl, write_events_jsonl
 from sendwhen.pipeline import SEND, VISIT, EventColumns, PipelineConfig, build_observations
 from sendwhen.simulate import (
+    _MAX_SENDS,
+    _MAX_USERS,
     SendProcess,
     SimConfig,
     _extreme_value,
@@ -157,13 +159,13 @@ class TestEventLog:
 
     def test_contexts_one_per_user(self):
         cfg = small_config()
-        sim = generate_event_log(cfg)
-        assert len(sim.contexts) == cfg.n_users
-        assert len({c.user_id for c in sim.contexts}) == cfg.n_users
-        for c in sim.contexts:
-            assert c.badge_count >= 0
-            assert 0.0 <= c.w0_hours <= cfg.window_hours
-            assert set(c.features) == {"profile_0", "profile_1"}
+        user_ids, features, badge_count, w0_hours = generate_event_log(cfg).contexts
+        assert len(set(user_ids)) == len(user_ids) == cfg.n_users
+        assert list(features) == ["profile_0", "profile_1"]
+        for column in (*features.values(), badge_count, w0_hours):
+            assert column.shape == (cfg.n_users,)
+        assert badge_count.dtype == np.int64 and (badge_count >= 0).all()
+        assert ((0.0 <= w0_hours) & (w0_hours <= cfg.window_hours)).all()
 
     def test_truth_sidecar_contents(self):
         cfg = small_config()
@@ -217,14 +219,19 @@ def test_simulator_equals_per_send_oracle(tmp_path, case):
     oracle_sim.write_events(tmp_path / "oracle.jsonl", events)
     written = event_bytes(sim.events, tmp_path)
     assert written == (tmp_path / "oracle.jsonl").read_bytes()
-    assert [(c.user_id, dict(c.features), c.badge_count, c.w0_hours)
-            for c in sim.contexts] == contexts
+    write_contexts_jsonl(tmp_path / "contexts.jsonl", *sim.contexts)
+    oracle_sim.write_contexts(tmp_path / "oracle_contexts.jsonl", contexts)
+    written_contexts = (tmp_path / "contexts.jsonl").read_bytes()
+    assert written_contexts == (tmp_path / "oracle_contexts.jsonl").read_bytes()
+    assert written_contexts.count(b"\n") == cfg.n_users
     assert sim.truth == truth
-    first_send = written.split(b"\n", 1)[0]
+    first_send, first_context = written.split(b"\n", 1)[0], written_contexts.split(b"\n", 1)[0]
     if cfg.n_profile_features == 0:
         assert b'"features"' not in written
+        assert written_contexts.count(b'"features":{},') == cfg.n_users
     elif cfg.n_profile_features == 12:  # names sort as strings
-        assert first_send.index(b'"profile_10"') < first_send.index(b'"profile_2"')
+        for line in (first_send, first_context):
+            assert line.index(b'"profile_10"') < line.index(b'"profile_2"')
 
 
 class TestCensoring:
@@ -363,6 +370,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimConfig.from_dict({"n_users": 5})
 
+    def test_the_largest_run_is_taken_and_a_larger_one_refused(self):
+        # both limits reached at once: 10 million users, 2 expected sends each
+        small_config(n_users=_MAX_USERS, window_hours=_MAX_SENDS / _MAX_USERS,
+                     send_process=SendProcess("poisson", rate_per_hour=1.0))
+        small_config(n_users=_MAX_USERS, send_process=SendProcess("fixed", interval_hours=168.0))
+        with pytest.raises(ConfigError, match="^n_users must be at most 10,000,000$"):
+            small_config(n_users=_MAX_USERS + 1, window_hours=1.0)
+        with pytest.raises(ConfigError, match=r"expects 2\.2e\+07 sends, more than the 20,000,000"):
+            small_config(n_users=_MAX_USERS, window_hours=2.2,
+                         send_process=SendProcess("poisson", rate_per_hour=1.0))
+
+    def test_the_100k_user_week_is_far_inside_the_limit(self):
+        rate = 1 / 12  # the default send process
+        small_config(n_users=100_000, send_process=SendProcess("poisson", rate_per_hour=rate))
+        assert 100_000 * 168.0 * rate * 10 < _MAX_SENDS
+
     def test_schema_without_interaction(self):
         cfg = small_config(
             true_coefficients=(2.6, 0.4, -0.3, -0.15), include_interaction=False
@@ -422,6 +445,45 @@ def test_simulate_refuses_config(tmp_path, capsys, flags, config, message):
     else:
         argv += ["--n-users", "3"]
     assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+# configs whose run would not end in time or memory; a 401-digit n_users is
+# refused before anything is multiplied by it
+OVERSIZED_CONFIGS = {
+    "huge-window": ({"window_hours": 1e300},
+                    "n_users * window_hours * rate_per_hour expects 2.5e+299 sends, more than "
+                    "the 20,000,000 a run may draw"),
+    "huge-window-fixed": ({"window_hours": 1e300,
+                           "send_process": {"kind": "fixed", "interval_hours": 8.0}},
+                          "n_users * (window_hours / interval_hours + 1) expects 3.75e+299 "
+                          "sends, more than the 20,000,000 a run may draw"),
+    "fine-interval": ({"send_process": {"kind": "fixed", "interval_hours": 1e-300}},
+                      "n_users * (window_hours / interval_hours + 1) expects 5.04e+302 sends, "
+                      "more than the 20,000,000 a run may draw"),
+    "count-past-the-float-range": ({"window_hours": 1e300, "send_process": {
+        "kind": "poisson", "rate_per_hour": 1e100}},
+        "n_users * window_hours * rate_per_hour expects inf sends, more than the 20,000,000 a "
+        "run may draw"),
+    "many-users": ({"n_users": 10**7, "send_process": {"kind": "poisson", "rate_per_hour": 1.0}},
+                   "n_users * window_hours * rate_per_hour expects 1.68e+09 sends, more than "
+                   "the 20,000,000 a run may draw"),
+    "401-digit-users": ({"n_users": 10**400}, "n_users must be at most 10,000,000"),
+}
+
+
+@pytest.mark.parametrize("config, message", OVERSIZED_CONFIGS.values(),
+                         ids=OVERSIZED_CONFIGS.keys())
+def test_simulate_refuses_an_oversized_run_before_any_draw(tmp_path, capsys, monkeypatch, config,
+                                                            message):
+    def refuse(cfg):
+        raise AssertionError("drew a run the config should refuse")
+
+    monkeypatch.setattr("sendwhen.simulate.generate_event_log", refuse)
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"n_users": 3, **config}), encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "out").exists()
 
