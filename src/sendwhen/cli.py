@@ -30,9 +30,11 @@ imports this module and its children keep the caller's setting.  A thread
 count the caller sets in OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
 OMP_NUM_THREADS is kept.
 
-Outputs land in --out DIR and are never overwritten without --force; each
-output directory gets exactly one manifest.json recording the command,
-config digest, input digests, package version, seed, and timestamps.
+A body computes every result first and then calls _write_out once, with
+each output's name and its writer: _write_out makes --out DIR, refuses to
+overwrite an output or a manifest without --force, writes the outputs and
+then the one manifest.json recording the command, config digest, input
+digests, package version, seed, and timestamps.
 Exit codes: 0 success, 2 config error, 3 data error (including a missing
 or unreadable input file), 4 numerical failure.  Timestamps honor
 SOURCE_DATE_EPOCH so archived runs can be compared byte for byte.
@@ -149,20 +151,6 @@ def _utc_stamp() -> str:
         ) from None
 
 
-def _prepare_out(out_dir: str, filenames: Sequence[str], force: bool) -> Path:
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ConfigError(f"--out {out} is not a directory") from None
-    existing = [n for n in (*filenames, _MANIFEST_NAME) if (out / n).exists()]
-    if existing and not force:
-        raise ConfigError(
-            f"refusing to overwrite {existing} in {out}; pass --force to allow"
-        )
-    return out
-
-
 @contextmanager
 def _naming_lines(path: str):
     """Prefix path:line, read again from path, to a row error raised inside."""
@@ -174,17 +162,36 @@ def _naming_lines(path: str):
         raise type(exc)(f"{path}:{line_of_record(path, exc.row)}: {exc}") from None
 
 
-def _write_manifest(
-    out: Path,
-    command: str,
+def _write_out(
+    args: argparse.Namespace,
     config: Mapping,
+    files: Mapping[str, tuple],
     inputs: Mapping[str, str],
     seed: int | None = None,
     model_version: str | None = None,
-) -> None:
+) -> Path:
+    """Write each output into --out, then the manifest; return the directory.
+
+    files maps each output name to (writer, *rest), written in order as
+    writer(out / name, *rest).  A command calls this once, after it has
+    computed every result, so a run refused before then leaves no --out.
+    An existing output or manifest is refused unless --force is given.
+    """
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"--out {out} is not a directory") from None
+    existing = [n for n in (*files, _MANIFEST_NAME) if (out / n).exists()]
+    if existing and not args.force:
+        raise ConfigError(
+            f"refusing to overwrite {existing} in {out}; pass --force to allow"
+        )
+    for name, (writer, *rest) in files.items():
+        writer(out / name, *rest)
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": dict(config),
         "config_digest": hashlib.sha256(blob.encode()).hexdigest(),
         "input_digests": {name: file_sha256(path) for name, path in inputs.items()},
@@ -194,6 +201,7 @@ def _write_manifest(
         "created_utc": _utc_stamp(),
     }
     dump_json(out / _MANIFEST_NAME, manifest)
+    return out
 
 
 def _or_null(typed: Callable[[object, str], object], merged: Mapping, key: str):
@@ -238,17 +246,13 @@ def _simulate_settings(merged: Mapping) -> SimConfig:
 def cmd_simulate(args: argparse.Namespace, merged: Mapping, sim_cfg: SimConfig) -> int:
     from .simulate import default_sim_schema, generate_event_log
 
-    result = generate_event_log(sim_cfg)  # first, so a run it refuses leaves no --out
-    out = _prepare_out(
-        args.out, ("events.jsonl", "contexts.jsonl", "truth.json", "schema.json"), args.force
-    )
-    schema = default_sim_schema(sim_cfg)
-
-    write_events_jsonl(out / "events.jsonl", result.events)
-    write_contexts_jsonl(out / "contexts.jsonl", *result.contexts)
-    dump_json(out / "truth.json", result.truth)
-    write_schema_json(out / "schema.json", schema)
-    _write_manifest(out, "simulate", merged, inputs={}, seed=sim_cfg.seed)
+    result = generate_event_log(sim_cfg)
+    out = _write_out(args, merged, {
+        "events.jsonl": (write_events_jsonl, result.events),
+        "contexts.jsonl": (write_contexts_jsonl, *result.contexts),
+        "truth.json": (dump_json, result.truth),
+        "schema.json": (write_schema_json, default_sim_schema(sim_cfg)),
+    }, inputs={}, seed=sim_cfg.seed)
     stats = result.truth["stats"]
     print(
         f"simulate: {sim_cfg.n_users} users, {stats['n_sends']} sends, "
@@ -287,13 +291,11 @@ def cmd_ingest(args: argparse.Namespace, merged: Mapping, pipe_cfg: PipelineConf
         "n_censored": len(observations) - n_uncensored,
         "n_uncensored": n_uncensored,
     }
-    out = _prepare_out(args.out, ("observations.jsonl", "schema.json", "report.json"), args.force)
-    write_observations_jsonl(out / "observations.jsonl", observations)
-    write_schema_json(out / "schema.json", schema)
-    dump_json(out / "report.json", report)
-    _write_manifest(
-        out, "ingest", merged, inputs={"events": args.events, "schema": args.schema}
-    )
+    out = _write_out(args, merged, {
+        "observations.jsonl": (write_observations_jsonl, observations),
+        "schema.json": (write_schema_json, schema),
+        "report.json": (dump_json, report),
+    }, inputs={"events": args.events, "schema": args.schema})
     if n_events == 0:
         print("ingest: warning: empty event input, wrote empty observations", file=sys.stderr)
     print(
@@ -369,13 +371,9 @@ def cmd_train(args: argparse.Namespace, merged: Mapping, settings: tuple) -> int
             model = fit_logistic_baseline(read_events(args.events), schema, horizon, pipe_cfg,
                                           opt_cfg)
 
-    # the out directory is made only once the inputs have given a model
-    out = _prepare_out(args.out, ("model.json",), args.force)
-    write_model_json(out / "model.json", model)
     version = model_digest(model) if isinstance(model, WeibullAftModel) else None
-    _write_manifest(
-        out, "train", merged, inputs=inputs, seed=opt_cfg.seed, model_version=version
-    )
+    out = _write_out(args, merged, {"model.json": (write_model_json, model)},
+                     inputs=inputs, seed=opt_cfg.seed, model_version=version)
     label = kind if horizon is None else f"{kind} (T={horizon}h)"
     print(f"train: fitted {label} model -> {out / 'model.json'}")
     return EXIT_OK
@@ -443,19 +441,17 @@ def cmd_evaluate(args: argparse.Namespace, merged: Mapping, settings: tuple) -> 
             horizons=horizons, labeler=labeler, cfg=pipe_cfg,
         )
 
-    out = _prepare_out(args.out, ("auc_report.csv", "auc_report.json"), args.force)
-    (out / "auc_report.csv").write_text(report.to_csv(), encoding="utf-8")
     rows = [
         {**asdict(r), "auc_aft": None, "auc_logistic": None} if r.flag else asdict(r)
         for r in report.rows
     ]
-    dump_json(out / "auc_report.json", {"rows": rows, "reference_points": REFERENCE_AUC_POINTS})
     inputs = {"aft_model": args.aft_model, "events": args.events, "schema": args.schema}
     for i, path in enumerate(args.logistic_model):
         inputs[f"logistic_model_{i}"] = path
-    _write_manifest(
-        out, "evaluate", merged, inputs=inputs, model_version=model_digest(aft)
-    )
+    out = _write_out(args, merged, {
+        "auc_report.csv": (Path.write_text, report.to_csv(), "utf-8"),
+        "auc_report.json": (dump_json, {"rows": rows, "reference_points": REFERENCE_AUC_POINTS}),
+    }, inputs=inputs, model_version=model_digest(aft))
     print(report.to_text())
     print(f"evaluate: {len(report.rows)} horizons -> {out / 'auc_report.csv'}")
     return EXIT_OK
@@ -487,16 +483,10 @@ def cmd_score(args: argparse.Namespace, merged: Mapping, horizon: float) -> int:
         X0 = model.schema.materialize_columns(features, badges, np.zeros(len(user_ids)))
         scores = score_columns(model, X0, w0, horizon, model_name=f"the model in {args.model}")
 
-    out = _prepare_out(args.out, ("deltas.jsonl",), args.force)
     version = model_digest(model)
-    write_deltas_jsonl(out / "deltas.jsonl", user_ids, w0, scores, horizon, version)
-    _write_manifest(
-        out,
-        "score",
-        merged,
-        inputs={"model": args.model, "contexts": args.contexts},
-        model_version=version,
-    )
+    out = _write_out(args, merged, {
+        "deltas.jsonl": (write_deltas_jsonl, user_ids, w0, scores, horizon, version),
+    }, inputs={"model": args.model, "contexts": args.contexts}, model_version=version)
     if not user_ids:
         print("score: warning: empty context input, wrote empty deltas", file=sys.stderr)
     print(f"score: {len(user_ids)} users at T={horizon}h -> {out / 'deltas.jsonl'}")
@@ -589,10 +579,10 @@ def cmd_decide(args: argparse.Namespace, merged: Mapping, settings: tuple) -> in
         report["objective"] = result.objective
     if report["status"] == "ok":
         report["n_send"] = int(np.count_nonzero(result.send))
-    out = _prepare_out(args.out, ("decisions.jsonl", "report.json"), args.force)
-    write_decisions_jsonl(out / "decisions.jsonl", candidates.user_ids, result)
-    dump_json(out / "report.json", report)
-    _write_manifest(out, "decide", merged, inputs={"scores": args.scores})
+    out = _write_out(args, merged, {
+        "decisions.jsonl": (write_decisions_jsonl, candidates.user_ids, result),
+        "report.json": (dump_json, report),
+    }, inputs={"scores": args.scores})
     if report["status"] == "infeasible":
         print(
             f"decide: infeasible: click floor {moo.c_click} unreachable "

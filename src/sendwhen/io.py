@@ -799,6 +799,11 @@ def read_model_json(path: str | Path) -> WeibullAftModel | LogisticModel:
         schema = (
             None if rec.get("schema") is None else FeatureSchema.from_dict(rec["schema"])
         )
+        if schema is not None and schema.names != names:
+            raise ValueError(
+                f"feature_names {list(names)} are not the schema's slot names "
+                f"{list(schema.names)}"
+            )
         diagnostics = dict(rec.get("diagnostics") or {})
         if kind == "weibull_aft":
             return WeibullAftModel(
@@ -816,8 +821,6 @@ def read_model_json(path: str | Path) -> WeibullAftModel | LogisticModel:
                 diagnostics=diagnostics,
                 schema=schema,
             )
-    except DataError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file: {exc}") from exc
     raise DataError(f"{path}: unknown model kind {kind!r}")

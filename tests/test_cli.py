@@ -485,6 +485,7 @@ def test_evaluate_refuses_a_model_with_fewer_coefficients_than_its_schema(
     rec = json.loads((aft_dir / "model.json").read_text())
     rec["feature_names"].pop()
     rec["coefficients"].pop()
+    rec["schema"] = None  # the reader refuses a model whose own schema is wider
     model = tmp_path / "model.json"
     model.write_text(json.dumps(rec))
     schema = sim_dir / "schema.json"
@@ -910,6 +911,11 @@ def _model_file(path, rec, **changes):
     return path
 
 
+# the slot names of the simulated schema, as every trained model's feature_names
+_SIM_NAMES = ["intercept", "profile_0", "profile_1", "badge_count", "badge_count*profile_0"]
+_SWAPPED = [_SIM_NAMES[0], _SIM_NAMES[2], _SIM_NAMES[1], *_SIM_NAMES[3:]]
+
+
 # refusals of inputs that the commands read: argv ({t} is a scratch directory,
 # {aft}, {bare} and {logistic} the trained models' files), exit code, and the
 # last stderr line without "error: "
@@ -917,7 +923,9 @@ _SCORE = ("score", "--contexts", "{sim}/contexts.jsonl", "--model")
 INPUT_REFUSALS = [
     (_SCORE + ("{logistic}",), 3, "{logistic} does not hold a survival model; scoring needs one"),
     (_SCORE + ("{bare}",), 3, "{bare} carries no feature schema; scoring needs one"),
-    (_SCORE + ("{t}/short_schema.json",), 3, "model schema and coefficient vector disagree"),
+    (_SCORE + ("{t}/short_schema.json",), 3,
+     "{t}/short_schema.json: malformed model file: feature_names " + str(_SIM_NAMES[:-1])
+     + " are not the schema's slot names " + str(_SIM_NAMES)),
     (("evaluate", "--aft-model", "{aft}", "--logistic-model", "{aft}", "--events",
       "{sim}/events.jsonl", "--schema", "{sim}/schema.json"), 3,
      "{aft} does not hold a logistic model"),
@@ -943,9 +951,10 @@ def test_input_refusal_message_and_exit_code(
 
 
 # model files whose values json_number or json_str refuses, whose coefficients,
-# weights or log_sigma are not finite, or whose vector is not one entry per
-# feature name: (kind, changes from the trained record,
-# the refusal after "malformed model file: ")
+# weights or log_sigma are not finite, whose vector is not one entry per
+# feature name, whose feature_names are not its schema's slot names in order,
+# or whose horizon is not finite and > 0: (kind, changes from the trained
+# record, the refusal after "malformed model file: ")
 _BAD_MODELS = [
     ("aft", lambda rec: {"coefficients": rec["coefficients"][:-1]},
      "coefficients has 4 entries for 5 feature_names"),
@@ -971,6 +980,14 @@ _BAD_MODELS = [
     ("aft", lambda rec: {"log_sigma": math.inf}, "log_sigma must be finite, got inf"),
     ("logistic", lambda rec: {"weights": rec["weights"][:-1] + [math.nan]},
      "weights must be finite, got nan"),
+    ("aft", lambda rec: {"feature_names": _SWAPPED},
+     f"feature_names {_SWAPPED} are not the schema's slot names {_SIM_NAMES}"),
+    ("logistic", lambda rec: {"feature_names": _SIM_NAMES[:-1], "weights": rec["weights"][:-1]},
+     f"feature_names {_SIM_NAMES[:-1]} are not the schema's slot names {_SIM_NAMES}"),
+    ("logistic", lambda rec: {"horizon_t_hours": -1.0}, "horizon must be finite and > 0, got -1.0"),
+    ("logistic", lambda rec: {"horizon_t_hours": 0}, "horizon must be finite and > 0, got 0.0"),
+    ("logistic", lambda rec: {"horizon_t_hours": math.nan},
+     "horizon must be finite and > 0, got nan"),
 ]
 
 

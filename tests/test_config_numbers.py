@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sendwhen import simulate
 from sendwhen.cli import main
 
 # each case: argv ({d} the fixtures' directory), the config the drawn value
@@ -85,8 +86,13 @@ def fixtures(tmp_path_factory):
 
 
 @pytest.mark.parametrize("case,key", [(c, k) for c, (_, _, keys) in CASES.items() for k in keys])
-def test_a_numeric_config_value_is_run_or_refused(fixtures, case, key):
+def test_a_numeric_config_value_is_run_or_refused(fixtures, monkeypatch, case, key):
     argv, base, _ = CASES[case]
+    if (case, key) == ("simulate", "window_hours"):
+        # a drawn window may run to the send limit, about a minute and 5 GB for
+        # these 3 users; under a limit of 10,000 sends each draw is refused
+        # (naming window_hours) or runs in milliseconds
+        monkeypatch.setattr(simulate, "_MAX_SENDS", 10_000)
     argv = [a.format(d=fixtures) for a in argv]
     config, out = fixtures / "config.json", fixtures / "out"
 

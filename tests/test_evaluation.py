@@ -196,6 +196,15 @@ class TestAuc:
         with pytest.raises(DataError):
             auc([math.nan, 0.2], [0, 1])
 
+    @pytest.mark.parametrize("scores,labels,shapes", [
+        ([0.1, 0.2, 0.3], [0, 1], "scores (3,) vs labels (2,)"),
+        ([[0.1, 0.2]], [[False, True]], "scores (1, 2) vs labels (1, 2)"),
+    ])
+    def test_shape_mismatch_rejected(self, scores, labels, shapes):
+        with pytest.raises(DataError) as info:
+            auc(scores, labels)
+        assert str(info.value) == f"shape mismatch: {shapes}"
+
 
 class TestAverageRanks:
     """The numpy rank helper against scipy's rankdata as a test-only oracle."""

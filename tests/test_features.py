@@ -74,6 +74,14 @@ class TestConstruction:
                 )
             )
 
+    def test_empty_slot_name_and_empty_schema_rejected(self):
+        with pytest.raises(SchemaError) as info:
+            SlotSpec("")
+        assert str(info.value) == "slot name must be a non-empty string"
+        with pytest.raises(SchemaError) as info:
+            FeatureSchema(())
+        assert str(info.value) == "schema must have at least one slot"
+
     def test_unknown_kind(self):
         with pytest.raises(SchemaError, match="unknown kind"):
             SlotSpec("x", "quadratic")

@@ -141,6 +141,14 @@ def test_ratio_nan_kappa_rejected():
         ratio_rule([cand("a", 0.1, p_wait=0.5)], kappa=math.nan)
 
 
+@pytest.mark.parametrize("rule", [threshold_rule, ratio_rule])
+@pytest.mark.parametrize("kappa", ["0.1", None, True])
+def test_a_kappa_that_is_not_a_number_is_refused(rule, kappa):
+    with pytest.raises(ConfigError) as info:
+        rule([cand("a", 0.1, p_wait=0.5)], kappa=kappa)
+    assert str(info.value) == f"kappa must be a real number, got {kappa!r}"
+
+
 # -- LP policy: hand instances -----------------------------------------------
 
 

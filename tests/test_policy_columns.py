@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle_moo import moo_oracle
@@ -106,6 +106,45 @@ def test_moo_equals_the_full_sort_solver_at_2000_tied_candidates(seed):
     _check_against_oracle(ids, delta, p, 0.8 * top, c_send)
 
 
+@st.composite
+def click_floors(draw):
+    """(delta, p_click, c_click, c_send, permutation): distinct deltas and distinct
+    p_click, with a click floor between the clicks of the volume-capped choice by
+    delta and the most clicks the cap allows."""
+    n = draw(st.integers(2, 12))
+    delta = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n, unique=True))
+    p = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n, unique=True))
+    c_send = draw(st.floats(0.5, float(n)))
+    free = moo_solve(CandidateColumns([f"u{i}" for i in range(n)], delta, np.full(n, 0.5), p),
+                     MooConfig(c_click=0.0, c_send=c_send))
+    least = float(np.dot(p, free.y))
+    most = float(np.dot(np.sort(p)[::-1], np.clip(c_send - np.arange(n), 0.0, 1.0)))
+    assume(most - least > 1e-6)
+    c_click = least + draw(st.floats(0.1, 0.9)) * (most - least)
+    return delta, p, c_click, c_send, draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(click_floors())
+def test_moo_decides_each_user_alike_in_any_row_order(drawn):
+    delta, p, c_click, c_send, order = drawn
+    cfg = MooConfig(c_click=c_click, c_send=c_send)
+    ids = [f"u{i}" for i in range(len(delta))]
+
+    def solve(rows):
+        res = moo_solve(CandidateColumns([ids[i] for i in rows], np.take(delta, rows),
+                                         np.full(len(rows), 0.5), np.take(p, rows)), cfg)
+        return res.kappa1, {ids[i]: (bool(res.send[j]), bool(res.flagged[j]), float(res.y[j]))
+                            for j, i in enumerate(rows)}
+
+    kappa1, base = solve(list(range(len(delta))))
+    assume(kappa1 > 0.0)  # the floor binds; with a delta of 0 it may be met at price 0
+    permuted = solve(order)[1]
+    for uid, (send, flagged, y) in base.items():
+        assert permuted[uid][:2] == (send, flagged), uid
+        assert abs(permuted[uid][2] - y) <= 1e-12, uid
+
+
 BAD_ROWS = [
     ("", 0.1, 0.5, 0.5),
     ("c", math.nan, 0.5, 0.5),
@@ -127,6 +166,15 @@ def test_columns_refuse_the_first_bad_row_as_candidate_does(row):
         CandidateColumns([r[0] for r in rows], *np.array([r[1:] for r in rows]).T)
     assert str(cols.value) == str(one.value)
     assert cols.value.row == 2
+
+
+@pytest.mark.parametrize("column", ["delta", "p_wait", "p_click"])
+def test_columns_refuse_a_column_of_another_length(column):
+    columns = {"delta": np.zeros(3), "p_wait": np.zeros(3), "p_click": np.zeros(3),
+               column: np.zeros(2)}
+    with pytest.raises(DataError) as info:
+        CandidateColumns(["a", "b", "c"], **columns)
+    assert str(info.value) == f"{column} has shape (2,), 3 user ids"
 
 
 def test_from_candidates_keeps_order_and_values():

@@ -199,6 +199,11 @@ CASES += [
      '"user_id":"u","x":[1.0,0.5,1.0]}',
      "malformed observation: origin_ts_hours must be a number, got '0'"),
 ]
+# a kind that is not a string is named as str() gives it
+CASES += [
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":5}', "unknown event kind '5'"),
+    ("events.jsonl", '{"user_id":"u","ts_hours":2.0,"kind":null}', "unknown event kind 'None'"),
+]
 
 
 def _write(path, lines, bad):

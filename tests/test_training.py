@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sendwhen import ConvergenceError, DataError
+from sendwhen import ConvergenceError, DataError, SchemaError
 from sendwhen.features import FeatureSchema
 from sendwhen.io import read_model_json, write_model_json
 from sendwhen.optimize import OptConfig
@@ -54,6 +54,44 @@ def sample_aft(rng, n, b_true, sigma_true, censor_at=None):
         delta = t <= censor_at
         t_obs = np.minimum(t, censor_at)
     return X, t_obs, delta
+
+
+def _design(k=2, n=4):
+    """A design of n observations and k features, every one uncensored."""
+    return DesignMatrix.from_columns(np.ones((n, k)), np.arange(1.0, n + 1), np.ones(n))
+
+
+_LABELS = np.array([0.0, 1.0, 0.0, 1.0])
+_WIDE = FeatureSchema.build(base=["p0", "p1"])  # 4 slots: intercept, p0, p1, badge_count
+
+# refusals of the design and the fits: (call, error type, message)
+REFUSALS = [
+    (lambda: DesignMatrix.from_columns([[1.0], [np.nan]], [1.0, 2.0], [1, 1]), DataError,
+     "non-finite feature value at observation index 1"),
+    (lambda: DesignMatrix.from_columns(np.ones((3, 1)), [1.0, 2.0, 0.0], [1, 1, 1]), DataError,
+     "non-positive or non-finite duration at observation index 2"),
+    (lambda: aft_negloglik_and_gradient(np.zeros(3), 0.0, _design()), DataError,
+     "coefficient vector has shape (3,), expected (2,)"),
+    (lambda: fit_aft(_design(), schema=_WIDE), SchemaError,
+     "schema has 4 slots but observations have 2 features"),
+    (lambda: fit_logistic(np.ones((3, 2)), _LABELS, 4.0), DataError,
+     "shape mismatch: X (3, 2) vs y (4,)"),
+    (lambda: fit_logistic(np.ones(4), _LABELS, 4.0), DataError,
+     "shape mismatch: X (4,) vs y (4,)"),
+    (lambda: fit_logistic(np.ones((0, 2)), np.zeros(0), 4.0), DataError,
+     "no instances to train on"),
+    (lambda: fit_logistic([[1.0], [1.0], [np.inf], [1.0]], _LABELS, 4.0), DataError,
+     "non-finite feature values in the design matrix"),
+    (lambda: fit_logistic(np.ones((4, 2)), _LABELS, 4.0, schema=_WIDE), SchemaError,
+     "schema has 4 slots but instances have 2 features"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REFUSALS)
+def test_refusal_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestAftObjective:
@@ -450,3 +488,21 @@ class TestPersistence:
                 tmp_path, aft,
                 lambda doc: {k: v for k, v in doc.items() if k != "coefficients"},
             )
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {**doc, "feature_names": doc["feature_names"][::-1]},
+        lambda doc: {**doc, "feature_names": doc["feature_names"][:-1],
+                     "coefficients": doc["coefficients"][:-1]},
+    ])
+    def test_feature_names_must_be_the_schemas_slot_names(self, tmp_path, edit):
+        aft, _ = self.fit_pair()
+        with pytest.raises(DataError, match=r"model\.json: malformed model file: "
+                                            r"feature_names \[.*\] are not the schema's slot"):
+            self.round_trip(tmp_path, aft, edit)
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan])
+    def test_a_bad_horizon_names_the_file(self, tmp_path, horizon):
+        _, logit = self.fit_pair()
+        with pytest.raises(DataError, match=r"model\.json: malformed model file: "
+                                            r"horizon must be finite and > 0"):
+            self.round_trip(tmp_path, logit, lambda doc: {**doc, "horizon_t_hours": horizon})
