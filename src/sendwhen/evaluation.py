@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError, check_positive
+from .errors import ConfigError, DataError, NumericalError, SchemaError, check_positive
 from .features import FeatureSchema
 from .pipeline import (
     DEFAULT_HORIZONS,
@@ -117,13 +117,22 @@ def _score_for_auc(
     """Ranking scores at a horizon that match_horizons checked: visit probability by T.
 
     The survival model turns into a probability via its own cdf at T; a
-    logistic model gives its own, at the horizon it was trained for.
+    logistic model gives its own, at the horizon it was trained for.  A
+    survival score that is not a finite float is a NumericalError.
     """
     if isinstance(model, LogisticModel):
         return model.predict_proba(X)
-    mu = model.linear_predictor(X)
-    lam = np.exp(-mu / model.sigma)
-    return -np.expm1(-cum_hazard(horizon, lam, model.alpha))
+    at = f"horizon {horizon} and shape alpha = 1/sigma = {model.alpha!r}"
+    with np.errstate(over="ignore", invalid="ignore"):  # inf rate: 1.0; nan: refused
+        lam = np.exp(-model.linear_predictor(X) / model.sigma)
+        try:
+            scores = -np.expm1(-cum_hazard(horizon, lam, model.alpha))
+        except OverflowError:
+            raise NumericalError(
+                f"hazard overflows: horizon**alpha is outside the float range at {at}") from None
+    if not np.isfinite(scores).all():
+        raise NumericalError(f"non-finite survival score at {at}")
+    return scores
 
 
 @dataclass(frozen=True)

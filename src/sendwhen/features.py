@@ -185,7 +185,7 @@ class FeatureSchema:
 
     def _interact(self, X: np.ndarray) -> None:
         """Set every interaction slot of X (a vector or a matrix) from its parents."""
-        with np.errstate(invalid="ignore"):  # inf * 0 is a nan the callers report
+        with np.errstate(over="ignore", invalid="ignore"):  # callers report inf and nan
             for i, s in enumerate(self.slots):
                 if s.kind == "interaction":
                     a, b = (self._index[p] for p in s.parents)

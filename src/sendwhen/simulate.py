@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, check_positive
+from .errors import ConfigError, DomainError, check_positive
 from .features import FeatureSchema
 from .io import json_int, json_number
 from .pipeline import EventColumns
@@ -276,8 +276,14 @@ def generate_event_log(cfg: SimConfig) -> SimResult:
                     t_next = sends[i + 1]
                     n_resolved += 1
                     law = law_of.get(badge)
-                    if law is None:  # WeibullParams refuses an infinite rate
-                        law = law_of[badge] = WeibullParams(aft_rate(mu, sigma), shape)
+                    if law is None:  # WeibullParams refuses a rate or shape past the floats
+                        try:
+                            law = law_of[badge] = WeibullParams(aft_rate(mu, sigma), shape)
+                        except DomainError as exc:  # the config's law, not the data's
+                            raise ConfigError(
+                                f"true_coefficients and true_sigma give mu/sigma = "
+                                f"{mu / sigma!r} at badge {badge}, a Weibull law outside the "
+                                f"float range: {exc}") from None
                     expected_censored += math.exp(-cum_hazard(t_next - t_send, law.rate, law.shape))
                     if visit_at >= t_next:
                         n_censored += 1

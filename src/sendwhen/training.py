@@ -226,6 +226,15 @@ class WeibullAftModel:
     diagnostics: Mapping[str, object] = field(default_factory=dict)
     schema: FeatureSchema | None = None
 
+    def __post_init__(self) -> None:
+        try:  # sigma overflows past log_sigma 709.78, and alpha below -709.78
+            alpha = 1.0 / math.exp(self.log_sigma)
+        except (OverflowError, ZeroDivisionError):
+            alpha = math.nan
+        if not 0.0 < alpha < math.inf:
+            raise DataError(f"log_sigma = {self.log_sigma!r} puts sigma = exp(log_sigma) or "
+                            "alpha = 1/sigma outside the float range")
+
     @property
     def sigma(self) -> float:
         return math.exp(self.log_sigma)

@@ -610,6 +610,70 @@ def test_score_refuses_a_hazard_gap_of_inf_minus_inf(tmp_path, capsys, aft_dir, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("changes,horizon,message", [
+    ({"log_sigma": -0.5}, 1e300, "hazard overflows: horizon**alpha is outside the float range"),
+    ({"log_sigma": -700.0}, 24.0, "hazard overflows: horizon**alpha is outside the float range"),
+    # every rate exp(1/sigma) is inf and 0.5**alpha is 0.0: each score is nan
+    ({"log_sigma": -700.0, "coefficients": [-1.0, 0.0, 0.0, 0.0, 0.0]}, 0.5,
+     "non-finite survival score"),
+], ids=["horizon-1e300", "log-sigma-700", "nan-score"])
+def test_evaluate_refuses_a_survival_score_no_float_holds(tmp_path, capsys, sim_dir, aft_dir,
+                                                          changes, horizon, message):
+    rec = json.loads((aft_dir / "model.json").read_text())
+    model = _model_file(tmp_path / "model.json", rec, **changes)
+    log_dir, out = tmp_path / "log", tmp_path / "o"
+    assert run("train", "--model", f"logistic:{horizon}", "--events", sim_dir / "events.jsonl",
+               "--schema", sim_dir / "schema.json", "--out", log_dir) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--aft-model", model, "--logistic-model", log_dir / "model.json",
+               "--events", sim_dir / "events.jsonl", "--schema", sim_dir / "schema.json",
+               "--horizons", horizon, "--out", out) == 4
+    alpha = read_model_json(model).alpha
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {message} at horizon {horizon} and shape alpha = 1/sigma = {alpha!r}"]
+    assert not out.exists()
+
+
+def _in_a_new_interpreter(*argv):
+    """main(argv) in a child, where a numpy warning would reach its stderr."""
+    src = str(Path(sendwhen.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-c",
+         "import sys; from sendwhen.cli import main; sys.exit(main(sys.argv[1:]))",
+         *map(str, argv)],
+        env=env, capture_output=True, text=True,
+    )
+
+
+def test_score_and_evaluate_write_only_their_own_lines_to_stderr(tmp_path, sim_dir, aft_dir,
+                                                                 logistic_24_dir):
+    # the send doubles the interaction 1e308 past the largest float
+    contexts = tmp_path / "c.jsonl"
+    contexts.write_text(json.dumps(
+        {**CONTEXT, "features": {"profile_0": 1e308, "profile_1": 0.0}}) + "\n")
+    proc = _in_a_new_interpreter("score", "--model", aft_dir / "model.json",
+                                 "--contexts", contexts, "--out", tmp_path / "s")
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: {contexts}:1: ")
+    # profile_0 -1e10 on one send and 1e10 on another: one rate exp(-mu/sigma) overflows
+    lines = (sim_dir / "events.jsonl").read_text().splitlines()
+    sends = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "send"][:2]
+    for i, value in zip(sends, (-1e10, 1e10)):
+        event = json.loads(lines[i])
+        event["features"]["profile_0"] = value
+        lines[i] = json.dumps(event)
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n")
+    proc = _in_a_new_interpreter(
+        "evaluate", "--aft-model", aft_dir / "model.json",
+        "--logistic-model", logistic_24_dir / "model.json", "--events", events,
+        "--schema", sim_dir / "schema.json", "--horizons", 24, "--out", tmp_path / "e")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_score_empty_contexts_warns_and_writes_empty_deltas(tmp_path, capsys, aft_dir):
     contexts = tmp_path / "c.jsonl"
     contexts.write_text("")
@@ -978,6 +1042,9 @@ _BAD_MODELS = [
     ("aft", lambda rec: {"coefficients": rec["coefficients"][:-1] + [-math.inf]},
      "coefficients must be finite, got -inf"),
     ("aft", lambda rec: {"log_sigma": math.inf}, "log_sigma must be finite, got inf"),
+    *(("aft", lambda rec, ls=ls: {"log_sigma": ls},
+       f"log_sigma = {ls!r} puts sigma = exp(log_sigma) or alpha = 1/sigma outside the float range")
+      for ls in (-800.0, 800.0)),
     ("logistic", lambda rec: {"weights": rec["weights"][:-1] + [math.nan]},
      "weights must be finite, got nan"),
     ("aft", lambda rec: {"feature_names": _SWAPPED},

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from sendwhen.errors import ConfigError, DataError, SchemaError
+from sendwhen.errors import ConfigError, DataError, NumericalError, SchemaError
 from sendwhen.evaluation import (
     DEFAULT_HORIZONS,
     AucRow,
@@ -227,12 +227,31 @@ class TestAverageRanks:
 
 
 class TestScoreForAuc:
-    def aft_model(self, coefficients, names=("intercept",)):
+    def aft_model(self, coefficients, names=("intercept",), log_sigma=math.log(1.5)):
         return WeibullAftModel(
             feature_names=tuple(names),
             coefficients=np.asarray(coefficients, dtype=float),
-            log_sigma=math.log(1.5),
+            log_sigma=log_sigma,
         )
+
+    @pytest.mark.parametrize("coefficient,log_sigma,horizon,message", [
+        (2.0, -0.5, 1e300, "hazard overflows: horizon**alpha is outside the float range at"),
+        (2.0, -700.0, 24.0, "hazard overflows: horizon**alpha is outside the float range at"),
+        # the rate exp(1/sigma) is inf and 0.5**alpha is 0.0: their product is nan
+        (-1.0, -700.0, 0.5, "non-finite survival score at"),
+    ])
+    def test_a_survival_score_no_float_holds_is_refused(self, coefficient, log_sigma, horizon,
+                                                         message):
+        m = self.aft_model([coefficient], log_sigma=log_sigma)
+        with pytest.raises(NumericalError) as info:
+            _score_for_auc(m, np.ones((3, 1)), horizon)
+        assert str(info.value) == (
+            f"{message} horizon {horizon} and shape alpha = 1/sigma = {m.alpha!r}")
+
+    def test_an_inf_rate_scores_one(self):
+        m = self.aft_model([1.0, 1.0], names=("intercept", "f"))
+        s = _score_for_auc(m, np.array([[1.0, 0.0], [1.0, -1e10]]), 24.0)
+        assert 0.0 < s[0] < 1.0 and s[1] == 1.0
 
     def test_identical_features_identical_scores(self):
         m = self.aft_model([2.0])
@@ -297,6 +316,12 @@ class TestAucVsHorizon:
             assert r.n == n_sends
             assert r.n_ambiguous == 0
             assert r.labeler == "naive"
+
+    def test_a_hazard_no_float_holds_is_refused_not_flagged(self, corpus):
+        sim, schema, aft, logistics = corpus
+        bad = WeibullAftModel(aft.feature_names, aft.coefficients, -700.0, schema=aft.schema)
+        with pytest.raises(NumericalError, match="hazard overflows"):
+            auc_vs_horizon(bad, logistics, sim.events, schema, horizons=(4.0,))
 
     def test_clean_report_counts_ambiguous(self, corpus):
         sim, schema, aft, logistics = corpus

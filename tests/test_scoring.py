@@ -340,6 +340,48 @@ def test_huge_w0_gives_a_finite_delta(w0):
     assert math.isfinite(delta) and -1.0 <= delta <= 1.0
 
 
+def test_a_nan_post_send_predictor_is_a_non_finite_rate():
+    # the send takes the interaction 1e308 to 2 * 1e308 = inf, and 0 * inf is nan
+    schema = FeatureSchema.build(base=["p0"], badge="badge_count",
+                                 interactions=[("badge_count", "p0")])
+    model = model_for(schema, [1.0, 0.0, 0.0, 0.0], 0.0)
+    X0 = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1e308, 1.0, 1e308]])
+    with pytest.raises(NumericalError) as info:
+        score_columns(model, X0, [0.0, 0.0], 24.0)
+    assert (str(info.value), info.value.row) == (
+        "non-finite rate from linear predictors (1.0, nan)", 1)
+
+
+# p = 1000 overflows a row's rates, p = -1000 underflows them and w0 = 1e200
+# overflows its hazard (alpha e); 0.0 and 1.0 are ordinary
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1000.0, -1000.0]), st.sampled_from([1.0, 1e200])),
+                min_size=1, max_size=12))
+def test_the_refusal_does_not_depend_on_the_chunk(rows):
+    model = model_for(FeatureSchema.build(base=["p"], badge=None), [0.0, -3.0], -1.0)
+    X0 = np.array([[1.0, p] for p, _ in rows])
+    w0 = [w for _, w in rows]
+    refusals = set()
+    for chunk in (1, 2, 3, 4096):
+        with mock.patch.object(sendwhen.scoring, "_CHUNK_ROWS", chunk):
+            try:
+                score_columns(model, X0, w0, 24.0)
+            except (DomainError, NumericalError) as exc:
+                refusals.add((type(exc), str(exc), exc.row))
+            else:
+                refusals.add(None)
+    (refusal,) = refusals
+    rates = [i for i, (p, _) in enumerate(rows) if p != 0.0]
+    hazards = [i for i, (_, w) in enumerate(rows) if w == 1e200]
+    if rates:  # any rate's refusal comes before any hazard's
+        error = NumericalError if rows[rates[0]][0] > 0.0 else DomainError
+        assert (refusal[0], refusal[2]) == (error, rates[0])
+    elif hazards:
+        assert refusal[1].startswith("hazard overflows") and refusal[2] == hazards[0]
+    else:
+        assert refusal is None
+
+
 class TestModelDigest:
     def test_digest_stable_and_sensitive(self):
         schema = badge_schema()

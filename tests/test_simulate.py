@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -488,6 +489,12 @@ def test_simulate_refuses_an_oversized_run_before_any_draw(tmp_path, capsys, mon
     assert not (tmp_path / "out").exists()
 
 
+# a config whose Weibull law no float can hold, refused as a config error naming its keys
+_LAW_REFUSED = re.compile(r"error: true_coefficients and true_sigma give mu/sigma = \S+ at badge "
+                          r"1, a Weibull law outside the float range: (rate|shape) must be finite "
+                          r"and > 0, got \S+")
+
+
 @pytest.mark.parametrize("intercept, rate", [(2000.0, "0.0"), (-2000.0, "inf")])
 def test_simulate_refuses_a_weibull_rate_out_of_range(tmp_path, capsys, intercept, rate):
     path = tmp_path / "sim.json"
@@ -496,10 +503,23 @@ def test_simulate_refuses_a_weibull_rate_out_of_range(tmp_path, capsys, intercep
     out = tmp_path / "out"
     with np.errstate(over="ignore"):  # the huge intercept's visit times overflow to inf
         code = main(["simulate", "--n-users", "3", "--config", str(path), "--out", str(out)])
-    assert code == 3
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: rate must be finite and > 0, got {rate}"
-    ]
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert _LAW_REFUSED.fullmatch(line) and line.endswith(f"got {rate}"), line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, reason", [
+    ({"true_sigma": 1e-10}, "rate must be finite and > 0, got 0.0"),
+    ({"true_sigma": 1e-310, "true_coefficients": [0.0] * 5}, "shape must be finite and > 0, got inf"),
+])
+def test_simulate_refuses_a_sigma_no_float_can_draw(tmp_path, capsys, config, reason):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"n_users": 3, **config}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert _LAW_REFUSED.fullmatch(line) and line.endswith(reason), line
     assert not out.exists()
 
 
@@ -518,5 +538,6 @@ def test_simulate_out_of_range_writes_only_its_error_line(tmp_path, intercept, r
          "import sys; from sendwhen.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
         env=env, capture_output=True, text=True,
     )
-    assert proc.returncode == 3
-    assert proc.stderr.splitlines() == [f"error: rate must be finite and > 0, got {rate}"]
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert _LAW_REFUSED.fullmatch(line) and line.endswith(f"got {rate}"), line

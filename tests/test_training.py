@@ -84,7 +84,17 @@ REFUSALS = [
      "non-finite feature values in the design matrix"),
     (lambda: fit_logistic(np.ones((4, 2)), _LABELS, 4.0, schema=_WIDE), SchemaError,
      "schema has 4 slots but instances have 2 features"),
+    # exp(-800) is 0.0, alpha = 1/exp(-709.79) and exp(709.79) are past the largest float
+    *((lambda ls=ls: WeibullAftModel(("intercept",), np.ones(1), ls), DataError,
+       f"log_sigma = {ls!r} puts sigma = exp(log_sigma) or alpha = 1/sigma outside the "
+       "float range") for ls in (-800.0, -709.79, 709.79, 800.0, math.nan)),
 ]
+
+
+def test_the_widest_log_sigma_is_a_model():
+    for ls in (-709.78, 709.78):
+        model = WeibullAftModel(("intercept",), np.ones(1), ls)
+        assert math.isfinite(model.sigma) and math.isfinite(model.alpha)
 
 
 @pytest.mark.parametrize("call,error,message", REFUSALS)
